@@ -260,6 +260,21 @@ def report_csv_lines(report: ConvergenceReport, prefix: tuple[str, ...] = ()) ->
     return out
 
 
+def _write_csv(lead: list[str], spots, rows, destination) -> int:
+    """Header (lead columns, per-spot price/error, order), then the rows."""
+    header = list(lead)
+    for s in spots:
+        header += [f"price_S{_fmt(float(s))}", f"err1e5_S{_fmt(float(s))}"]
+    header.append("order")
+    text = _csv_line(header) + "".join(_csv_line(fields) for fields in rows)
+    data = text.encode("utf-8")
+    if hasattr(destination, "write"):
+        destination.write(data)
+    else:
+        Path(destination).write_bytes(data)
+    return len(data)
+
+
 def emit_csv(report: ConvergenceReport, destination) -> int:
     """Write one report as CSV; returns bytes written.
 
@@ -267,40 +282,16 @@ def emit_csv(report: ConvergenceReport, destination) -> int:
     carry 10 significant digits, fields are RFC-4180 quoted when needed and
     the file ends with a newline, so identical runs are byte-identical.
     """
-    header = ["I"]
-    for s in report.spots:
-        header += [f"price_S{_fmt(float(s))}", f"err1e5_S{_fmt(float(s))}"]
-    header.append("order")
-    text = _csv_line(header)
-    for fields in report_csv_lines(report):
-        text += _csv_line(fields)
-    data = text.encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        Path(destination).write_bytes(data)
-    return len(data)
+    return _write_csv(["I"], report.spots, report_csv_lines(report), destination)
 
 
 def emit_table_csv(results: list[tuple[str, ConvergenceReport]], destination) -> int:
     """Concatenate per-column reports into one long-format CSV."""
     if not results:
         raise ConfigError("no reports to emit")
-    spots = results[0][1].spots
-    header = ["column", "I"]
-    for s in spots:
-        header += [f"price_S{_fmt(float(s))}", f"err1e5_S{_fmt(float(s))}"]
-    header.append("order")
-    text = _csv_line(header)
-    for name, report in results:
-        for fields in report_csv_lines(report, prefix=(name,)):
-            text += _csv_line(fields)
-    data = text.encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        Path(destination).write_bytes(data)
-    return len(data)
+    rows = [fields for name, report in results
+            for fields in report_csv_lines(report, prefix=(name,))]
+    return _write_csv(["column", "I"], results[0][1].spots, rows, destination)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ The spatial operator L V = 0.5 sigma^2 S^2 V_SS + (r - q) S V_S - r V is
 discretized with central three-point stencils on a nonuniform grid.  Time
 marches backward from maturity with the composite trapezoidal/BDF2 step
 (gamma = 2 - sqrt(2), so both substages share one tridiagonal matrix).
+That matrix is factored once per run by a tridiagonal LU with partial
+pivoting (LAPACK gttrf), and every substage reuses the factors (gttrs).
 Constraint hooks enforce Dirichlet rows, off-grid barrier (ghost) rows,
 discrete knock-outs and the American exercise projection.
 """
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .gridgen import Grid
 
@@ -29,6 +31,16 @@ class SingularSystemError(np.linalg.LinAlgError):
     def __init__(self, row: int, message: str = ""):
         self.row = row
         super().__init__(message or f"zero pivot at row {row}")
+
+
+class NonFiniteValueError(FloatingPointError):
+    """A TR-BDF2 step produced a NaN or an infinity."""
+
+    def __init__(self, step: int, tau: float):
+        self.step = step
+        self.tau = tau
+        super().__init__(f"fdm: non-finite value after TR-BDF2 step {step} "
+                         f"(time to maturity {tau:g})")
 
 
 @dataclass(frozen=True)
@@ -211,33 +223,6 @@ class TridiagonalSystem:
             diag[row] -= f * lower[mid]
         rhs[row] -= f * rhs[mid]
         return TridiagonalSystem(lower, diag, upper, rhs, None)
-
-
-def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
-    """Thomas algorithm; raises SingularSystemError with the pivot row."""
-    if sys.out_of_band is not None:
-        raise ValueError("reduce_outofband before solving")
-    n = sys.diag.size
-    if n == 1:
-        if sys.diag[0] == 0.0:
-            raise SingularSystemError(0)
-        return sys.rhs / sys.diag
-    cp = np.empty(n)
-    dp = np.empty(n)
-    den = sys.diag[0]
-    if den == 0.0:
-        raise SingularSystemError(0)
-    cp[0] = sys.upper[0] / den
-    dp[0] = sys.rhs[0] / den
-    for i in range(1, n):
-        den = sys.diag[i] - sys.lower[i] * cp[i - 1]
-        if den == 0.0:
-            raise SingularSystemError(i)
-        cp[i] = sys.upper[i] / den
-        dp[i] = (sys.rhs[i] - sys.lower[i] * dp[i - 1]) / den
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    return dp
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +525,16 @@ class TrBdf2Stepper:
                 self._dirichlet_rows.append((row, bc.value))
         for hook in self.hooks:
             hook.stamp_matrix(lower, diag, upper)
-        self._ab = np.zeros((3, n))
-        self._ab[0, 1:] = upper[:-1]
-        self._ab[1, :] = diag
-        self._ab[2, :-1] = lower[1:]
+        *self._lu, info = dgttrf(lower[1:], diag, upper[:-1])
+        if info > 0:
+            raise SingularSystemError(
+                info - 1, f"fdm: TR-BDF2 matrix is singular (n = {n}, dt = {self.dt:g}): "
+                f"zero U pivot at index {info - 1} after partial pivoting; the faulty "
+                f"equation may be an earlier row")
         self._w = w
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dgttrs(*self._lu, rhs, overwrite_b=1)[0]
 
     def _rhs_pins(self, rhs: np.ndarray, tau: float):
         for row, value in self._dirichlet_rows:
@@ -566,22 +556,22 @@ class TrBdf2Stepper:
 
         rhs = v_eff + self._w * self.op.matvec(v_eff)
         self._rhs_pins(rhs, tau + GAMMA * self.dt)
-        v_stage = solve_banded((1, 1), self._ab, rhs, check_finite=False,
-                               overwrite_b=True)
+        v_stage = self._solve(rhs)
         self._value_pins(v_stage)
         for hook in self.hooks:
             hook.post_substage(v_stage, tau + GAMMA * self.dt)
 
         rhs = BDF2_NEW * v_stage - BDF2_OLD * v_eff
         self._rhs_pins(rhs, tau + self.dt)
-        v_new = solve_banded((1, 1), self._ab, rhs, check_finite=False,
-                             overwrite_b=True)
+        v_new = self._solve(rhs)
         tau_new = tau + self.dt
         self._value_pins(v_new)
         for hook in self.hooks:
             hook.post_substage(v_new, tau_new)
         for hook in self.hooks:
             hook.post_step(v_new, step_index, tau_new)
+        if not np.isfinite(v_new).all():
+            raise NonFiniteValueError(step_index, tau_new)
         return v_new
 
     def run(self, terminal: np.ndarray) -> np.ndarray:
@@ -590,42 +580,3 @@ class TrBdf2Stepper:
             v = self.step(v, j + 1, j * self.dt)
         return v
 
-
-def trbdf2_step(v: np.ndarray, dt: float, operator: SpatialOperator,
-                constraints: tuple[Hook, ...] = (), tau: float = 0.0) -> np.ndarray:
-    """Single composite TR-BDF2 step (one-shot convenience form).
-
-    ``operator`` must already contain its boundary rows; hooks are applied to
-    both substage systems and results, in order.  For repeated stepping use
-    TrBdf2Stepper, which prepares the shared matrix once.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n = operator.n
-    w = OMEGA * dt
-    lower = -w * operator.lower
-    diag = 1.0 - w * operator.diag
-    upper = -w * operator.upper
-    for hook in constraints:
-        hook.stamp_matrix(lower, diag, upper)
-
-    v_eff = np.asarray(v, dtype=float)
-    for hook in constraints:
-        v_eff = hook.override_previous(v_eff, tau)
-
-    rhs = v_eff + w * operator.matvec(v_eff)
-    for hook in constraints:
-        hook.adjust_rhs(rhs, tau + GAMMA * dt)
-    stage = solve_tridiagonal(TridiagonalSystem(lower, diag, upper, rhs))
-    for hook in constraints:
-        hook.post_substage(stage, tau + GAMMA * dt)
-
-    rhs = BDF2_NEW * stage - BDF2_OLD * v_eff
-    for hook in constraints:
-        hook.adjust_rhs(rhs, tau + dt)
-    out = solve_tridiagonal(TridiagonalSystem(lower, diag, upper, rhs))
-    for hook in constraints:
-        hook.post_substage(out, tau + dt)
-    for hook in constraints:
-        hook.post_step(out, 1, tau + dt)
-    return out

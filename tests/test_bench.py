@@ -1,7 +1,9 @@
 import io
 
+import numpy as np
 import pytest
 
+from stretchgrid import bench
 from stretchgrid.bench import (ConfigError, ConvergenceReport, ConvergenceRow,
                                bench_transforms, emit_csv, emit_table_csv,
                                load_bundled, parse_config_text,
@@ -104,6 +106,23 @@ class TestRunConvergence:
         report = run_convergence(table.columns[0][1])
         assert report.rows[0].failed
         assert not report.rows[1].failed
+
+    def test_non_finite_values_fail_the_row(self, monkeypatch):
+        real_payoff = bench.payoff
+
+        def nan_at_32(contract, grid):
+            values = real_payoff(contract, grid)
+            if grid.points.size == 33:
+                values[5] = np.nan
+            return values
+
+        monkeypatch.setattr(bench, "payoff", nan_at_32)
+        table = parse_table_config(parse_config_text(SMOKE))
+        report = run_convergence(table.columns[0][1])
+        assert not report.rows[0].failed
+        assert report.rows[1].steps == 32
+        assert "non-finite" in report.rows[1].failed
+        assert "step 1" in report.rows[1].failed
 
     def test_orders_from_error_ratios(self):
         report = ConvergenceReport("x", (100.0,))

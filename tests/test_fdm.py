@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from stretchgrid import fdm
 from stretchgrid.analytics import black_scholes_vanilla
-from stretchgrid.fdm import (BarrierMode, BoundaryCondition, BoundaryKind,
-                             GhostContext, GhostSide, GhostSubstage,
-                             MarketParams, PdeConfig, SingularSystemError,
-                             SpatialOperator, TridiagonalSystem, TrBdf2Stepper,
-                             apply_ghost_lagrange3, apply_ghost_linear,
-                             attach_boundary_rows, discretize_operator,
-                             first_derivative_weights, second_derivative_weights,
-                             solve_tridiagonal, trbdf2_step)
+from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, BarrierMode,
+                             BoundaryCondition, BoundaryKind, DirichletRegion,
+                             GhostBarrier, GhostContext, GhostSide,
+                             GhostSubstage, Hook, MarketParams,
+                             NonFiniteValueError, PdeConfig,
+                             SingularSystemError, TridiagonalSystem,
+                             TrBdf2Stepper, apply_ghost_lagrange3,
+                             apply_ghost_linear, attach_boundary_rows,
+                             discretize_operator, first_derivative_weights,
+                             second_derivative_weights)
 from stretchgrid.gridgen import Grid, StretchKind, StretchSpec, build_map, sample_grid
 from stretchgrid.instruments import (ContractSpec, ExerciseStyle, OptionType,
                                      constraint_hooks, payoff)
@@ -29,6 +32,32 @@ def dense_matrix(sys: TridiagonalSystem) -> np.ndarray:
         r, c, v = sys.out_of_band
         a[r, c] = v
     return a
+
+
+def dense_trbdf2_step(v, dt, op, rows=None, override=None):
+    """One TR-BDF2 step solved densely with numpy, as an engine-free reference.
+
+    ``rows`` maps a row index to (coefficients, rhs value): that equation
+    replaces the operator row in both substage systems.  ``override`` maps
+    the old values to the vector the explicit half-steps use.
+    """
+    n = op.n
+    lop = np.diag(op.diag) + np.diag(op.lower[1:], -1) + np.diag(op.upper[:-1], 1)
+    w = OMEGA * dt
+    a = np.eye(n) - w * lop
+    rows = rows or {}
+    for row, (coeffs, _) in rows.items():
+        a[row] = coeffs
+    v_eff = override(v) if override else v
+
+    def solve(rhs):
+        rhs = rhs.copy()
+        for row, (_, value) in rows.items():
+            rhs[row] = value
+        return np.linalg.solve(a, rhs)
+
+    stage = solve(v_eff + w * lop @ v_eff)
+    return solve(BDF2_NEW * stage - BDF2_OLD * v_eff)
 
 
 class TestStencils:
@@ -85,38 +114,6 @@ class TestStencils:
 
 
 class TestTridiagonal:
-    def test_identity(self):
-        n = 7
-        sys = TridiagonalSystem(np.zeros(n), np.ones(n), np.zeros(n),
-                                np.arange(float(n)))
-        assert np.array_equal(solve_tridiagonal(sys), np.arange(float(n)))
-
-    def test_laplacian_with_constructed_rhs(self):
-        n = 9
-        x = np.arange(1.0, n + 1.0)
-        lower = np.full(n, -1.0)
-        diag = np.full(n, 2.0)
-        upper = np.full(n, -1.0)
-        sys = TridiagonalSystem(lower, diag, upper, np.zeros(n))
-        rhs = dense_matrix(sys) @ x
-        sol = solve_tridiagonal(TridiagonalSystem(lower, diag, upper, rhs))
-        assert np.max(np.abs(sol - x)) < 1e-12 * np.max(np.abs(rhs))
-
-    def test_size_one(self):
-        sys = TridiagonalSystem(np.zeros(1), np.array([4.0]), np.zeros(1),
-                                np.array([8.0]))
-        assert solve_tridiagonal(sys) == pytest.approx([2.0])
-
-    def test_zero_pivot_reports_row(self):
-        sys = TridiagonalSystem(np.array([0.0, 1.0, 1.0]),
-                                np.array([1.0, 1.0, 1.0]),
-                                np.array([1.0, 1.0, 0.0]),
-                                np.ones(3))
-        # row 1 pivot: 1 - 1*1 = 0
-        with pytest.raises(SingularSystemError) as err:
-            solve_tridiagonal(sys)
-        assert err.value.row == 1
-
     def test_outofband_elimination_matches_dense(self):
         rng = np.random.default_rng(5)
         for trial in range(6):
@@ -132,14 +129,8 @@ class TestTridiagonal:
             dense = np.linalg.solve(dense_matrix(sys), rhs)
             reduced = sys.reduce_outofband()
             assert reduced.out_of_band is None
-            mine = solve_tridiagonal(reduced)
+            mine = np.linalg.solve(dense_matrix(reduced), reduced.rhs)
             assert np.max(np.abs(mine - dense)) < 1e-12 * max(1.0, np.max(np.abs(dense)))
-
-    def test_solve_requires_reduction_first(self):
-        sys = TridiagonalSystem(np.zeros(4), np.ones(4), np.zeros(4),
-                                np.ones(4), (2, 0, 1.0))
-        with pytest.raises(ValueError):
-            solve_tridiagonal(sys)
 
     def test_reduce_rejects_far_entries(self):
         sys = TridiagonalSystem(np.zeros(5), np.ones(5), np.zeros(5),
@@ -149,19 +140,22 @@ class TestTridiagonal:
 
 
 class TestTrBdf2:
+    def march(self, v, horizon, mkt, cfg=PdeConfig(1)):
+        grid = Grid(np.linspace(50.0, 150.0, v.size))
+        return TrBdf2Stepper(grid, mkt, cfg, horizon).run(v)
+
     def test_zero_operator_keeps_values(self):
-        op = SpatialOperator(np.zeros(5), np.zeros(5), np.zeros(5))
         v = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
-        out = trbdf2_step(v, 0.1, op)
+        out = self.march(v, 0.1, MarketParams(0.0, 0.0, 0.0))
         assert np.max(np.abs(out - v)) < 1e-14
 
     def test_pure_discounting_is_third_order_per_step(self):
+        # sigma = 0 and r = q leave L V = -r V on every row.
         r = 0.05
-        op = SpatialOperator(np.zeros(4), np.full(4, -r), np.zeros(4))
         v = np.array([1.0, 2.0, 3.0, 4.0])
         errs = []
         for dt in (0.2, 0.1, 0.05):
-            out = trbdf2_step(v, dt, op)
+            out = self.march(v, dt, MarketParams(r, r, 0.0))
             errs.append(np.max(np.abs(out - v * math.exp(-r * dt))))
         assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(8.0, rel=0.15)
@@ -175,8 +169,82 @@ class TestTrBdf2:
         stepper = TrBdf2Stepper(grid, mkt, cfg, 0.5, ())
         via_stepper = stepper.run(v0)
         op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
-        via_helper = trbdf2_step(v0, 0.5, op)
+        via_helper = dense_trbdf2_step(v0, 0.5, op)
         assert np.max(np.abs(via_stepper - via_helper)) < 1e-12
+
+    def test_step_matches_dense_with_dirichlet_and_ghost_hooks(self):
+        # Dirichlet boundary row, a knocked-out Dirichlet region and an
+        # off-grid up barrier with three-point ghost rows; the dense
+        # reference keeps the ghost row unreduced (three entries).
+        grid = sample_grid(build_map(StretchSpec(StretchKind.CUBIC, 0.0, 200.0,
+                                                 (100.0,), (5.0,))), 40)
+        s = grid.points
+        mkt = MarketParams(0.05, 0.01, 0.25)
+        cfg = PdeConfig(1, BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 1.5),
+                        BoundaryCondition(BoundaryKind.ZERO_GAMMA),
+                        barrier_mode=BarrierMode.GHOST_LAGRANGE3)
+        barrier = 0.5 * (s[30] + s[31])
+        ctx = GhostContext(s, 31, barrier, rebate=0.3, side=GhostSide.UP)
+        hooks = (DirichletRegion(1, 4, 0.0), GhostBarrier(ctx, BarrierMode.GHOST_LAGRANGE3))
+        v0 = np.maximum(s - 90.0, 0.0)
+        via_stepper = TrBdf2Stepper(grid, mkt, cfg, 0.5, hooks).run(v0)
+
+        n = s.size
+        g, a, b = ctx.lagrange3_nodes()
+        wg, wa, wb = ctx.lagrange3_weights()
+        rows = {0: (np.eye(n)[0], 1.5)}
+        rows.update({i: (np.eye(n)[i], 0.0) for i in range(1, 4)})
+        ghost_row = np.zeros(n)
+        ghost_row[[g, a, b]] = wg, wa, wb
+        rows[g] = (ghost_row, 0.3)
+        rows.update({i: (np.eye(n)[i], 0.3) for i in range(g + 1, n)})
+
+        def override(v):
+            v = v.copy()
+            v[g] = (0.3 - wa * v[a] - wb * v[b]) / wg
+            return v
+
+        op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
+        expect = dense_trbdf2_step(v0, 0.5, op, rows, override)
+        assert np.max(np.abs(via_stepper - expect)) < 1e-12 * np.max(np.abs(expect))
+
+    def test_singular_matrix_raises_at_construction(self):
+        class ZeroRow(Hook):
+            def stamp_matrix(self, lower, diag, upper):
+                lower[3] = diag[3] = upper[3] = 0.0
+
+            def adjust_rhs(self, rhs, tau):
+                raise AssertionError("no step may run on a singular matrix")
+
+        grid = Grid(np.linspace(50.0, 150.0, 6))
+        with pytest.raises(SingularSystemError) as err:
+            TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
+                          (ZeroRow(),))
+        # gttrf reports the zero U pivot after pivoting, not the zeroed row
+        assert err.value.row == 5
+        assert "n = 6" in str(err.value) and "dt = 0.25" in str(err.value)
+
+    def test_factors_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return dgttrf(*args, **kwargs)
+
+        dgttrf = fdm.dgttrf
+        monkeypatch.setattr(fdm, "dgttrf", counting)
+        grid = Grid(np.linspace(50.0, 150.0, 21))
+        stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.01, 0.2), PdeConfig(7), 1.0)
+        stepper.run(np.maximum(grid.points - 100.0, 0.0))
+        assert len(calls) == 1
+
+    def test_nan_terminal_raises_with_step(self):
+        v = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
+        with pytest.raises(NonFiniteValueError) as err:
+            self.march(v, 0.1, MarketParams(0.05, 0.01, 0.2), PdeConfig(3))
+        assert err.value.step == 1
+        assert err.value.tau == pytest.approx(0.1 / 3)
+        assert "step 1" in str(err.value)
 
     def test_vanilla_european_matches_closed_form(self):
         mkt = MarketParams(0.07, 0.02, 0.20)
@@ -298,7 +366,7 @@ class TestGhostRows:
         base = TridiagonalSystem(lower.copy(), diag.copy(), upper.copy(), rhs.copy())
         stamped = apply_ghost_lagrange3(ctx, GhostSubstage.IMPLICIT_MATRIX, base)
         assert stamped.out_of_band is None
-        mine = solve_tridiagonal(stamped)
+        mine = np.linalg.solve(dense_matrix(stamped), stamped.rhs)
         # dense solve of the unreduced 4-entry system
         wg, wa, wb = ctx.lagrange3_weights()
         dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
