@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import norm
+from scipy.special import ndtr
 
 
 def black_scholes_vanilla(S: float, K: float, T: float, r: float, q: float,
@@ -28,8 +28,8 @@ def black_scholes_vanilla(S: float, K: float, T: float, r: float, q: float,
     d1 = (math.log(S / K) + (r - q + 0.5 * sigma * sigma) * T) / vol
     d2 = d1 - vol
     if put_call == "call":
-        return S * df_q * norm.cdf(d1) - K * df_r * norm.cdf(d2)
-    return K * df_r * norm.cdf(-d2) - S * df_q * norm.cdf(-d1)
+        return S * df_q * ndtr(d1) - K * df_r * ndtr(d2)
+    return K * df_r * ndtr(-d2) - S * df_q * ndtr(-d1)
 
 
 def double_barrier_ko_analytic(S: float, K: float, T: float, r: float, q: float,
@@ -77,7 +77,7 @@ def double_barrier_ko_analytic(S: float, K: float, T: float, r: float, q: float,
         # overflowing the exponential prefactor.
         upper = (x_hi - center - p * v) / sq
         lower = (x_lo - center - p * v) / sq
-        diff = norm.cdf(upper) - norm.cdf(lower)
+        diff = ndtr(upper) - ndtr(lower)
         if diff <= 0.0:
             return 0.0
         log_term = p * center + 0.5 * p * p * v + math.log(diff)

@@ -140,7 +140,13 @@ def resolve_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
 
 
 class _MapCache:
-    """Stretch maps are reused across rows; ODE-defined maps key on ode_steps."""
+    """Stretch maps reused across the rows and columns of one table.
+
+    ``TableConfig.run`` keeps one cache for the shared reference and every
+    column, so columns with equal stretch specs share their maps.  Maps are
+    keyed on the spec; ODE-defined maps also key on ode_steps, which follows
+    the resolution.
+    """
 
     def __init__(self):
         self._maps: dict[tuple, StretchMap] = {}
@@ -189,15 +195,17 @@ def price_run(config: RunConfig, steps: int, cache: _MapCache | None = None) -> 
 
 
 def run_convergence(config: RunConfig,
-                    reference_prices: dict[float, float] | None = None) -> ConvergenceReport:
+                    reference_prices: dict[float, float] | None = None,
+                    cache: _MapCache | None = None) -> ConvergenceReport:
     """Sweep the space resolutions against a same-regime reference.
 
     The reference is priced with the same stretch/placement recipe at
     ``reference_steps`` unless explicit reference prices are passed in (used
     by table runs whose published reference is shared across columns).
     Failed resolutions are marked in the report instead of aborting the sweep.
+    Maps come from ``cache`` (a fresh one when not given).
     """
-    cache = _MapCache()
+    cache = cache or _MapCache()
     if reference_prices is None:
         reference_prices = price_run(config, config.reference_steps, cache)
     report = ConvergenceReport(config.label, config.report_spots,
@@ -394,66 +402,88 @@ def _parse_boundary(s: str) -> BoundaryCondition:
     return BoundaryCondition(table[kind], float(value) if value else 0.0)
 
 
-def _build_run(kv: dict[str, str], label: str) -> RunConfig:
-    def need(key: str) -> str:
-        if key not in kv:
-            raise ConfigError(f"missing config key {key!r}")
-        return kv[key]
+_REQUIRED = object()
 
-    style = ExerciseStyle(need("contract.style"))
-    contract = ContractSpec(
-        style=style,
-        put_call=OptionType(need("contract.put_call")),
-        strike=float(need("contract.strike")),
-        maturity=float(need("contract.maturity")),
-        barrier_lower=float(kv["contract.barrier_lower"]) if "contract.barrier_lower" in kv else None,
-        barrier_upper=float(kv["contract.barrier_upper"]) if "contract.barrier_upper" in kv else None,
-        rebate=float(kv.get("contract.rebate", "0")),
-        observations_per_year=int(kv["contract.observations_per_year"]) if "contract.observations_per_year" in kv else None,
-        observation_dates=_floats(kv["contract.observation_dates"]) if "contract.observation_dates" in kv else None,
-    )
-    market = MarketParams(rate=float(kv.get("market.rate", "0")),
-                          dividend=float(kv.get("market.dividend", "0")),
-                          sigma=float(kv.get("market.sigma", "0")))
+
+def _build_run(kv: dict[str, str], label: str) -> RunConfig:
+    """One column's ``RunConfig``; any bad value raises ``ConfigError``
+    naming its key (or, for a check across keys, the section's keys)."""
+
+    def get(key: str, convert, default=_REQUIRED):
+        if key not in kv:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing config key {key!r}")
+            return default
+        try:
+            return convert(kv[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {kv[key]!r}: {exc}") from exc
+
+    def build(section: str, make):
+        try:
+            return make()
+        except ValueError as exc:
+            keys = ", ".join(k for k in kv if k.startswith(section)) or section + "*"
+            raise ConfigError(f"{keys}: {exc}") from exc
+
+    style = get("contract.style", ExerciseStyle)
+    put_call = get("contract.put_call", OptionType)
+    strike = get("contract.strike", float)
+    maturity = get("contract.maturity", float)
+    barrier_lower = get("contract.barrier_lower", float, None)
+    barrier_upper = get("contract.barrier_upper", float, None)
+    rebate = get("contract.rebate", float, 0.0)
+    observations = get("contract.observations_per_year", int, None)
+    dates = get("contract.observation_dates", _floats, None)
+    contract = build("contract.", lambda: ContractSpec(
+        style=style, put_call=put_call, strike=strike, maturity=maturity,
+        barrier_lower=barrier_lower, barrier_upper=barrier_upper, rebate=rebate,
+        observations_per_year=observations, observation_dates=dates))
+    rate = get("market.rate", float, 0.0)
+    dividend = get("market.dividend", float, 0.0)
+    sigma = get("market.sigma", float, 0.0)
+    market = build("market.", lambda: MarketParams(rate=rate, dividend=dividend,
+                                                   sigma=sigma))
     fit = kv.get("domain.fit", DomainFit.EXPLICIT)
     domain = DomainSpec(
-        s_min=float(kv.get("domain.s_min", "0")),
-        s_max=float(kv.get("domain.s_max", "0")),
+        s_min=get("domain.s_min", float, 0.0),
+        s_max=get("domain.s_max", float, 0.0),
         fit=fit,
-        pad_fraction=float(kv.get("domain.pad_fraction", "0.02")),
+        pad_fraction=get("domain.pad_fraction", float, 0.02),
     )
     if fit == DomainFit.EXPLICIT and not domain.s_min < domain.s_max:
         raise ConfigError("explicit domains need domain.s_min < domain.s_max")
 
-    kind = StretchKind(kv.get("stretch.kind", "uniform"))
-    points = _floats(kv.get("stretch.points", ""))
-    alphas = _floats(kv["stretch.alpha"]) if "stretch.alpha" in kv else None
+    kind = get("stretch.kind", StretchKind, StretchKind.UNIFORM)
+    points = get("stretch.points", _floats, ())
+    alphas = get("stretch.alpha", _floats, None)
+    chi = get("stretch.chi", float, 6.0)
+    lam = get("stretch.lambda", float, 0.25)
+    knot_rule = get("stretch.knot_rule", KnotRule, KnotRule.INVERSE)
     # Bounds are provisional; build_run_grid rebinds them per resolved domain.
     s_min = domain.s_min if fit == DomainFit.EXPLICIT else (contract.barrier_lower or 0.0) - 1.0
     s_max = domain.s_max if fit == DomainFit.EXPLICIT else (contract.barrier_upper or 1.0) + 1.0
-    stretch = StretchSpec(kind, s_min, s_max, points, alphas,
-                          chi=float(kv.get("stretch.chi", "6")),
-                          lam=float(kv.get("stretch.lambda", "0.25")),
-                          knot_rule=KnotRule(kv.get("stretch.knot_rule", "inverse")))
+    stretch = build("stretch.", lambda: StretchSpec(
+        kind, s_min, s_max, points, alphas, chi=chi, lam=lam, knot_rule=knot_rule))
 
-    placement = PlacementSpec(PlacementMode(kv.get("placement.mode", "none")),
-                              _parse_targets(kv.get("placement.targets", "")))
+    mode = get("placement.mode", PlacementMode, PlacementMode.NONE)
+    targets = get("placement.targets", _parse_targets, ())
+    placement = build("placement.", lambda: PlacementSpec(mode, targets))
 
-    raw_steps = kv.get("pde.time_steps", "match_space")
-    match_time = raw_steps.strip() == "match_space"
-    pde = PdeConfig(
-        time_steps=1 if match_time else int(raw_steps),
-        boundary_lower=_parse_boundary(kv.get("pde.boundary_lower", "zero_gamma")),
-        boundary_upper=_parse_boundary(kv.get("pde.boundary_upper", "zero_gamma")),
-        barrier_mode=BarrierMode(kv.get("pde.barrier_mode", "on_grid")),
-    )
+    match_time = kv.get("pde.time_steps", "match_space").strip() == "match_space"
+    time_steps = 1 if match_time else get("pde.time_steps", int)
+    lower = get("pde.boundary_lower", _parse_boundary, BoundaryCondition())
+    upper = get("pde.boundary_upper", _parse_boundary, BoundaryCondition())
+    barrier_mode = get("pde.barrier_mode", BarrierMode, BarrierMode.ON_GRID_DIRICHLET)
+    pde = build("pde.", lambda: PdeConfig(time_steps=time_steps, boundary_lower=lower,
+                                          boundary_upper=upper, barrier_mode=barrier_mode))
 
     return RunConfig(
         contract=contract, market=market, stretch=stretch, placement=placement,
         pde=pde,
-        space_steps=_ints(need("sweep.space_steps")),
-        reference_steps=int(need("sweep.reference_steps")),
-        report_spots=_floats(need("sweep.report_spots")),
+        space_steps=get("sweep.space_steps", _ints),
+        reference_steps=get("sweep.reference_steps", int),
+        report_spots=get("sweep.report_spots", _floats),
         domain=domain, match_time_steps=match_time, label=label,
     )
 
@@ -467,14 +497,15 @@ class TableConfig:
     reference_column: str = ""
 
     def run(self) -> list[tuple[str, ConvergenceReport]]:
+        cache = _MapCache()
         shared: dict[float, float] | None = None
         if self.reference_mode == "shared":
             by_name = dict(self.columns)
             if self.reference_column not in by_name:
                 raise ConfigError(f"reference column {self.reference_column!r} not defined")
             ref_cfg = by_name[self.reference_column]
-            shared = price_run(ref_cfg, ref_cfg.reference_steps)
-        return [(name, run_convergence(cfg, shared)) for name, cfg in self.columns]
+            shared = price_run(ref_cfg, ref_cfg.reference_steps, cache)
+        return [(name, run_convergence(cfg, shared, cache)) for name, cfg in self.columns]
 
 
 def parse_table_config(kv: dict[str, str]) -> TableConfig:
@@ -492,9 +523,13 @@ def parse_table_config(kv: dict[str, str]) -> TableConfig:
                 merged = {k: v for k, v in merged.items() if not k.startswith(section)}
         merged.update(scoped)
         columns.append((name, _build_run(merged, name)))
+    reference_mode = kv.get("sweep.reference_mode", "per_column")
+    if reference_mode not in ("per_column", "shared"):
+        raise ConfigError(f"sweep.reference_mode = {reference_mode!r}: "
+                          "expected per_column or shared")
     return TableConfig(
         columns=tuple(columns),
-        reference_mode=kv.get("sweep.reference_mode", "per_column"),
+        reference_mode=reference_mode,
         reference_column=kv.get("sweep.reference_column", names[0]),
     )
 

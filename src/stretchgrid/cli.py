@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .bench import (ConfigError, TableConfig, bench_transforms, build_run_grid,
-                    emit_table_csv, load_bundled, load_config, price_run)
+from .bench import (ConfigError, RunConfig, TableConfig, bench_transforms,
+                    build_run_grid, emit_table_csv, load_bundled, load_config,
+                    price_run)
 
 
 def _load(args) -> TableConfig:
@@ -28,13 +29,17 @@ def _write(text_or_bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
 
 
-def cmd_grid(args) -> int:
-    table = _load(args)
+def _column(table: TableConfig, name: str | None) -> RunConfig:
+    """The named column's run config (the first column when no name)."""
     columns = dict(table.columns)
-    name = args.column or table.columns[0][0]
+    name = name or table.columns[0][0]
     if name not in columns:
         raise ConfigError(f"column {name!r} not in config")
-    cfg = columns[name]
+    return columns[name]
+
+
+def cmd_grid(args) -> int:
+    cfg = _column(_load(args), args.column)
     grid = build_run_grid(cfg, args.steps)
     lines = ["index,u,S\r\n"]
     n = grid.points.size - 1
@@ -45,12 +50,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_price(args) -> int:
-    table = _load(args)
-    columns = dict(table.columns)
-    name = args.column or table.columns[0][0]
-    if name not in columns:
-        raise ConfigError(f"column {name!r} not in config")
-    cfg = columns[name]
+    cfg = _column(_load(args), args.column)
     steps = args.steps or cfg.space_steps[-1]
     prices = price_run(cfg, steps)
     lines = ["spot,price\r\n"]

@@ -353,30 +353,22 @@ class PiecewiseMap(StretchMap):
 
     # -- public surface ------------------------------------------------
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self.piece_value(u)
-        for p in self.patches:
-            mask = (u >= p.u_lo) & (u <= p.u_hi)
-            if np.any(mask):
-                out = np.where(mask, p.value(u), out)
-        return out
+        return self._blend(u, self.piece_value, QuinticPatch.value)
 
     def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self.piece_deriv(u)
-        for p in self.patches:
-            mask = (u >= p.u_lo) & (u <= p.u_hi)
-            if np.any(mask):
-                out = np.where(mask, p.deriv(u), out)
-        return out
+        return self._blend(u, self.piece_deriv, QuinticPatch.deriv)
 
     def second_derivative(self, u):
+        return self._blend(u, self.piece_deriv2, QuinticPatch.deriv2)
+
+    def _blend(self, u, piece, patch):
+        """``piece`` on the cubic pieces, ``patch`` inside each quintic patch."""
         u = np.asarray(u, dtype=float)
-        out = self.piece_deriv2(u)
+        out = piece(u)
         for p in self.patches:
             mask = (u >= p.u_lo) & (u <= p.u_hi)
             if np.any(mask):
-                out = np.where(mask, p.deriv2(u), out)
+                out = np.where(mask, patch(p, u), out)
         return out
 
     def critical_preimages(self):

@@ -169,12 +169,12 @@ def _deform_pass(grid: Grid, original: Grid, spec: PlacementSpec) -> tuple[Grid,
     knot_h: list[float] = []
     any_active = False
     placed_goal: dict[float, Target] = {}
-    for t in spec.targets:
-        b = float(t.value)
+    values = [float(t.value) for t in spec.targets]
+    for b in values:
         if not pts[0] < b < pts[-1]:
             raise PlacementError(f"target {b} outside the grid")
+    for t, b, x_t in zip(spec.targets, values, index_to_price.inverse(values).tolist()):
         placed_goal[b] = t
-        x_t = float(index_to_price.inverse(b))
         if t.goal is PlacementGoal.ON_GRID:
             if np.min(np.abs(pts - b)) <= ONGRID_RTOL * rng:
                 want = x_t

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Newton on t in [0, 1]: stop once a step is about one ulp of t.  The cap
+# only bounds pathological inputs; bisection alone would need ~55 steps.
+_T_TOL = 2.0 * np.finfo(float).eps
+_NEWTON_CAP = 80
+
 
 class MonotoneCubic:
     """Shape-preserving C1 cubic interpolant through (x, y).
@@ -12,7 +17,7 @@ class MonotoneCubic:
     limited with the Fritsch-Carlson rule (alpha^2 + beta^2 <= 9), so the
     interpolant is monotone wherever the data is.  For strictly monotone
     data the interpolant is invertible; ``inverse`` solves y -> x by
-    bisection on the bracketing Hermite segment.
+    safeguarded Newton iteration on the bracketing Hermite segment.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -50,30 +55,63 @@ class MonotoneCubic:
         return (self.y[i] * d00 + self.m[i] * d10
                 + self.y[i + 1] * d01 + self.m[i + 1] * d11)
 
-    def inverse(self, yq, iterations: int = 80) -> np.ndarray:
-        """Solve self(x) = yq for strictly increasing data."""
+    def inverse(self, yq) -> np.ndarray:
+        """Solve self(x) = yq for strictly increasing data.
+
+        Each query's segment coefficients are gathered once.  On the segment
+        the Hermite cubic, written relative to its left knot value, is solved
+        for t in [0, 1] by Newton's method from the linear guess, inside a
+        sign bracket: a step that would leave the bracket bisects it instead.
+        Iteration stops once the step is about one ulp of t.
+        """
         if np.any(np.diff(self.y) <= 0.0):
             raise ValueError("inverse requires strictly increasing values")
         yq = np.asarray(yq, dtype=float)
         if np.any(yq < self.y[0]) or np.any(yq > self.y[-1]):
             raise ValueError("query outside interpolation range")
-        i = np.clip(np.searchsorted(self.y, yq, side="right") - 1,
+        q = yq.ravel()
+        i = np.clip(np.searchsorted(self.y, q, side="right") - 1,
                     0, self.y.size - 2)
-        lo = self.x[i].astype(float)
-        hi = self.x[i + 1].astype(float)
-        # Monotone on each segment, so plain bisection is safe and exact
-        # to floating-point resolution after ~60 halvings.
-        for _ in range(iterations):
-            mid = 0.5 * (lo + hi)
-            too_low = self(mid) < yq
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        out = 0.5 * (lo + hi)
+        x0 = self.x[i]
+        h = self.x[i + 1] - x0
+        dy = self.y[i + 1] - self.y[i]
+        hm0 = h * self.m[i]
+        hm1 = h * self.m[i + 1]
+        # self(x0 + t*h) - yq = r + t*(c1 + t*(c2 + t*c3)); every term is of
+        # the size of dy, so the residual carries no cancellation against y.
+        r = self.y[i] - q
+        c1 = hm0
+        c2 = 3.0 * dy - 2.0 * hm0 - hm1
+        c3 = hm0 + hm1 - 2.0 * dy
+        t = np.clip(-r / dy, 0.0, 1.0)
+        lo = np.zeros_like(t)
+        hi = np.ones_like(t)
+        live = np.arange(q.size)
+        for _ in range(_NEWTON_CAP):
+            tl, lo_l, hi_l = t[live], lo[live], hi[live]
+            c1l, c2l, c3l = c1[live], c2[live], c3[live]
+            f = r[live] + tl * (c1l + tl * (c2l + tl * c3l))
+            fp = c1l + tl * (2.0 * c2l + 3.0 * tl * c3l)
+            below = f < 0.0
+            lo_l = np.where(below, tl, lo_l)
+            hi_l = np.where(below, hi_l, tl)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = tl - f / fp
+            inside = (newton >= lo_l) & (newton <= hi_l)
+            t_next = np.where(inside, newton, 0.5 * (lo_l + hi_l))
+            done = ((f == 0.0) | (np.abs(t_next - tl) <= _T_TOL)
+                    | (hi_l - lo_l <= _T_TOL))
+            t[live] = np.where(f == 0.0, tl, t_next)
+            lo[live] = lo_l
+            hi[live] = hi_l
+            live = live[~done]
+            if live.size == 0:
+                break
+        out = np.minimum(np.maximum(x0 + t * h, x0), self.x[i + 1])
         # Snap exact knot hits so round-trips are clean at the data points.
-        exact = np.searchsorted(self.y, yq)
-        exact = np.clip(exact, 0, self.y.size - 1)
-        hit = self.y[exact] == yq
-        return np.where(hit, self.x[exact], out)
+        exact = np.clip(np.searchsorted(self.y, q), 0, self.y.size - 1)
+        hit = self.y[exact] == q
+        return np.where(hit, self.x[exact], out).reshape(yq.shape)
 
     def _segment(self, xq: np.ndarray) -> np.ndarray:
         i = np.searchsorted(self.x, xq, side="right") - 1
@@ -99,23 +137,42 @@ def _fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         elif abs(m[k]) > 3.0 * abs(d):
             m[k] = 3.0 * d
 
-    # Fritsch-Carlson limiter on every interval.
-    for i in range(n - 1):
-        if delta[i] == 0.0:
-            m[i] = 0.0
-            m[i + 1] = 0.0
+    # Fritsch-Carlson limiter.  It only ever zeroes a slope or shrinks it
+    # toward zero, so an interval whose unlimited ratios pass every test
+    # cannot act; the loop visits the others in order, plus the interval
+    # after any one that changed its right slope.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = m[:-1] / delta
+        b = m[1:] / delta
+        passes = (delta != 0.0) & (a >= 0.0) & (b >= 0.0) & (a * a + b * b <= 9.0)
+    last = -1
+    for i in np.flatnonzero(~passes).tolist():
+        if i <= last:
             continue
-        a = m[i] / delta[i]
-        b = m[i + 1] / delta[i]
-        if a < 0.0:
-            m[i] = 0.0
-            a = 0.0
-        if b < 0.0:
-            m[i + 1] = 0.0
-            b = 0.0
-        r2 = a * a + b * b
-        if r2 > 9.0:
-            tau = 3.0 / np.sqrt(r2)
-            m[i] = tau * a * delta[i]
-            m[i + 1] = tau * b * delta[i]
+        while _limit_interval(m, delta, i) and i + 1 < n - 1:
+            i += 1
+        last = i
     return m
+
+
+def _limit_interval(m: np.ndarray, delta: np.ndarray, i: int) -> bool:
+    """Fritsch-Carlson step on interval i; True when m[i + 1] changed."""
+    right = m[i + 1]
+    if delta[i] == 0.0:
+        m[i] = 0.0
+        m[i + 1] = 0.0
+        return m[i + 1] != right
+    a = m[i] / delta[i]
+    b = m[i + 1] / delta[i]
+    if a < 0.0:
+        m[i] = 0.0
+        a = 0.0
+    if b < 0.0:
+        m[i + 1] = 0.0
+        b = 0.0
+    r2 = a * a + b * b
+    if r2 > 9.0:
+        tau = 3.0 / np.sqrt(r2)
+        m[i] = tau * a * delta[i]
+        m[i + 1] = tau * b * delta[i]
+    return m[i + 1] != right

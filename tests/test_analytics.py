@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stretchgrid
 from stretchgrid.analytics import (black_scholes_vanilla,
                                    double_barrier_ko_analytic,
                                    double_barrier_ko_truncation_gap)
@@ -91,3 +95,13 @@ class TestDoubleBarrier:
     def test_rejects_bad_barriers(self):
         with pytest.raises(ValueError):
             double_barrier_ko_analytic(95.0, 100.0, 1.0, 0.1, 0.0, 0.25, 160.0, 90.0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold import; the oracles need only ndtr.
+    src = str(Path(stretchgrid.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import stretchgrid; "
+             "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -2,8 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stretchgrid import bench
+from stretchgrid import bench, gridgen
 from stretchgrid.bench import (ConfigError, ConvergenceReport, ConvergenceRow,
                                bench_transforms, emit_csv, emit_table_csv,
                                load_bundled, parse_config_text,
@@ -89,6 +90,59 @@ pde.barrier_mode = ghost_lagrange3
         with pytest.raises(ConfigError):
             load_bundled(9)
 
+    @pytest.mark.parametrize("key, value", [
+        ("contract.strike", "abc"),
+        ("contract.style", "foo"),
+        ("sweep.space_steps", "1.5"),
+        ("stretch.kind", "nope"),
+        ("market.sigma", "-1"),
+        ("placement.targets", "midcell:90, midcell:60"),
+    ])
+    def test_bad_value_raises_config_error_naming_the_key(self, key, value):
+        kv = parse_config_text(SMOKE)
+        kv["placement.mode"] = "deform"
+        kv[key] = value
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_table_config(kv)
+
+    def test_unknown_reference_mode_is_rejected(self):
+        text = SMOKE + "columns = a, b\nsweep.reference_mode = sharde\n"
+        with pytest.raises(ConfigError, match=r"sweep\.reference_mode"):
+            parse_table_config(parse_config_text(text))
+
+
+FUZZ_KEYS = tuple(parse_config_text(SMOKE)) + (
+    "contract.barrier_lower", "contract.barrier_upper", "contract.rebate",
+    "contract.observations_per_year", "contract.observation_dates",
+    "market.rate", "market.dividend", "domain.fit", "domain.pad_fraction",
+    "stretch.kind", "stretch.points", "stretch.alpha", "stretch.chi",
+    "stretch.lambda", "stretch.knot_rule", "placement.mode", "placement.targets",
+    "pde.boundary_lower", "pde.boundary_upper", "pde.barrier_mode",
+    "sweep.reference_mode", "sweep.reference_column", "columns",
+    "column.b.stretch.kind", "column.b.stretch.points", "column.b.placement.targets")
+FUZZ_TOKENS = ("", "abc", "-1", "0", "1.5", "2", "75", "100", "nan", "inf", "-inf",
+               "1e400", "9" * 5000, ",", "1,,2", "75, 60", "a, b", "b", "shared",
+               "per_column", "match_space", "european_vanilla", "discrete_ko",
+               "continuous_double_ko", "call", "cubic", "sinh", "tavella_randall",
+               "piecewise_c2", "deform", "insert", "midcell:75", "ongrid:75",
+               "midcell:", "midcell:80, midcell:70", "top:1", "dirichlet:x",
+               "zero_gamma", "ghost_linear", "barrier_pad", "barrier_exact")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.dictionaries(st.sampled_from(FUZZ_KEYS),
+                             st.one_of(st.sampled_from(FUZZ_TOKENS), st.text(max_size=16)),
+                             max_size=6),
+       dropped=st.sets(st.sampled_from(tuple(parse_config_text(SMOKE))), max_size=2))
+def test_malformed_config_raises_only_config_error(edits, dropped):
+    kv = {k: v for k, v in parse_config_text(SMOKE).items() if k not in dropped}
+    kv.update(edits)
+    text = "".join(f"{k} = {v}\n" for k, v in kv.items())
+    try:
+        parse_table_config(parse_config_text(text))
+    except ConfigError:
+        pass
+
 
 class TestRunConvergence:
     def test_zero_vol_errors_vanish(self):
@@ -129,6 +183,47 @@ class TestRunConvergence:
         for steps, err in ((100, 16.0), (200, 4.0), (400, 1.0)):
             report.rows.append(ConvergenceRow(steps, {100.0: 1.0}, {100.0: err}))
         assert report.orders(100.0) == pytest.approx([2.0, 2.0])
+
+
+class TestMapCache:
+    def test_table_builds_each_tavella_randall_map_once(self, monkeypatch):
+        builds: list[int] = []
+        integrations: list[int] = []
+        build_tr, integrate = gridgen.build_tavella_randall, gridgen._tr_integrate
+
+        def counting_build(spec, ode_steps=1024):
+            builds.append(ode_steps)
+            return build_tr(spec, ode_steps)
+
+        def counting_integrate(*args, **kwargs):
+            integrations.append(1)
+            return integrate(*args, **kwargs)
+
+        def grid_only(config, steps, cache=None):
+            bench.build_run_grid(config, steps, cache)
+            return {s: 0.0 for s in config.report_spots}
+
+        monkeypatch.setattr(gridgen, "build_tavella_randall", counting_build)
+        monkeypatch.setattr(gridgen, "_tr_integrate", counting_integrate)
+        monkeypatch.setattr(bench, "price_run", grid_only)
+        table = load_bundled(4)
+        tr_columns = [name for name, cfg in table.columns
+                      if cfg.stretch.kind is StretchKind.TAVELLA_RANDALL]
+        assert len(tr_columns) == 2
+
+        table.run()
+        shared = sorted(builds)
+        assert shared == sorted(set(shared))           # once per ode_steps
+        assert len(shared) == len(table.columns[0][1].space_steps)
+        shared_integrations = len(integrations)
+
+        # One cache per column, as each column's sweep keeps by itself.
+        builds.clear()
+        integrations.clear()
+        for _, cfg in table.columns:
+            run_convergence(cfg, {s: 0.0 for s in cfg.report_spots})
+        assert sorted(builds) == sorted(shared * 2)
+        assert len(integrations) == 2 * shared_integrations
 
 
 class TestCsv:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stretchgrid.spline import MonotoneCubic
+from stretchgrid.spline import MonotoneCubic, _fritsch_carlson_slopes
+
+EPS = np.finfo(float).eps
 
 
 def test_interpolates_knots_exactly():
@@ -55,3 +58,92 @@ def test_rejects_bad_input():
         MonotoneCubic(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         MonotoneCubic(np.array([0.0]), np.array([1.0]))
+
+
+def reference_slopes(x, y):
+    """The Fritsch-Carlson slopes with the limiter looping over every
+    interval, as the package computed them before it skipped the intervals
+    the limiter cannot act on."""
+    h = np.diff(x)
+    delta = np.diff(y) / h
+    n = x.size
+    m = np.empty(n)
+    if n == 2:
+        m[:] = delta[0]
+        return m
+    m[1:-1] = 0.5 * (delta[:-1] + delta[1:])
+    m[0] = ((2.0 * h[0] + h[1]) * delta[0] - h[0] * delta[1]) / (h[0] + h[1])
+    m[-1] = ((2.0 * h[-1] + h[-2]) * delta[-1] - h[-1] * delta[-2]) / (h[-1] + h[-2])
+    for k, d in ((0, delta[0]), (n - 1, delta[-1])):
+        if m[k] * np.sign(d) < 0.0:
+            m[k] = 0.0
+        elif abs(m[k]) > 3.0 * abs(d):
+            m[k] = 3.0 * d
+    for i in range(n - 1):
+        if delta[i] == 0.0:
+            m[i] = 0.0
+            m[i + 1] = 0.0
+            continue
+        a = m[i] / delta[i]
+        b = m[i + 1] / delta[i]
+        if a < 0.0:
+            m[i] = 0.0
+            a = 0.0
+        if b < 0.0:
+            m[i + 1] = 0.0
+            b = 0.0
+        r2 = a * a + b * b
+        if r2 > 9.0:
+            tau = 3.0 / np.sqrt(r2)
+            m[i] = tau * a * delta[i]
+            m[i + 1] = tau * b * delta[i]
+    return m
+
+
+def test_limiter_matches_full_loop_bit_for_bit():
+    rng = np.random.default_rng(20241018)
+    for trial in range(3000):
+        n = int(rng.integers(2, 40))
+        x = np.cumsum(rng.uniform(1e-3, 3.0, n))
+        # Secants mixing flat steps, sign changes, tiny and steep jumps.
+        steps = rng.choice([0.0, 1.0, -1.0, 1e-9, 40.0, -250.0], size=n) \
+            * rng.uniform(0.5, 1.5, n)
+        if trial % 3 == 0:
+            steps = np.abs(steps)                  # monotone data with plateaus
+        y = np.cumsum(steps)
+        got = _fritsch_carlson_slopes(x, y)
+        want = reference_slopes(x, y)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x, y)
+
+
+def test_limiter_matches_full_loop_on_a_placement_sized_grid():
+    rng = np.random.default_rng(3)
+    x = np.arange(16001.0)
+    y = np.cumsum(np.exp(rng.normal(scale=2.0, size=x.size)))
+    assert np.array_equal(_fritsch_carlson_slopes(x, y), reference_slopes(x, y))
+
+
+increments = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dx=increments, dy=increments, start=st.floats(-1e3, 1e3),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_inverse_roundtrip_property(dx, dy, start, fractions):
+    n = min(len(dx), len(dy)) + 1
+    x = np.concatenate([[0.0], np.cumsum(dx[: n - 1])])
+    y = start + np.concatenate([[0.0], np.cumsum(dy[: n - 1])])
+    if np.any(np.diff(y) <= 0.0):
+        return                     # increments lost to rounding against start
+    f = MonotoneCubic(x, y)
+    yq = y[0] + np.asarray(fractions) * (y[-1] - y[0])
+    yq = np.clip(yq, y[0], y[-1])
+    xq = f.inverse(yq)
+    # The result stays inside the segment bracketing its query.
+    i = np.clip(np.searchsorted(y, yq, side="right") - 1, 0, n - 2)
+    assert np.all(x[i] <= xq) and np.all(xq <= x[i + 1])
+    # f(inverse(y)) is y to a few ulps of the data and of the local slope.
+    scale = np.max(np.abs(y)) + np.abs(f.derivative(xq)) * np.max(np.abs(x))
+    assert np.all(np.abs(f(xq) - yq) <= 8.0 * EPS * scale)
+    # Knots invert exactly.
+    assert np.array_equal(f.inverse(y), x)
