@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import ndtr
+
+def ndtr(x: float) -> float:
+    """Standard normal CDF; erfc keeps the lower tail accurate."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def black_scholes_vanilla(S: float, K: float, T: float, r: float, q: float,

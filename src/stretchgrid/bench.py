@@ -368,6 +368,13 @@ def _floats(s: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in s.split(",") if tok.strip())
 
 
+def _domain_fit(s: str) -> str:
+    fits = sorted(v for k, v in vars(DomainFit).items() if k.isupper())
+    if s not in fits:
+        raise ValueError(f"choose one of {', '.join(fits)}")
+    return s
+
+
 def _ints(s: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(",") if tok.strip())
 
@@ -444,7 +451,7 @@ def _build_run(kv: dict[str, str], label: str) -> RunConfig:
     sigma = get("market.sigma", float, 0.0)
     market = build("market.", lambda: MarketParams(rate=rate, dividend=dividend,
                                                    sigma=sigma))
-    fit = kv.get("domain.fit", DomainFit.EXPLICIT)
+    fit = get("domain.fit", _domain_fit, DomainFit.EXPLICIT)
     domain = DomainSpec(
         s_min=get("domain.s_min", float, 0.0),
         s_max=get("domain.s_max", float, 0.0),

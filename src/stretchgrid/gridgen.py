@@ -12,7 +12,8 @@ while keeping dS/du finite and strictly positive.  Available families:
 * ``PiecewiseC2``     -- the C1 map with quintic patches bridging the
                          second-derivative jumps at the interior joins.
 * ``TavellaRandall``  -- Jacobian-defined stretch dS/du = A / sqrt(sum_k
-                         1/(alpha_k^2 + (S - B_k)^2)), solved by shooting.
+                         1/(alpha_k^2 + (S - B_k)^2)), solved by shooting
+                         from a quadrature-predicted bracket.
 * ``Uniform``         -- identity stretch.
 
 A product-form Jacobian dS/du = alpha*A*prod_i (u - b_i)^2 + alpha would
@@ -583,6 +584,26 @@ def build_tavella_randall(spec: StretchSpec, ode_steps: int = 1024) -> TavellaRa
     bisection on the terminal value (strictly increasing in A), starting from
     analytic bracket bounds and widening geometrically if integration error
     pushes the root outside them.
+
+    Most of that bisection's integrations are spent far from the root, so
+    the build runs in three steps:
+
+    1. predict: the ODE is separable, so A is close to the quadrature
+       integral of ds / g(s) over the domain (``_tr_quadrature``);
+    2. verify: shoot a bracket p < A < q around the prediction whose
+       terminal residuals lie below -4 tol and above +4 tol, where tol is
+       the bisection's stop tolerance (``_verified_bracket``);
+    3. replay: run the bisection from the analytic bounds, with the same
+       midpoints, stop tests and errors.  A constant at or below p is
+       answered "short by more than tol" and one at or above q "past by
+       more than tol" without integrating; only constants strictly inside
+       (p, q) are shot, each once.
+
+    The terminal value increases with A up to rounding noise far below
+    3 tol, so every skipped answer is the one the integration would give,
+    and A and the trajectory are those of the plain bisection bit for bit.
+    An unverified side of the bracket stays infinite, and the replay then
+    shoots there as the plain bisection does.
     """
     _require_kind(spec, StretchKind.TAVELLA_RANDALL)
     if ode_steps < 16:
@@ -595,10 +616,25 @@ def build_tavella_randall(spec: StretchSpec, ode_steps: int = 1024) -> TavellaRa
     rng = spec.range
 
     overshoot_cap = s_max + 10.0 * rng
+    tol = ENDPOINT_RTOL * rng * 0.5
+    paths: dict[float, np.ndarray] = {}
 
     def terminal(a_const: float) -> float:
-        return _tr_integrate(a_const, s_min, points, alphas, ode_steps,
-                             cap=overshoot_cap)[-1]
+        path = paths.get(a_const)
+        if path is None:
+            path = paths[a_const] = _tr_integrate(a_const, s_min, points, alphas,
+                                                  ode_steps, cap=overshoot_cap)
+        return path[-1]
+
+    p, q = _verified_bracket(lambda a: terminal(a) - s_max,
+                             _tr_quadrature(points, alphas, s_min, s_max), 4.0 * tol)
+
+    def residual(a_const: float) -> float:
+        if a_const <= p:
+            return -math.inf
+        if a_const >= q:
+            return math.inf
+        return terminal(a_const) - s_max
 
     # J >= A / sqrt(sum 1/alpha^2) and J <= A * min_k sqrt(alpha_k^2 + R_k^2)
     # bound the shooting constant from both sides.
@@ -606,27 +642,26 @@ def build_tavella_randall(spec: StretchSpec, ode_steps: int = 1024) -> TavellaRa
     reach = min(math.sqrt(a * a + max(abs(s_min - b), abs(s_max - b)) ** 2)
                 for a, b in zip(alphas, points))
     a_lo = rng / reach
-    f_lo = terminal(a_lo) - s_max
-    f_hi = terminal(a_hi) - s_max
+    f_lo = residual(a_lo)
+    f_hi = residual(a_hi)
     widenings = 0
     while f_lo > 0.0 or f_hi < 0.0:
         widenings += 1
         if widenings > 60:
             raise GridConstructionError(
                 f"shooting bracket failure: A in [{a_lo:.6g}, {a_hi:.6g}], "
-                f"residuals ({f_lo:.3g}, {f_hi:.3g})")
+                f"residuals ({terminal(a_lo) - s_max:.3g}, {terminal(a_hi) - s_max:.3g})")
         if f_lo > 0.0:
             a_lo *= 0.5
-            f_lo = terminal(a_lo) - s_max
+            f_lo = residual(a_lo)
         if f_hi < 0.0:
             a_hi *= 2.0
-            f_hi = terminal(a_hi) - s_max
+            f_hi = residual(a_hi)
 
-    tol = ENDPOINT_RTOL * rng * 0.5
     a_mid = 0.5 * (a_lo + a_hi)
     for _ in range(200):
         a_mid = 0.5 * (a_lo + a_hi)
-        f_mid = terminal(a_mid) - s_max
+        f_mid = residual(a_mid)
         if abs(f_mid) <= tol:
             break
         if f_mid < 0.0:
@@ -638,7 +673,10 @@ def build_tavella_randall(spec: StretchSpec, ode_steps: int = 1024) -> TavellaRa
     else:
         raise GridConstructionError("shooting bisection did not converge")
 
-    path = _tr_integrate(a_mid, s_min, points, alphas, ode_steps)
+    # An accepted midpoint ends within tol of s_max, far below the cap, so
+    # its memoized path is the uncapped one.
+    path = paths[a_mid] if abs(f_mid) <= tol else \
+        _tr_integrate(a_mid, s_min, points, alphas, ode_steps)
     if abs(path[-1] - s_max) > ENDPOINT_RTOL * rng:
         raise GridConstructionError(
             f"terminal residual {abs(path[-1] - s_max):.3g} exceeds tolerance")
@@ -646,6 +684,101 @@ def build_tavella_randall(spec: StretchSpec, ode_steps: int = 1024) -> TavellaRa
     path[0] = s_min
     u = np.linspace(0.0, 1.0, ode_steps + 1)
     return TavellaRandallMap(spec, a_mid, u, path)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], by Newton on P_n.
+
+    Elementwise recurrences only, so no eigen-solver (and no LAPACK
+    workspace) is touched the first time a map is built.
+    """
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(50):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(24)
+
+
+def _tr_quadrature(points, alphas, s_min, s_max) -> float:
+    """The constant A of the exact map: the integral of ds / g(s) over the domain.
+
+    Composite Gauss-Legendre with the critical points and the midpoints
+    between neighbours as breakpoints.  On each panel, s = B + alpha
+    sinh(t) about the panel's critical point B flattens the
+    1 / sqrt(alpha^2 + (s - B)^2) peak, so with one critical point the
+    integrand is exactly 1 and A = asinh((s_max - B)/alpha) -
+    asinh((s_min - B)/alpha).
+    """
+    b = np.asarray(points, dtype=float)
+    edges = np.concatenate(([s_min], 0.5 * (b[:-1] + b[1:]), [s_max]))
+    # Two panels per point k: [edges_k, B_k] and [B_k, edges_k+1].
+    centre = np.repeat(b, 2)
+    alpha = np.repeat(np.asarray(alphas, dtype=float), 2)
+    t_lo = np.arcsinh((np.column_stack((edges[:-1], b)).ravel() - centre) / alpha)
+    t_hi = np.arcsinh((np.column_stack((b, edges[1:])).ravel() - centre) / alpha)
+    half = 0.5 * (t_hi - t_lo)
+    t = (0.5 * (t_hi + t_lo))[:, None] + half[:, None] * _GL_NODES
+    s = centre[:, None] + alpha[:, None] * np.sinh(t)
+    integrand = alpha[:, None] * np.cosh(t) / _tr_speed(s, points, alphas)
+    return float(np.sum(half * (integrand @ _GL_WEIGHTS)))
+
+
+def _verified_bracket(residual, a_pred: float, margin: float) -> tuple[float, float]:
+    """Shooting constants p < q whose residuals lie below -margin and above +margin.
+
+    Probes a_pred (1 -/+ 1e-7), widening the offset x16 while a side is
+    unverified, then tightens the bracket to about +/- 2 margin around the
+    root with up to three secant steps through the two probes of smallest
+    residual (at coarse ode_steps the terminal value bends sharply in A, so
+    the bracket ends make a poor secant).  Any probe counts toward the side its
+    residual verifies; a side left unverified is infinite.
+    """
+    shots: dict[float, float] = {}
+
+    def bracket() -> tuple[float, float]:
+        lo = max((a for a, r in shots.items() if r < -margin), default=-math.inf)
+        hi = min((a for a, r in shots.items() if r > margin), default=math.inf)
+        return lo, hi
+
+    def probe(a_const: float) -> None:
+        if a_const not in shots:
+            shots[a_const] = residual(a_const)
+
+    for k in range(6):
+        offset = 1e-7 * 16.0 ** k
+        if bracket()[0] == -math.inf:
+            probe(a_pred * (1.0 - offset))
+        if bracket()[1] == math.inf:
+            probe(a_pred * (1.0 + offset))
+        lo, hi = bracket()
+        if math.isfinite(lo) and math.isfinite(hi):
+            break
+    else:
+        return lo, hi
+
+    for _ in range(3):
+        (a0, r0), (a1, r1) = sorted(shots.items(), key=lambda shot: abs(shot[1]))[:2]
+        slope = (r1 - r0) / (a1 - a0)
+        if not slope > 0.0:
+            break
+        root = a0 - r0 / slope
+        half = 2.0 * margin / slope
+        if hi - lo <= 4.0 * half:
+            break
+        for a_const in (root - half, root + half):
+            if lo < a_const < hi:
+                probe(a_const)
+        lo, hi = bracket()
+    return lo, hi
 
 
 def _tr_speed(s, points, alphas):

@@ -97,6 +97,7 @@ pde.barrier_mode = ghost_lagrange3
         ("stretch.kind", "nope"),
         ("market.sigma", "-1"),
         ("placement.targets", "midcell:90, midcell:60"),
+        ("domain.fit", "barrier_exactt"),
     ])
     def test_bad_value_raises_config_error_naming_the_key(self, key, value):
         kv = parse_config_text(SMOKE)

@@ -1,11 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import quad
 
-from stretchgrid.gridgen import (Grid, GridConstructionError, KnotRule,
-                                 StretchKind, StretchSpec, build_cubic,
-                                 build_map, build_piecewise_c1,
+from stretchgrid import gridgen
+from stretchgrid.bench import load_bundled, resolve_domain
+from stretchgrid.gridgen import (ENDPOINT_RTOL, Grid, GridConstructionError,
+                                 KnotRule, StretchKind, StretchSpec,
+                                 build_cubic, build_map, build_piecewise_c1,
                                  build_piecewise_c2, build_sinh,
                                  build_tavella_randall, sample_grid,
                                  second_derivative_jump, solve_depressed_cubic)
@@ -256,6 +261,141 @@ class TestTavellaRandall:
         h = 1e-6
         fd = (m(u + h) - m(u - h)) / (2 * h)
         assert np.allclose(m.derivative(u), fd, rtol=2e-3)
+
+
+def reference_tavella_randall(spec, ode_steps):
+    """Plain shooting bisection: every bracket probe and midpoint integrated.
+
+    ``build_tavella_randall``'s predicted-bracket replay must return this
+    constant and trajectory bit for bit.
+    """
+    points = [float(b) for b in spec.critical_points]
+    alphas = [float(a) for a in spec.alpha_per_point()]
+    s_min, s_max, rng = spec.s_min, spec.s_max, spec.range
+    cap = s_max + 10.0 * rng
+
+    def f(a_const):
+        return gridgen._tr_integrate(a_const, s_min, points, alphas, ode_steps,
+                                     cap=cap)[-1] - s_max
+
+    a_hi = rng * math.sqrt(sum(1.0 / (a * a) for a in alphas))
+    a_lo = rng / min(math.sqrt(a * a + max(abs(s_min - b), abs(s_max - b)) ** 2)
+                     for a, b in zip(alphas, points))
+    f_lo, f_hi = f(a_lo), f(a_hi)
+    while f_lo > 0.0 or f_hi < 0.0:
+        if f_lo > 0.0:
+            a_lo *= 0.5
+            f_lo = f(a_lo)
+        if f_hi < 0.0:
+            a_hi *= 2.0
+            f_hi = f(a_hi)
+    tol = ENDPOINT_RTOL * rng * 0.5
+    while True:
+        a_mid = 0.5 * (a_lo + a_hi)
+        f_mid = f(a_mid)
+        if abs(f_mid) <= tol:
+            break
+        if f_mid < 0.0:
+            a_lo = a_mid
+        else:
+            a_hi = a_mid
+        if a_hi - a_lo <= 1e-16 * a_hi:
+            break
+    path = gridgen._tr_integrate(a_mid, s_min, points, alphas, ode_steps)
+    path[0], path[-1] = s_min, s_max
+    return a_mid, path
+
+
+def assert_same_map(m, spec, ode_steps):
+    a_ref, path_ref = reference_tavella_randall(spec, ode_steps)
+    assert m.normalizer == a_ref
+    assert np.array_equal(m.trajectory_s, path_ref)
+
+
+@st.composite
+def tr_specs(draw):
+    s_min = draw(st.floats(0.0, 100.0))
+    width = draw(st.floats(20.0, 300.0))
+    fractions = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4,
+                              unique=True))
+    points = tuple(sorted(s_min + width * f for f in fractions))
+    assume(all(b > a for a, b in zip(points, points[1:])))
+    alphas = draw(st.lists(st.floats(0.2, 30.0), min_size=1, max_size=1)
+                  | st.lists(st.floats(0.2, 30.0), min_size=len(points),
+                             max_size=len(points)))
+    spec = StretchSpec(StretchKind.TAVELLA_RANDALL, s_min, s_min + width,
+                       points, tuple(alphas))
+    return spec, draw(st.integers(16, 2048))
+
+
+class TestTavellaRandallShooting:
+    @settings(max_examples=40, deadline=None)
+    @given(case=tr_specs())
+    def test_replay_matches_plain_bisection_bit_for_bit(self, case):
+        spec, ode_steps = case
+        assert_same_map(build_tavella_randall(spec, ode_steps), spec, ode_steps)
+
+    def test_sharp_peaks_match_plain_bisection(self):
+        spec = StretchSpec(StretchKind.TAVELLA_RANDALL, 0.0, 100.0,
+                           (20.0, 50.0, 80.0), (0.05,))
+        for ode_steps in (16, 2048):
+            assert_same_map(build_tavella_randall(spec, ode_steps), spec, ode_steps)
+
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    def test_wrong_prediction_changes_nothing(self, monkeypatch, factor):
+        spec = StretchSpec(StretchKind.TAVELLA_RANDALL, **FIG2)
+        quadrature = gridgen._tr_quadrature
+        monkeypatch.setattr(gridgen, "_tr_quadrature",
+                            lambda *args: factor * quadrature(*args))
+        assert_same_map(build_tavella_randall(spec, 512), spec, 512)
+
+    def test_table4_builds_integrate_at_most_ten_times(self, monkeypatch):
+        integrate = gridgen._tr_integrate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(gridgen, "_tr_integrate", counting)
+        builds = set()
+        for _, cfg in load_bundled(4).columns:
+            if cfg.stretch.kind is StretchKind.TAVELLA_RANDALL:
+                for steps in (*cfg.space_steps, cfg.reference_steps):
+                    s_min, s_max, intervals = resolve_domain(cfg, steps)
+                    builds.add((dataclasses.replace(cfg.stretch, s_min=s_min,
+                                                    s_max=s_max), 8 * intervals))
+        assert len(builds) == 5
+        for spec, ode_steps in builds:   # the parent bisection needs 38-43
+            calls.clear()
+            build_tavella_randall(spec, ode_steps)
+            assert len(calls) <= 10, (ode_steps, len(calls))
+
+    def test_single_point_prediction_is_the_asinh_closed_form(self):
+        for b, alpha in ((125.0, 1.5), (10.0, 0.05), (75.0, 400.0)):
+            spec = StretchSpec(StretchKind.TAVELLA_RANDALL, 0.0, 150.0, (b,), (alpha,))
+            exact = math.asinh((150.0 - b) / alpha) - math.asinh((0.0 - b) / alpha)
+            got = gridgen._tr_quadrature([b], [alpha], spec.s_min, spec.s_max)
+            assert got == pytest.approx(exact, rel=1e-12, abs=0)
+            # the same constant as the sinh map's c2 - c1
+            sinh = build_sinh(dataclasses.replace(spec, kind=StretchKind.SINH))
+            assert got == pytest.approx(sinh.c2 - sinh.c1, rel=1e-12, abs=0)
+
+    def test_multi_point_prediction_matches_adaptive_quadrature(self):
+        for points, alphas in (((90.0, 102.0, 110.0), (1.3, 1.3, 1.3)),
+                               ((20.0, 50.0, 80.0), (0.05, 2.0, 30.0))):
+            got = gridgen._tr_quadrature(points, alphas, 10.0, 190.0)
+            ref, _ = quad(lambda s: 1.0 / gridgen._tr_speed(s, points, alphas),
+                          10.0, 190.0, points=points, limit=400,
+                          epsabs=0.0, epsrel=1e-13)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_gauss_legendre_rule_matches_numpy(self):
+        x, w = gridgen._gauss_legendre(24)
+        order = np.argsort(x)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(24)
+        assert np.allclose(x[order], x_ref, rtol=0, atol=1e-15)
+        assert np.allclose(w[order], w_ref, rtol=0, atol=1e-14)
 
 
 class TestSampleGrid:
