@@ -12,10 +12,9 @@ from .bench import (ConvergenceReport, RunConfig, TableConfig, bench_transforms,
                     emit_csv, emit_table_csv, load_bundled, load_config,
                     price_run, run_convergence)
 from .fdm import (BarrierMode, BoundaryCondition, BoundaryKind, GhostContext,
-                  GhostSide, GhostSubstage, MarketParams, NonFiniteValueError,
-                  PdeConfig, SingularSystemError, SpatialOperator,
-                  TridiagonalSystem, TrBdf2Stepper, apply_ghost_lagrange3,
-                  apply_ghost_linear, discretize_operator)
+                  GhostSide, MarketParams, NonFiniteValueError, PdeConfig,
+                  SingularSystemError, SpatialOperator, TrBdf2Stepper,
+                  discretize_operator)
 from .gridgen import (Grid, GridConstructionError, KnotRule, StretchKind,
                       StretchMap, StretchSpec, build_cubic, build_map,
                       build_piecewise_c1, build_piecewise_c2, build_sinh,

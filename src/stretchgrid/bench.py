@@ -178,6 +178,10 @@ def build_run_grid(config: RunConfig, steps: int, cache: _MapCache | None = None
 def price_run(config: RunConfig, steps: int, cache: _MapCache | None = None) -> dict[float, float]:
     """Price the contract on the grid for one resolution; spot -> price."""
     grid = build_run_grid(config, steps, cache)
+    lo, hi = grid.points[0], grid.points[-1]
+    for s in config.report_spots:
+        if not lo <= s <= hi:
+            raise ConfigError(f"report spot {s} outside the grid [{lo}, {hi}]")
     pde = config.pde
     if config.match_time_steps:
         pde = replace(pde, time_steps=steps)
@@ -185,13 +189,7 @@ def price_run(config: RunConfig, steps: int, cache: _MapCache | None = None) -> 
     stepper = TrBdf2Stepper(grid, config.market, pde, config.contract.maturity, hooks)
     values = stepper.run(payoff(config.contract, grid))
     interp = MonotoneCubic(grid.points, values)
-    lo, hi = grid.points[0], grid.points[-1]
-    out = {}
-    for s in config.report_spots:
-        if not lo <= s <= hi:
-            raise ConfigError(f"report spot {s} outside the grid [{lo}, {hi}]")
-        out[s] = float(interp(s))
-    return out
+    return {s: float(interp(s)) for s in config.report_spots}
 
 
 def run_convergence(config: RunConfig,

@@ -7,7 +7,10 @@ marches backward from maturity with the composite trapezoidal/BDF2 step
 That matrix is factored once per run by a tridiagonal LU with partial
 pivoting (LAPACK gttrf), and every substage reuses the factors (gttrs).
 Constraint hooks enforce Dirichlet rows, off-grid barrier (ghost) rows,
-discrete knock-outs and the American exercise projection.
+discrete knock-outs and the American exercise projection.  A 3-point ghost
+row is stamped straight into that matrix, its entry two columns off the
+diagonal eliminated in place against the neighbouring row, so the system
+stays tridiagonal.
 """
 
 from __future__ import annotations
@@ -177,66 +180,12 @@ def attach_boundary_rows(op: SpatialOperator, grid: Grid, mkt: MarketParams,
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal systems
-
-
-@dataclass
-class TridiagonalSystem:
-    """A x = rhs with lower[i] = A[i, i-1], diag[i] = A[i, i], upper[i] = A[i, i+1].
-
-    ``out_of_band`` optionally holds one extra (row, col, value) entry two
-    columns off the diagonal, pending elimination.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-    out_of_band: tuple[int, int, float] | None = None
-
-    def __post_init__(self):
-        n = self.diag.size
-        if not (self.lower.size == self.upper.size == self.rhs.size == n):
-            raise ValueError("inconsistent system lengths")
-
-    def reduce_outofband(self) -> "TridiagonalSystem":
-        """Fold the out-of-band entry into the band via one row combination."""
-        if self.out_of_band is None:
-            return self
-        row, col, value = self.out_of_band
-        if abs(row - col) != 2:
-            raise ValueError("out-of-band entry must sit two columns off the diagonal")
-        mid = (row + col) // 2
-        pivot = self.lower[mid] if col < row else self.upper[mid]
-        if pivot == 0.0:
-            raise SingularSystemError(mid, f"zero pivot in row {mid} during elimination")
-        f = value / pivot
-        lower = self.lower.copy()
-        diag = self.diag.copy()
-        upper = self.upper.copy()
-        rhs = self.rhs.copy()
-        if col < row:   # entry at (row, row-2), eliminate with row-1
-            lower[row] -= f * diag[mid]
-            diag[row] -= f * upper[mid]
-        else:           # entry at (row, row+2), eliminate with row+1
-            upper[row] -= f * diag[mid]
-            diag[row] -= f * lower[mid]
-        rhs[row] -= f * rhs[mid]
-        return TridiagonalSystem(lower, diag, upper, rhs, None)
-
-
-# ---------------------------------------------------------------------------
 # Ghost-point barrier rows
 
 
 class GhostSide(enum.Enum):
     UP = "up"
     DOWN = "down"
-
-
-class GhostSubstage(enum.Enum):
-    EXPLICIT_RHS = "explicit_rhs"
-    IMPLICIT_MATRIX = "implicit_matrix"
 
 
 @dataclass(frozen=True)
@@ -276,92 +225,6 @@ class GhostContext:
     def inner(self) -> int:
         return self.i0 - 1 if self.side is GhostSide.UP else self.i0
 
-    def linear_weights(self) -> tuple[float, float]:
-        """(w_ghost, w_inner) with w.V interpolating the value at the barrier."""
-        s = self.points
-        g, a = self.ghost, self.inner
-        if self.barrier == s[a]:
-            raise ValueError("barrier on the interior-side node; use on-grid Dirichlet")
-        return ((self.barrier - s[a]) / (s[g] - s[a]),
-                (self.barrier - s[g]) / (s[a] - s[g]))
-
-    def lagrange3_nodes(self) -> tuple[int, int, int]:
-        """(ghost, inner, second-inner) node indices for the quadratic rows."""
-        g, a = self.ghost, self.inner
-        b = a - 1 if self.side is GhostSide.UP else a + 1
-        if not 0 <= b < self.points.size:
-            raise ValueError("three-point rows need two interior nodes beside the ghost")
-        return g, a, b
-
-    def lagrange3_weights(self) -> tuple[float, float, float]:
-        s = self.points
-        g, a, b = self.lagrange3_nodes()
-        x = self.barrier
-        wg = (x - s[a]) * (x - s[b]) / ((s[g] - s[a]) * (s[g] - s[b]))
-        wa = (x - s[g]) * (x - s[b]) / ((s[a] - s[g]) * (s[a] - s[b]))
-        wb = (x - s[g]) * (x - s[a]) / ((s[b] - s[g]) * (s[b] - s[a]))
-        return wg, wa, wb
-
-
-def apply_ghost_linear(ctx: GhostContext, substage: GhostSubstage, state):
-    """Two-point ghost treatment of an off-grid barrier.
-
-    EXPLICIT_RHS takes the value vector at the old time level and overrides
-    the ghost node with G so that linear interpolation hits the rebate at
-    the barrier.  IMPLICIT_MATRIX takes a TridiagonalSystem and replaces the
-    ghost row with the interpolation weights and rhs = rebate.
-    """
-    wg, wa = ctx.linear_weights()
-    g, a = ctx.ghost, ctx.inner
-    if substage is GhostSubstage.EXPLICIT_RHS:
-        v = np.asarray(state, dtype=float).copy()
-        v[g] = (ctx.rebate - wa * v[a]) / wg
-        return v
-    sys: TridiagonalSystem = state
-    lower = sys.lower.copy()
-    diag = sys.diag.copy()
-    upper = sys.upper.copy()
-    rhs = sys.rhs.copy()
-    diag[g] = wg
-    if a == g - 1:
-        lower[g] = wa
-        upper[g] = 0.0
-    else:
-        upper[g] = wa
-        lower[g] = 0.0
-    rhs[g] = ctx.rebate
-    return TridiagonalSystem(lower, diag, upper, rhs, sys.out_of_band)
-
-
-def apply_ghost_lagrange3(ctx: GhostContext, substage: GhostSubstage, state):
-    """Three-point (quadratic) ghost treatment of an off-grid barrier.
-
-    The implicit form writes three Lagrange weights into the ghost row; the
-    entry two columns off the diagonal is immediately eliminated against the
-    neighboring row so the system stays tridiagonal.
-    """
-    wg, wa, wb = ctx.lagrange3_weights()
-    g, a, b = ctx.lagrange3_nodes()
-    if substage is GhostSubstage.EXPLICIT_RHS:
-        v = np.asarray(state, dtype=float).copy()
-        v[g] = (ctx.rebate - wa * v[a] - wb * v[b]) / wg
-        return v
-    sys: TridiagonalSystem = state
-    lower = sys.lower.copy()
-    diag = sys.diag.copy()
-    upper = sys.upper.copy()
-    rhs = sys.rhs.copy()
-    diag[g] = wg
-    if a == g - 1:
-        lower[g] = wa
-        upper[g] = 0.0
-    else:
-        upper[g] = wa
-        lower[g] = 0.0
-    rhs[g] = ctx.rebate
-    out = TridiagonalSystem(lower, diag, upper, rhs, (g, b, wb))
-    return out.reduce_outofband()
-
 
 # ---------------------------------------------------------------------------
 # Constraint hooks
@@ -392,7 +255,8 @@ class Hook:
 
 
 class DirichletRegion(Hook):
-    """Pin a contiguous index range to a fixed value (barrier knock-out rows).
+    """Pin a contiguous index range to a fixed value: the knock-out region
+    beyond a barrier, whether the barrier sits on a node or has a ghost row.
 
     Values are re-stamped after each substage solve as well: banded LU with
     partial pivoting returns the pinned rows only to round-off, while the
@@ -418,55 +282,72 @@ class DirichletRegion(Hook):
 
 
 class GhostBarrier(Hook):
-    """Ghost-point barrier row plus Dirichlet pins beyond it."""
+    """Ghost-point row for an off-grid barrier.
+
+    The ghost row holds the Lagrange weights that interpolate the solution
+    at the barrier from the ghost node and one (GHOST_LINEAR) or two
+    (GHOST_LAGRANGE3) interior nodes, with the rebate on the right.  The
+    3-point row's entry two columns off the diagonal is eliminated in place
+    against the inner row, once, when the matrix is stamped; the same factor
+    carries the inner row's rhs into the ghost rhs on every solve.  The
+    explicit half-steps set the ghost value from the same weights.  Rows
+    beyond the ghost node are pinned by a separate DirichletRegion (see
+    ``instruments.constraint_hooks``).
+    """
 
     def __init__(self, ctx: GhostContext, order: BarrierMode):
         if order not in (BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3):
             raise ValueError("ghost hook needs a ghost barrier mode")
         self.ctx = ctx
         self.order = order
-        self._apply = (apply_ghost_linear if order is BarrierMode.GHOST_LINEAR
-                       else apply_ghost_lagrange3)
+        nodes = (ctx.ghost, ctx.inner)
+        if order is BarrierMode.GHOST_LAGRANGE3:
+            second = ctx.inner - 1 if ctx.side is GhostSide.UP else ctx.inner + 1
+            if not 0 <= second < ctx.points.size:
+                raise ValueError("three-point rows need two interior nodes beside the ghost")
+            nodes += (second,)
+        # Lagrange weights at the barrier; each numerator and denominator is
+        # multiplied in node order
+        s, x = ctx.points, ctx.barrier
+        self.nodes = nodes
+        self.weights = tuple(
+            math.prod(x - s[k] for k in nodes if k != j)
+            / math.prod(s[j] - s[k] for k in nodes if k != j) for j in nodes)
         self._factor = 0.0
-        self._mid = self.ctx.inner
-        n = ctx.points.size
-        g = ctx.ghost
-        self.pin = (g + 1, n) if ctx.side is GhostSide.UP else (0, g)
 
     def override_previous(self, v, tau):
-        return self._apply(self.ctx, GhostSubstage.EXPLICIT_RHS, v)
+        g, *inner = self.nodes
+        wg, *w_inner = self.weights
+        v = np.array(v, dtype=float)
+        value = self.ctx.rebate
+        for w, k in zip(w_inner, inner):
+            value -= w * v[k]
+        v[g] = value / wg
+        return v
 
     def owned_rows(self):
         return (self.ctx.ghost,)
 
     def stamp_matrix(self, lower, diag, upper):
-        probe = TridiagonalSystem(lower.copy(), diag.copy(), upper.copy(),
-                                  np.zeros_like(diag))
-        stamped = self._apply(self.ctx, GhostSubstage.IMPLICIT_MATRIX, probe)
-        lower[:] = stamped.lower
-        diag[:] = stamped.diag
-        upper[:] = stamped.upper
-        g = self.ctx.ghost
-        if self.order is BarrierMode.GHOST_LAGRANGE3:
-            # rhs of the elimination row enters the ghost rhs each solve
-            _, _, wb = self.ctx.lagrange3_weights()
-            _, a, b = self.ctx.lagrange3_nodes()
-            pivot = probe.lower[a] if b < a else probe.upper[a]
+        g, a, *far = self.nodes
+        wg, wa, *w_far = self.weights
+        # the band toward the interior, and the one away from it
+        inward, outward = (lower, upper) if self.ctx.side is GhostSide.UP else (upper, lower)
+        diag[g] = wg
+        inward[g] = wa
+        outward[g] = 0.0
+        if far:
+            pivot = inward[a]
             if pivot == 0.0:
-                raise SingularSystemError(a, "zero pivot next to the ghost row")
-            self._factor = wb / pivot
-            self._mid = a
-        lo, hi = self.pin
-        lower[lo:hi] = 0.0
-        upper[lo:hi] = 0.0
-        diag[lo:hi] = 1.0
+                raise SingularSystemError(
+                    a, f"fdm: cannot eliminate the 3-point ghost row {g} of barrier "
+                    f"{self.ctx.barrier}: inner row {a} has no coupling to node {far[0]}")
+            self._factor = w_far[0] / pivot
+            inward[g] -= self._factor * diag[a]
+            diag[g] -= self._factor * outward[a]
 
     def adjust_rhs(self, rhs, tau):
-        rhs[self.ctx.ghost] = self.ctx.rebate - self._factor * rhs[self._mid]
-        rhs[self.pin[0]:self.pin[1]] = self.ctx.rebate
-
-    def post_substage(self, v, tau):
-        v[self.pin[0]:self.pin[1]] = self.ctx.rebate
+        rhs[self.ctx.ghost] = self.ctx.rebate - self._factor * rhs[self.ctx.inner]
 
 
 class AmericanProjection(Hook):

@@ -161,10 +161,7 @@ def constraint_hooks(spec: ContractSpec, grid: Grid, config: PdeConfig) -> list[
                     f"barrier {level} is off the grid; place it on a node or "
                     f"switch to a ghost barrier mode")
             if not boundary_node:
-                if side is GhostSide.UP:
-                    hooks.append(DirichletRegion(node, s.size, spec.rebate))
-                else:
-                    hooks.append(DirichletRegion(0, node + 1, spec.rebate))
+                hooks += _knockout_region(side, node, s.size, spec.rebate)
             elif _boundary_is_dirichlet(config, side, spec.rebate) is False:
                 raise ContractError(
                     f"barrier {level} sits on the domain boundary; configure a "
@@ -176,7 +173,15 @@ def constraint_hooks(spec: ContractSpec, grid: Grid, config: PdeConfig) -> list[
             i0 = int(np.searchsorted(s, level, side="right"))
         ctx = GhostContext(s, i0, float(level), spec.rebate, side)
         hooks.append(GhostBarrier(ctx, config.barrier_mode))
+        beyond = ctx.ghost + 1 if side is GhostSide.UP else ctx.ghost - 1
+        hooks += _knockout_region(side, beyond, s.size, spec.rebate)
     return hooks
+
+
+def _knockout_region(side: GhostSide, first: int, n: int, rebate: float) -> list[Hook]:
+    """Pin nodes from ``first`` outward to the domain edge; none if that is empty."""
+    start, stop = (first, n) if side is GhostSide.UP else (0, first + 1)
+    return [DirichletRegion(start, stop, rebate)] if start < stop else []
 
 
 def _boundary_is_dirichlet(config: PdeConfig, side: GhostSide, rebate: float) -> bool:

@@ -179,6 +179,16 @@ class TestRunConvergence:
         assert "non-finite" in report.rows[1].failed
         assert "step 1" in report.rows[1].failed
 
+    def test_spot_outside_grid_fails_before_marching(self, monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a bad report spot must fail before the stepper is built")
+
+        monkeypatch.setattr(bench, "TrBdf2Stepper", no_march)
+        table = parse_table_config(parse_config_text(
+            SMOKE.replace("sweep.report_spots = 75", "sweep.report_spots = 75, 200")))
+        with pytest.raises(ConfigError, match=r"report spot 200\.0 outside the grid"):
+            bench.price_run(table.columns[0][1], 16)
+
     def test_orders_from_error_ratios(self):
         report = ConvergenceReport("x", (100.0,))
         for steps, err in ((100, 16.0), (200, 4.0), (400, 1.0)):

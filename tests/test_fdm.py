@@ -7,13 +7,11 @@ from stretchgrid import fdm
 from stretchgrid.analytics import black_scholes_vanilla
 from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, BarrierMode,
                              BoundaryCondition, BoundaryKind, DirichletRegion,
-                             GhostBarrier, GhostContext, GhostSide,
-                             GhostSubstage, Hook, MarketParams,
-                             NonFiniteValueError, PdeConfig,
-                             SingularSystemError, TridiagonalSystem,
-                             TrBdf2Stepper, apply_ghost_lagrange3,
-                             apply_ghost_linear, attach_boundary_rows,
-                             discretize_operator, first_derivative_weights,
+                             GhostBarrier, GhostContext, GhostSide, Hook,
+                             MarketParams, NonFiniteValueError, PdeConfig,
+                             SingularSystemError, TrBdf2Stepper,
+                             attach_boundary_rows, discretize_operator,
+                             first_derivative_weights,
                              second_derivative_weights)
 from stretchgrid.gridgen import Grid, StretchKind, StretchSpec, build_map, sample_grid
 from stretchgrid.instruments import (ContractSpec, ExerciseStyle, OptionType,
@@ -23,15 +21,27 @@ from stretchgrid.placement import (PlacementMode, PlacementSpec, Target,
 from stretchgrid.spline import MonotoneCubic
 
 
-def dense_matrix(sys: TridiagonalSystem) -> np.ndarray:
-    n = sys.diag.size
-    a = np.diag(sys.diag)
-    if n > 1:
-        a += np.diag(sys.lower[1:], -1) + np.diag(sys.upper[:-1], 1)
-    if sys.out_of_band is not None:
-        r, c, v = sys.out_of_band
-        a[r, c] = v
-    return a
+def dense_matrix(lower, diag, upper) -> np.ndarray:
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+def lagrange_row(points, nodes, x, n):
+    """Dense ghost row: Lagrange weights at x of ``nodes``, zero elsewhere."""
+    row = np.zeros(n)
+    for j in nodes:
+        others = [k for k in nodes if k != j]
+        row[j] = np.prod([(x - points[k]) / (points[j] - points[k]) for k in others])
+    return row
+
+
+def ghost_override(ghost_rows, rebate):
+    """Explicit-half override: each ghost value solves its row for the rebate."""
+    def override(v):
+        v = v.copy()
+        for g, row in ghost_rows.items():
+            v[g] = (rebate - (row @ v - row[g] * v[g])) / row[g]
+        return v
+    return override
 
 
 def dense_trbdf2_step(v, dt, op, rows=None, override=None):
@@ -113,32 +123,6 @@ class TestStencils:
             discretize_operator(bad, MarketParams())
 
 
-class TestTridiagonal:
-    def test_outofband_elimination_matches_dense(self):
-        rng = np.random.default_rng(5)
-        for trial in range(6):
-            n = 6
-            lower = rng.normal(size=n)
-            upper = rng.normal(size=n)
-            diag = rng.normal(size=n) + 6.0
-            lower[0] = upper[-1] = 0.0
-            rhs = rng.normal(size=n)
-            row = 3 if trial % 2 == 0 else 2
-            col = row - 2 if trial % 2 == 0 else row + 2
-            sys = TridiagonalSystem(lower, diag, upper, rhs, (row, col, 0.8 + trial))
-            dense = np.linalg.solve(dense_matrix(sys), rhs)
-            reduced = sys.reduce_outofband()
-            assert reduced.out_of_band is None
-            mine = np.linalg.solve(dense_matrix(reduced), reduced.rhs)
-            assert np.max(np.abs(mine - dense)) < 1e-12 * max(1.0, np.max(np.abs(dense)))
-
-    def test_reduce_rejects_far_entries(self):
-        sys = TridiagonalSystem(np.zeros(5), np.ones(5), np.zeros(5),
-                                np.ones(5), (4, 0, 1.0))
-        with pytest.raises(ValueError):
-            sys.reduce_outofband()
-
-
 class TestTrBdf2:
     def march(self, v, horizon, mkt, cfg=PdeConfig(1)):
         grid = Grid(np.linspace(50.0, 150.0, v.size))
@@ -174,38 +158,31 @@ class TestTrBdf2:
 
     def test_step_matches_dense_with_dirichlet_and_ghost_hooks(self):
         # Dirichlet boundary row, a knocked-out Dirichlet region and an
-        # off-grid up barrier with three-point ghost rows; the dense
-        # reference keeps the ghost row unreduced (three entries).
+        # off-grid up barrier with three-point ghost rows and the region
+        # beyond it pinned; the dense reference keeps the ghost row
+        # unreduced (three entries).
         grid = sample_grid(build_map(StretchSpec(StretchKind.CUBIC, 0.0, 200.0,
                                                  (100.0,), (5.0,))), 40)
         s = grid.points
+        n = s.size
         mkt = MarketParams(0.05, 0.01, 0.25)
         cfg = PdeConfig(1, BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 1.5),
                         BoundaryCondition(BoundaryKind.ZERO_GAMMA),
                         barrier_mode=BarrierMode.GHOST_LAGRANGE3)
         barrier = 0.5 * (s[30] + s[31])
         ctx = GhostContext(s, 31, barrier, rebate=0.3, side=GhostSide.UP)
-        hooks = (DirichletRegion(1, 4, 0.0), GhostBarrier(ctx, BarrierMode.GHOST_LAGRANGE3))
+        hooks = (DirichletRegion(1, 4, 0.0), GhostBarrier(ctx, BarrierMode.GHOST_LAGRANGE3),
+                 DirichletRegion(32, n, 0.3))
         v0 = np.maximum(s - 90.0, 0.0)
         via_stepper = TrBdf2Stepper(grid, mkt, cfg, 0.5, hooks).run(v0)
 
-        n = s.size
-        g, a, b = ctx.lagrange3_nodes()
-        wg, wa, wb = ctx.lagrange3_weights()
         rows = {0: (np.eye(n)[0], 1.5)}
         rows.update({i: (np.eye(n)[i], 0.0) for i in range(1, 4)})
-        ghost_row = np.zeros(n)
-        ghost_row[[g, a, b]] = wg, wa, wb
-        rows[g] = (ghost_row, 0.3)
-        rows.update({i: (np.eye(n)[i], 0.3) for i in range(g + 1, n)})
-
-        def override(v):
-            v = v.copy()
-            v[g] = (0.3 - wa * v[a] - wb * v[b]) / wg
-            return v
-
+        ghost_row = lagrange_row(s, (31, 30, 29), barrier, n)
+        rows[31] = (ghost_row, 0.3)
+        rows.update({i: (np.eye(n)[i], 0.3) for i in range(32, n)})
         op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
-        expect = dense_trbdf2_step(v0, 0.5, op, rows, override)
+        expect = dense_trbdf2_step(v0, 0.5, op, rows, ghost_override({31: ghost_row}, 0.3))
         assert np.max(np.abs(via_stepper - expect)) < 1e-12 * np.max(np.abs(expect))
 
     def test_singular_matrix_raises_at_construction(self):
@@ -300,28 +277,30 @@ class TestTrBdf2:
 
 
 class TestGhostRows:
-    def make_ctx(self, barrier, side=GhostSide.UP, rebate=2.0):
+    def make_hook(self, barrier, side=GhostSide.UP, rebate=2.0,
+                  order=BarrierMode.GHOST_LINEAR):
         pts = np.linspace(0.0, 10.0, 11)
         if side is GhostSide.UP:
             i0 = int(np.searchsorted(pts, barrier, side="left"))
         else:
             i0 = int(np.searchsorted(pts, barrier, side="right"))
-        return GhostContext(pts, i0, barrier, rebate, side)
+        return GhostBarrier(GhostContext(pts, i0, barrier, rebate, side), order)
 
     def test_linear_weights_on_node(self):
-        ctx = self.make_ctx(5.0)
-        wg, wa = ctx.linear_weights()
-        assert (wg, wa) == (1.0, 0.0)
-        v = apply_ghost_linear(ctx, GhostSubstage.EXPLICIT_RHS, np.arange(11.0))
+        hook = self.make_hook(5.0)
+        assert hook.weights == (1.0, 0.0)
+        v = hook.override_previous(np.arange(11.0), 0.0)
         assert v[5] == 2.0
 
     def test_linear_explicit_override(self):
-        ctx = self.make_ctx(4.6, rebate=0.0)
+        hook = self.make_hook(4.6, rebate=0.0)
+        ctx = hook.ctx
         v = np.zeros(11)
-        out = apply_ghost_linear(ctx, GhostSubstage.EXPLICIT_RHS, v)
+        out = hook.override_previous(v, 0.0)
         assert out[ctx.ghost] == 0.0
         v[ctx.inner] = 3.0
-        out = apply_ghost_linear(ctx, GhostSubstage.EXPLICIT_RHS, v)
+        out = hook.override_previous(v, 0.0)
+        assert v[ctx.ghost] == 0.0  # the caller's vector is left alone
         # linear interpolation through (S_inner, 3.0) and (S_ghost, G) is 0 at 4.6
         s = ctx.points
         interp = (out[ctx.ghost] * (4.6 - s[ctx.inner])
@@ -329,53 +308,97 @@ class TestGhostRows:
         assert interp == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_implicit_row(self):
-        ctx = self.make_ctx(4.6, rebate=1.5)
+        hook = self.make_hook(4.6, rebate=1.5)
         n = 11
-        sys = TridiagonalSystem(np.full(n, -1.0), np.full(n, 3.0),
-                                np.full(n, -1.0), np.zeros(n))
-        out = apply_ghost_linear(ctx, GhostSubstage.IMPLICIT_MATRIX, sys)
-        g = ctx.ghost
-        assert out.diag[g] == pytest.approx((4.6 - 4.0) / 1.0)
-        assert out.lower[g] == pytest.approx((5.0 - 4.6) / 1.0)
-        assert out.upper[g] == 0.0
-        assert out.rhs[g] == 1.5
+        lower, diag, upper = np.full(n, -1.0), np.full(n, 3.0), np.full(n, -1.0)
+        hook.stamp_matrix(lower, diag, upper)
+        g = hook.ctx.ghost
+        assert diag[g] == pytest.approx((4.6 - 4.0) / 1.0)
+        assert lower[g] == pytest.approx((5.0 - 4.6) / 1.0)
+        assert upper[g] == 0.0
+        rest = np.arange(n) != g
+        assert np.all(lower[rest] == -1.0) and np.all(diag[rest] == 3.0)
+        assert np.all(upper[rest] == -1.0)
+        rhs = np.arange(float(n))
+        hook.adjust_rhs(rhs, 0.0)
+        assert rhs[g] == 1.5
 
-    def test_degenerate_barrier_on_inner_node(self):
-        ctx = self.make_ctx(4.6)
-        object.__setattr__(ctx, "barrier", 4.0)
-        with pytest.raises(ValueError, match="on-grid"):
-            ctx.linear_weights()
+    @pytest.mark.parametrize("side, i0, node", [(GhostSide.UP, 5, 4),
+                                                (GhostSide.DOWN, 3, 3)],
+                             ids=["up", "down"])
+    def test_barrier_on_inner_node_rejected_at_construction(self, side, i0, node):
+        pts = np.linspace(0.0, 10.0, 11)
+        with pytest.raises(ValueError, match="barrier"):
+            GhostContext(pts, i0, pts[node], side=side)
 
     def test_lagrange_weights_on_node(self):
-        ctx = self.make_ctx(5.0)
-        wg, wa, wb = ctx.lagrange3_weights()
-        assert (wg, wa, wb) == (1.0, -0.0, 0.0)
-        v = apply_ghost_lagrange3(ctx, GhostSubstage.EXPLICIT_RHS, np.arange(11.0))
+        hook = self.make_hook(5.0, order=BarrierMode.GHOST_LAGRANGE3)
+        assert hook.weights == (1.0, -0.0, 0.0)
+        v = hook.override_previous(np.arange(11.0), 0.0)
         assert v[5] == 2.0
 
     def test_lagrange_elimination_matches_dense(self):
         rng = np.random.default_rng(9)
         pts = np.array([0.0, 1.1, 2.3, 3.2, 4.4, 5.5])
         ctx = GhostContext(pts, 5, 5.0, rebate=0.7, side=GhostSide.UP)
+        hook = GhostBarrier(ctx, BarrierMode.GHOST_LAGRANGE3)
         n = 6
         lower = rng.normal(size=n)
         diag = rng.normal(size=n) + 5.0
         upper = rng.normal(size=n)
         lower[0] = upper[-1] = 0.0
         rhs = rng.normal(size=n)
-        base = TridiagonalSystem(lower.copy(), diag.copy(), upper.copy(), rhs.copy())
-        stamped = apply_ghost_lagrange3(ctx, GhostSubstage.IMPLICIT_MATRIX, base)
-        assert stamped.out_of_band is None
-        mine = np.linalg.solve(dense_matrix(stamped), stamped.rhs)
-        # dense solve of the unreduced 4-entry system
-        wg, wa, wb = ctx.lagrange3_weights()
-        dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-        dense[5, :] = 0.0
-        dense[5, 5], dense[5, 4], dense[5, 3] = wg, wa, wb
+        # dense solve of the unreduced 3-entry ghost row
+        dense = dense_matrix(lower, diag, upper)
+        dense[5] = lagrange_row(pts, (5, 4, 3), 5.0, n)
         rhs_d = rhs.copy()
         rhs_d[5] = 0.7
         expect = np.linalg.solve(dense, rhs_d)
+        hook.stamp_matrix(lower, diag, upper)
+        hook.adjust_rhs(rhs, 0.0)
+        mine = np.linalg.solve(dense_matrix(lower, diag, upper), rhs)
         assert np.max(np.abs(mine - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+    def test_random_lagrange_elimination_matches_dense(self):
+        rng = np.random.default_rng(5)
+        n = 8
+        for trial in range(6):
+            pts = np.cumsum(rng.uniform(0.5, 1.5, size=n))
+            side = GhostSide.UP if trial % 2 == 0 else GhostSide.DOWN
+            i0 = 5 if side is GhostSide.UP else 3
+            barrier = pts[i0 - 1] + rng.uniform(0.05, 0.95) * (pts[i0] - pts[i0 - 1])
+            hook = GhostBarrier(GhostContext(pts, i0, barrier, 0.8 + trial, side),
+                                BarrierMode.GHOST_LAGRANGE3)
+            lower = rng.normal(size=n)
+            upper = rng.normal(size=n)
+            diag = rng.normal(size=n) + 6.0
+            lower[0] = upper[-1] = 0.0
+            rhs = rng.normal(size=n)
+            dense = dense_matrix(lower, diag, upper)
+            dense[hook.ctx.ghost] = lagrange_row(pts, hook.nodes, barrier, n)
+            rhs_d = rhs.copy()
+            rhs_d[hook.ctx.ghost] = 0.8 + trial
+            expect = np.linalg.solve(dense, rhs_d)
+            hook.stamp_matrix(lower, diag, upper)
+            hook.adjust_rhs(rhs, 0.0)
+            mine = np.linalg.solve(dense_matrix(lower, diag, upper), rhs)
+            assert np.max(np.abs(mine - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+    def test_unreducible_lagrange_row_names_ghost_and_barrier(self):
+        # sigma = 0 and r = q leave the inner row 26 without a coupling to
+        # node 25, so the entry at (27, 25) cannot be eliminated
+        s = np.linspace(80.0, 170.0, 31)
+        ctx = GhostContext(s, 27, 160.5)
+        hooks = (GhostBarrier(ctx, BarrierMode.GHOST_LAGRANGE3),)
+        with pytest.raises(SingularSystemError) as err:
+            TrBdf2Stepper(Grid(s), MarketParams(0.05, 0.05, 0.0),
+                          PdeConfig(4, barrier_mode=BarrierMode.GHOST_LAGRANGE3),
+                          1.0, hooks)
+        assert err.value.row == 26
+        message = str(err.value)
+        assert message.startswith("fdm:")
+        assert "160.5" in message
+        assert "ghost row 27" in message and "inner row 26" in message
 
     def test_down_side_symmetry(self):
         pts = np.linspace(0.0, 10.0, 11)
@@ -383,11 +406,40 @@ class TestGhostRows:
         assert ctx.ghost == 2 and ctx.inner == 3
         v = np.zeros(11)
         v[3] = 1.0
-        out = apply_ghost_linear(ctx, GhostSubstage.EXPLICIT_RHS, v)
+        out = GhostBarrier(ctx, BarrierMode.GHOST_LINEAR).override_previous(v, 0.0)
         s = pts
-        interp = (out[2] * (2.4 - s[3]) + 1.0 * (2.4 - s[2])) / (s[3] - s[2]) * 1.0
         interp = out[2] * (s[3] - 2.4) / (s[3] - s[2]) + 1.0 * (2.4 - s[2]) / (s[3] - s[2])
         assert interp == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3])
+    def test_interior_ghost_hooks_match_dense(self, mode):
+        # Both ghost nodes are interior, so constraint_hooks pins a
+        # non-empty region beyond each; the dense reference keeps the
+        # ghost rows unreduced and puts identity rows over both regions.
+        s = np.linspace(80.0, 170.0, 31)
+        grid = Grid(s)
+        n = s.size
+        mkt = MarketParams(0.05, 0.01, 0.25)
+        cfg = PdeConfig(1, BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 0.3),
+                        BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 0.3),
+                        barrier_mode=mode)
+        contract = ContractSpec(ExerciseStyle.CONTINUOUS_DOUBLE_KO, OptionType.CALL,
+                                100.0, 1.0, barrier_lower=90.0, barrier_upper=160.0,
+                                rebate=0.3)
+        hooks = tuple(constraint_hooks(contract, grid, cfg))
+        assert [type(h) for h in hooks] == [GhostBarrier, DirichletRegion] * 2
+        v0 = payoff(contract, grid)
+        via_stepper = TrBdf2Stepper(grid, mkt, cfg, 1.0, hooks).run(v0)
+
+        # down ghost at 89 (node 3), up ghost at 161 (node 27)
+        three = mode is BarrierMode.GHOST_LAGRANGE3
+        ghost_rows = {3: lagrange_row(s, (3, 4, 5) if three else (3, 4), 90.0, n),
+                      27: lagrange_row(s, (27, 26, 25) if three else (27, 26), 160.0, n)}
+        rows = {i: (np.eye(n)[i], 0.3) for i in (*range(0, 3), *range(28, n))}
+        rows.update({g: (row, 0.3) for g, row in ghost_rows.items()})
+        op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
+        expect = dense_trbdf2_step(v0, 1.0, op, rows, ghost_override(ghost_rows, 0.3))
+        assert np.max(np.abs(via_stepper - expect)) < 1e-12 * np.max(np.abs(expect))
 
     def test_on_node_barrier_all_modes_agree(self):
         mkt = MarketParams(0.10, 0.0, 0.25)
