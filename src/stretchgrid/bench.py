@@ -139,17 +139,62 @@ def resolve_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
     raise ConfigError(f"unknown domain fit {fit!r}")
 
 
-class _MapCache:
-    """Stretch maps reused across the rows and columns of one table.
+class _Prices(dict):
+    """Spot -> price of one pricing, filled when its block marches; ``error``
+    is the exception that failed it, if any."""
 
-    ``TableConfig.run`` keeps one cache for the shared reference and every
-    column, so columns with equal stretch specs share their maps.  Maps are
-    keyed on the spec; ODE-defined maps also key on ode_steps, which follows
-    the resolution.
+    error: Exception | None = None
+
+
+def _failure(prices: dict) -> Exception | None:
+    return getattr(prices, "error", None)
+
+
+@dataclass
+class _Pricing:
+    """A built pricing waiting to march: its factored block and terminal values."""
+
+    stepper: TrBdf2Stepper
+    terminal: np.ndarray
+    spots: tuple[float, ...]
+    prices: _Prices = field(default_factory=_Prices)
+
+
+def _march(group: list[_Pricing]):
+    """March pricings that share dt and N as one stacked system and fill
+    their prices.  If the stacked march raises (a NaN in one block reaches its
+    neighbours through 0 * NaN), each block marches again alone, so only the
+    failing pricing records the error."""
+    try:
+        if len(group) == 1:
+            stepper = group[0].stepper
+        else:
+            stepper = TrBdf2Stepper.stack([pricing.stepper for pricing in group])
+        values = stepper.run(np.concatenate([pricing.terminal for pricing in group]))
+        for pricing, block in zip(group, stepper.split(values)):
+            interp = MonotoneCubic(pricing.stepper.grid.points, block)
+            pricing.prices.update((s, float(interp(s))) for s in pricing.spots)
+    except Exception as exc:  # noqa: BLE001 - row-level fault isolation
+        if len(group) == 1:
+            group[0].prices.error = exc
+        else:
+            for pricing in group:
+                _march([pricing])
+
+
+class _TableCache:
+    """What the rows of one table share: stretch maps, and the pricings queued
+    to march together.
+
+    ``TableConfig.run`` keeps one cache for the references and every column,
+    so columns with equal stretch specs share their maps.  Maps are keyed on
+    the spec; ODE-defined maps also key on ode_steps, which follows the
+    resolution.
     """
 
     def __init__(self):
         self._maps: dict[tuple, StretchMap] = {}
+        self._queue: list[_Pricing] = []
 
     def get(self, spec: StretchSpec, steps: int) -> StretchMap:
         if spec.kind is StretchKind.TAVELLA_RANDALL:
@@ -162,21 +207,40 @@ class _MapCache:
                 self._maps[key] = build_map(spec)
         return self._maps[key]
 
+    def queue(self, pricing: _Pricing):
+        self._queue.append(pricing)
 
-def build_run_grid(config: RunConfig, steps: int, cache: _MapCache | None = None) -> Grid:
+    def march(self):
+        """March every queued pricing, one stacked system per (dt, N), and
+        drop them from the queue."""
+        groups: dict[tuple[float, int], list[_Pricing]] = {}
+        for pricing in self._queue:
+            groups.setdefault((pricing.stepper.dt, pricing.stepper.n_steps), []).append(pricing)
+        self._queue = []
+        for group in groups.values():
+            _march(group)
+
+
+def build_run_grid(config: RunConfig, steps: int, cache: _TableCache | None = None) -> Grid:
     s_min, s_max, intervals = resolve_domain(config, steps)
     stretch = config.stretch
     if (stretch.s_min, stretch.s_max) != (s_min, s_max):
         stretch = replace(stretch, s_min=s_min, s_max=s_max)
-    cache = cache or _MapCache()
+    cache = cache or _TableCache()
     grid = sample_grid(cache.get(stretch, intervals), intervals)
     if config.placement.mode is not PlacementMode.NONE and config.placement.targets:
         grid = apply_placement(grid, config.placement)
     return grid
 
 
-def price_run(config: RunConfig, steps: int, cache: _MapCache | None = None) -> dict[float, float]:
-    """Price the contract on the grid for one resolution; spot -> price."""
+def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -> dict[float, float]:
+    """Price the contract on the grid for one resolution; spot -> price.
+
+    Builds the row's grid, hooks and factored block.  With a table's
+    ``cache`` the pricing is queued and the returned dict stays empty until
+    ``cache.march()`` fills it (or sets its ``error`` when the march fails).
+    Without a cache it marches at once and raises on failure.
+    """
     grid = build_run_grid(config, steps, cache)
     lo, hi = grid.points[0], grid.points[-1]
     for s in config.report_spots:
@@ -187,36 +251,64 @@ def price_run(config: RunConfig, steps: int, cache: _MapCache | None = None) -> 
         pde = replace(pde, time_steps=steps)
     hooks = tuple(constraint_hooks(config.contract, grid, pde))
     stepper = TrBdf2Stepper(grid, config.market, pde, config.contract.maturity, hooks)
-    values = stepper.run(payoff(config.contract, grid))
-    interp = MonotoneCubic(grid.points, values)
-    return {s: float(interp(s)) for s in config.report_spots}
+    pricing = _Pricing(stepper, payoff(config.contract, grid), config.report_spots)
+    if cache is not None:
+        cache.queue(pricing)
+    else:
+        _march([pricing])
+        if pricing.prices.error is not None:
+            raise pricing.prices.error
+    return pricing.prices
 
 
-def run_convergence(config: RunConfig,
-                    reference_prices: dict[float, float] | None = None,
-                    cache: _MapCache | None = None) -> ConvergenceReport:
-    """Sweep the space resolutions against a same-regime reference.
+def _reference(config: RunConfig, cache: _TableCache) -> dict[float, float]:
+    """Price ``config`` at its reference resolution, marching it alone."""
+    prices = price_run(config, config.reference_steps, cache)
+    cache.march()
+    error = _failure(prices)
+    if error is not None:
+        raise error
+    return prices
 
-    The reference is priced with the same stretch/placement recipe at
-    ``reference_steps`` unless explicit reference prices are passed in (used
-    by table runs whose published reference is shared across columns).
-    Failed resolutions are marked in the report instead of aborting the sweep.
-    Maps come from ``cache`` (a fresh one when not given).
+
+def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
+           cache: _TableCache) -> list[ConvergenceReport]:
+    """One report per (config, reference prices or None) job.
+
+    Each missing reference is priced and marched alone first, and freed;
+    then every sweep row of every job is queued and the queue marches.  A row
+    that fails to build or to march is marked failed instead of aborting.
     """
-    cache = cache or _MapCache()
-    if reference_prices is None:
-        reference_prices = price_run(config, config.reference_steps, cache)
+    references = [_reference(config, cache) if reference is None else reference
+                  for config, reference in jobs]
+    queued = []
+    for config, _ in jobs:
+        rows = []
+        for steps in config.space_steps:
+            try:
+                prices = price_run(config, steps, cache)
+            except Exception as exc:  # noqa: BLE001 - cell-level fault isolation
+                prices = _Prices()
+                prices.error = exc
+            rows.append((steps, prices))
+        queued.append(rows)
+    cache.march()
+    return [_report(config, reference, rows)
+            for (config, _), reference, rows in zip(jobs, references, queued)]
+
+
+def _report(config: RunConfig, reference_prices: dict[float, float],
+            rows: list[tuple[int, dict[float, float]]]) -> ConvergenceReport:
     report = ConvergenceReport(config.label, config.report_spots,
                                reference=dict(reference_prices))
-    for steps in config.space_steps:
-        try:
-            prices = price_run(config, steps, cache)
-        except Exception as exc:  # noqa: BLE001 - cell-level fault isolation
-            report.rows.append(ConvergenceRow(steps, {}, {}, failed=str(exc)))
+    for steps, prices in rows:
+        error = _failure(prices)
+        if error is not None:
+            report.rows.append(ConvergenceRow(steps, {}, {}, failed=str(error)))
             continue
         errors = {s: abs(prices[s] - reference_prices[s]) * 1e5
                   for s in config.report_spots}
-        report.rows.append(ConvergenceRow(steps, prices, errors))
+        report.rows.append(ConvergenceRow(steps, dict(prices), errors))
     lead = config.report_spots[0]
     orders = iter(report.orders(lead))
     prev_ok = False
@@ -227,6 +319,23 @@ def run_convergence(config: RunConfig,
         row.order = next(orders) if prev_ok else math.nan
         prev_ok = True
     return report
+
+
+def run_convergence(config: RunConfig,
+                    reference_prices: dict[float, float] | None = None,
+                    cache: _TableCache | None = None) -> ConvergenceReport:
+    """Sweep the space resolutions against a same-regime reference.
+
+    The reference is priced with the same stretch/placement recipe at
+    ``reference_steps`` unless explicit reference prices are passed in (used
+    by table runs whose published reference is shared across columns).  The
+    reference marches alone; then the sweep rows are queued and those that
+    share (dt, N) march as one stacked system.  Failed resolutions are marked
+    in the report instead of aborting the sweep.  Maps come from ``cache`` (a
+    fresh one when not given).
+    """
+    return _sweep([(config, reference_prices)],
+                  _TableCache() if cache is None else cache)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +611,19 @@ class TableConfig:
     reference_column: str = ""
 
     def run(self) -> list[tuple[str, ConvergenceReport]]:
-        cache = _MapCache()
+        """Price every column's sweep with one ``_TableCache``: each reference
+        (the shared one, or one per column) marches alone and is freed, then
+        every sweep row of every column is queued and the rows that share
+        (dt, N) march as one stacked system."""
+        cache = _TableCache()
         shared: dict[float, float] | None = None
         if self.reference_mode == "shared":
             by_name = dict(self.columns)
             if self.reference_column not in by_name:
                 raise ConfigError(f"reference column {self.reference_column!r} not defined")
-            ref_cfg = by_name[self.reference_column]
-            shared = price_run(ref_cfg, ref_cfg.reference_steps, cache)
-        return [(name, run_convergence(cfg, shared, cache)) for name, cfg in self.columns]
+            shared = _reference(by_name[self.reference_column], cache)
+        reports = _sweep([(cfg, shared) for _, cfg in self.columns], cache)
+        return [(name, report) for (name, _), report in zip(self.columns, reports)]
 
 
 def parse_table_config(kv: dict[str, str]) -> TableConfig:

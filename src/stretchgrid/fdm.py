@@ -11,6 +11,14 @@ discrete knock-outs and the American exercise projection.  A 3-point ghost
 row is stamped straight into that matrix, its entry two columns off the
 diagonal eliminated in place against the neighbouring row, so the system
 stays tridiagonal.
+
+Pricings that share dt and N march in lockstep: ``TrBdf2Stepper.stack``
+joins their matrices into one block-diagonal system, factored once, with one
+gttrs per substage, one operator product and one finiteness check per step
+over the stacked vector, and each hook applied to its own block's rows.  No
+matrix couples a block's edge rows outward, so every block's values are
+exactly equal to those of its own march; a single pricing is a stack of one
+block.
 """
 
 from __future__ import annotations
@@ -231,10 +239,16 @@ class GhostContext:
 
 
 class Hook:
-    """Constraint applied while stepping; methods default to no-ops."""
+    """Constraint applied while stepping; methods default to no-ops.
 
-    def override_previous(self, v: np.ndarray, tau: float) -> np.ndarray:
-        return v
+    Every vector a hook receives holds its own pricing's rows only (a view
+    into a stacked vector when pricings march together, see
+    ``TrBdf2Stepper.stack``), so hooks index their grid from zero.
+    """
+
+    def override_previous(self, v: np.ndarray, tau: float):
+        """Write, in place, the values the explicit half-steps use into ``v``,
+        the stepper's copy of the previous step's values."""
 
     def owned_rows(self) -> tuple[int, ...]:
         """Rows whose equations this hook replaces (boundary rows a hook
@@ -318,12 +332,10 @@ class GhostBarrier(Hook):
     def override_previous(self, v, tau):
         g, *inner = self.nodes
         wg, *w_inner = self.weights
-        v = np.array(v, dtype=float)
         value = self.ctx.rebate
         for w, k in zip(w_inner, inner):
             value -= w * v[k]
         v[g] = value / wg
-        return v
 
     def owned_rows(self):
         return (self.ctx.ghost,)
@@ -377,15 +389,36 @@ class DiscreteKnockout(Hook):
 # TR-BDF2 stepping
 
 
+def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float) -> list:
+    *lu, info = dgttrf(lower[1:], diag, upper[:-1])
+    if info > 0:
+        raise SingularSystemError(
+            info - 1, f"fdm: TR-BDF2 matrix is singular (n = {diag.size}, dt = {dt:g}): "
+            f"zero U pivot at index {info - 1} after partial pivoting; the faulty "
+            f"equation may be an earlier row")
+    return lu
+
+
+def _acting(blocks, name: str) -> tuple:
+    """(bound method, block rows) of every hook that overrides ``name``."""
+    default = getattr(Hook, name)
+    return tuple((getattr(hook, name), rows) for rows, hooks in blocks for hook in hooks
+                 if getattr(type(hook), name) is not default)
+
+
 class TrBdf2Stepper:
-    """Backward-in-time marcher; owns its work buffers (one per pricing task)."""
+    """Backward-in-time marcher over a stack of blocks, one per pricing.
+
+    The constructor builds and factors a single block; ``stack`` joins
+    blocks that share dt and N into one block-diagonal system marched in
+    lockstep.  Each hook sees only its own block's rows.
+    """
 
     def __init__(self, grid: Grid, mkt: MarketParams, config: PdeConfig,
                  horizon: float, hooks: tuple[Hook, ...] = ()):
         if horizon <= 0.0:
             raise ValueError("horizon must be positive")
         self.grid = grid
-        self.config = config
         self.hooks = tuple(hooks)
         self.dt = horizon / config.time_steps
         self.n_steps = config.time_steps
@@ -397,60 +430,121 @@ class TrBdf2Stepper:
         diag = 1.0 - w * op.diag
         upper = -w * op.upper
         hook_rows = {row for hook in self.hooks for row in hook.owned_rows()}
-        self._dirichlet_rows = []
+        pins = []
         for row, bc in ((0, config.boundary_lower), (n - 1, config.boundary_upper)):
             if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in hook_rows:
                 lower[row] = 0.0
                 upper[row] = 0.0
                 diag[row] = 1.0
-                self._dirichlet_rows.append((row, bc.value))
+                pins.append((row, bc.value))
         for hook in self.hooks:
             hook.stamp_matrix(lower, diag, upper)
-        *self._lu, info = dgttrf(lower[1:], diag, upper[:-1])
-        if info > 0:
-            raise SingularSystemError(
-                info - 1, f"fdm: TR-BDF2 matrix is singular (n = {n}, dt = {self.dt:g}): "
-                f"zero U pivot at index {info - 1} after partial pivoting; the faulty "
-                f"equation may be an earlier row")
+        self._bands = (lower, diag, upper)
+        self._lu = _factor(lower, diag, upper, self.dt)
         self._w = w
+        self._setup(((slice(0, n), self.hooks),), pins)
+
+    @classmethod
+    def stack(cls, steppers) -> TrBdf2Stepper:
+        """One block-diagonal system that marches ``steppers`` in lockstep.
+
+        Every block's first row has no coupling below it and its last row
+        none above it (lower[0] = upper[-1] = 0), so LU with partial pivoting
+        never pivots across a block edge and ``matvec`` adds exact zeros
+        there: each block's values equal those of its own ``run`` exactly.
+        """
+        steppers = tuple(steppers)
+        if not steppers:
+            raise ValueError("fdm: nothing to stack")
+        head = steppers[0]
+        for k, part in enumerate(steppers):
+            if (part.dt, part.n_steps) != (head.dt, head.n_steps):
+                raise ValueError(
+                    f"fdm: cannot stack block {k}: dt = {part.dt:g}, N = {part.n_steps} "
+                    f"differ from block 0 (dt = {head.dt:g}, N = {head.n_steps})")
+            stamped = part._bands
+            for lower, upper in ((part.op.lower, part.op.upper), (stamped[0], stamped[2])):
+                if lower[0] != 0.0 or upper[-1] != 0.0:
+                    raise ValueError(
+                        f"fdm: cannot stack block {k}: its first row couples below "
+                        f"it or its last row above it (lower[0] = {lower[0]:g}, "
+                        f"upper[-1] = {upper[-1]:g})")
+        self = object.__new__(cls)
+        self.grid = None
+        self.hooks = tuple(hook for part in steppers for hook in part.hooks)
+        self.dt = head.dt
+        self.n_steps = head.n_steps
+        self.op = SpatialOperator(*(np.concatenate(band) for band in zip(
+            *((part.op.lower, part.op.diag, part.op.upper) for part in steppers))))
+        self._bands = tuple(np.concatenate(band) for band in zip(
+            *(part._bands for part in steppers)))
+        self._lu = _factor(*self._bands, self.dt)
+        self._w = head._w
+        blocks, pins = [], []
+        offset = 0
+        for part in steppers:
+            blocks += [(slice(offset + rows.start, offset + rows.stop), hooks)
+                       for rows, hooks in part._blocks]
+            pins += [(offset + row, value)
+                     for row, value in zip(part._pin_rows, part._pin_values)]
+            offset += part.op.n
+        self._setup(tuple(blocks), pins)
+        return self
+
+    def _setup(self, blocks, pins):
+        """Record each block's (rows, hooks), the pinned rows, and which hooks
+        act in each phase."""
+        self._blocks = blocks
+        self._pin_rows = np.array([row for row, _ in pins], dtype=np.intp)
+        self._pin_values = np.array([value for _, value in pins], dtype=float)
+        self._overrides = _acting(blocks, "override_previous")
+        self._rhs_hooks = _acting(blocks, "adjust_rhs")
+        self._substage_hooks = _acting(blocks, "post_substage")
+        self._step_hooks = _acting(blocks, "post_step")
+
+    def split(self, v: np.ndarray) -> list[np.ndarray]:
+        """Each block's rows of a stacked vector, in stacking order."""
+        return [v[rows] for rows, _ in self._blocks]
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         return dgttrs(*self._lu, rhs, overwrite_b=1)[0]
 
     def _rhs_pins(self, rhs: np.ndarray, tau: float):
-        for row, value in self._dirichlet_rows:
-            rhs[row] = value
-        for hook in self.hooks:
-            hook.adjust_rhs(rhs, tau)
+        rhs[self._pin_rows] = self._pin_values
+        for adjust_rhs, rows in self._rhs_hooks:
+            adjust_rhs(rhs[rows], tau)
 
-    def _value_pins(self, v: np.ndarray):
+    def _after_solve(self, v: np.ndarray, tau: float):
         # Partial pivoting solves pinned rows only to round-off; constraints
         # are exact, so re-stamp them.
-        for row, value in self._dirichlet_rows:
-            v[row] = value
+        v[self._pin_rows] = self._pin_values
+        for post_substage, rows in self._substage_hooks:
+            post_substage(v[rows], tau)
 
     def step(self, v: np.ndarray, step_index: int, tau: float) -> np.ndarray:
-        """One composite step from tau to tau + dt (tau is time to maturity)."""
+        """One composite step from tau to tau + dt (tau is time to maturity).
+
+        ``v`` is not written: hooks that override the explicit half-step
+        values write into one copy of it.
+        """
         v_eff = v
-        for hook in self.hooks:
-            v_eff = hook.override_previous(v_eff, tau)
+        if self._overrides:
+            v_eff = np.array(v, dtype=float)
+            for override_previous, rows in self._overrides:
+                override_previous(v_eff[rows], tau)
 
         rhs = v_eff + self._w * self.op.matvec(v_eff)
         self._rhs_pins(rhs, tau + GAMMA * self.dt)
         v_stage = self._solve(rhs)
-        self._value_pins(v_stage)
-        for hook in self.hooks:
-            hook.post_substage(v_stage, tau + GAMMA * self.dt)
+        self._after_solve(v_stage, tau + GAMMA * self.dt)
 
         rhs = BDF2_NEW * v_stage - BDF2_OLD * v_eff
         self._rhs_pins(rhs, tau + self.dt)
         v_new = self._solve(rhs)
         tau_new = tau + self.dt
-        self._value_pins(v_new)
-        for hook in self.hooks:
-            hook.post_substage(v_new, tau_new)
-        for hook in self.hooks:
-            hook.post_step(v_new, step_index, tau_new)
+        self._after_solve(v_new, tau_new)
+        for post_step, rows in self._step_hooks:
+            post_step(v_new[rows], step_index, tau_new)
         if not np.isfinite(v_new).all():
             raise NonFiniteValueError(step_index, tau_new)
         return v_new
@@ -460,4 +554,3 @@ class TrBdf2Stepper:
         for j in range(self.n_steps):
             v = self.step(v, j + 1, j * self.dt)
         return v
-

@@ -179,6 +179,42 @@ class TestRunConvergence:
         assert "non-finite" in report.rows[1].failed
         assert "step 1" in report.rows[1].failed
 
+    def test_non_finite_block_fails_only_its_row(self, monkeypatch):
+        # Both columns' rows share (dt, N) and march as one stack; a NaN in
+        # one block reaches its neighbours, so the stack marches again block
+        # by block and only the poisoned row fails.
+        text = SMOKE.replace("market.sigma = 0", "market.sigma = 0.2") + """
+columns = plain, stretched
+column.stretched.stretch.kind = cubic
+column.stretched.stretch.points = 75
+column.stretched.stretch.alpha = 2.5
+"""
+        table = parse_table_config(parse_config_text(text))
+        real_payoff = bench.payoff
+        poisoned = []
+
+        def nan_once_at_32(contract, grid):
+            values = real_payoff(contract, grid)
+            if grid.points.size == 33 and not poisoned:
+                poisoned.append(1)
+                values[5] = np.nan
+            return values
+
+        monkeypatch.setattr(bench, "payoff", nan_once_at_32)
+        results = table.run()
+        monkeypatch.setattr(bench, "payoff", real_payoff)
+        failed = [(name, row.steps) for name, report in results
+                  for row in report.rows if row.failed]
+        assert failed == [("plain", 32)]
+        row = dict(results)["plain"].rows[1]
+        assert "non-finite" in row.failed and "step 1" in row.failed
+        for name, cfg in table.columns:
+            report = dict(results)[name]
+            assert report.reference == bench.price_run(cfg, cfg.reference_steps)
+            for row in report.rows:
+                if not row.failed:
+                    assert row.prices == bench.price_run(cfg, row.steps)
+
     def test_spot_outside_grid_fails_before_marching(self, monkeypatch):
         def no_march(*args, **kwargs):
             raise AssertionError("a bad report spot must fail before the stepper is built")
@@ -235,6 +271,51 @@ class TestMapCache:
             run_convergence(cfg, {s: 0.0 for s in cfg.report_spots})
         assert sorted(builds) == sorted(shared * 2)
         assert len(integrations) == 2 * shared_integrations
+
+
+class TestLockstepMarch:
+    """The calls the benchmark's row timer, grid-only stub and traced stepper
+    rely on: one ``price_run`` per row, and every march through
+    ``bench.TrBdf2Stepper``."""
+
+    def count_calls(self, monkeypatch, price_run=None):
+        runs: list[int] = []
+        calls: list[int] = []
+
+        class CountingStepper(bench.TrBdf2Stepper):
+            def run(self, terminal):
+                runs.append(len(self.split(terminal)))
+                return super().run(terminal)
+
+        inner = price_run or bench.price_run
+
+        def counting_price_run(config, steps, cache=None):
+            calls.append(steps)
+            return inner(config, steps, cache)
+
+        monkeypatch.setattr(bench, "TrBdf2Stepper", CountingStepper)
+        monkeypatch.setattr(bench, "price_run", counting_price_run)
+        return runs, calls
+
+    def test_table_marches_reference_then_one_stack(self, monkeypatch):
+        runs, calls = self.count_calls(monkeypatch)
+        table = load_bundled(4)
+        results = table.run()
+        rows = sum(len(cfg.space_steps) for _, cfg in table.columns)
+        assert rows == 32
+        assert len(calls) == rows + 1            # the shared reference, then each row
+        assert runs == [1, rows]                 # the reference alone, then the stack
+        assert not any(row.failed for _, report in results for row in report.rows)
+
+    def test_grid_only_stub_marches_nothing(self, monkeypatch):
+        def grid_only(config, steps, cache=None):
+            bench.build_run_grid(config, steps, cache)
+            return {s: 0.0 for s in config.report_spots}
+
+        runs, calls = self.count_calls(monkeypatch, grid_only)
+        load_bundled(4).run()
+        assert len(calls) == 33
+        assert runs == []
 
 
 class TestCsv:

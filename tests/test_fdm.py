@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stretchgrid import fdm
 from stretchgrid.analytics import black_scholes_vanilla
-from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, BarrierMode,
-                             BoundaryCondition, BoundaryKind, DirichletRegion,
+from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, AmericanProjection,
+                             BarrierMode, BoundaryCondition, BoundaryKind,
+                             DirichletRegion, DiscreteKnockout,
                              GhostBarrier, GhostContext, GhostSide, Hook,
                              MarketParams, NonFiniteValueError, PdeConfig,
                              SingularSystemError, TrBdf2Stepper,
@@ -289,21 +291,21 @@ class TestGhostRows:
     def test_linear_weights_on_node(self):
         hook = self.make_hook(5.0)
         assert hook.weights == (1.0, 0.0)
-        v = hook.override_previous(np.arange(11.0), 0.0)
+        v = np.arange(11.0)
+        hook.override_previous(v, 0.0)
         assert v[5] == 2.0
 
     def test_linear_explicit_override(self):
         hook = self.make_hook(4.6, rebate=0.0)
         ctx = hook.ctx
         v = np.zeros(11)
-        out = hook.override_previous(v, 0.0)
-        assert out[ctx.ghost] == 0.0
+        hook.override_previous(v, 0.0)
+        assert v[ctx.ghost] == 0.0
         v[ctx.inner] = 3.0
-        out = hook.override_previous(v, 0.0)
-        assert v[ctx.ghost] == 0.0  # the caller's vector is left alone
+        hook.override_previous(v, 0.0)
         # linear interpolation through (S_inner, 3.0) and (S_ghost, G) is 0 at 4.6
         s = ctx.points
-        interp = (out[ctx.ghost] * (4.6 - s[ctx.inner])
+        interp = (v[ctx.ghost] * (4.6 - s[ctx.inner])
                   + 3.0 * (s[ctx.ghost] - 4.6)) / (s[ctx.ghost] - s[ctx.inner])
         assert interp == pytest.approx(0.0, abs=1e-12)
 
@@ -334,7 +336,8 @@ class TestGhostRows:
     def test_lagrange_weights_on_node(self):
         hook = self.make_hook(5.0, order=BarrierMode.GHOST_LAGRANGE3)
         assert hook.weights == (1.0, -0.0, 0.0)
-        v = hook.override_previous(np.arange(11.0), 0.0)
+        v = np.arange(11.0)
+        hook.override_previous(v, 0.0)
         assert v[5] == 2.0
 
     def test_lagrange_elimination_matches_dense(self):
@@ -406,9 +409,9 @@ class TestGhostRows:
         assert ctx.ghost == 2 and ctx.inner == 3
         v = np.zeros(11)
         v[3] = 1.0
-        out = GhostBarrier(ctx, BarrierMode.GHOST_LINEAR).override_previous(v, 0.0)
+        GhostBarrier(ctx, BarrierMode.GHOST_LINEAR).override_previous(v, 0.0)
         s = pts
-        interp = out[2] * (s[3] - 2.4) / (s[3] - s[2]) + 1.0 * (2.4 - s[2]) / (s[3] - s[2])
+        interp = v[2] * (s[3] - 2.4) / (s[3] - s[2]) + 1.0 * (2.4 - s[2]) / (s[3] - s[2])
         assert interp == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3])
@@ -457,3 +460,128 @@ class TestGhostRows:
         base = sols[BarrierMode.ON_GRID_DIRICHLET]
         for mode in (BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3):
             assert np.max(np.abs(sols[mode] - base)) <= 1e-12
+
+    def test_step_leaves_the_callers_vector_alone(self):
+        # The ghost rows override the explicit half-step values in one copy
+        # made by the stepper; the vector passed to step is not written.
+        s = np.linspace(80.0, 170.0, 31)
+        grid = Grid(s)
+        cfg = PdeConfig(4, barrier_mode=BarrierMode.GHOST_LAGRANGE3)
+        contract = ContractSpec(ExerciseStyle.CONTINUOUS_DOUBLE_KO, OptionType.CALL,
+                                100.0, 1.0, barrier_lower=90.0, barrier_upper=160.0,
+                                rebate=0.3)
+        hooks = tuple(constraint_hooks(contract, grid, cfg))
+        stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.01, 0.25), cfg, 1.0, hooks)
+        v = payoff(contract, grid) + 0.5
+        before = v.copy()
+        overridden = v.copy()
+        for hook in hooks:
+            hook.override_previous(overridden, 0.0)
+        assert not np.array_equal(overridden, before)  # the hooks do override
+        stepper.step(v, 1, 0.0)
+        assert np.array_equal(v, before)
+
+
+# ---------------------------------------------------------------------------
+# Stacked (lockstep) marches
+
+
+N_STACK = 6
+
+
+@st.composite
+def stack_blocks(draw):
+    """A random pricing block: nonuniform grid, market, boundary rows and one
+    kind of hook set, all sharing the stack's N = ``N_STACK`` and horizon."""
+    n = draw(st.integers(8, 40))
+    lower_kind = draw(st.sampled_from(list(BoundaryKind)))
+    upper_kind = draw(st.sampled_from([BoundaryKind.DIRICHLET_VALUE,
+                                       BoundaryKind.ZERO_GAMMA]))
+    start = 0.0 if lower_kind is BoundaryKind.DEGENERATE_EXACT else draw(
+        st.floats(1.0, 50.0))
+    steps = draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1, max_size=n - 1))
+    s = start + np.concatenate(([0.0], np.cumsum(steps)))
+    mkt = MarketParams(draw(st.floats(0.0, 0.1)), draw(st.floats(0.0, 0.1)),
+                       draw(st.floats(0.1, 0.6)))
+    kind = draw(st.sampled_from(["none", "knockout", "dirichlet", "ghost", "american"]))
+    mode = BarrierMode.ON_GRID_DIRICHLET
+    strike = float(s[draw(st.integers(1, n - 2))])
+    terminal = np.maximum(strike - s, 0.0) + draw(st.floats(0.0, 1.0))
+    hooks: list[Hook] = []
+    if kind == "knockout":
+        level = float(s[draw(st.integers(1, n - 2))])
+        dates = draw(st.sets(st.integers(1, N_STACK), min_size=1))
+        hooks.append(DiscreteKnockout(s >= level, dates, draw(st.floats(0.0, 1.0))))
+    elif kind == "dirichlet":
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(a + 1, n))
+        hooks.append(DirichletRegion(a, b, draw(st.floats(0.0, 1.0))))
+    elif kind == "ghost":
+        mode = draw(st.sampled_from([BarrierMode.GHOST_LINEAR,
+                                     BarrierMode.GHOST_LAGRANGE3]))
+        side = draw(st.sampled_from(list(GhostSide)))
+        rebate = draw(st.floats(0.0, 1.0))
+        if side is GhostSide.UP:
+            i0 = draw(st.integers(2, n - 1))
+            frac = draw(st.floats(0.05, 1.0))
+        else:
+            i0 = draw(st.integers(1, n - 3))
+            frac = draw(st.floats(0.0, 0.95))
+        barrier = float(s[i0 - 1] + frac * (s[i0] - s[i0 - 1]))
+        assume(s[i0 - 1] < barrier < s[i0] if side is GhostSide.UP
+               else s[i0 - 1] <= barrier < s[i0])
+        ctx = GhostContext(s, i0, barrier, rebate, side)
+        hooks.append(GhostBarrier(ctx, mode))
+        start_, stop = (ctx.ghost + 1, n) if side is GhostSide.UP else (0, ctx.ghost)
+        if start_ < stop:
+            hooks.append(DirichletRegion(start_, stop, rebate))
+    elif kind == "american":
+        hooks.append(AmericanProjection(np.maximum(strike - s, 0.0)))
+    cfg = PdeConfig(N_STACK, BoundaryCondition(lower_kind, draw(st.floats(0.0, 1.0))),
+                    BoundaryCondition(upper_kind, draw(st.floats(0.0, 1.0))),
+                    barrier_mode=mode)
+    return Grid(s), mkt, cfg, tuple(hooks), terminal
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.lists(stack_blocks(), min_size=1, max_size=4),
+       horizon=st.floats(0.05, 1.0))
+def test_stacked_march_equals_solo_marches(blocks, horizon):
+    steppers = [TrBdf2Stepper(grid, mkt, cfg, horizon, hooks)
+                for grid, mkt, cfg, hooks, _ in blocks]
+    solo = [stepper.run(terminal) for stepper, (*_, terminal) in zip(steppers, blocks)]
+    assume(all(np.isfinite(v).all() for v in solo))
+    stacked = TrBdf2Stepper.stack(steppers)
+    out = stacked.split(stacked.run(np.concatenate([b[-1] for b in blocks])))
+    assert len(out) == len(blocks)
+    for mine, expect in zip(out, solo):
+        assert np.array_equal(mine, expect)
+
+
+class TestStack:
+    def steppers(self, *time_steps, hooks=()):
+        grid = Grid(np.linspace(50.0, 150.0, 11))
+        return [TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(n), 1.0, hooks)
+                for n in time_steps]
+
+    def test_rejects_blocks_with_another_time_grid(self):
+        with pytest.raises(ValueError, match="block 1: dt = 0.125, N = 8"):
+            TrBdf2Stepper.stack(self.steppers(4, 8))
+
+    def test_rejects_blocks_coupled_across_their_edge(self):
+        class CoupleBelow(Hook):
+            def stamp_matrix(self, lower, diag, upper):
+                lower[0] = 0.5
+
+        a, = self.steppers(4)
+        b, = self.steppers(4, hooks=(CoupleBelow(),))
+        b.run(np.ones(11))  # alone, the coupling is outside the matrix
+        with pytest.raises(ValueError, match="block 1: .*lower\\[0\\] = 0.5"):
+            TrBdf2Stepper.stack([a, b])
+
+    def test_nan_in_one_block_raises_the_step(self):
+        steppers = self.steppers(4, 4)
+        terminal = np.ones(22)
+        terminal[15] = np.nan
+        with pytest.raises(NonFiniteValueError, match="step 1"):
+            TrBdf2Stepper.stack(steppers).run(terminal)
