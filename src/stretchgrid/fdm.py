@@ -6,6 +6,11 @@ marches backward from maturity with the composite trapezoidal/BDF2 step
 (gamma = 2 - sqrt(2), so both substages share one tridiagonal matrix).
 That matrix is factored once per run by a tridiagonal LU with partial
 pivoting (LAPACK gttrf), and every substage reuses the factors (gttrs).
+Both are the f2py routines ``scipy.linalg.lapack`` exposes, taken straight
+from scipy's compiled ``scipy/linalg/_flapack`` module: importing
+``scipy.linalg`` runs its whole package ``__init__``, which cost more of
+``import stretchgrid`` (≈0.25 s and ≈20 MB) than the package itself, to reach
+two functions.  The calls, and so every factor, solve and price, are the same.
 Constraint hooks enforce Dirichlet rows, off-grid barrier (ghost) rows,
 discrete knock-outs and the American exercise projection.  A 3-point ghost
 row is stamped straight into that matrix, its entry two columns off the
@@ -24,13 +29,60 @@ block.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .gridgen import Grid
+
+
+def _load_gttr(linalg_dir: Path):
+    """LAPACK's ``dgttrf`` and ``dgttrs`` from scipy's compiled ``_flapack``.
+
+    Loads the one extension module from ``linalg_dir`` without running any
+    scipy package ``__init__``, and leaves ``sys.modules`` as it found it, so
+    a later ``import scipy.linalg`` builds the normal package.  Raises
+    ``ImportError`` naming the file, the module and scipy's version when the
+    module is missing or lacks either routine.
+    """
+    name = "scipy.linalg._flapack"
+    path = linalg_dir / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    saved = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        return module.dgttrf, module.dgttrs
+    except (ImportError, AttributeError) as exc:
+        raise ImportError(f"fdm: needs dgttrf and dgttrs from scipy's compiled "
+                          f"module {name}, expected at {path} "
+                          f"(installed scipy: {_scipy_version()})") from exc
+    finally:
+        if saved is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = saved
+
+
+def _scipy_version() -> str:
+    from importlib import metadata
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return "unknown"
+
+
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ModuleNotFoundError("fdm: needs scipy for LAPACK dgttrf and dgttrs",
+                              name="scipy")
+dgttrf, dgttrs = _load_gttr(Path(_SCIPY.origin).parent / "linalg")
 
 GAMMA = 2.0 - math.sqrt(2.0)
 OMEGA = GAMMA / 2.0                      # shared implicit coefficient

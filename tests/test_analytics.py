@@ -98,11 +98,13 @@ class TestDoubleBarrier:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.special cost most of a cold import; the scalar
-    # oracles need only the normal CDF, which math.erfc gives.
+    # scipy.stats, scipy.special and scipy.linalg cost most of a cold import;
+    # the scalar oracles need only the normal CDF, which math.erfc gives, and
+    # fdm loads gttrf/gttrs from the compiled _flapack module alone.
     src = str(Path(stretchgrid.__file__).resolve().parents[1])
     probe = (f"import sys; sys.path.insert(0, {src!r}); import stretchgrid; "
-             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules, "
+             "'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"

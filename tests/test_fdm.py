@@ -1,4 +1,10 @@
+import importlib.machinery
+import importlib.util
 import math
+import sys
+import types
+from importlib import metadata
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,3 +591,62 @@ class TestStack:
         terminal[15] = np.nan
         with pytest.raises(NonFiniteValueError, match="step 1"):
             TrBdf2Stepper.stack(steppers).run(terminal)
+
+
+class TestLapackLoader:
+    """``fdm`` loads gttrf/gttrs from scipy's ``_flapack`` without ``scipy.linalg``."""
+
+    @staticmethod
+    def system(kind, n):
+        rng = np.random.default_rng({"dominant": 1, "pivoting": 2, "singular": 3}[kind])
+        lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        if kind == "pivoting":
+            diag = 0.3 * rng.standard_normal(n)
+        else:
+            diag = 4.0 + np.abs(rng.standard_normal(n))
+        if kind == "singular":
+            lower[n // 2 - 1] = diag[n // 2] = upper[n // 2] = 0.0
+        return lower, diag, upper, rng.standard_normal((n, 2))
+
+    @pytest.mark.parametrize("kind, n", [("dominant", 200), ("pivoting", 500),
+                                         ("singular", 40)])
+    def test_bit_identical_to_the_public_routines(self, kind, n):
+        lower, diag, upper, rhs = self.system(kind, n)
+        *lu, info = fdm.dgttrf(lower, diag, upper)
+        x, solve_info = fdm.dgttrs(*lu, rhs.copy(), overwrite_b=1)
+        # scipy.linalg comes in after stretchgrid loaded its own copy of _flapack
+        from scipy.linalg import lapack
+        *lu_ref, info_ref = lapack.dgttrf(lower, diag, upper)
+        x_ref, solve_info_ref = lapack.dgttrs(*lu_ref, rhs.copy(), overwrite_b=1)
+        assert (info, solve_info) == (info_ref, solve_info_ref)
+        for mine, ref in zip([*lu, x], [*lu_ref, x_ref]):
+            assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+        pivots = int(np.count_nonzero(lu[-1] != np.arange(1, n + 1)))
+        if kind == "pivoting":
+            assert pivots > n // 2
+        if kind == "singular":
+            assert info > 0
+        else:
+            matrix = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+            assert info == 0 and np.allclose(matrix @ x, rhs, rtol=0.0, atol=1e-8)
+        assert lapack._flapack is sys.modules["scipy.linalg._flapack"]
+
+    def test_missing_module_names_path_module_and_version(self, tmp_path):
+        registered = sys.modules.get("scipy.linalg._flapack")
+        with pytest.raises(ImportError) as err:
+            fdm._load_gttr(tmp_path)
+        assert sys.modules.get("scipy.linalg._flapack") is registered
+        message = str(err.value)
+        expected = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        assert str(expected) in message
+        assert "scipy.linalg._flapack" in message
+        assert f"installed scipy: {metadata.version('scipy')}" in message
+
+    def test_module_without_dgttrs_is_an_import_error(self, monkeypatch):
+        stub = types.ModuleType("scipy.linalg._flapack")
+        stub.dgttrf = fdm.dgttrf
+        monkeypatch.setattr(importlib.util, "module_from_spec", lambda spec: stub)
+        linalg_dir = Path(fdm._SCIPY.origin).parent / "linalg"
+        with pytest.raises(ImportError, match="needs dgttrf and dgttrs") as err:
+            fdm._load_gttr(linalg_dir)
+        assert isinstance(err.value.__cause__, AttributeError)
