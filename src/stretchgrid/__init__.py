@@ -11,8 +11,8 @@ from .analytics import black_scholes_vanilla, double_barrier_ko_analytic
 from .bench import (ConvergenceReport, RunConfig, TableConfig, bench_transforms,
                     emit_csv, emit_table_csv, load_bundled, load_config,
                     price_run, run_convergence)
-from .fdm import (BarrierMode, BoundaryCondition, BoundaryKind, GhostContext,
-                  GhostSide, MarketParams, NonFiniteValueError, PdeConfig,
+from .fdm import (BarrierMode, BoundaryCondition, BoundaryKind, GhostSide,
+                  MarketParams, NonFiniteValueError, PdeConfig,
                   SingularSystemError, SpatialOperator, TrBdf2Stepper,
                   discretize_operator)
 from .gridgen import (Grid, GridConstructionError, KnotRule, StretchKind,

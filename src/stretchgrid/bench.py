@@ -40,7 +40,6 @@ class DomainFit:
     BARRIER_EXACT = "barrier_exact"                  # domain = [L, U]
     BARRIER_OFFSET_HALF_CELL = "barrier_offset_half_cell"  # barriers mid-cell
     BARRIER_NODE_PAD = "barrier_node_pad"            # [L - h, U + h], h = (U-L)/I
-    BARRIER_PAD = "barrier_pad"                      # [L - pad, U + pad]
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class DomainSpec:
     s_min: float = 0.0
     s_max: float = 0.0
     fit: str = DomainFit.EXPLICIT
-    pad_fraction: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -133,9 +131,6 @@ def resolve_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
         # are then nodes by construction
         h = (hi - lo) / steps
         return lo - h, hi + h, steps + 2
-    if fit == DomainFit.BARRIER_PAD:
-        pad = config.domain.pad_fraction * (hi - lo)
-        return lo - pad, hi + pad, steps
     raise ConfigError(f"unknown domain fit {fit!r}")
 
 
@@ -563,7 +558,6 @@ def _build_run(kv: dict[str, str], label: str) -> RunConfig:
         s_min=get("domain.s_min", float, 0.0),
         s_max=get("domain.s_max", float, 0.0),
         fit=fit,
-        pad_fraction=get("domain.pad_fraction", float, 0.02),
     )
     if fit == DomainFit.EXPLICIT and not domain.s_min < domain.s_max:
         raise ConfigError("explicit domains need domain.s_min < domain.s_max")

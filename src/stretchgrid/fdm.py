@@ -11,11 +11,11 @@ from scipy's compiled ``scipy/linalg/_flapack`` module: importing
 ``scipy.linalg`` runs its whole package ``__init__``, which cost more of
 ``import stretchgrid`` (≈0.25 s and ≈20 MB) than the package itself, to reach
 two functions.  The calls, and so every factor, solve and price, are the same.
-Constraint hooks enforce Dirichlet rows, off-grid barrier (ghost) rows,
-discrete knock-outs and the American exercise projection.  A 3-point ghost
-row is stamped straight into that matrix, its entry two columns off the
-diagonal eliminated in place against the neighbouring row, so the system
-stays tridiagonal.
+The stepper pins every Dirichlet row, boundary rows and knock-out regions
+alike; hooks enforce off-grid barrier (ghost) rows, discrete knock-outs and
+the American exercise projection.  A 3-point ghost row is stamped straight
+into that matrix, its entry two columns off the diagonal eliminated in place
+against the neighbouring row, so the system stays tridiagonal.
 
 Pricings that share dt and N march in lockstep: ``TrBdf2Stepper.stack``
 joins their matrices into one block-diagonal system, factored once, with one
@@ -248,44 +248,6 @@ class GhostSide(enum.Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class GhostContext:
-    """Off-grid barrier bracketed by nodes i0-1 and i0.
-
-    For an up barrier the ghost node is i0 (first node at or above the
-    barrier); for a down barrier it is i0-1 (first node at or below).  The
-    barrier may coincide with the ghost node, in which case the rows reduce
-    exactly to a Dirichlet row; coincidence with the interior-side node is
-    rejected (use the on-grid Dirichlet treatment there).
-    """
-
-    points: np.ndarray
-    i0: int
-    barrier: float
-    rebate: float = 0.0
-    side: GhostSide = GhostSide.UP
-
-    def __post_init__(self):
-        s = self.points
-        if not 1 <= self.i0 <= s.size - 1:
-            raise ValueError("bracketing index out of range")
-        lo, hi = s[self.i0 - 1], s[self.i0]
-        if self.side is GhostSide.UP:
-            if not lo < self.barrier <= hi:
-                raise ValueError("need S[i0-1] < barrier <= S[i0] for an up barrier")
-        else:
-            if not lo <= self.barrier < hi:
-                raise ValueError("need S[i0-1] <= barrier < S[i0] for a down barrier")
-
-    @property
-    def ghost(self) -> int:
-        return self.i0 if self.side is GhostSide.UP else self.i0 - 1
-
-    @property
-    def inner(self) -> int:
-        return self.i0 - 1 if self.side is GhostSide.UP else self.i0
-
-
 # ---------------------------------------------------------------------------
 # Constraint hooks
 
@@ -321,12 +283,10 @@ class Hook:
 
 
 class DirichletRegion(Hook):
-    """Pin a contiguous index range to a fixed value: the knock-out region
+    """Pin the index range [start, stop) to a fixed value: the knock-out region
     beyond a barrier, whether the barrier sits on a node or has a ghost row.
 
-    Values are re-stamped after each substage solve as well: banded LU with
-    partial pivoting returns the pinned rows only to round-off, while the
-    constraint is exact by definition.
+    Plain data: ``TrBdf2Stepper`` adds these rows to the rows it pins.
     """
 
     def __init__(self, start: int, stop: int, value: float):
@@ -334,69 +294,70 @@ class DirichletRegion(Hook):
         self.stop = stop
         self.value = value
 
-    def stamp_matrix(self, lower, diag, upper):
-        sl = slice(self.start, self.stop)
-        lower[sl] = 0.0
-        upper[sl] = 0.0
-        diag[sl] = 1.0
-
-    def adjust_rhs(self, rhs, tau):
-        rhs[self.start:self.stop] = self.value
-
-    def post_substage(self, v, tau):
-        v[self.start:self.stop] = self.value
-
 
 class GhostBarrier(Hook):
     """Ghost-point row for an off-grid barrier.
 
-    The ghost row holds the Lagrange weights that interpolate the solution
-    at the barrier from the ghost node and one (GHOST_LINEAR) or two
-    (GHOST_LAGRANGE3) interior nodes, with the rebate on the right.  The
-    3-point row's entry two columns off the diagonal is eliminated in place
-    against the inner row, once, when the matrix is stamped; the same factor
-    carries the inner row's rhs into the ghost rhs on every solve.  The
-    explicit half-steps set the ghost value from the same weights.  Rows
-    beyond the ghost node are pinned by a separate DirichletRegion (see
-    ``instruments.constraint_hooks``).
+    The ghost node is the first node at or beyond the barrier: at or above
+    it for an up barrier, at or below it for a down one; the inner node is
+    its neighbour on the other side.  A barrier on the ghost node reduces the
+    row exactly to a Dirichlet row.  The ghost row holds the Lagrange weights
+    that interpolate the solution at the barrier from the ghost node and one
+    (GHOST_LINEAR) or two (GHOST_LAGRANGE3) interior nodes, with the rebate
+    on the right.  The 3-point row's entry two columns off the diagonal is
+    eliminated in place against the inner row, once, when the matrix is
+    stamped; the same factor carries the inner row's rhs into the ghost rhs
+    on every solve.  The explicit half-steps set the ghost value from the
+    same weights.  Rows beyond the ghost node are pinned by a separate
+    DirichletRegion (see ``instruments.constraint_hooks``).
     """
 
-    def __init__(self, ctx: GhostContext, order: BarrierMode):
+    def __init__(self, points: np.ndarray, barrier: float, order: BarrierMode,
+                 rebate: float = 0.0, side: GhostSide = GhostSide.UP):
         if order not in (BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3):
             raise ValueError("ghost hook needs a ghost barrier mode")
-        self.ctx = ctx
+        s = np.asarray(points, dtype=float)
+        up = side is GhostSide.UP
+        i0 = int(np.searchsorted(s, barrier, side="left" if up else "right"))
+        if not 1 <= i0 <= s.size - 1:
+            raise ValueError(
+                f"fdm: {side.value} barrier {barrier} is not inside the grid "
+                f"{'(' if up else '['}{s[0]}, {s[-1]}{']' if up else ')'}")
+        self.barrier = barrier
+        self.rebate = rebate
+        self.side = side
         self.order = order
-        nodes = (ctx.ghost, ctx.inner)
+        self.ghost, self.inner = (i0, i0 - 1) if up else (i0 - 1, i0)
+        nodes = (self.ghost, self.inner)
         if order is BarrierMode.GHOST_LAGRANGE3:
-            second = ctx.inner - 1 if ctx.side is GhostSide.UP else ctx.inner + 1
-            if not 0 <= second < ctx.points.size:
+            second = self.inner - 1 if up else self.inner + 1
+            if not 0 <= second < s.size:
                 raise ValueError("three-point rows need two interior nodes beside the ghost")
             nodes += (second,)
         # Lagrange weights at the barrier; each numerator and denominator is
         # multiplied in node order
-        s, x = ctx.points, ctx.barrier
         self.nodes = nodes
         self.weights = tuple(
-            math.prod(x - s[k] for k in nodes if k != j)
+            math.prod(barrier - s[k] for k in nodes if k != j)
             / math.prod(s[j] - s[k] for k in nodes if k != j) for j in nodes)
         self._factor = 0.0
 
     def override_previous(self, v, tau):
         g, *inner = self.nodes
         wg, *w_inner = self.weights
-        value = self.ctx.rebate
+        value = self.rebate
         for w, k in zip(w_inner, inner):
             value -= w * v[k]
         v[g] = value / wg
 
     def owned_rows(self):
-        return (self.ctx.ghost,)
+        return (self.ghost,)
 
     def stamp_matrix(self, lower, diag, upper):
         g, a, *far = self.nodes
         wg, wa, *w_far = self.weights
         # the band toward the interior, and the one away from it
-        inward, outward = (lower, upper) if self.ctx.side is GhostSide.UP else (upper, lower)
+        inward, outward = (lower, upper) if self.side is GhostSide.UP else (upper, lower)
         diag[g] = wg
         inward[g] = wa
         outward[g] = 0.0
@@ -405,13 +366,13 @@ class GhostBarrier(Hook):
             if pivot == 0.0:
                 raise SingularSystemError(
                     a, f"fdm: cannot eliminate the 3-point ghost row {g} of barrier "
-                    f"{self.ctx.barrier}: inner row {a} has no coupling to node {far[0]}")
+                    f"{self.barrier}: inner row {a} has no coupling to node {far[0]}")
             self._factor = w_far[0] / pivot
             inward[g] -= self._factor * diag[a]
             diag[g] -= self._factor * outward[a]
 
     def adjust_rhs(self, rhs, tau):
-        rhs[self.ctx.ghost] = self.ctx.rebate - self._factor * rhs[self.ctx.inner]
+        rhs[self.ghost] = self.rebate - self._factor * rhs[self.inner]
 
 
 class AmericanProjection(Hook):
@@ -481,20 +442,25 @@ class TrBdf2Stepper:
         lower = -w * op.lower
         diag = 1.0 - w * op.diag
         upper = -w * op.upper
+        # Pinned rows: the Dirichlet boundary rows no hook owns, then the rows
+        # of each DirichletRegion; a later pin of the same row wins.
         hook_rows = {row for hook in self.hooks for row in hook.owned_rows()}
-        pins = []
-        for row, bc in ((0, config.boundary_lower), (n - 1, config.boundary_upper)):
-            if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in hook_rows:
-                lower[row] = 0.0
-                upper[row] = 0.0
-                diag[row] = 1.0
-                pins.append((row, bc.value))
+        pins = {row: bc.value
+                for row, bc in ((0, config.boundary_lower), (n - 1, config.boundary_upper))
+                if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in hook_rows}
+        for hook in self.hooks:
+            if isinstance(hook, DirichletRegion):
+                pins.update(dict.fromkeys(range(n)[hook.start:hook.stop], hook.value))
+        rows = list(pins)
+        lower[rows] = 0.0
+        upper[rows] = 0.0
+        diag[rows] = 1.0
         for hook in self.hooks:
             hook.stamp_matrix(lower, diag, upper)
         self._bands = (lower, diag, upper)
         self._lu = _factor(lower, diag, upper, self.dt)
         self._w = w
-        self._setup(((slice(0, n), self.hooks),), pins)
+        self._setup(((slice(0, n), self.hooks),), pins.items())
 
     @classmethod
     def stack(cls, steppers) -> TrBdf2Stepper:

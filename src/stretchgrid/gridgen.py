@@ -359,9 +359,6 @@ class PiecewiseMap(StretchMap):
     def derivative(self, u):
         return self._blend(u, self.piece_deriv, QuinticPatch.deriv)
 
-    def second_derivative(self, u):
-        return self._blend(u, self.piece_deriv2, QuinticPatch.deriv2)
-
     def _blend(self, u, piece, patch):
         """``piece`` on the cubic pieces, ``patch`` inside each quintic patch."""
         u = np.asarray(u, dtype=float)
@@ -853,14 +850,9 @@ def _require_kind(spec: StretchSpec, kind: StretchKind):
 
 @dataclass
 class Grid:
-    """Strictly increasing price grid plus critical-point bookkeeping.
-
-    ``placed`` maps a critical value to the index of the cell (or node)
-    it is associated with after sampling/placement.
-    """
+    """Strictly increasing price grid."""
 
     points: np.ndarray
-    placed: dict[float, int] = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -897,7 +889,4 @@ def sample_grid(mapping: StretchMap, I: int) -> Grid:
     pts[-1] = spec.s_max
     if np.any(np.diff(pts) <= 0.0):
         raise GridConstructionError("sampled grid is not strictly increasing (construction bug)")
-    grid = Grid(pts)
-    for b in spec.critical_points:
-        grid.placed[float(b)] = grid.bracket(float(b))
-    return grid
+    return Grid(pts)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdm import (AmericanProjection, BarrierMode, BoundaryKind, DirichletRegion,
-                  DiscreteKnockout, GhostBarrier, GhostContext, GhostSide, Hook,
-                  PdeConfig)
+                  DiscreteKnockout, GhostBarrier, GhostSide, Hook, PdeConfig)
 from .gridgen import Grid
 
 
@@ -71,10 +70,6 @@ class ContractSpec:
     @property
     def is_discrete(self) -> bool:
         return self.style in (ExerciseStyle.DISCRETE_KO, ExerciseStyle.DISCRETE_DOUBLE_KO)
-
-    @property
-    def is_continuous_barrier(self) -> bool:
-        return self.style is ExerciseStyle.CONTINUOUS_DOUBLE_KO
 
     def schedule(self) -> tuple[float, ...]:
         """Observation dates; built from the per-year count when not explicit."""
@@ -162,18 +157,14 @@ def constraint_hooks(spec: ContractSpec, grid: Grid, config: PdeConfig) -> list[
                     f"switch to a ghost barrier mode")
             if not boundary_node:
                 hooks += _knockout_region(side, node, s.size, spec.rebate)
-            elif _boundary_is_dirichlet(config, side, spec.rebate) is False:
+            elif not _boundary_is_dirichlet(config, side, spec.rebate):
                 raise ContractError(
                     f"barrier {level} sits on the domain boundary; configure a "
                     f"Dirichlet boundary with the rebate value there")
             continue
-        if side is GhostSide.UP:
-            i0 = int(np.searchsorted(s, level, side="left"))
-        else:
-            i0 = int(np.searchsorted(s, level, side="right"))
-        ctx = GhostContext(s, i0, float(level), spec.rebate, side)
-        hooks.append(GhostBarrier(ctx, config.barrier_mode))
-        beyond = ctx.ghost + 1 if side is GhostSide.UP else ctx.ghost - 1
+        hook = GhostBarrier(s, float(level), config.barrier_mode, spec.rebate, side)
+        hooks.append(hook)
+        beyond = hook.ghost + 1 if side is GhostSide.UP else hook.ghost - 1
         hooks += _knockout_region(side, beyond, s.size, spec.rebate)
     return hooks
 

@@ -17,7 +17,6 @@ import numpy as np
 from .gridgen import Grid
 from .spline import MonotoneCubic
 
-MIDCELL_SLACK = 0.25     # contract: |B - cell mid| as a fraction of a half-cell
 PIN_TOL = 1e-9           # index-space residual below which a target is "placed"
 ONGRID_RTOL = 1e-9       # node-coincidence tolerance relative to the range
 
@@ -79,7 +78,6 @@ def insert_points(grid: Grid, spec: PlacementSpec) -> Grid:
     rng = pts[-1] - pts[0]
     tol = 1e-12 * rng
     inserted_for: dict[float, float] = {}  # inserted node value -> owner target
-    placed: dict[float, int] = {}
 
     for t in spec.targets:
         if t.goal is not PlacementGoal.MID_CELL:
@@ -97,20 +95,14 @@ def insert_points(grid: Grid, spec: PlacementSpec) -> Grid:
                     f"placing {owner} put a node on {b}")
             raise PlacementError(f"target {b} coincides with a grid node")
         if abs(b - 0.5 * (pts[k] + pts[k + 1])) <= tol:
-            placed[b] = k
             continue
         s_new = 2.0 * b - pts[k]
         if not pts[k] < s_new < pts[k + 1]:
             s_new = 2.0 * b - pts[k + 1]
         pts = np.insert(pts, k + 1, s_new)
         inserted_for[s_new] = b
-        placed[b] = int(np.searchsorted(pts, b, side="right") - 1)
 
-    out = Grid(pts)
-    out.placed = dict(grid.placed)
-    for b in placed:
-        out.placed[b] = out.bracket(b)
-    return out
+    return Grid(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +124,7 @@ def deform_smooth(grid: Grid, spec: PlacementSpec) -> Grid:
     """
     out = grid
     for _ in range(40):
-        out, converged = _deform_pass(out, grid, spec)
+        out, converged = _deform_pass(out, spec)
         if converged:
             return _snap_on_grid_targets(out, spec)
     raise PlacementError("deformation did not converge")
@@ -154,12 +146,10 @@ def _snap_on_grid_targets(grid: Grid, spec: PlacementSpec) -> Grid:
         pts[idx] = t.value
     if np.any(np.diff(pts) <= 0.0):
         raise PlacementError("deformation lost monotonicity")
-    out = Grid(pts)
-    out.placed = dict(grid.placed)
-    return out
+    return Grid(pts)
 
 
-def _deform_pass(grid: Grid, original: Grid, spec: PlacementSpec) -> tuple[Grid, bool]:
+def _deform_pass(grid: Grid, spec: PlacementSpec) -> tuple[Grid, bool]:
     pts = grid.points
     n_steps = pts.size - 1
     rng = pts[-1] - pts[0]
@@ -168,13 +158,11 @@ def _deform_pass(grid: Grid, original: Grid, spec: PlacementSpec) -> tuple[Grid,
     knot_x: list[float] = []
     knot_h: list[float] = []
     any_active = False
-    placed_goal: dict[float, Target] = {}
     values = [float(t.value) for t in spec.targets]
     for b in values:
         if not pts[0] < b < pts[-1]:
             raise PlacementError(f"target {b} outside the grid")
     for t, b, x_t in zip(spec.targets, values, index_to_price.inverse(values).tolist()):
-        placed_goal[b] = t
         if t.goal is PlacementGoal.ON_GRID:
             if np.min(np.abs(pts - b)) <= ONGRID_RTOL * rng:
                 want = x_t
@@ -207,14 +195,7 @@ def _deform_pass(grid: Grid, original: Grid, spec: PlacementSpec) -> tuple[Grid,
 
     if not any_active:
         # All targets converged: leave the grid bit-for-bit unchanged.
-        out = grid if grid.placed else Grid(pts)
-        out.placed = dict(original.placed)
-        for b, t in placed_goal.items():
-            if t.goal is PlacementGoal.ON_GRID:
-                out.placed[b] = int(np.argmin(np.abs(pts - b)))
-            else:
-                out.placed[b] = out.bracket(b)
-        return out, True
+        return grid, True
 
     zeta = MonotoneCubic(np.array([0.0] + knot_x + [float(n_steps)]),
                          np.array([0.0] + knot_h + [float(n_steps)]))

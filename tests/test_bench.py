@@ -115,7 +115,7 @@ pde.barrier_mode = ghost_lagrange3
 FUZZ_KEYS = tuple(parse_config_text(SMOKE)) + (
     "contract.barrier_lower", "contract.barrier_upper", "contract.rebate",
     "contract.observations_per_year", "contract.observation_dates",
-    "market.rate", "market.dividend", "domain.fit", "domain.pad_fraction",
+    "market.rate", "market.dividend", "domain.fit",
     "stretch.kind", "stretch.points", "stretch.alpha", "stretch.chi",
     "stretch.lambda", "stretch.knot_rule", "placement.mode", "placement.targets",
     "pde.boundary_lower", "pde.boundary_upper", "pde.barrier_mode",
@@ -127,7 +127,7 @@ FUZZ_TOKENS = ("", "abc", "-1", "0", "1.5", "2", "75", "100", "nan", "inf", "-in
                "continuous_double_ko", "call", "cubic", "sinh", "tavella_randall",
                "piecewise_c2", "deform", "insert", "midcell:75", "ongrid:75",
                "midcell:", "midcell:80, midcell:70", "top:1", "dirichlet:x",
-               "zero_gamma", "ghost_linear", "barrier_pad", "barrier_exact")
+               "zero_gamma", "ghost_linear", "barrier_exact")
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,7 +15,7 @@ from stretchgrid.analytics import black_scholes_vanilla
 from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, AmericanProjection,
                              BarrierMode, BoundaryCondition, BoundaryKind,
                              DirichletRegion, DiscreteKnockout,
-                             GhostBarrier, GhostContext, GhostSide, Hook,
+                             GhostBarrier, GhostSide, Hook,
                              MarketParams, NonFiniteValueError, PdeConfig,
                              SingularSystemError, TrBdf2Stepper,
                              attach_boundary_rows, discretize_operator,
@@ -126,7 +126,6 @@ class TestStencils:
     def test_rejects_nonmonotone_grid(self):
         bad = Grid.__new__(Grid)
         bad.points = np.array([0.0, 2.0, 1.0, 3.0])
-        bad.placed = {}
         with pytest.raises(ValueError):
             discretize_operator(bad, MarketParams())
 
@@ -178,9 +177,10 @@ class TestTrBdf2:
                         BoundaryCondition(BoundaryKind.ZERO_GAMMA),
                         barrier_mode=BarrierMode.GHOST_LAGRANGE3)
         barrier = 0.5 * (s[30] + s[31])
-        ctx = GhostContext(s, 31, barrier, rebate=0.3, side=GhostSide.UP)
-        hooks = (DirichletRegion(1, 4, 0.0), GhostBarrier(ctx, BarrierMode.GHOST_LAGRANGE3),
-                 DirichletRegion(32, n, 0.3))
+        hook = GhostBarrier(s, barrier, BarrierMode.GHOST_LAGRANGE3, rebate=0.3,
+                            side=GhostSide.UP)
+        assert hook.ghost == 31
+        hooks = (DirichletRegion(1, 4, 0.0), hook, DirichletRegion(32, n, 0.3))
         v0 = np.maximum(s - 90.0, 0.0)
         via_stepper = TrBdf2Stepper(grid, mkt, cfg, 0.5, hooks).run(v0)
 
@@ -287,12 +287,7 @@ class TestTrBdf2:
 class TestGhostRows:
     def make_hook(self, barrier, side=GhostSide.UP, rebate=2.0,
                   order=BarrierMode.GHOST_LINEAR):
-        pts = np.linspace(0.0, 10.0, 11)
-        if side is GhostSide.UP:
-            i0 = int(np.searchsorted(pts, barrier, side="left"))
-        else:
-            i0 = int(np.searchsorted(pts, barrier, side="right"))
-        return GhostBarrier(GhostContext(pts, i0, barrier, rebate, side), order)
+        return GhostBarrier(np.linspace(0.0, 10.0, 11), barrier, order, rebate, side)
 
     def test_linear_weights_on_node(self):
         hook = self.make_hook(5.0)
@@ -303,16 +298,16 @@ class TestGhostRows:
 
     def test_linear_explicit_override(self):
         hook = self.make_hook(4.6, rebate=0.0)
-        ctx = hook.ctx
+        g, a = hook.ghost, hook.inner
+        assert (g, a) == (5, 4)
         v = np.zeros(11)
         hook.override_previous(v, 0.0)
-        assert v[ctx.ghost] == 0.0
-        v[ctx.inner] = 3.0
+        assert v[g] == 0.0
+        v[a] = 3.0
         hook.override_previous(v, 0.0)
         # linear interpolation through (S_inner, 3.0) and (S_ghost, G) is 0 at 4.6
-        s = ctx.points
-        interp = (v[ctx.ghost] * (4.6 - s[ctx.inner])
-                  + 3.0 * (s[ctx.ghost] - 4.6)) / (s[ctx.ghost] - s[ctx.inner])
+        s = np.linspace(0.0, 10.0, 11)
+        interp = (v[g] * (4.6 - s[a]) + 3.0 * (s[g] - 4.6)) / (s[g] - s[a])
         assert interp == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_implicit_row(self):
@@ -320,7 +315,7 @@ class TestGhostRows:
         n = 11
         lower, diag, upper = np.full(n, -1.0), np.full(n, 3.0), np.full(n, -1.0)
         hook.stamp_matrix(lower, diag, upper)
-        g = hook.ctx.ghost
+        g = hook.ghost
         assert diag[g] == pytest.approx((4.6 - 4.0) / 1.0)
         assert lower[g] == pytest.approx((5.0 - 4.6) / 1.0)
         assert upper[g] == 0.0
@@ -331,13 +326,23 @@ class TestGhostRows:
         hook.adjust_rhs(rhs, 0.0)
         assert rhs[g] == 1.5
 
-    @pytest.mark.parametrize("side, i0, node", [(GhostSide.UP, 5, 4),
-                                                (GhostSide.DOWN, 3, 3)],
-                             ids=["up", "down"])
-    def test_barrier_on_inner_node_rejected_at_construction(self, side, i0, node):
-        pts = np.linspace(0.0, 10.0, 11)
-        with pytest.raises(ValueError, match="barrier"):
-            GhostContext(pts, i0, pts[node], side=side)
+    @pytest.mark.parametrize("side, barrier, shown", [
+        (GhostSide.UP, 0.0, "up barrier 0.0 is not inside the grid (0.0, 10.0]"),
+        (GhostSide.UP, 10.5, "up barrier 10.5 is not inside the grid (0.0, 10.0]"),
+        (GhostSide.DOWN, 10.0, "down barrier 10.0 is not inside the grid [0.0, 10.0)"),
+        (GhostSide.DOWN, -1.0, "down barrier -1.0 is not inside the grid [0.0, 10.0)")],
+        ids=["up-at-bottom", "up-above", "down-at-top", "down-below"])
+    def test_barrier_outside_the_grid_names_barrier_and_range(self, side, barrier, shown):
+        with pytest.raises(ValueError) as err:
+            self.make_hook(barrier, side=side)
+        assert shown in str(err.value)
+
+    def test_ghost_is_the_first_node_at_or_beyond_the_barrier(self):
+        assert (self.make_hook(5.0).ghost, self.make_hook(5.0).inner) == (5, 4)
+        down = self.make_hook(5.0, side=GhostSide.DOWN)
+        assert (down.ghost, down.inner) == (5, 6)
+        assert (self.make_hook(0.5, side=GhostSide.DOWN).ghost) == 0
+        assert (self.make_hook(9.5).ghost) == 10
 
     def test_lagrange_weights_on_node(self):
         hook = self.make_hook(5.0, order=BarrierMode.GHOST_LAGRANGE3)
@@ -349,8 +354,9 @@ class TestGhostRows:
     def test_lagrange_elimination_matches_dense(self):
         rng = np.random.default_rng(9)
         pts = np.array([0.0, 1.1, 2.3, 3.2, 4.4, 5.5])
-        ctx = GhostContext(pts, 5, 5.0, rebate=0.7, side=GhostSide.UP)
-        hook = GhostBarrier(ctx, BarrierMode.GHOST_LAGRANGE3)
+        hook = GhostBarrier(pts, 5.0, BarrierMode.GHOST_LAGRANGE3, rebate=0.7,
+                            side=GhostSide.UP)
+        assert hook.nodes == (5, 4, 3)
         n = 6
         lower = rng.normal(size=n)
         diag = rng.normal(size=n) + 5.0
@@ -376,17 +382,18 @@ class TestGhostRows:
             side = GhostSide.UP if trial % 2 == 0 else GhostSide.DOWN
             i0 = 5 if side is GhostSide.UP else 3
             barrier = pts[i0 - 1] + rng.uniform(0.05, 0.95) * (pts[i0] - pts[i0 - 1])
-            hook = GhostBarrier(GhostContext(pts, i0, barrier, 0.8 + trial, side),
-                                BarrierMode.GHOST_LAGRANGE3)
+            hook = GhostBarrier(pts, barrier, BarrierMode.GHOST_LAGRANGE3, 0.8 + trial,
+                                side)
+            assert hook.ghost == (i0 if side is GhostSide.UP else i0 - 1)
             lower = rng.normal(size=n)
             upper = rng.normal(size=n)
             diag = rng.normal(size=n) + 6.0
             lower[0] = upper[-1] = 0.0
             rhs = rng.normal(size=n)
             dense = dense_matrix(lower, diag, upper)
-            dense[hook.ctx.ghost] = lagrange_row(pts, hook.nodes, barrier, n)
+            dense[hook.ghost] = lagrange_row(pts, hook.nodes, barrier, n)
             rhs_d = rhs.copy()
-            rhs_d[hook.ctx.ghost] = 0.8 + trial
+            rhs_d[hook.ghost] = 0.8 + trial
             expect = np.linalg.solve(dense, rhs_d)
             hook.stamp_matrix(lower, diag, upper)
             hook.adjust_rhs(rhs, 0.0)
@@ -397,8 +404,7 @@ class TestGhostRows:
         # sigma = 0 and r = q leave the inner row 26 without a coupling to
         # node 25, so the entry at (27, 25) cannot be eliminated
         s = np.linspace(80.0, 170.0, 31)
-        ctx = GhostContext(s, 27, 160.5)
-        hooks = (GhostBarrier(ctx, BarrierMode.GHOST_LAGRANGE3),)
+        hooks = (GhostBarrier(s, 160.5, BarrierMode.GHOST_LAGRANGE3),)
         with pytest.raises(SingularSystemError) as err:
             TrBdf2Stepper(Grid(s), MarketParams(0.05, 0.05, 0.0),
                           PdeConfig(4, barrier_mode=BarrierMode.GHOST_LAGRANGE3),
@@ -411,11 +417,12 @@ class TestGhostRows:
 
     def test_down_side_symmetry(self):
         pts = np.linspace(0.0, 10.0, 11)
-        ctx = GhostContext(pts, 3, 2.4, rebate=0.0, side=GhostSide.DOWN)
-        assert ctx.ghost == 2 and ctx.inner == 3
+        hook = GhostBarrier(pts, 2.4, BarrierMode.GHOST_LINEAR, rebate=0.0,
+                            side=GhostSide.DOWN)
+        assert hook.ghost == 2 and hook.inner == 3
         v = np.zeros(11)
         v[3] = 1.0
-        GhostBarrier(ctx, BarrierMode.GHOST_LINEAR).override_previous(v, 0.0)
+        hook.override_previous(v, 0.0)
         s = pts
         interp = v[2] * (s[3] - 2.4) / (s[3] - s[2]) + 1.0 * (2.4 - s[2]) / (s[3] - s[2])
         assert interp == pytest.approx(0.0, abs=1e-12)
@@ -488,6 +495,38 @@ class TestGhostRows:
         assert np.array_equal(v, before)
 
 
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.floats(0.2, 3.0), min_size=4, max_size=30),
+       start=st.floats(-50.0, 50.0), cell=st.integers(1, 27), frac=st.floats(0.001, 0.999),
+       side=st.sampled_from(list(GhostSide)),
+       order=st.sampled_from([BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3]),
+       coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+def test_ghost_row_brackets_and_interpolates_an_off_node_barrier(
+        steps, start, cell, frac, side, order, coeffs):
+    # A barrier strictly inside cell k (k >= 1 and k + 2 <= n - 1, so both
+    # sides have room for a 3-point row): the ghost node is on the knocked-out
+    # side of it, the inner node next to it on the other, and the row's
+    # weights reproduce polynomial data at the barrier.
+    s = start + np.concatenate(([0.0], np.cumsum(steps)))
+    n = s.size
+    k = min(cell, n - 3)
+    barrier = float(s[k] + frac * (s[k + 1] - s[k]))
+    assume(s[k] < barrier < s[k + 1])
+    hook = GhostBarrier(s, barrier, order, 0.4, side)
+    if side is GhostSide.UP:
+        assert hook.inner + 1 == hook.ghost and s[hook.inner] < barrier < s[hook.ghost]
+    else:
+        assert hook.ghost + 1 == hook.inner and s[hook.ghost] < barrier < s[hook.inner]
+    assert hook.nodes[:2] == (hook.ghost, hook.inner)
+    assert (hook.barrier, hook.rebate, hook.side) == (barrier, 0.4, side)
+    assert math.fsum(hook.weights) == pytest.approx(1.0, abs=1e-12)
+    a, b, c = coeffs
+    degree = 2 if order is BarrierMode.GHOST_LAGRANGE3 else 1
+    for f in ((lambda x: a + b * x), (lambda x: a + b * x + c * x * x))[:degree]:
+        at_nodes = [w * f(s[j] - barrier) for w, j in zip(hook.weights, hook.nodes)]
+        assert math.fsum(at_nodes) == pytest.approx(f(0.0), abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Stacked (lockstep) marches
 
@@ -536,9 +575,9 @@ def stack_blocks(draw):
         barrier = float(s[i0 - 1] + frac * (s[i0] - s[i0 - 1]))
         assume(s[i0 - 1] < barrier < s[i0] if side is GhostSide.UP
                else s[i0 - 1] <= barrier < s[i0])
-        ctx = GhostContext(s, i0, barrier, rebate, side)
-        hooks.append(GhostBarrier(ctx, mode))
-        start_, stop = (ctx.ghost + 1, n) if side is GhostSide.UP else (0, ctx.ghost)
+        hook = GhostBarrier(s, barrier, mode, rebate, side)
+        hooks.append(hook)
+        start_, stop = (hook.ghost + 1, n) if side is GhostSide.UP else (0, hook.ghost)
         if start_ < stop:
             hooks.append(DirichletRegion(start_, stop, rebate))
     elif kind == "american":
@@ -584,6 +623,52 @@ class TestStack:
         b.run(np.ones(11))  # alone, the coupling is outside the matrix
         with pytest.raises(ValueError, match="block 1: .*lower\\[0\\] = 0.5"):
             TrBdf2Stepper.stack([a, b])
+
+    def test_region_overlapping_a_dirichlet_boundary_row_wins(self, monkeypatch):
+        # Rows 8-10 are a knocked-out region at 0.25; row 10 is also the
+        # Dirichlet upper boundary at 2.5.  The region's value holds in the
+        # factored matrix, in every rhs and after every solve, alone and
+        # stacked behind another block; row 0 keeps its boundary value 1.5.
+        # The probe comes before the region in the hook tuple and still sees
+        # its values: the stepper pins rows before any hook runs.
+        factored = []
+
+        def recording(dl, d, du):
+            factored.append((dl.copy(), d.copy(), du.copy()))
+            return dgttrf(dl, d, du)
+
+        dgttrf = fdm.dgttrf
+        monkeypatch.setattr(fdm, "dgttrf", recording)
+        seen = []
+
+        class Probe(Hook):
+            def adjust_rhs(self, rhs, tau):
+                seen.append(("rhs", rhs[[0, 8, 9, 10]]))
+
+            def post_substage(self, v, tau):
+                seen.append(("solve", v[[0, 8, 9, 10]]))
+
+        grid = Grid(np.linspace(50.0, 150.0, 11))
+        cfg = PdeConfig(3, BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 1.5),
+                        BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 2.5))
+        mkt = MarketParams(0.05, 0.01, 0.2)
+        terminal = np.maximum(grid.points - 100.0, 0.0)
+        want = np.array([1.5, 0.25, 0.25, 0.25])
+        solo = TrBdf2Stepper(grid, mkt, cfg, 1.0, (Probe(), DirichletRegion(8, 11, 0.25)))
+        plain, = self.steppers(3)
+        alone = solo.run(terminal)
+        out = TrBdf2Stepper.stack([plain, solo]).run(np.concatenate([terminal, terminal]))
+        assert np.array_equal(out[11:], alone)
+        assert [d.size for _, d, _ in factored] == [11, 11, 22]  # solo, plain, stack
+        for (dl, d, du), offset in ((factored[0], 0), (factored[2], 11)):
+            for row in offset + np.array([0, 8, 9, 10]):  # identity rows
+                assert d[row] == 1.0
+                assert row == 0 or dl[row - 1] == 0.0
+                assert row == d.size - 1 or du[row] == 0.0
+        # two substages per step, three steps, alone then stacked
+        assert [phase for phase, _ in seen] == ["rhs", "solve"] * 2 * 3 * 2
+        for phase, values in seen:
+            assert np.array_equal(values, want), phase
 
     def test_nan_in_one_block_raises_the_step(self):
         steppers = self.steppers(4, 4)

@@ -413,12 +413,6 @@ class TestSampleGrid:
         with pytest.raises(GridConstructionError):
             sample_grid(build_map(StretchSpec(StretchKind.UNIFORM, 0.0, 1.0)), 1)
 
-    def test_records_critical_brackets(self):
-        m = build_sinh(StretchSpec(StretchKind.SINH, **FIG1))
-        grid = sample_grid(m, 62)
-        k = grid.placed[125.0]
-        assert grid.points[k] <= 125.0 <= grid.points[k + 1]
-
 
 class TestSpecValidation:
     def test_zero_points_coerces_to_uniform(self):

@@ -80,8 +80,8 @@ class TestHooks:
         hooks = constraint_hooks(spec, grid, cfg)
         assert len(hooks) == 2
         assert all(isinstance(h, GhostBarrier) for h in hooks)
-        assert hooks[0].ctx.side is GhostSide.DOWN
-        assert hooks[1].ctx.side is GhostSide.UP
+        assert hooks[0].side is GhostSide.DOWN
+        assert hooks[1].side is GhostSide.UP
 
     def test_continuous_offgrid_barrier_requires_ghost(self):
         grid = uniform_grid(89.5, 160.5, 71)
