@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .fdm import (BarrierMode, BoundaryCondition, BoundaryKind, MarketParams,
-                  PdeConfig, TrBdf2Stepper)
+                  PdeConfig, TrBdf2Stepper, workers)
 from .gridgen import (Grid, StretchKind, StretchMap, StretchSpec, KnotRule,
                       build_map, sample_grid)
 from .instruments import (ContractSpec, ExerciseStyle, OptionType,
@@ -155,26 +155,35 @@ class _Pricing:
     prices: _Prices = field(default_factory=_Prices)
 
 
-def _march(group: list[_Pricing]):
-    """March pricings that share dt and N as one stacked system and fill
-    their prices.  If the stacked march raises (a NaN in one block reaches its
-    neighbours through 0 * NaN), each block marches again alone, so only the
-    failing pricing records the error."""
+def _march(parts: list[list[_Pricing]]):
+    """March independent parts at the same time and fill their prices.
+
+    Each part is a list of pricings that share dt and N and march in lockstep
+    as one stacked system.  If the batch raises (a NaN in one block reaches
+    its neighbours through 0 * NaN), each part marches again alone, and a
+    failed stack block by block, so only the failing pricing records the
+    error.
+    """
     try:
-        if len(group) == 1:
-            stepper = group[0].stepper
-        else:
-            stepper = TrBdf2Stepper.stack([pricing.stepper for pricing in group])
-        values = stepper.run(np.concatenate([pricing.terminal for pricing in group]))
-        for pricing, block in zip(group, stepper.split(values)):
-            interp = MonotoneCubic(pricing.stepper.grid.points, block)
-            pricing.prices.update((s, float(interp(s))) for s in pricing.spots)
+        steppers = [group[0].stepper if len(group) == 1
+                    else TrBdf2Stepper.stack([pricing.stepper for pricing in group])
+                    for group in parts]
+        marcher = TrBdf2Stepper.parallel(steppers)
+        values = marcher.run(np.concatenate(
+            [pricing.terminal for group in parts for pricing in group]))
+        for group, stepper, part in zip(parts, steppers, marcher.split(values)):
+            for pricing, block in zip(group, stepper.split(part)):
+                interp = MonotoneCubic(pricing.stepper.grid.points, block)
+                pricing.prices.update((s, float(interp(s))) for s in pricing.spots)
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
-        if len(group) == 1:
-            group[0].prices.error = exc
+        if len(parts) > 1:
+            for group in parts:
+                _march([group])
+        elif len(parts[0]) > 1:
+            for pricing in parts[0]:
+                _march([[pricing]])
         else:
-            for pricing in group:
-                _march([pricing])
+            parts[0][0].prices.error = exc
 
 
 class _TableCache:
@@ -189,7 +198,8 @@ class _TableCache:
 
     def __init__(self):
         self._maps: dict[tuple, StretchMap] = {}
-        self._queue: list[_Pricing] = []
+        self._references: list[_Pricing] = []
+        self._rows: list[_Pricing] = []
 
     def get(self, spec: StretchSpec, steps: int) -> StretchMap:
         if spec.kind is StretchKind.TAVELLA_RANDALL:
@@ -202,18 +212,30 @@ class _TableCache:
                 self._maps[key] = build_map(spec)
         return self._maps[key]
 
-    def queue(self, pricing: _Pricing):
-        self._queue.append(pricing)
+    @property
+    def references(self) -> int:
+        """Reference pricings waiting to march."""
+        return len(self._references)
+
+    def queue(self, pricing: _Pricing, reference: bool = False):
+        (self._references if reference else self._rows).append(pricing)
 
     def march(self):
-        """March every queued pricing, one stacked system per (dt, N), and
-        drop them from the queue."""
+        """March every queued pricing and drop them from the queue.
+
+        Each reference is a part of its own and the rows of each (dt, N)
+        one stacked part; the parts march ``workers()`` at a time through
+        ``TrBdf2Stepper.parallel``, references first.
+        """
         groups: dict[tuple[float, int], list[_Pricing]] = {}
-        for pricing in self._queue:
+        for pricing in self._rows:
             groups.setdefault((pricing.stepper.dt, pricing.stepper.n_steps), []).append(pricing)
-        self._queue = []
-        for group in groups.values():
-            _march(group)
+        parts = [[pricing] for pricing in self._references] + list(groups.values())
+        self._references, self._rows = [], []
+        width = workers()
+        while parts:
+            batch, parts = parts[:width], parts[width:]
+            _march(batch)
 
 
 def build_run_grid(config: RunConfig, steps: int, cache: _TableCache | None = None) -> Grid:
@@ -232,7 +254,8 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
     """Price the contract on the grid for one resolution; spot -> price.
 
     Builds the row's grid, hooks and factored block.  With a table's
-    ``cache`` the pricing is queued and the returned dict stays empty until
+    ``cache`` the pricing is queued (as a reference when ``steps`` is the
+    config's reference resolution) and the returned dict stays empty until
     ``cache.march()`` fills it (or sets its ``error`` when the march fails).
     Without a cache it marches at once and raises on failure.
     """
@@ -248,21 +271,20 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
     stepper = TrBdf2Stepper(grid, config.market, pde, config.contract.maturity, hooks)
     pricing = _Pricing(stepper, payoff(config.contract, grid), config.report_spots)
     if cache is not None:
-        cache.queue(pricing)
+        cache.queue(pricing, reference=steps == config.reference_steps)
     else:
-        _march([pricing])
+        _march([[pricing]])
         if pricing.prices.error is not None:
             raise pricing.prices.error
     return pricing.prices
 
 
 def _reference(config: RunConfig, cache: _TableCache) -> dict[float, float]:
-    """Price ``config`` at its reference resolution, marching it alone."""
+    """Queue ``config``'s reference pricing.  The cache marches as soon as it
+    holds ``workers()`` references, so no more are ever alive at once."""
     prices = price_run(config, config.reference_steps, cache)
-    cache.march()
-    error = _failure(prices)
-    if error is not None:
-        raise error
+    if cache.references >= workers():
+        cache.march()
     return prices
 
 
@@ -270,9 +292,10 @@ def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
            cache: _TableCache) -> list[ConvergenceReport]:
     """One report per (config, reference prices or None) job.
 
-    Each missing reference is priced and marched alone first, and freed;
-    then every sweep row of every job is queued and the queue marches.  A row
-    that fails to build or to march is marked failed instead of aborting.
+    Each missing reference is queued, then every sweep row of every job; the
+    references march beside each other and beside the rows' stacks.  A row
+    that fails to build or to march is marked failed instead of aborting; a
+    failed reference raises its error.
     """
     references = [_reference(config, cache) if reference is None else reference
                   for config, reference in jobs]
@@ -288,6 +311,10 @@ def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
             rows.append((steps, prices))
         queued.append(rows)
     cache.march()
+    for reference in references:
+        error = _failure(reference)
+        if error is not None:
+            raise error
     return [_report(config, reference, rows)
             for (config, _), reference, rows in zip(jobs, references, queued)]
 
@@ -324,10 +351,10 @@ def run_convergence(config: RunConfig,
     The reference is priced with the same stretch/placement recipe at
     ``reference_steps`` unless explicit reference prices are passed in (used
     by table runs whose published reference is shared across columns).  The
-    reference marches alone; then the sweep rows are queued and those that
-    share (dt, N) march as one stacked system.  Failed resolutions are marked
-    in the report instead of aborting the sweep.  Maps come from ``cache`` (a
-    fresh one when not given).
+    reference and the sweep rows are queued; the rows that share (dt, N)
+    march as one stacked system, beside the reference.  Failed resolutions
+    are marked in the report instead of aborting the sweep.  Maps come from
+    ``cache`` (a fresh one when not given).
     """
     return _sweep([(config, reference_prices)],
                   _TableCache() if cache is None else cache)[0]
@@ -513,12 +540,21 @@ def _parse_boundary(s: str) -> BoundaryCondition:
 
 _REQUIRED = object()
 
+# Keys only the table reads; ``_build_run`` reads every other known key.
+_TABLE_KEYS = ("columns", "sweep.reference_mode", "sweep.reference_column")
 
-def _build_run(kv: dict[str, str], label: str) -> RunConfig:
+
+def _build_run(kv: dict[str, str], label: str,
+               origin: dict[str, str] | None = None) -> RunConfig:
     """One column's ``RunConfig``; any bad value raises ``ConfigError``
-    naming its key (or, for a check across keys, the section's keys)."""
+    naming its key (or, for a check across keys, the section's keys), and so
+    does a key nothing reads, named as ``origin`` maps it (its name in the
+    file, for a column's own keys)."""
+    origin = origin or {}
+    read: set[str] = set()
 
     def get(key: str, convert, default=_REQUIRED):
+        read.add(key)
         if key not in kv:
             if default is _REQUIRED:
                 raise ConfigError(f"missing config key {key!r}")
@@ -578,7 +614,7 @@ def _build_run(kv: dict[str, str], label: str) -> RunConfig:
     targets = get("placement.targets", _parse_targets, ())
     placement = build("placement.", lambda: PlacementSpec(mode, targets))
 
-    match_time = kv.get("pde.time_steps", "match_space").strip() == "match_space"
+    match_time = get("pde.time_steps", str.strip, "match_space") == "match_space"
     time_steps = 1 if match_time else get("pde.time_steps", int)
     lower = get("pde.boundary_lower", _parse_boundary, BoundaryCondition())
     upper = get("pde.boundary_upper", _parse_boundary, BoundaryCondition())
@@ -586,7 +622,7 @@ def _build_run(kv: dict[str, str], label: str) -> RunConfig:
     pde = build("pde.", lambda: PdeConfig(time_steps=time_steps, boundary_lower=lower,
                                           boundary_upper=upper, barrier_mode=barrier_mode))
 
-    return RunConfig(
+    config = RunConfig(
         contract=contract, market=market, stretch=stretch, placement=placement,
         pde=pde,
         space_steps=get("sweep.space_steps", _ints),
@@ -594,6 +630,10 @@ def _build_run(kv: dict[str, str], label: str) -> RunConfig:
         report_spots=get("sweep.report_spots", _floats),
         domain=domain, match_time_steps=match_time, label=label,
     )
+    for key in kv:
+        if key not in read and (key not in _TABLE_KEYS or key in origin):
+            raise ConfigError(f"unknown config key {origin.get(key, key)!r}")
+    return config
 
 
 @dataclass(frozen=True)
@@ -606,9 +646,10 @@ class TableConfig:
 
     def run(self) -> list[tuple[str, ConvergenceReport]]:
         """Price every column's sweep with one ``_TableCache``: each reference
-        (the shared one, or one per column) marches alone and is freed, then
-        every sweep row of every column is queued and the rows that share
-        (dt, N) march as one stacked system."""
+        (the shared one, or one per column) and every sweep row of every
+        column is queued; each reference marches as a part of its own and the
+        rows that share (dt, N) as one stacked system, ``workers()`` parts at
+        a time (see ``_TableCache.march``)."""
         cache = _TableCache()
         shared: dict[float, float] | None = None
         if self.reference_mode == "shared":
@@ -622,6 +663,11 @@ class TableConfig:
 
 def parse_table_config(kv: dict[str, str]) -> TableConfig:
     names = [tok.strip() for tok in kv.get("columns", "").split(",") if tok.strip()]
+    for key in kv:
+        if key.startswith("column.") and not any(
+                key.startswith(f"column.{name}.") for name in names):
+            raise ConfigError(f"{key}: no such column in columns = "
+                              f"{kv.get('columns', '')!r}")
     if not names:
         return TableConfig(columns=(("run", _build_run(kv, "run")),))
     columns = []
@@ -634,7 +680,8 @@ def parse_table_config(kv: dict[str, str]) -> TableConfig:
             if any(k.startswith(section) for k in scoped):
                 merged = {k: v for k, v in merged.items() if not k.startswith(section)}
         merged.update(scoped)
-        columns.append((name, _build_run(merged, name)))
+        origin = {k: prefix + k for k in scoped}
+        columns.append((name, _build_run(merged, name, origin)))
     reference_mode = kv.get("sweep.reference_mode", "per_column")
     if reference_mode not in ("per_column", "shared"):
         raise ConfigError(f"sweep.reference_mode = {reference_mode!r}: "

@@ -24,6 +24,18 @@ over the stacked vector, and each hook applied to its own block's rows.  No
 matrix couples a block's edge rows outward, so every block's values are
 exactly equal to those of its own march; a single pricing is a stack of one
 block.
+
+Systems that share nothing march at the same time: ``TrBdf2Stepper.parallel``
+hands its parts (single blocks or stacks, of any dt and N), costliest first,
+to as many threads as the process has CPUs to run on (``workers``), the
+calling thread among them.  The f2py ``dgttrs`` releases the GIL for the
+whole solve, and numpy releases it inside the array loops of the operator
+product and the rhs arithmetic on long vectors, so the serial LU
+recurrences of two large systems run on two cores; the Python of the step
+loop and of the hooks holds it, which is why small parts gain little.  A thread runs only a part's step loop, on that part's own
+arrays: the same calls on the same values in the same order as the part's
+own ``run``, so every part's values are bit for bit those of its solo march,
+on any number of threads.
 """
 
 from __future__ import annotations
@@ -32,7 +44,10 @@ import enum
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
+import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -419,13 +434,63 @@ def _acting(blocks, name: str) -> tuple:
                  if getattr(type(hook), name) is not default)
 
 
+def workers() -> int:
+    """Threads a parallel march uses: the CPUs this process may run on, or
+    ``os.cpu_count()`` where the platform reports no affinity."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
+def _march_parts(parts, values, threads: int) -> np.ndarray:
+    """March independent ``parts`` from their ``values``, the costliest
+    (nodes x N) first, on ``threads`` threads counting the calling one, and
+    join their results in the given order.  A part that raises stops the
+    hand-out of the rest; once every running part is done, the exception of
+    the first failed part in the given order is raised."""
+    results: list = [None] * len(parts)
+    pending = deque(sorted(range(len(parts)),
+                           key=lambda k: -parts[k].op.n * parts[k].n_steps))
+    errors: dict[int, Exception] = {}
+
+    def work():
+        while True:
+            try:
+                k = pending.popleft()
+            except IndexError:
+                return
+            try:
+                results[k] = parts[k]._march(values[k])
+            except Exception as exc:  # raised again on the calling thread
+                errors[k] = exc
+                pending.clear()
+
+    extra = [threading.Thread(target=work, name=f"fdm-march-{j}")
+             for j in range(min(threads, len(parts)) - 1)]
+    for thread in extra:
+        thread.start()
+    try:
+        work()
+    finally:
+        pending.clear()        # an interrupt on this thread stops the hand-out
+        for thread in extra:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return np.concatenate(results)
+
+
 class TrBdf2Stepper:
     """Backward-in-time marcher over a stack of blocks, one per pricing.
 
     The constructor builds and factors a single block; ``stack`` joins
     blocks that share dt and N into one block-diagonal system marched in
-    lockstep.  Each hook sees only its own block's rows.
+    lockstep.  Each hook sees only its own block's rows.  ``parallel``
+    marches independent steppers at the same time.
     """
+
+    _parts: tuple = ()        # the independent steppers of a parallel march
 
     def __init__(self, grid: Grid, mkt: MarketParams, config: PdeConfig,
                  horizon: float, hooks: tuple[Hook, ...] = ()):
@@ -438,10 +503,7 @@ class TrBdf2Stepper:
         op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, config)
         self.op = op
         n = op.n
-        w = OMEGA * self.dt
-        lower = -w * op.lower
-        diag = 1.0 - w * op.diag
-        upper = -w * op.upper
+        self._w = OMEGA * self.dt
         # Pinned rows: the Dirichlet boundary rows no hook owns, then the rows
         # of each DirichletRegion; a later pin of the same row wins.
         hook_rows = {row for hook in self.hooks for row in hook.owned_rows()}
@@ -451,16 +513,8 @@ class TrBdf2Stepper:
         for hook in self.hooks:
             if isinstance(hook, DirichletRegion):
                 pins.update(dict.fromkeys(range(n)[hook.start:hook.stop], hook.value))
-        rows = list(pins)
-        lower[rows] = 0.0
-        upper[rows] = 0.0
-        diag[rows] = 1.0
-        for hook in self.hooks:
-            hook.stamp_matrix(lower, diag, upper)
-        self._bands = (lower, diag, upper)
-        self._lu = _factor(lower, diag, upper, self.dt)
-        self._w = w
         self._setup(((slice(0, n), self.hooks),), pins.items())
+        self._lu = _factor(*self._stamped(), self.dt)
 
     @classmethod
     def stack(cls, steppers) -> TrBdf2Stepper:
@@ -476,17 +530,12 @@ class TrBdf2Stepper:
             raise ValueError("fdm: nothing to stack")
         head = steppers[0]
         for k, part in enumerate(steppers):
+            if part._parts:
+                raise ValueError(f"fdm: cannot stack block {k}: it is a parallel march")
             if (part.dt, part.n_steps) != (head.dt, head.n_steps):
                 raise ValueError(
                     f"fdm: cannot stack block {k}: dt = {part.dt:g}, N = {part.n_steps} "
                     f"differ from block 0 (dt = {head.dt:g}, N = {head.n_steps})")
-            stamped = part._bands
-            for lower, upper in ((part.op.lower, part.op.upper), (stamped[0], stamped[2])):
-                if lower[0] != 0.0 or upper[-1] != 0.0:
-                    raise ValueError(
-                        f"fdm: cannot stack block {k}: its first row couples below "
-                        f"it or its last row above it (lower[0] = {lower[0]:g}, "
-                        f"upper[-1] = {upper[-1]:g})")
         self = object.__new__(cls)
         self.grid = None
         self.hooks = tuple(hook for part in steppers for hook in part.hooks)
@@ -494,9 +543,6 @@ class TrBdf2Stepper:
         self.n_steps = head.n_steps
         self.op = SpatialOperator(*(np.concatenate(band) for band in zip(
             *((part.op.lower, part.op.diag, part.op.upper) for part in steppers))))
-        self._bands = tuple(np.concatenate(band) for band in zip(
-            *(part._bands for part in steppers)))
-        self._lu = _factor(*self._bands, self.dt)
         self._w = head._w
         blocks, pins = [], []
         offset = 0
@@ -507,6 +553,46 @@ class TrBdf2Stepper:
                      for row, value in zip(part._pin_rows, part._pin_values)]
             offset += part.op.n
         self._setup(tuple(blocks), pins)
+        stamped = self._stamped()
+        for k, (rows, _) in enumerate(self._blocks):
+            for lower, upper in ((self.op.lower, self.op.upper), (stamped[0], stamped[2])):
+                first, last = lower[rows.start], upper[rows.stop - 1]
+                if first != 0.0 or last != 0.0:
+                    raise ValueError(
+                        f"fdm: cannot stack block {k}: its first row couples below "
+                        f"it or its last row above it (lower[0] = {first:g}, "
+                        f"upper[-1] = {last:g})")
+        self._lu = _factor(*stamped, self.dt)
+        return self
+
+    @classmethod
+    def parallel(cls, parts) -> TrBdf2Stepper:
+        """Independent steppers (single blocks or stacks, of any dt and N)
+        marched at the same time on ``workers()`` threads, the calling
+        thread among them.
+
+        ``run`` takes and returns the parts' values concatenated in the
+        given order, and ``split`` returns each part's values.  Each thread
+        runs only the parts' step loop, so every part's values equal those of
+        its own ``run`` exactly.  If a part raises, ``run`` raises its
+        exception.  With one worker no thread starts.
+        """
+        parts = tuple(parts)
+        if not parts:
+            raise ValueError("fdm: nothing to march")
+        for k, part in enumerate(parts):
+            if part._parts:
+                raise ValueError(f"fdm: part {k} is itself a parallel march")
+        self = object.__new__(cls)
+        self.grid = None
+        self.hooks = tuple(hook for part in parts for hook in part.hooks)
+        self._parts = parts
+        blocks = []
+        offset = 0
+        for part in parts:
+            blocks.append((slice(offset, offset + part.op.n), part.hooks))
+            offset += part.op.n
+        self._blocks = tuple(blocks)
         return self
 
     def _setup(self, blocks, pins):
@@ -520,8 +606,26 @@ class TrBdf2Stepper:
         self._substage_hooks = _acting(blocks, "post_substage")
         self._step_hooks = _acting(blocks, "post_step")
 
+    def _stamped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bands of the TR-BDF2 matrix I - w L: pinned rows become identity
+        rows, then each hook stamps its own block's rows.  Built again for a
+        stack rather than kept, so no stepper holds a second copy of its
+        bands beside the factors."""
+        w = self._w
+        lower = -w * self.op.lower
+        diag = 1.0 - w * self.op.diag
+        upper = -w * self.op.upper
+        lower[self._pin_rows] = 0.0
+        upper[self._pin_rows] = 0.0
+        diag[self._pin_rows] = 1.0
+        for rows, hooks in self._blocks:
+            for hook in hooks:
+                hook.stamp_matrix(lower[rows], diag[rows], upper[rows])
+        return lower, diag, upper
+
     def split(self, v: np.ndarray) -> list[np.ndarray]:
-        """Each block's rows of a stacked vector, in stacking order."""
+        """Each block's rows of a stacked vector (each part's, for a parallel
+        march), in stacking order."""
         return [v[rows] for rows, _ in self._blocks]
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -568,7 +672,15 @@ class TrBdf2Stepper:
         return v_new
 
     def run(self, terminal: np.ndarray) -> np.ndarray:
-        v = np.asarray(terminal, dtype=float).copy()
+        """Values at time to maturity ``N * dt`` from the ``terminal`` payoff,
+        which is not written."""
+        v = np.asarray(terminal, dtype=float)
+        if self._parts:
+            return _march_parts(self._parts, self.split(v), workers())
+        return self._march(v)
+
+    def _march(self, v: np.ndarray) -> np.ndarray:
+        # ``step`` never writes its input, so the caller's vector needs no copy
         for j in range(self.n_steps):
             v = self.step(v, j + 1, j * self.dt)
         return v

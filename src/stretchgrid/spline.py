@@ -8,6 +8,9 @@ import numpy as np
 # only bounds pathological inputs; bisection alone would need ~55 steps.
 _T_TOL = 2.0 * np.finfo(float).eps
 _NEWTON_CAP = 80
+# Queries solved at once by ``inverse``: bounds its temporaries (~1 MB)
+# whatever the query count; every step is elementwise, so blocks change no bit.
+_INVERSE_BLOCK = 4096
 
 
 class MonotoneCubic:
@@ -62,7 +65,8 @@ class MonotoneCubic:
         the Hermite cubic, written relative to its left knot value, is solved
         for t in [0, 1] by Newton's method from the linear guess, inside a
         sign bracket: a step that would leave the bracket bisects it instead.
-        Iteration stops once the step is about one ulp of t.
+        Iteration stops once the step is about one ulp of t.  Queries are
+        solved in blocks of ``_INVERSE_BLOCK``.
         """
         if np.any(np.diff(self.y) <= 0.0):
             raise ValueError("inverse requires strictly increasing values")
@@ -70,6 +74,12 @@ class MonotoneCubic:
         if np.any(yq < self.y[0]) or np.any(yq > self.y[-1]):
             raise ValueError("query outside interpolation range")
         q = yq.ravel()
+        out = np.empty(q.size)
+        for k in range(0, q.size, _INVERSE_BLOCK):
+            out[k:k + _INVERSE_BLOCK] = self._inverse_block(q[k:k + _INVERSE_BLOCK])
+        return out.reshape(yq.shape)
+
+    def _inverse_block(self, q: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(self.y, q, side="right") - 1,
                     0, self.y.size - 2)
         x0 = self.x[i]
@@ -111,7 +121,7 @@ class MonotoneCubic:
         # Snap exact knot hits so round-trips are clean at the data points.
         exact = np.clip(np.searchsorted(self.y, q), 0, self.y.size - 1)
         hit = self.y[exact] == q
-        return np.where(hit, self.x[exact], out).reshape(yq.shape)
+        return np.where(hit, self.x[exact], out)
 
     def _segment(self, xq: np.ndarray) -> np.ndarray:
         i = np.searchsorted(self.x, xq, side="right") - 1

@@ -1,4 +1,7 @@
 import io
+import os
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from stretchgrid.bench import (ConfigError, ConvergenceReport, ConvergenceRow,
                                bench_transforms, emit_csv, emit_table_csv,
                                load_bundled, parse_config_text,
                                parse_table_config, run_convergence)
-from stretchgrid.fdm import BarrierMode, BoundaryKind
+from stretchgrid.fdm import BarrierMode, BoundaryKind, NonFiniteValueError
 from stretchgrid.gridgen import StretchKind, StretchSpec
 from stretchgrid.instruments import ExerciseStyle, OptionType
 from stretchgrid.placement import PlacementGoal, PlacementMode
@@ -98,6 +101,9 @@ pde.barrier_mode = ghost_lagrange3
         ("market.sigma", "-1"),
         ("placement.targets", "midcell:90, midcell:60"),
         ("domain.fit", "barrier_exactt"),
+        ("stretch.alhpa", "1.5"),
+        ("domain.pad_fraction", "0.1"),
+        ("column.x.stretch.kind", "cubic"),
     ])
     def test_bad_value_raises_config_error_naming_the_key(self, key, value):
         kv = parse_config_text(SMOKE)
@@ -105,6 +111,14 @@ pde.barrier_mode = ghost_lagrange3
         kv[key] = value
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_table_config(kv)
+
+    def test_unknown_column_key_is_named_as_written(self):
+        text = SMOKE + "columns = a, b\ncolumn.b.stretch.alhpa = 2\n"
+        with pytest.raises(ConfigError, match=r"column\.b\.stretch\.alhpa"):
+            parse_table_config(parse_config_text(text))
+        text = SMOKE + "columns = a, b\ncolumn.b.sweep.reference_mode = shared\n"
+        with pytest.raises(ConfigError, match=r"column\.b\.sweep\.reference_mode"):
+            parse_table_config(parse_config_text(text))
 
     def test_unknown_reference_mode_is_rejected(self):
         text = SMOKE + "columns = a, b\nsweep.reference_mode = sharde\n"
@@ -273,18 +287,32 @@ class TestMapCache:
         assert len(integrations) == 2 * shared_integrations
 
 
+def set_workers(monkeypatch, width: int):
+    """Make the process look as if it may run on ``width`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)),
+                        raising=False)
+
+
+def part_blocks(stepper, terminal) -> list[int]:
+    """Blocks in each part of a march (one part unless it is parallel)."""
+    if not stepper._parts:
+        return [len(stepper.split(terminal))]
+    return [len(part.split(values))
+            for part, values in zip(stepper._parts, stepper.split(terminal))]
+
+
 class TestLockstepMarch:
     """The calls the benchmark's row timer, grid-only stub and traced stepper
-    rely on: one ``price_run`` per row, and every march through
-    ``bench.TrBdf2Stepper``."""
+    rely on: one ``price_run`` per row, and every march through one ``run``
+    of ``bench.TrBdf2Stepper``."""
 
     def count_calls(self, monkeypatch, price_run=None):
-        runs: list[int] = []
+        runs: list[list[int]] = []
         calls: list[int] = []
 
         class CountingStepper(bench.TrBdf2Stepper):
             def run(self, terminal):
-                runs.append(len(self.split(terminal)))
+                runs.append(part_blocks(self, terminal))
                 return super().run(terminal)
 
         inner = price_run or bench.price_run
@@ -298,14 +326,21 @@ class TestLockstepMarch:
         return runs, calls
 
     def test_table_marches_reference_then_one_stack(self, monkeypatch):
+        # One worker: the shared reference marches alone, then the 32 rows as
+        # one stack.  More workers: one run holds the reference beside the
+        # stack, each a part of its own.
         runs, calls = self.count_calls(monkeypatch)
         table = load_bundled(4)
-        results = table.run()
         rows = sum(len(cfg.space_steps) for _, cfg in table.columns)
         assert rows == 32
-        assert len(calls) == rows + 1            # the shared reference, then each row
-        assert runs == [1, rows]                 # the reference alone, then the stack
-        assert not any(row.failed for _, report in results for row in report.rows)
+        for width, want in ((1, [[1], [rows]]), (2, [[1, rows]]), (3, [[1, rows]])):
+            set_workers(monkeypatch, width)
+            runs.clear()
+            calls.clear()
+            results = table.run()
+            assert len(calls) == rows + 1        # the shared reference, then each row
+            assert runs == want, width
+            assert not any(row.failed for _, report in results for row in report.rows)
 
     def test_grid_only_stub_marches_nothing(self, monkeypatch):
         def grid_only(config, steps, cache=None):
@@ -316,6 +351,101 @@ class TestLockstepMarch:
         load_bundled(4).run()
         assert len(calls) == 33
         assert runs == []
+
+
+TWO_COLUMNS = SMOKE.replace("market.sigma = 0", "market.sigma = 0.2") + """
+columns = plain, stretched
+column.stretched.stretch.kind = cubic
+column.stretched.stretch.points = 75
+column.stretched.stretch.alpha = 2.5
+"""
+
+
+class TestParallelMarch:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_non_finite_part_fails_only_its_row(self, monkeypatch, width):
+        # With three workers both per-column references and the rows' stack
+        # march in one batch; the NaN fails the batch, every part marches
+        # again alone and the stack block by block.
+        set_workers(monkeypatch, width)
+        table = parse_table_config(parse_config_text(TWO_COLUMNS))
+        real_payoff = bench.payoff
+
+        def nan_at_32(contract, grid):
+            values = real_payoff(contract, grid)
+            if grid.points.size == 33 and nan_at_32.armed:
+                nan_at_32.armed = False
+                values[5] = np.nan
+            return values
+
+        monkeypatch.setattr(bench, "payoff", nan_at_32)
+        plain = dict(table.columns)["plain"]
+        nan_at_32.armed = True
+        with pytest.raises(NonFiniteValueError) as solo:
+            bench.price_run(plain, 32)
+        nan_at_32.armed = True
+        results = table.run()
+        assert not nan_at_32.armed
+        monkeypatch.setattr(bench, "payoff", real_payoff)
+        failed = [(name, row.steps, row.failed) for name, report in results
+                  for row in report.rows if row.failed]
+        assert failed == [("plain", 32, str(solo.value))]
+        for name, cfg in table.columns:
+            report = dict(results)[name]
+            assert report.reference == bench.price_run(cfg, cfg.reference_steps)
+            for row in report.rows:
+                if not row.failed:
+                    assert row.prices == bench.price_run(cfg, row.steps)
+
+    def test_one_worker_starts_no_thread_and_keeps_the_csv(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        table = load_bundled(4)
+        csv, threads = {}, {}
+        for width in (1, 2):
+            set_workers(monkeypatch, width)
+            started.clear()
+            buf = io.BytesIO()
+            emit_table_csv(table.run(), buf)
+            csv[width], threads[width] = buf.getvalue(), len(started)
+        assert threads == {1: 0, 2: 1}           # the reference beside the stack
+        assert csv[1] == csv[2]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_no_march_holds_more_than_w_references(self, monkeypatch, width):
+        # Three columns, each with its own reference (64 intervals).
+        set_workers(monkeypatch, width)
+        alive = weakref.WeakSet()
+        most_alive: list[int] = []
+        runs: list[list[int]] = []
+
+        class Tracking(bench.TrBdf2Stepper):
+            def __init__(self, grid, *args, **kwargs):
+                super().__init__(grid, *args, **kwargs)
+                if grid.points.size == 65:
+                    alive.add(self)
+                    most_alive.append(len(alive))
+
+            def run(self, terminal):
+                parts = self._parts or (self,)
+                runs.append([len(part.split(values)) for part, values in
+                             zip(parts, self.split(terminal)) if part.op.n == 65])
+                return super().run(terminal)
+
+        monkeypatch.setattr(bench, "TrBdf2Stepper", Tracking)
+        text = TWO_COLUMNS.replace("columns = plain, stretched",
+                                   "columns = plain, stretched, again")
+        results = parse_table_config(parse_config_text(text)).run()
+        assert len(most_alive) == 3 and max(most_alive) == min(width, 3)
+        assert sum(map(len, runs)) == 3
+        assert all(len(refs) <= width for refs in runs)
+        assert not any(row.failed for _, report in results for row in report.rows)
 
 
 class TestCsv:

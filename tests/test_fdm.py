@@ -1,7 +1,9 @@
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
+import threading
 import types
 from importlib import metadata
 from pathlib import Path
@@ -535,9 +537,9 @@ N_STACK = 6
 
 
 @st.composite
-def stack_blocks(draw):
+def stack_blocks(draw, n_steps=N_STACK):
     """A random pricing block: nonuniform grid, market, boundary rows and one
-    kind of hook set, all sharing the stack's N = ``N_STACK`` and horizon."""
+    kind of hook set, all sharing the stack's N (``n_steps``) and horizon."""
     n = draw(st.integers(8, 40))
     lower_kind = draw(st.sampled_from(list(BoundaryKind)))
     upper_kind = draw(st.sampled_from([BoundaryKind.DIRICHLET_VALUE,
@@ -555,7 +557,7 @@ def stack_blocks(draw):
     hooks: list[Hook] = []
     if kind == "knockout":
         level = float(s[draw(st.integers(1, n - 2))])
-        dates = draw(st.sets(st.integers(1, N_STACK), min_size=1))
+        dates = draw(st.sets(st.integers(1, n_steps), min_size=1))
         hooks.append(DiscreteKnockout(s >= level, dates, draw(st.floats(0.0, 1.0))))
     elif kind == "dirichlet":
         a = draw(st.integers(0, n - 1))
@@ -582,7 +584,7 @@ def stack_blocks(draw):
             hooks.append(DirichletRegion(start_, stop, rebate))
     elif kind == "american":
         hooks.append(AmericanProjection(np.maximum(strike - s, 0.0)))
-    cfg = PdeConfig(N_STACK, BoundaryCondition(lower_kind, draw(st.floats(0.0, 1.0))),
+    cfg = PdeConfig(n_steps, BoundaryCondition(lower_kind, draw(st.floats(0.0, 1.0))),
                     BoundaryCondition(upper_kind, draw(st.floats(0.0, 1.0))),
                     barrier_mode=mode)
     return Grid(s), mkt, cfg, tuple(hooks), terminal
@@ -601,6 +603,138 @@ def test_stacked_march_equals_solo_marches(blocks, horizon):
     assert len(out) == len(blocks)
     for mine, expect in zip(out, solo):
         assert np.array_equal(mine, expect)
+
+
+@st.composite
+def march_parts(draw):
+    """A part of a parallel march: one block, or a stack of blocks, with its
+    own N and horizon; and its terminal values."""
+    n_steps = draw(st.sampled_from([2, 3, N_STACK]))
+    horizon = draw(st.floats(0.05, 1.0))
+    blocks = draw(st.lists(stack_blocks(n_steps), min_size=1, max_size=3))
+    steppers = [TrBdf2Stepper(grid, mkt, cfg, horizon, hooks)
+                for grid, mkt, cfg, hooks, _ in blocks]
+    part = steppers[0] if len(steppers) == 1 else TrBdf2Stepper.stack(steppers)
+    return part, np.concatenate([b[-1] for b in blocks])
+
+
+def set_workers(monkeypatch, width: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)),
+                        raising=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(march_parts(), min_size=1, max_size=5),
+       width=st.sampled_from([1, 2, 3]))
+def test_parallel_march_equals_each_parts_own_run(parts, width):
+    solo = [part.run(terminal) for part, terminal in parts]
+    assume(all(np.isfinite(v).all() for v in solo))
+    marcher = TrBdf2Stepper.parallel([part for part, _ in parts])
+    with pytest.MonkeyPatch.context() as mp:
+        set_workers(mp, width)
+        out = marcher.run(np.concatenate([terminal for _, terminal in parts]))
+    assert out.size == sum(terminal.size for _, terminal in parts)
+    got = marcher.split(out)
+    assert len(got) == len(parts)
+    for mine, expect in zip(got, solo):
+        assert np.array_equal(mine, expect)
+
+
+class TestParallel:
+    def parts(self, *shapes):
+        """One stepper per (nodes, N) shape."""
+        mkt = MarketParams(0.05, 0.0, 0.2)
+        return [TrBdf2Stepper(Grid(np.linspace(50.0, 150.0, n)), mkt, PdeConfig(steps), 1.0)
+                for n, steps in shapes]
+
+    def test_costliest_part_marches_first(self, monkeypatch):
+        set_workers(monkeypatch, 1)
+        order = []
+        parts = self.parts((11, 4), (21, 4), (11, 9), (31, 2))
+        for k, part in enumerate(parts):
+            march = part._march
+            part._march = lambda v, k=k, march=march: order.append(k) or march(v)
+        TrBdf2Stepper.parallel(parts).run(np.ones(74))
+        assert order == [2, 1, 3, 0]             # nodes x N: 99, 84, 62, 44
+
+    @pytest.mark.parametrize("width, threads", [(1, 0), (2, 1), (3, 2), (8, 2)])
+    def test_threads_started_count_the_calling_one(self, monkeypatch, width, threads):
+        set_workers(monkeypatch, width)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        TrBdf2Stepper.parallel(self.parts((11, 4), (11, 4), (11, 4))).run(np.ones(33))
+        assert len(started) == threads
+
+    def test_threads_run_only_the_step_loop(self, monkeypatch):
+        # A traced ``run`` records spans on the calling thread alone.
+        set_workers(monkeypatch, 2)
+
+        class NoRun(TrBdf2Stepper):
+            def run(self, terminal):
+                if self._parts:
+                    return super().run(terminal)
+                raise AssertionError("a part's run was called")
+
+        grid = Grid(np.linspace(50.0, 150.0, 11))
+        parts = [NoRun(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0)
+                 for _ in range(3)]
+        assert NoRun.parallel(parts).run(np.ones(33)).shape == (33,)
+
+    def test_many_threads_hand_out_every_part_once(self, monkeypatch):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a part handed out twice, or never, breaks the counts or
+        # the values.
+        set_workers(monkeypatch, 8)
+        shapes = [(11 + k % 5, 2 + k % 3) for k in range(40)]
+        parts = self.parts(*shapes)
+        terminals = [np.linspace(0.0, 1.0, n) + k for k, (n, _) in enumerate(shapes)]
+        solo = [part.run(terminal) for part, terminal in zip(parts, terminals)]
+        marched = []
+        for part in parts:
+            march = part._march
+            part._march = lambda v, part=part, march=march: marched.append(part) or march(v)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = TrBdf2Stepper.parallel(parts).run(np.concatenate(terminals))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(map(id, marched)) == sorted(map(id, parts))
+        for got, want in zip(TrBdf2Stepper.parallel(parts).split(out), solo):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_failed_part_raises_its_own_error(self, monkeypatch, width):
+        set_workers(monkeypatch, width)
+        good, bad = self.parts((11, 4), (21, 8))
+        poisoned = np.ones(21)
+        poisoned[7] = np.nan
+        with pytest.raises(NonFiniteValueError) as solo:
+            bad.run(poisoned)
+        with pytest.raises(NonFiniteValueError) as both:
+            TrBdf2Stepper.parallel([good, bad]).run(np.concatenate([np.ones(11), poisoned]))
+        assert str(both.value) == str(solo.value)
+
+    def test_workers_fall_back_to_the_cpu_count(self, monkeypatch):
+        set_workers(monkeypatch, 3)
+        assert fdm.workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert fdm.workers() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert fdm.workers() == 1
+
+    def test_rejects_no_parts_and_nested_marches(self):
+        a, b = self.parts((11, 4), (11, 4))
+        with pytest.raises(ValueError, match="nothing to march"):
+            TrBdf2Stepper.parallel([])
+        nested = TrBdf2Stepper.parallel([a])
+        with pytest.raises(ValueError, match="part 1 is itself a parallel march"):
+            TrBdf2Stepper.parallel([b, nested])
+        with pytest.raises(ValueError, match="block 1: it is a parallel march"):
+            TrBdf2Stepper.stack([b, nested])
 
 
 class TestStack:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stretchgrid import spline
 from stretchgrid.spline import MonotoneCubic, _fritsch_carlson_slopes
 
 EPS = np.finfo(float).eps
@@ -121,6 +122,23 @@ def test_limiter_matches_full_loop_on_a_placement_sized_grid():
     x = np.arange(16001.0)
     y = np.cumsum(np.exp(rng.normal(scale=2.0, size=x.size)))
     assert np.array_equal(_fritsch_carlson_slopes(x, y), reference_slopes(x, y))
+
+
+def test_blocked_inverse_equals_one_whole_array_solve(monkeypatch):
+    # A deform pass at the size of a table-3 reference: 16,001 queries, a
+    # few blocks and a ragged last one, including exact knot hits.
+    rng = np.random.default_rng(11)
+    x = np.array([0.0, 3000.3, 7000.7, 12000.2, 16000.0])
+    f = MonotoneCubic(x, np.array([0.0, 3000.5, 7000.5, 12000.5, 16000.0]))
+    queries = np.concatenate([np.arange(16001.0), rng.uniform(0.0, 16000.0, 998),
+                              f.y]).reshape(-1, 2)
+    blocked = f.inverse(queries)
+    assert spline._INVERSE_BLOCK < queries.size
+    monkeypatch.setattr(spline, "_INVERSE_BLOCK", queries.size)
+    whole = f.inverse(queries)
+    assert blocked.shape == whole.shape == queries.shape
+    assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+    assert f.inverse(125.0).shape == ()
 
 
 increments = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30)
