@@ -134,11 +134,25 @@ def resolve_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
     raise ConfigError(f"unknown domain fit {fit!r}")
 
 
+class PricingError(RuntimeError):
+    """A reference pricing failed: the message starts with its column label
+    and I, and the original exception is its ``__cause__``."""
+
+
 class _Prices(dict):
-    """Spot -> price of one pricing, filled when its block marches; ``error``
-    is the exception that failed it, if any."""
+    """Spot -> price of one pricing, filled when its block marches.  ``name``
+    is its column label and I; ``error`` is the exception that failed it, if
+    any."""
 
     error: Exception | None = None
+
+    def __init__(self, config: RunConfig, steps: int):
+        super().__init__()
+        self.name = f"{config.label}, I = {steps}"
+
+    def message(self) -> str:
+        """The failure, named: ``"<label>, I = <steps>: <error>"``."""
+        return f"{self.name}: {self.error}"
 
 
 def _failure(prices: dict) -> Exception | None:
@@ -147,32 +161,30 @@ def _failure(prices: dict) -> Exception | None:
 
 @dataclass
 class _Pricing:
-    """A built pricing waiting to march: its factored block and terminal values."""
+    """A built pricing waiting to march: its unfactored block, its terminal
+    values, and its prices, which carry its name."""
 
     stepper: TrBdf2Stepper
     terminal: np.ndarray
     spots: tuple[float, ...]
-    prices: _Prices = field(default_factory=_Prices)
+    prices: _Prices
 
 
 def _march(parts: list[list[_Pricing]]):
     """March independent parts at the same time and fill their prices.
 
     Each part is a list of pricings that share dt and N and march in lockstep
-    as one stacked system.  If the batch raises (a NaN in one block reaches
-    its neighbours through 0 * NaN), each part marches again alone, and a
-    failed stack block by block, so only the failing pricing records the
-    error.
+    as one stacked system, factored once.  The batch marches through one
+    ``run`` of its first block.  If it raises (a NaN in one block reaches its
+    neighbours through 0 * NaN; a singular block fails its stack's factor),
+    each part marches again alone, and a failed stack block by block, so
+    only the failing pricing records the error.
     """
     try:
-        steppers = [group[0].stepper if len(group) == 1
-                    else TrBdf2Stepper.stack([pricing.stepper for pricing in group])
-                    for group in parts]
-        marcher = TrBdf2Stepper.parallel(steppers)
-        values = marcher.run(np.concatenate(
-            [pricing.terminal for group in parts for pricing in group]))
-        for group, stepper, part in zip(parts, steppers, marcher.split(values)):
-            for pricing, block in zip(group, stepper.split(part)):
+        values = parts[0][0].stepper.run(
+            [[(pricing.stepper, pricing.terminal) for pricing in group] for group in parts])
+        for group, blocks in zip(parts, values):
+            for pricing, block in zip(group, blocks):
                 interp = MonotoneCubic(pricing.stepper.grid.points, block)
                 pricing.prices.update((s, float(interp(s))) for s in pricing.spots)
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
@@ -225,7 +237,7 @@ class _TableCache:
 
         Each reference is a part of its own and the rows of each (dt, N)
         one stacked part; the parts march ``workers()`` at a time through
-        ``TrBdf2Stepper.parallel``, references first.
+        one ``fdm.march`` (see ``_march``), references first.
         """
         groups: dict[tuple[float, int], list[_Pricing]] = {}
         for pricing in self._rows:
@@ -253,7 +265,7 @@ def build_run_grid(config: RunConfig, steps: int, cache: _TableCache | None = No
 def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -> dict[float, float]:
     """Price the contract on the grid for one resolution; spot -> price.
 
-    Builds the row's grid, hooks and factored block.  With a table's
+    Builds the row's grid, hooks and unfactored block.  With a table's
     ``cache`` the pricing is queued (as a reference when ``steps`` is the
     config's reference resolution) and the returned dict stays empty until
     ``cache.march()`` fills it (or sets its ``error`` when the march fails).
@@ -269,7 +281,8 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
         pde = replace(pde, time_steps=steps)
     hooks = tuple(constraint_hooks(config.contract, grid, pde))
     stepper = TrBdf2Stepper(grid, config.market, pde, config.contract.maturity, hooks)
-    pricing = _Pricing(stepper, payoff(config.contract, grid), config.report_spots)
+    pricing = _Pricing(stepper, payoff(config.contract, grid), config.report_spots,
+                       _Prices(config, steps))
     if cache is not None:
         cache.queue(pricing, reference=steps == config.reference_steps)
     else:
@@ -281,8 +294,14 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
 
 def _reference(config: RunConfig, cache: _TableCache) -> dict[float, float]:
     """Queue ``config``'s reference pricing.  The cache marches as soon as it
-    holds ``workers()`` references, so no more are ever alive at once."""
-    prices = price_run(config, config.reference_steps, cache)
+    holds ``workers()`` references, so no more are ever alive at once.  A
+    reference that fails to build raises ``PricingError`` naming it."""
+    try:
+        prices = price_run(config, config.reference_steps, cache)
+    except Exception as exc:
+        failed = _Prices(config, config.reference_steps)
+        failed.error = exc
+        raise PricingError(failed.message()) from exc
     if cache.references >= workers():
         cache.march()
     return prices
@@ -295,7 +314,7 @@ def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
     Each missing reference is queued, then every sweep row of every job; the
     references march beside each other and beside the rows' stacks.  A row
     that fails to build or to march is marked failed instead of aborting; a
-    failed reference raises its error.
+    failed reference raises ``PricingError``.  Either names its column and I.
     """
     references = [_reference(config, cache) if reference is None else reference
                   for config, reference in jobs]
@@ -306,7 +325,7 @@ def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
             try:
                 prices = price_run(config, steps, cache)
             except Exception as exc:  # noqa: BLE001 - cell-level fault isolation
-                prices = _Prices()
+                prices = _Prices(config, steps)
                 prices.error = exc
             rows.append((steps, prices))
         queued.append(rows)
@@ -314,7 +333,7 @@ def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
     for reference in references:
         error = _failure(reference)
         if error is not None:
-            raise error
+            raise PricingError(reference.message()) from error
     return [_report(config, reference, rows)
             for (config, _), reference, rows in zip(jobs, references, queued)]
 
@@ -326,7 +345,7 @@ def _report(config: RunConfig, reference_prices: dict[float, float],
     for steps, prices in rows:
         error = _failure(prices)
         if error is not None:
-            report.rows.append(ConvergenceRow(steps, {}, {}, failed=str(error)))
+            report.rows.append(ConvergenceRow(steps, {}, {}, failed=prices.message()))
             continue
         errors = {s: abs(prices[s] - reference_prices[s]) * 1e5
                   for s in config.report_spots}
@@ -630,6 +649,18 @@ def _build_run(kv: dict[str, str], label: str,
         report_spots=get("sweep.report_spots", _floats),
         domain=domain, match_time_steps=match_time, label=label,
     )
+    for key, bc, side in (("pde.boundary_lower", lower, 0), ("pde.boundary_upper", upper, 1)):
+        if bc.kind is not BoundaryKind.DEGENERATE_EXACT:
+            continue
+        for steps in (*config.space_steps, config.reference_steps):
+            edges = resolve_domain(config, steps)[:2]
+            if abs(edges[side]) > 1e-12 * (edges[1] - edges[0]):
+                setter = (("domain.s_min", "domain.s_max")[side]
+                          if fit == DomainFit.EXPLICIT else "domain.fit")
+                raise ConfigError(
+                    f"{origin.get(key, key)} = degenerate_exact needs the grid edge at "
+                    f"S = 0, but {origin.get(setter, setter)} puts it at {edges[side]:g} "
+                    f"(I = {steps})")
     for key in kv:
         if key not in read and (key not in _TABLE_KEYS or key in origin):
             raise ConfigError(f"unknown config key {origin.get(key, key)!r}")
@@ -693,9 +724,10 @@ def parse_table_config(kv: dict[str, str]) -> TableConfig:
     )
 
 
-def load_config(path_or_text: str | Path) -> TableConfig:
-    p = Path(path_or_text)
-    return parse_table_config(parse_config_text(p.read_text()))
+def load_config(path: str | Path) -> TableConfig:
+    """The table config in the file at ``path``.  For config text, call
+    ``parse_table_config(parse_config_text(text))``."""
+    return parse_table_config(parse_config_text(Path(path).read_text()))
 
 
 BUNDLED_TABLES = {

@@ -4,38 +4,31 @@ The spatial operator L V = 0.5 sigma^2 S^2 V_SS + (r - q) S V_S - r V is
 discretized with central three-point stencils on a nonuniform grid.  Time
 marches backward from maturity with the composite trapezoidal/BDF2 step
 (gamma = 2 - sqrt(2), so both substages share one tridiagonal matrix).
-That matrix is factored once per run by a tridiagonal LU with partial
-pivoting (LAPACK gttrf), and every substage reuses the factors (gttrs).
-Both are the f2py routines ``scipy.linalg.lapack`` exposes, taken straight
-from scipy's compiled ``scipy/linalg/_flapack`` module: importing
-``scipy.linalg`` runs its whole package ``__init__``, which cost more of
-``import stretchgrid`` (≈0.25 s and ≈20 MB) than the package itself, to reach
-two functions.  The calls, and so every factor, solve and price, are the same.
-The stepper pins every Dirichlet row, boundary rows and knock-out regions
-alike; hooks enforce off-grid barrier (ghost) rows, discrete knock-outs and
-the American exercise projection.  A 3-point ghost row is stamped straight
-into that matrix, its entry two columns off the diagonal eliminated in place
-against the neighbouring row, so the system stays tridiagonal.
+A pricing is one block, ``TrBdf2Stepper``, built unfactored: its operator
+with boundary rows, dt, N, hooks and the rows it pins (Dirichlet boundary rows
+and knock-out regions alike).  Hooks enforce off-grid barrier (ghost) rows,
+discrete knock-outs and the American exercise projection; a 3-point ghost row
+is stamped straight into the matrix, its entry two columns off the diagonal
+eliminated in place against the neighbouring row, so the system stays
+tridiagonal.
 
-Pricings that share dt and N march in lockstep: ``TrBdf2Stepper.stack``
-joins their matrices into one block-diagonal system, factored once, with one
-gttrs per substage, one operator product and one finiteness check per step
-over the stacked vector, and each hook applied to its own block's rows.  No
-matrix couples a block's edge rows outward, so every block's values are
-exactly equal to those of its own march; a single pricing is a stack of one
-block.
+``Stack`` joins blocks that share dt and N into one block-diagonal matrix and
+factors it once by a tridiagonal LU with partial pivoting (LAPACK gttrf);
+every substage of their lockstep march reuses the factors (gttrs).  Both are
+the f2py routines ``scipy.linalg.lapack`` exposes, loaded straight from
+scipy's compiled ``scipy/linalg/_flapack`` module: importing ``scipy.linalg``
+runs its whole package ``__init__``, which cost more of ``import
+stretchgrid`` (≈0.25 s and ≈20 MB) than the package itself.
 
-Systems that share nothing march at the same time: ``TrBdf2Stepper.parallel``
-hands its parts (single blocks or stacks, of any dt and N), costliest first,
-to as many threads as the process has CPUs to run on (``workers``), the
-calling thread among them.  The f2py ``dgttrs`` releases the GIL for the
-whole solve, and numpy releases it inside the array loops of the operator
-product and the rhs arithmetic on long vectors, so the serial LU
-recurrences of two large systems run on two cores; the Python of the step
-loop and of the hooks holds it, which is why small parts gain little.  A thread runs only a part's step loop, on that part's own
-arrays: the same calls on the same values in the same order as the part's
-own ``run``, so every part's values are bit for bit those of its solo march,
-on any number of threads.
+``march`` marches independent groups of blocks at the same time on
+``workers()`` threads, the calling thread among them.  The f2py ``dgttrs``
+releases the GIL for the whole solve, and numpy releases it inside the array
+loops on long vectors, so the serial LU recurrences of two large systems run
+on two cores; the Python of the step loop and of the hooks holds it, which is
+why small groups gain little.  Every block's values are bit for bit those of
+its own march, on any number of threads.  A zero pivot
+(``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
+both rise from the march.
 """
 
 from __future__ import annotations
@@ -271,8 +264,7 @@ class Hook:
     """Constraint applied while stepping; methods default to no-ops.
 
     Every vector a hook receives holds its own pricing's rows only (a view
-    into a stacked vector when pricings march together, see
-    ``TrBdf2Stepper.stack``), so hooks index their grid from zero.
+    into a ``Stack``'s vector), so hooks index their grid from zero.
     """
 
     def override_previous(self, v: np.ndarray, tau: float):
@@ -435,7 +427,7 @@ def _acting(blocks, name: str) -> tuple:
 
 
 def workers() -> int:
-    """Threads a parallel march uses: the CPUs this process may run on, or
+    """Threads a march uses: the CPUs this process may run on, or
     ``os.cpu_count()`` where the platform reports no affinity."""
     affinity = getattr(os, "sched_getaffinity", None)
     if affinity is not None:
@@ -443,54 +435,13 @@ def workers() -> int:
     return os.cpu_count() or 1
 
 
-def _march_parts(parts, values, threads: int) -> np.ndarray:
-    """March independent ``parts`` from their ``values``, the costliest
-    (nodes x N) first, on ``threads`` threads counting the calling one, and
-    join their results in the given order.  A part that raises stops the
-    hand-out of the rest; once every running part is done, the exception of
-    the first failed part in the given order is raised."""
-    results: list = [None] * len(parts)
-    pending = deque(sorted(range(len(parts)),
-                           key=lambda k: -parts[k].op.n * parts[k].n_steps))
-    errors: dict[int, Exception] = {}
-
-    def work():
-        while True:
-            try:
-                k = pending.popleft()
-            except IndexError:
-                return
-            try:
-                results[k] = parts[k]._march(values[k])
-            except Exception as exc:  # raised again on the calling thread
-                errors[k] = exc
-                pending.clear()
-
-    extra = [threading.Thread(target=work, name=f"fdm-march-{j}")
-             for j in range(min(threads, len(parts)) - 1)]
-    for thread in extra:
-        thread.start()
-    try:
-        work()
-    finally:
-        pending.clear()        # an interrupt on this thread stops the hand-out
-        for thread in extra:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return np.concatenate(results)
-
-
 class TrBdf2Stepper:
-    """Backward-in-time marcher over a stack of blocks, one per pricing.
+    """One pricing's block of the TR-BDF2 system, built unfactored: its grid,
+    operator with boundary rows, dt, N, hooks and pinned rows.
 
-    The constructor builds and factors a single block; ``stack`` joins
-    blocks that share dt and N into one block-diagonal system marched in
-    lockstep.  Each hook sees only its own block's rows.  ``parallel``
-    marches independent steppers at the same time.
+    ``Stack`` stamps and factors blocks that share dt and N, ``march``
+    marches groups of them, and ``run`` marches this block alone.
     """
-
-    _parts: tuple = ()        # the independent steppers of a parallel march
 
     def __init__(self, grid: Grid, mkt: MarketParams, config: PdeConfig,
                  horizon: float, hooks: tuple[Hook, ...] = ()):
@@ -500,118 +451,73 @@ class TrBdf2Stepper:
         self.hooks = tuple(hooks)
         self.dt = horizon / config.time_steps
         self.n_steps = config.time_steps
-        op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, config)
-        self.op = op
-        n = op.n
-        self._w = OMEGA * self.dt
+        self.op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, config)
+        n = self.op.n
         # Pinned rows: the Dirichlet boundary rows no hook owns, then the rows
         # of each DirichletRegion; a later pin of the same row wins.
         hook_rows = {row for hook in self.hooks for row in hook.owned_rows()}
-        pins = {row: bc.value
-                for row, bc in ((0, config.boundary_lower), (n - 1, config.boundary_upper))
-                if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in hook_rows}
+        self.pins = {row: bc.value
+                     for row, bc in ((0, config.boundary_lower), (n - 1, config.boundary_upper))
+                     if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in hook_rows}
         for hook in self.hooks:
             if isinstance(hook, DirichletRegion):
-                pins.update(dict.fromkeys(range(n)[hook.start:hook.stop], hook.value))
-        self._setup(((slice(0, n), self.hooks),), pins.items())
-        self._lu = _factor(*self._stamped(), self.dt)
+                self.pins.update(dict.fromkeys(range(n)[hook.start:hook.stop], hook.value))
 
-    @classmethod
-    def stack(cls, steppers) -> TrBdf2Stepper:
-        """One block-diagonal system that marches ``steppers`` in lockstep.
+    def run(self, terminal: np.ndarray) -> np.ndarray:
+        """Values at time to maturity ``N * dt`` from the ``terminal`` payoff,
+        which is not written: ``march`` with this block alone.
 
-        Every block's first row has no coupling below it and its last row
-        none above it (lower[0] = upper[-1] = 0), so LU with partial pivoting
-        never pivots across a block edge and ``matvec`` adds exact zeros
-        there: each block's values equal those of its own ``run`` exactly.
+        ``terminal`` may instead be the groups ``march`` takes, and ``run``
+        then returns what ``march`` does.  A table marches each batch through
+        one ``run`` of its first block, so a subclass that wraps ``run`` wraps
+        every march.
         """
-        steppers = tuple(steppers)
-        if not steppers:
+        if isinstance(terminal, np.ndarray):
+            return march([[(self, terminal)]])[0][0]
+        return march(terminal)
+
+
+class Stack:
+    """Blocks that share dt and N as one block-diagonal system: stamped and
+    factored once (gttrf), then marched in lockstep with one gttrs per
+    substage, one operator product and one finiteness check per step over
+    the stacked vector, and each hook on its own block's rows.
+
+    No block may couple across its edge to the next (lower[0] = upper[-1] =
+    0), so LU with partial pivoting never pivots across a block edge and
+    ``matvec`` adds exact zeros there: each block's values equal those of
+    its own march exactly.  A zero pivot, or a ghost row that cannot be
+    eliminated, raises ``SingularSystemError`` here.
+    """
+
+    def __init__(self, blocks):
+        blocks = tuple(blocks)
+        if not blocks:
             raise ValueError("fdm: nothing to stack")
-        head = steppers[0]
-        for k, part in enumerate(steppers):
-            if part._parts:
-                raise ValueError(f"fdm: cannot stack block {k}: it is a parallel march")
-            if (part.dt, part.n_steps) != (head.dt, head.n_steps):
+        head = blocks[0]
+        for k, block in enumerate(blocks):
+            if (block.dt, block.n_steps) != (head.dt, head.n_steps):
                 raise ValueError(
-                    f"fdm: cannot stack block {k}: dt = {part.dt:g}, N = {part.n_steps} "
+                    f"fdm: cannot stack block {k}: dt = {block.dt:g}, N = {block.n_steps} "
                     f"differ from block 0 (dt = {head.dt:g}, N = {head.n_steps})")
-        self = object.__new__(cls)
-        self.grid = None
-        self.hooks = tuple(hook for part in steppers for hook in part.hooks)
         self.dt = head.dt
         self.n_steps = head.n_steps
+        self._w = w = OMEGA * self.dt
         self.op = SpatialOperator(*(np.concatenate(band) for band in zip(
-            *((part.op.lower, part.op.diag, part.op.upper) for part in steppers))))
-        self._w = head._w
-        blocks, pins = [], []
-        offset = 0
-        for part in steppers:
-            blocks += [(slice(offset + rows.start, offset + rows.stop), hooks)
-                       for rows, hooks in part._blocks]
-            pins += [(offset + row, value)
-                     for row, value in zip(part._pin_rows, part._pin_values)]
-            offset += part.op.n
-        self._setup(tuple(blocks), pins)
-        stamped = self._stamped()
-        for k, (rows, _) in enumerate(self._blocks):
-            for lower, upper in ((self.op.lower, self.op.upper), (stamped[0], stamped[2])):
-                first, last = lower[rows.start], upper[rows.stop - 1]
-                if first != 0.0 or last != 0.0:
-                    raise ValueError(
-                        f"fdm: cannot stack block {k}: its first row couples below "
-                        f"it or its last row above it (lower[0] = {first:g}, "
-                        f"upper[-1] = {last:g})")
-        self._lu = _factor(*stamped, self.dt)
-        return self
-
-    @classmethod
-    def parallel(cls, parts) -> TrBdf2Stepper:
-        """Independent steppers (single blocks or stacks, of any dt and N)
-        marched at the same time on ``workers()`` threads, the calling
-        thread among them.
-
-        ``run`` takes and returns the parts' values concatenated in the
-        given order, and ``split`` returns each part's values.  Each thread
-        runs only the parts' step loop, so every part's values equal those of
-        its own ``run`` exactly.  If a part raises, ``run`` raises its
-        exception.  With one worker no thread starts.
-        """
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("fdm: nothing to march")
-        for k, part in enumerate(parts):
-            if part._parts:
-                raise ValueError(f"fdm: part {k} is itself a parallel march")
-        self = object.__new__(cls)
-        self.grid = None
-        self.hooks = tuple(hook for part in parts for hook in part.hooks)
-        self._parts = parts
-        blocks = []
-        offset = 0
-        for part in parts:
-            blocks.append((slice(offset, offset + part.op.n), part.hooks))
-            offset += part.op.n
-        self._blocks = tuple(blocks)
-        return self
-
-    def _setup(self, blocks, pins):
-        """Record each block's (rows, hooks), the pinned rows, and which hooks
-        act in each phase."""
-        self._blocks = blocks
-        self._pin_rows = np.array([row for row, _ in pins], dtype=np.intp)
-        self._pin_values = np.array([value for _, value in pins], dtype=float)
-        self._overrides = _acting(blocks, "override_previous")
-        self._rhs_hooks = _acting(blocks, "adjust_rhs")
-        self._substage_hooks = _acting(blocks, "post_substage")
-        self._step_hooks = _acting(blocks, "post_step")
-
-    def _stamped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bands of the TR-BDF2 matrix I - w L: pinned rows become identity
-        rows, then each hook stamps its own block's rows.  Built again for a
-        stack rather than kept, so no stepper holds a second copy of its
-        bands beside the factors."""
-        w = self._w
+            *((block.op.lower, block.op.diag, block.op.upper) for block in blocks))))
+        self._blocks, pins, offset = [], {}, 0
+        for block in blocks:
+            self._blocks.append((slice(offset, offset + block.op.n), block.hooks))
+            pins.update((offset + row, value) for row, value in block.pins.items())
+            offset += block.op.n
+        self._pin_rows = np.fromiter(pins, dtype=np.intp, count=len(pins))
+        self._pin_values = np.fromiter(pins.values(), dtype=float, count=len(pins))
+        self._overrides = _acting(self._blocks, "override_previous")
+        self._rhs_hooks = _acting(self._blocks, "adjust_rhs")
+        self._substage_hooks = _acting(self._blocks, "post_substage")
+        self._step_hooks = _acting(self._blocks, "post_step")
+        # The matrix I - w L: pinned rows become identity rows, then each hook
+        # stamps its own block's rows.
         lower = -w * self.op.lower
         diag = 1.0 - w * self.op.diag
         upper = -w * self.op.upper
@@ -621,11 +527,17 @@ class TrBdf2Stepper:
         for rows, hooks in self._blocks:
             for hook in hooks:
                 hook.stamp_matrix(lower[rows], diag[rows], upper[rows])
-        return lower, diag, upper
+        for k, (rows, _) in enumerate(self._blocks[1:], 1):
+            for below, above in ((self.op.lower, self.op.upper), (lower, upper)):
+                if below[rows.start] != 0.0 or above[rows.start - 1] != 0.0:
+                    raise ValueError(
+                        f"fdm: cannot stack block {k}: it couples across its edge with "
+                        f"block {k - 1} (its lower[0] = {below[rows.start]:g}, block "
+                        f"{k - 1}'s upper[-1] = {above[rows.start - 1]:g})")
+        self._lu = _factor(lower, diag, upper, self.dt)
 
     def split(self, v: np.ndarray) -> list[np.ndarray]:
-        """Each block's rows of a stacked vector (each part's, for a parallel
-        march), in stacking order."""
+        """Each block's rows of a stacked vector, in stacking order."""
         return [v[rows] for rows, _ in self._blocks]
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -671,16 +583,55 @@ class TrBdf2Stepper:
             raise NonFiniteValueError(step_index, tau_new)
         return v_new
 
-    def run(self, terminal: np.ndarray) -> np.ndarray:
-        """Values at time to maturity ``N * dt`` from the ``terminal`` payoff,
-        which is not written."""
-        v = np.asarray(terminal, dtype=float)
-        if self._parts:
-            return _march_parts(self._parts, self.split(v), workers())
-        return self._march(v)
-
-    def _march(self, v: np.ndarray) -> np.ndarray:
-        # ``step`` never writes its input, so the caller's vector needs no copy
+    def march(self, v: np.ndarray) -> np.ndarray:
+        """Values after all N steps from ``v``, which is not written."""
         for j in range(self.n_steps):
             v = self.step(v, j + 1, j * self.dt)
         return v
+
+
+def march(groups) -> list[list[np.ndarray]]:
+    """March independent ``groups`` of (block, terminal payoff) pairs at the
+    same time, and return each group's values, block by block.
+
+    The blocks of a group share dt and N: the thread that takes a group
+    stacks them (one gttrf) and marches the ``Stack``.  Groups are handed
+    out costliest (nodes x N) first to ``workers()`` threads, the calling
+    thread among them; with one worker no thread starts.  No thread calls
+    ``run``.  A group that raises stops the hand-out of the rest; once every
+    running group is done, the exception of the first failed group in the
+    given order is raised.
+    """
+    groups = [tuple(group) for group in groups]
+    results: list = [None] * len(groups)
+    pending = deque(sorted(range(len(groups)), key=lambda k: -sum(
+        block.op.n * block.n_steps for block, _ in groups[k])))
+    errors: dict[int, Exception] = {}
+
+    def work():
+        while True:
+            try:
+                k = pending.popleft()
+            except IndexError:
+                return
+            try:
+                system = Stack(block for block, _ in groups[k])
+                results[k] = system.split(system.march(np.concatenate(
+                    [terminal for _, terminal in groups[k]], dtype=float)))
+            except Exception as exc:  # raised again on the calling thread
+                errors[k] = exc
+                pending.clear()
+
+    extra = [threading.Thread(target=work, name=f"fdm-march-{j}")
+             for j in range(min(workers(), len(groups)) - 1)]
+    for thread in extra:
+        thread.start()
+    try:
+        work()
+    finally:
+        pending.clear()        # an interrupt on this thread stops the hand-out
+        for thread in extra:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -19,6 +19,7 @@ from .spline import MonotoneCubic
 
 PIN_TOL = 1e-9           # index-space residual below which a target is "placed"
 ONGRID_RTOL = 1e-9       # node-coincidence tolerance relative to the range
+DEFORM_PASSES = 40       # deformation passes before giving up
 
 
 class PlacementError(ValueError):
@@ -120,14 +121,20 @@ def deform_smooth(grid: Grid, spec: PlacementSpec) -> Grid:
     leaves a curvature-sized residual, so passes repeat until the targets
     sit at their wanted indices to ~1e-9; converged targets turn into
     identity pins (and the whole call into a no-op), which makes the
-    operation idempotent to machine precision.
+    operation idempotent to machine precision.  A deformation that has not
+    converged after ``DEFORM_PASSES`` raises ``PlacementError`` naming each
+    target and its index residual |wanted - reached| after the last pass.
     """
     out = grid
-    for _ in range(40):
-        out, converged = _deform_pass(out, spec)
-        if converged:
+    for _ in range(DEFORM_PASSES):
+        out, residuals = _deform_pass(out, spec)
+        if all(r <= PIN_TOL for r in residuals):
             return _snap_on_grid_targets(out, spec)
-    raise PlacementError("deformation did not converge")
+    _, residuals = _deform_pass(out, spec)
+    raise PlacementError(
+        f"deformation did not converge in {DEFORM_PASSES} passes: " + ", ".join(
+            f"target {t.goal.value}:{t.value!r} index residual {r:.3g}"
+            for t, r in zip(spec.targets, residuals)))
 
 
 def _snap_on_grid_targets(grid: Grid, spec: PlacementSpec) -> Grid:
@@ -149,7 +156,10 @@ def _snap_on_grid_targets(grid: Grid, spec: PlacementSpec) -> Grid:
     return Grid(pts)
 
 
-def _deform_pass(grid: Grid, spec: PlacementSpec) -> tuple[Grid, bool]:
+def _deform_pass(grid: Grid, spec: PlacementSpec) -> tuple[Grid, list[float]]:
+    """One deformation pass, and each target's index residual |wanted -
+    reached| on the grid it was given; a grid whose residuals are all within
+    ``PIN_TOL`` comes back unchanged."""
     pts = grid.points
     n_steps = pts.size - 1
     rng = pts[-1] - pts[0]
@@ -157,7 +167,7 @@ def _deform_pass(grid: Grid, spec: PlacementSpec) -> tuple[Grid, bool]:
 
     knot_x: list[float] = []
     knot_h: list[float] = []
-    any_active = False
+    residuals: list[float] = []
     values = [float(t.value) for t in spec.targets]
     for b in values:
         if not pts[0] < b < pts[-1]:
@@ -178,13 +188,13 @@ def _deform_pass(grid: Grid, spec: PlacementSpec) -> tuple[Grid, bool]:
                 right = pts[j + 1] - pts[j] if j < n_steps else -np.inf
                 want = j + 0.5 if right >= left else j - 0.5
             want = float(np.clip(want, 0.5, n_steps - 0.5))
-        pinned = abs(want - x_t) <= PIN_TOL
+        residuals.append(abs(want - x_t))
+        pinned = residuals[-1] <= PIN_TOL
         if pinned:
             # Converged: pin the index map here so deformation pulled in by
             # the other targets cannot drag this one away.
             want = x_t
         else:
-            any_active = True
             while knot_h and want <= knot_h[-1] + 0.25:
                 want += 1.0
         if (knot_h and want <= knot_h[-1]) or (knot_x and x_t <= knot_x[-1]) \
@@ -193,9 +203,9 @@ def _deform_pass(grid: Grid, spec: PlacementSpec) -> tuple[Grid, bool]:
         knot_x.append(x_t)
         knot_h.append(want)
 
-    if not any_active:
+    if all(r <= PIN_TOL for r in residuals):
         # All targets converged: leave the grid bit-for-bit unchanged.
-        return grid, True
+        return grid, residuals
 
     zeta = MonotoneCubic(np.array([0.0] + knot_x + [float(n_steps)]),
                          np.array([0.0] + knot_h + [float(n_steps)]))
@@ -207,4 +217,4 @@ def _deform_pass(grid: Grid, spec: PlacementSpec) -> tuple[Grid, bool]:
     new_pts[-1] = pts[-1]
     if np.any(np.diff(new_pts) <= 0.0):
         raise PlacementError("deformation lost monotonicity")
-    return Grid(new_pts), False
+    return Grid(new_pts), residuals

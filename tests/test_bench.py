@@ -1,5 +1,6 @@
 import io
 import os
+from importlib import resources
 import threading
 import weakref
 
@@ -7,15 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stretchgrid import bench, gridgen
+from stretchgrid import bench, fdm, gridgen
 from stretchgrid.bench import (ConfigError, ConvergenceReport, ConvergenceRow,
                                bench_transforms, emit_csv, emit_table_csv,
                                load_bundled, parse_config_text,
                                parse_table_config, run_convergence)
-from stretchgrid.fdm import BarrierMode, BoundaryKind, NonFiniteValueError
+from stretchgrid.fdm import BarrierMode, BoundaryKind, Hook, NonFiniteValueError
 from stretchgrid.gridgen import StretchKind, StretchSpec
 from stretchgrid.instruments import ExerciseStyle, OptionType
-from stretchgrid.placement import PlacementGoal, PlacementMode
+from stretchgrid.placement import PlacementError, PlacementGoal, PlacementMode
 
 
 SMOKE = """
@@ -120,10 +121,45 @@ pde.barrier_mode = ghost_lagrange3
         with pytest.raises(ConfigError, match=r"column\.b\.sweep\.reference_mode"):
             parse_table_config(parse_config_text(text))
 
+    def test_degenerate_exact_away_from_zero_names_boundary_and_domain_keys(self):
+        kv = parse_config_text(load_bundled_text("smoke_zero_vol.cfg"))
+        kv.update({"domain.s_min": "10", "pde.boundary_lower": "degenerate_exact"})
+        with pytest.raises(ConfigError, match=r"pde\.boundary_lower = degenerate_exact"
+                                              r".*domain\.s_min puts it at 10"):
+            parse_table_config(kv)
+        kv.update({"domain.s_min": "0", "pde.boundary_upper": "degenerate_exact"})
+        with pytest.raises(ConfigError, match=r"pde\.boundary_upper.*domain\.s_max"):
+            parse_table_config(kv)
+        # barrier-fitted domains: the fit sets the edge
+        kv = parse_config_text(load_bundled_text("double_ko_continuous_ghost.cfg"))
+        kv["pde.boundary_lower"] = "degenerate_exact"
+        with pytest.raises(ConfigError, match=r"pde\.boundary_lower.*domain\.fit"):
+            parse_table_config(kv)
+        # the bundled tables that use it have s_min = 0
+        users = [name for name in BUNDLED
+                 if "degenerate_exact" in load_bundled_text(name)]
+        assert len(users) == 4
+        for name in users:
+            load_bundled(name)
+
+    def test_load_config_reads_a_file_path(self, tmp_path):
+        path = tmp_path / "table.cfg"
+        path.write_text(load_bundled_text("double_ko_discrete_stretch.cfg"))
+        assert bench.load_config(path) == load_bundled(4)
+        assert bench.load_config(str(path)) == load_bundled(4)
+
     def test_unknown_reference_mode_is_rejected(self):
         text = SMOKE + "columns = a, b\nsweep.reference_mode = sharde\n"
         with pytest.raises(ConfigError, match=r"sweep\.reference_mode"):
             parse_table_config(parse_config_text(text))
+
+
+BUNDLED = sorted(p.name for p in resources.files("stretchgrid").joinpath("configs").iterdir()
+                 if p.name.endswith(".cfg"))
+
+
+def load_bundled_text(name: str) -> str:
+    return resources.files("stretchgrid").joinpath("configs").joinpath(name).read_text()
 
 
 FUZZ_KEYS = tuple(parse_config_text(SMOKE)) + (
@@ -157,6 +193,21 @@ def test_malformed_config_raises_only_config_error(edits, dropped):
         parse_table_config(parse_config_text(text))
     except ConfigError:
         pass
+
+
+class ZeroRow(Hook):
+    """Zeroes row 3 of its block's matrix, which makes it singular."""
+
+    def stamp_matrix(self, lower, diag, upper):
+        lower[3] = diag[3] = upper[3] = 0.0
+
+
+TWO_COLUMNS = SMOKE.replace("market.sigma = 0", "market.sigma = 0.2") + """
+columns = plain, stretched
+column.stretched.stretch.kind = cubic
+column.stretched.stretch.points = 75
+column.stretched.stretch.alpha = 2.5
+"""
 
 
 class TestRunConvergence:
@@ -229,6 +280,53 @@ column.stretched.stretch.alpha = 2.5
                 if not row.failed:
                     assert row.prices == bench.price_run(cfg, row.steps)
 
+    def test_singular_block_fails_only_its_row(self, monkeypatch):
+        # A zeroed row makes one block of the rows' stack singular: the
+        # stack's factor fails, the stack marches again block by block, and
+        # only that row is marked failed.
+        table = parse_table_config(parse_config_text(TWO_COLUMNS))
+        real_hooks = bench.constraint_hooks
+        armed = []
+
+        def zero_row_at_32(contract, grid, pde):
+            hooks = real_hooks(contract, grid, pde)
+            if grid.points.size == 33 and not armed:
+                armed.append(1)
+                hooks = [*hooks, ZeroRow()]
+            return hooks
+
+        monkeypatch.setattr(bench, "constraint_hooks", zero_row_at_32)
+        results = table.run()
+        monkeypatch.setattr(bench, "constraint_hooks", real_hooks)
+        failed = [(name, row.steps) for name, report in results
+                  for row in report.rows if row.failed]
+        assert failed == [("plain", 32)]
+        assert dict(results)["plain"].rows[1].failed.startswith(
+            "plain, I = 32: fdm: TR-BDF2 matrix is singular")
+        for name, cfg in table.columns:
+            report = dict(results)[name]
+            assert report.reference == bench.price_run(cfg, cfg.reference_steps)
+            for row in report.rows:
+                if not row.failed:
+                    assert row.prices == bench.price_run(cfg, row.steps)
+
+    def test_failed_reference_names_its_column_and_chains_the_error(self):
+        text = load_bundled_text("smoke_zero_vol.cfg") + (
+            "placement.mode = deform\n"
+            "placement.targets = midcell:75.0000001, midcell:75.0000002\n")
+        table = parse_table_config(parse_config_text(text))
+        with pytest.raises(bench.PricingError) as err:
+            table.run()
+        message = str(err.value)
+        assert message.startswith("run, I = 64: deformation did not converge in 40 passes")
+        assert isinstance(err.value.__cause__, PlacementError)
+        assert message == "run, I = 64: " + str(err.value.__cause__)
+        # a column's reference that fails in its march names the column too
+        text = TWO_COLUMNS + "column.stretched.market.rate = nan\n"
+        with pytest.raises(bench.PricingError, match=r"^stretched, I = 64: fdm: non-finite") as err:
+            parse_table_config(parse_config_text(text)).run()
+        assert isinstance(err.value.__cause__, NonFiniteValueError)
+
     def test_spot_outside_grid_fails_before_marching(self, monkeypatch):
         def no_march(*args, **kwargs):
             raise AssertionError("a bad report spot must fail before the stepper is built")
@@ -293,14 +391,6 @@ def set_workers(monkeypatch, width: int):
                         raising=False)
 
 
-def part_blocks(stepper, terminal) -> list[int]:
-    """Blocks in each part of a march (one part unless it is parallel)."""
-    if not stepper._parts:
-        return [len(stepper.split(terminal))]
-    return [len(part.split(values))
-            for part, values in zip(stepper._parts, stepper.split(terminal))]
-
-
 class TestLockstepMarch:
     """The calls the benchmark's row timer, grid-only stub and traced stepper
     rely on: one ``price_run`` per row, and every march through one ``run``
@@ -312,7 +402,7 @@ class TestLockstepMarch:
 
         class CountingStepper(bench.TrBdf2Stepper):
             def run(self, terminal):
-                runs.append(part_blocks(self, terminal))
+                runs.append([len(group) for group in terminal])  # blocks per part
                 return super().run(terminal)
 
         inner = price_run or bench.price_run
@@ -342,6 +432,22 @@ class TestLockstepMarch:
             assert runs == want, width
             assert not any(row.failed for _, report in results for row in report.rows)
 
+    def test_each_marched_part_is_factored_once(self, monkeypatch):
+        # Building factors nothing; each reference and each (dt, N) stack of
+        # rows is factored once where it marches.
+        calls = []
+        dgttrf = fdm.dgttrf
+        monkeypatch.setattr(fdm, "dgttrf", lambda *a, **k: calls.append(1) or dgttrf(*a, **k))
+        for number, parts in ((3, 5), (4, 2), (5, 5), (6, 5)):
+            calls.clear()
+            results = load_bundled(number).run()
+            assert not any(row.failed for _, report in results for row in report.rows)
+            assert len(calls) == parts, number
+        calls.clear()
+        cfg = load_bundled(4).columns[0][1]
+        bench.price_run(cfg, cfg.space_steps[0], bench._TableCache())
+        assert calls == []
+
     def test_grid_only_stub_marches_nothing(self, monkeypatch):
         def grid_only(config, steps, cache=None):
             bench.build_run_grid(config, steps, cache)
@@ -351,14 +457,6 @@ class TestLockstepMarch:
         load_bundled(4).run()
         assert len(calls) == 33
         assert runs == []
-
-
-TWO_COLUMNS = SMOKE.replace("market.sigma = 0", "market.sigma = 0.2") + """
-columns = plain, stretched
-column.stretched.stretch.kind = cubic
-column.stretched.stretch.points = 75
-column.stretched.stretch.alpha = 2.5
-"""
 
 
 class TestParallelMarch:
@@ -389,7 +487,7 @@ class TestParallelMarch:
         monkeypatch.setattr(bench, "payoff", real_payoff)
         failed = [(name, row.steps, row.failed) for name, report in results
                   for row in report.rows if row.failed]
-        assert failed == [("plain", 32, str(solo.value))]
+        assert failed == [("plain", 32, "plain, I = 32: " + str(solo.value))]
         for name, cfg in table.columns:
             report = dict(results)[name]
             assert report.reference == bench.price_run(cfg, cfg.reference_steps)
@@ -433,9 +531,8 @@ class TestParallelMarch:
                     most_alive.append(len(alive))
 
             def run(self, terminal):
-                parts = self._parts or (self,)
-                runs.append([len(part.split(values)) for part, values in
-                             zip(parts, self.split(terminal)) if part.op.n == 65])
+                runs.append([1 for group in terminal for block, _ in group
+                             if block.op.n == 65])
                 return super().run(terminal)
 
         monkeypatch.setattr(bench, "TrBdf2Stepper", Tracking)

@@ -19,7 +19,7 @@ from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, AmericanProjection,
                              DirichletRegion, DiscreteKnockout,
                              GhostBarrier, GhostSide, Hook,
                              MarketParams, NonFiniteValueError, PdeConfig,
-                             SingularSystemError, TrBdf2Stepper,
+                             SingularSystemError, Stack, TrBdf2Stepper,
                              attach_boundary_rows, discretize_operator,
                              first_derivative_weights,
                              second_derivative_weights)
@@ -132,6 +132,16 @@ class TestStencils:
             discretize_operator(bad, MarketParams())
 
 
+class ZeroRow(Hook):
+    """Zeroes row 3 of its block's matrix, which makes it singular."""
+
+    def stamp_matrix(self, lower, diag, upper):
+        lower[3] = diag[3] = upper[3] = 0.0
+
+    def adjust_rhs(self, rhs, tau):
+        raise AssertionError("no step may run on a singular matrix")
+
+
 class TestTrBdf2:
     def march(self, v, horizon, mkt, cfg=PdeConfig(1)):
         grid = Grid(np.linspace(50.0, 150.0, v.size))
@@ -195,18 +205,14 @@ class TestTrBdf2:
         expect = dense_trbdf2_step(v0, 0.5, op, rows, ghost_override({31: ghost_row}, 0.3))
         assert np.max(np.abs(via_stepper - expect)) < 1e-12 * np.max(np.abs(expect))
 
-    def test_singular_matrix_raises_at_construction(self):
-        class ZeroRow(Hook):
-            def stamp_matrix(self, lower, diag, upper):
-                lower[3] = diag[3] = upper[3] = 0.0
-
-            def adjust_rhs(self, rhs, tau):
-                raise AssertionError("no step may run on a singular matrix")
-
+    def test_singular_matrix_raises_from_run(self):
+        # Building a block factors nothing; the zero pivot rises where the
+        # block is stacked and factored, before any step.
         grid = Grid(np.linspace(50.0, 150.0, 6))
+        stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
+                                (ZeroRow(),))
         with pytest.raises(SingularSystemError) as err:
-            TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
-                          (ZeroRow(),))
+            stepper.run(np.ones(6))
         # gttrf reports the zero U pivot after pivoting, not the zeroed row
         assert err.value.row == 5
         assert "n = 6" in str(err.value) and "dt = 0.25" in str(err.value)
@@ -222,6 +228,7 @@ class TestTrBdf2:
         monkeypatch.setattr(fdm, "dgttrf", counting)
         grid = Grid(np.linspace(50.0, 150.0, 21))
         stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.01, 0.2), PdeConfig(7), 1.0)
+        assert calls == []                       # a block is built unfactored
         stepper.run(np.maximum(grid.points - 100.0, 0.0))
         assert len(calls) == 1
 
@@ -279,10 +286,10 @@ class TestTrBdf2:
                                 100.0, 1.0, barrier_upper=125.0,
                                 observations_per_year=250)
         hooks = tuple(constraint_hooks(contract, grid, cfg))
-        stepper = TrBdf2Stepper(grid, mkt, cfg, 1.0, hooks)
+        system = Stack([TrBdf2Stepper(grid, mkt, cfg, 1.0, hooks)])
         v = payoff(contract, grid)
         for j in range(cfg.time_steps):
-            v = stepper.step(v, j + 1, j * stepper.dt)
+            v = system.step(v, j + 1, j * system.dt)
             assert v.min() >= -1e-10
 
 
@@ -407,10 +414,11 @@ class TestGhostRows:
         # node 25, so the entry at (27, 25) cannot be eliminated
         s = np.linspace(80.0, 170.0, 31)
         hooks = (GhostBarrier(s, 160.5, BarrierMode.GHOST_LAGRANGE3),)
+        stepper = TrBdf2Stepper(Grid(s), MarketParams(0.05, 0.05, 0.0),
+                                PdeConfig(4, barrier_mode=BarrierMode.GHOST_LAGRANGE3),
+                                1.0, hooks)
         with pytest.raises(SingularSystemError) as err:
-            TrBdf2Stepper(Grid(s), MarketParams(0.05, 0.05, 0.0),
-                          PdeConfig(4, barrier_mode=BarrierMode.GHOST_LAGRANGE3),
-                          1.0, hooks)
+            stepper.run(np.ones(31))
         assert err.value.row == 26
         message = str(err.value)
         assert message.startswith("fdm:")
@@ -493,7 +501,7 @@ class TestGhostRows:
         for hook in hooks:
             hook.override_previous(overridden, 0.0)
         assert not np.array_equal(overridden, before)  # the hooks do override
-        stepper.step(v, 1, 0.0)
+        Stack([stepper]).step(v, 1, 0.0)
         assert np.array_equal(v, before)
 
 
@@ -598,24 +606,22 @@ def test_stacked_march_equals_solo_marches(blocks, horizon):
                 for grid, mkt, cfg, hooks, _ in blocks]
     solo = [stepper.run(terminal) for stepper, (*_, terminal) in zip(steppers, blocks)]
     assume(all(np.isfinite(v).all() for v in solo))
-    stacked = TrBdf2Stepper.stack(steppers)
-    out = stacked.split(stacked.run(np.concatenate([b[-1] for b in blocks])))
+    stacked = Stack(steppers)
+    out = stacked.split(stacked.march(np.concatenate([b[-1] for b in blocks])))
     assert len(out) == len(blocks)
     for mine, expect in zip(out, solo):
         assert np.array_equal(mine, expect)
 
 
 @st.composite
-def march_parts(draw):
-    """A part of a parallel march: one block, or a stack of blocks, with its
-    own N and horizon; and its terminal values."""
+def march_groups(draw):
+    """A group of a march: one or more blocks with the group's own N and
+    horizon, each paired with its terminal values."""
     n_steps = draw(st.sampled_from([2, 3, N_STACK]))
     horizon = draw(st.floats(0.05, 1.0))
     blocks = draw(st.lists(stack_blocks(n_steps), min_size=1, max_size=3))
-    steppers = [TrBdf2Stepper(grid, mkt, cfg, horizon, hooks)
-                for grid, mkt, cfg, hooks, _ in blocks]
-    part = steppers[0] if len(steppers) == 1 else TrBdf2Stepper.stack(steppers)
-    return part, np.concatenate([b[-1] for b in blocks])
+    return [(TrBdf2Stepper(grid, mkt, cfg, horizon, hooks), terminal)
+            for grid, mkt, cfg, hooks, terminal in blocks]
 
 
 def set_workers(monkeypatch, width: int):
@@ -624,38 +630,45 @@ def set_workers(monkeypatch, width: int):
 
 
 @settings(max_examples=100, deadline=None)
-@given(parts=st.lists(march_parts(), min_size=1, max_size=5),
+@given(groups=st.lists(march_groups(), min_size=1, max_size=5),
        width=st.sampled_from([1, 2, 3]))
-def test_parallel_march_equals_each_parts_own_run(parts, width):
-    solo = [part.run(terminal) for part, terminal in parts]
-    assume(all(np.isfinite(v).all() for v in solo))
-    marcher = TrBdf2Stepper.parallel([part for part, _ in parts])
+def test_parallel_march_equals_each_parts_own_run(groups, width):
+    solo = [[block.run(terminal) for block, terminal in group] for group in groups]
+    assume(all(np.isfinite(v).all() for values in solo for v in values))
     with pytest.MonkeyPatch.context() as mp:
         set_workers(mp, width)
-        out = marcher.run(np.concatenate([terminal for _, terminal in parts]))
-    assert out.size == sum(terminal.size for _, terminal in parts)
-    got = marcher.split(out)
-    assert len(got) == len(parts)
-    for mine, expect in zip(got, solo):
-        assert np.array_equal(mine, expect)
+        out = fdm.march(groups)
+    assert [len(values) for values in out] == [len(group) for group in groups]
+    for mine, expect in zip(out, solo):
+        for got, want in zip(mine, expect):
+            assert np.array_equal(got, want)
 
 
 class TestParallel:
-    def parts(self, *shapes):
-        """One stepper per (nodes, N) shape."""
+    def groups(self, *shapes):
+        """One single-block group per (nodes, N) shape, with terminal values."""
         mkt = MarketParams(0.05, 0.0, 0.2)
-        return [TrBdf2Stepper(Grid(np.linspace(50.0, 150.0, n)), mkt, PdeConfig(steps), 1.0)
-                for n, steps in shapes]
+        return [[(TrBdf2Stepper(Grid(np.linspace(50.0, 150.0, n)), mkt, PdeConfig(steps), 1.0),
+                  np.linspace(0.0, 1.0, n) + k)]
+                for k, (n, steps) in enumerate(shapes)]
+
+    def record_marches(self, monkeypatch) -> list:
+        """Record the (nodes, N) of every stack as it marches."""
+        marched = []
+        march = Stack.march
+
+        def recording(system, v):
+            marched.append((system.op.n, system.n_steps))
+            return march(system, v)
+
+        monkeypatch.setattr(Stack, "march", recording)
+        return marched
 
     def test_costliest_part_marches_first(self, monkeypatch):
         set_workers(monkeypatch, 1)
-        order = []
-        parts = self.parts((11, 4), (21, 4), (11, 9), (31, 2))
-        for k, part in enumerate(parts):
-            march = part._march
-            part._march = lambda v, k=k, march=march: order.append(k) or march(v)
-        TrBdf2Stepper.parallel(parts).run(np.ones(74))
-        assert order == [2, 1, 3, 0]             # nodes x N: 99, 84, 62, 44
+        marched = self.record_marches(monkeypatch)
+        fdm.march(self.groups((11, 4), (21, 4), (11, 9), (31, 2)))
+        assert marched == [(11, 9), (21, 4), (31, 2), (11, 4)]  # nodes x N: 99, 84, 62, 44
 
     @pytest.mark.parametrize("width, threads", [(1, 0), (2, 1), (3, 2), (8, 2)])
     def test_threads_started_count_the_calling_one(self, monkeypatch, width, threads):
@@ -664,57 +677,55 @@ class TestParallel:
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
-        TrBdf2Stepper.parallel(self.parts((11, 4), (11, 4), (11, 4))).run(np.ones(33))
+        fdm.march(self.groups((11, 4), (11, 4), (11, 4)))
         assert len(started) == threads
 
     def test_threads_run_only_the_step_loop(self, monkeypatch):
         # A traced ``run`` records spans on the calling thread alone.
         set_workers(monkeypatch, 2)
+        calls = []
 
-        class NoRun(TrBdf2Stepper):
+        class Counted(TrBdf2Stepper):
             def run(self, terminal):
-                if self._parts:
-                    return super().run(terminal)
-                raise AssertionError("a part's run was called")
+                calls.append(threading.current_thread() is threading.main_thread())
+                return super().run(terminal)
 
         grid = Grid(np.linspace(50.0, 150.0, 11))
-        parts = [NoRun(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0)
-                 for _ in range(3)]
-        assert NoRun.parallel(parts).run(np.ones(33)).shape == (33,)
+        groups = [[(Counted(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0),
+                    np.ones(11))] for _ in range(3)]
+        out = groups[0][0][0].run(groups)
+        assert calls == [True]
+        assert [[v.shape for v in values] for values in out] == [[(11,)]] * 3
 
     def test_many_threads_hand_out_every_part_once(self, monkeypatch):
         # More threads than cores, switching as often as the interpreter
-        # allows: a part handed out twice, or never, breaks the counts or
+        # allows: a group handed out twice, or never, breaks the counts or
         # the values.
         set_workers(monkeypatch, 8)
         shapes = [(11 + k % 5, 2 + k % 3) for k in range(40)]
-        parts = self.parts(*shapes)
-        terminals = [np.linspace(0.0, 1.0, n) + k for k, (n, _) in enumerate(shapes)]
-        solo = [part.run(terminal) for part, terminal in zip(parts, terminals)]
-        marched = []
-        for part in parts:
-            march = part._march
-            part._march = lambda v, part=part, march=march: marched.append(part) or march(v)
+        groups = self.groups(*shapes)
+        solo = [block.run(terminal) for (block, terminal), in groups]
+        marched = self.record_marches(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = TrBdf2Stepper.parallel(parts).run(np.concatenate(terminals))
+            out = fdm.march(groups)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(map(id, marched)) == sorted(map(id, parts))
-        for got, want in zip(TrBdf2Stepper.parallel(parts).split(out), solo):
+        assert sorted(marched) == sorted(shapes)
+        for (got,), want in zip(out, solo):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_failed_part_raises_its_own_error(self, monkeypatch, width):
         set_workers(monkeypatch, width)
-        good, bad = self.parts((11, 4), (21, 8))
-        poisoned = np.ones(21)
+        good, bad = self.groups((11, 4), (21, 8))
+        block, poisoned = bad[0]
         poisoned[7] = np.nan
         with pytest.raises(NonFiniteValueError) as solo:
-            bad.run(poisoned)
+            block.run(poisoned)
         with pytest.raises(NonFiniteValueError) as both:
-            TrBdf2Stepper.parallel([good, bad]).run(np.concatenate([np.ones(11), poisoned]))
+            fdm.march([good, bad])
         assert str(both.value) == str(solo.value)
 
     def test_workers_fall_back_to_the_cpu_count(self, monkeypatch):
@@ -726,16 +737,6 @@ class TestParallel:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert fdm.workers() == 1
 
-    def test_rejects_no_parts_and_nested_marches(self):
-        a, b = self.parts((11, 4), (11, 4))
-        with pytest.raises(ValueError, match="nothing to march"):
-            TrBdf2Stepper.parallel([])
-        nested = TrBdf2Stepper.parallel([a])
-        with pytest.raises(ValueError, match="part 1 is itself a parallel march"):
-            TrBdf2Stepper.parallel([b, nested])
-        with pytest.raises(ValueError, match="block 1: it is a parallel march"):
-            TrBdf2Stepper.stack([b, nested])
-
 
 class TestStack:
     def steppers(self, *time_steps, hooks=()):
@@ -743,9 +744,13 @@ class TestStack:
         return [TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(n), 1.0, hooks)
                 for n in time_steps]
 
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValueError, match="nothing to stack"):
+            Stack([])
+
     def test_rejects_blocks_with_another_time_grid(self):
         with pytest.raises(ValueError, match="block 1: dt = 0.125, N = 8"):
-            TrBdf2Stepper.stack(self.steppers(4, 8))
+            Stack(self.steppers(4, 8))
 
     def test_rejects_blocks_coupled_across_their_edge(self):
         class CoupleBelow(Hook):
@@ -755,8 +760,9 @@ class TestStack:
         a, = self.steppers(4)
         b, = self.steppers(4, hooks=(CoupleBelow(),))
         b.run(np.ones(11))  # alone, the coupling is outside the matrix
+        Stack([b, a])       # first, its lower[0] is outside the matrix too
         with pytest.raises(ValueError, match="block 1: .*lower\\[0\\] = 0.5"):
-            TrBdf2Stepper.stack([a, b])
+            Stack([a, b])
 
     def test_region_overlapping_a_dirichlet_boundary_row_wins(self, monkeypatch):
         # Rows 8-10 are a knocked-out region at 0.25; row 10 is also the
@@ -791,10 +797,10 @@ class TestStack:
         solo = TrBdf2Stepper(grid, mkt, cfg, 1.0, (Probe(), DirichletRegion(8, 11, 0.25)))
         plain, = self.steppers(3)
         alone = solo.run(terminal)
-        out = TrBdf2Stepper.stack([plain, solo]).run(np.concatenate([terminal, terminal]))
-        assert np.array_equal(out[11:], alone)
-        assert [d.size for _, d, _ in factored] == [11, 11, 22]  # solo, plain, stack
-        for (dl, d, du), offset in ((factored[0], 0), (factored[2], 11)):
+        (_, out), = fdm.march([[(plain, terminal), (solo, terminal)]])
+        assert np.array_equal(out, alone)
+        assert [d.size for _, d, _ in factored] == [11, 22]  # solo, then the stack
+        for (dl, d, du), offset in ((factored[0], 0), (factored[1], 11)):
             for row in offset + np.array([0, 8, 9, 10]):  # identity rows
                 assert d[row] == 1.0
                 assert row == 0 or dl[row - 1] == 0.0
@@ -809,7 +815,15 @@ class TestStack:
         terminal = np.ones(22)
         terminal[15] = np.nan
         with pytest.raises(NonFiniteValueError, match="step 1"):
-            TrBdf2Stepper.stack(steppers).run(terminal)
+            Stack(steppers).march(terminal)
+
+    def test_singular_block_fails_its_stack(self):
+        a, b = self.steppers(4, 4)
+        c, = self.steppers(4, hooks=(ZeroRow(),))
+        with pytest.raises(SingularSystemError) as err:
+            Stack([a, c, b])
+        # the zero pivot lies in the singular block: rows 11-21 of the stack
+        assert 11 <= err.value.row < 22 and "n = 33" in str(err.value)
 
 
 class TestLapackLoader:

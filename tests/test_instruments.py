@@ -4,7 +4,7 @@ import pytest
 from stretchgrid.fdm import (AmericanProjection, BarrierMode, BoundaryCondition,
                              BoundaryKind, DirichletRegion, DiscreteKnockout,
                              GhostBarrier, GhostSide, MarketParams, PdeConfig,
-                             TrBdf2Stepper)
+                             Stack, TrBdf2Stepper)
 from stretchgrid.gridgen import Grid, StretchKind, StretchSpec, build_map, sample_grid
 from stretchgrid.instruments import (ContractError, ContractSpec, ExerciseStyle,
                                      OptionType, constraint_hooks,
@@ -127,10 +127,10 @@ class TestValueOrderings:
         cfg = PdeConfig(70, BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 0.0),
                         BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 0.0))
         hooks = tuple(constraint_hooks(spec, grid, cfg))
-        stepper = TrBdf2Stepper(grid, MarketParams(0.10, 0.0, 0.25), cfg, 1.0, hooks)
+        system = Stack([TrBdf2Stepper(grid, MarketParams(0.10, 0.0, 0.25), cfg, 1.0, hooks)])
         v = payoff(spec, grid)
         for j in range(cfg.time_steps):
-            v = stepper.step(v, j + 1, j * stepper.dt)
+            v = system.step(v, j + 1, j * system.dt)
             assert v[0] == 0.0 and v[-1] == 0.0
 
 

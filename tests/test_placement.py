@@ -166,6 +166,21 @@ class TestDeform:
                 assert midcell_offset(out, float(v)) < 0.25
             assert np.array_equal(out.points, deform_smooth(out, spec).points)
 
+    def test_unconverged_deformation_names_targets_residuals_and_passes(self):
+        # Two targets 1e-7 apart inside one cell cannot both be mid-cell.
+        g = uniform_grid(0.0, 150.0, 64)
+        spec = PlacementSpec(PlacementMode.DEFORM,
+                             (Target(75.0000001), Target(75.0000002)))
+        with pytest.raises(PlacementError) as err:
+            deform_smooth(g, spec)
+        message = str(err.value)
+        assert "in 40 passes" in message
+        assert "target midcell:75.0000001 index residual " in message
+        assert "target midcell:75.0000002 index residual " in message
+        residuals = [float(part.split("index residual ")[1])
+                     for part in message.split(": ", 1)[1].split(", ")]
+        assert len(residuals) == 2 and all(r > 1e-9 for r in residuals)
+
 
 class TestSpecValidation:
     def test_targets_must_be_sorted(self):
