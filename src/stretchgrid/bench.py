@@ -170,32 +170,27 @@ class _Pricing:
     prices: _Prices
 
 
-def _march(parts: list[list[_Pricing]]):
-    """March independent parts at the same time and fill their prices.
+def _march(pricings: list[_Pricing]):
+    """March the pricings at the same time and fill their prices.
 
-    Each part is a list of pricings that share dt and N and march in lockstep
-    as one stacked system, factored once.  The batch marches through one
-    ``run`` of its first block.  If it raises (a NaN in one block reaches its
+    They march through one ``run`` of the first pricing's block, which calls
+    ``fdm.march``.  If it raises (a NaN in one block reaches its stack
     neighbours through 0 * NaN; a singular block fails its stack's factor),
-    each part marches again alone, and a failed stack block by block, so
-    only the failing pricing records the error.
+    each pricing marches again alone, so only the failing pricing records
+    the error.
     """
     try:
-        values = parts[0][0].stepper.run(
-            [[(pricing.stepper, pricing.terminal) for pricing in group] for group in parts])
-        for group, blocks in zip(parts, values):
-            for pricing, block in zip(group, blocks):
-                interp = MonotoneCubic(pricing.stepper.grid.points, block)
-                pricing.prices.update((s, float(interp(s))) for s in pricing.spots)
+        values = pricings[0].stepper.run(
+            [(pricing.stepper, pricing.terminal) for pricing in pricings])
+        for pricing, block in zip(pricings, values):
+            interp = MonotoneCubic(pricing.stepper.grid.points, block)
+            pricing.prices.update((s, float(interp(s))) for s in pricing.spots)
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
-        if len(parts) > 1:
-            for group in parts:
-                _march([group])
-        elif len(parts[0]) > 1:
-            for pricing in parts[0]:
-                _march([[pricing]])
+        if len(pricings) > 1:
+            for pricing in pricings:
+                _march([pricing])
         else:
-            parts[0][0].prices.error = exc
+            pricings[0].prices.error = exc
 
 
 class _TableCache:
@@ -233,21 +228,12 @@ class _TableCache:
         (self._references if reference else self._rows).append(pricing)
 
     def march(self):
-        """March every queued pricing and drop them from the queue.
-
-        Each reference is a part of its own and the rows of each (dt, N)
-        one stacked part; the parts march ``workers()`` at a time through
-        one ``fdm.march`` (see ``_march``), references first.
-        """
-        groups: dict[tuple[float, int], list[_Pricing]] = {}
-        for pricing in self._rows:
-            groups.setdefault((pricing.stepper.dt, pricing.stepper.n_steps), []).append(pricing)
-        parts = [[pricing] for pricing in self._references] + list(groups.values())
+        """March every queued pricing, references first, through one
+        ``fdm.march`` (see ``_march``), and drop them from the queue."""
+        pricings = self._references + self._rows
         self._references, self._rows = [], []
-        width = workers()
-        while parts:
-            batch, parts = parts[:width], parts[width:]
-            _march(batch)
+        if pricings:
+            _march(pricings)
 
 
 def build_run_grid(config: RunConfig, steps: int, cache: _TableCache | None = None) -> Grid:
@@ -286,7 +272,7 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
     if cache is not None:
         cache.queue(pricing, reference=steps == config.reference_steps)
     else:
-        _march([[pricing]])
+        _march([pricing])
         if pricing.prices.error is not None:
             raise pricing.prices.error
     return pricing.prices
@@ -312,7 +298,7 @@ def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
     """One report per (config, reference prices or None) job.
 
     Each missing reference is queued, then every sweep row of every job; the
-    references march beside each other and beside the rows' stacks.  A row
+    queued pricings march together, dealt to ``workers()`` threads.  A row
     that fails to build or to march is marked failed instead of aborting; a
     failed reference raises ``PricingError``.  Either names its column and I.
     """
@@ -370,8 +356,8 @@ def run_convergence(config: RunConfig,
     The reference is priced with the same stretch/placement recipe at
     ``reference_steps`` unless explicit reference prices are passed in (used
     by table runs whose published reference is shared across columns).  The
-    reference and the sweep rows are queued; the rows that share (dt, N)
-    march as one stacked system, beside the reference.  Failed resolutions
+    reference and the sweep rows are queued and march together; blocks that
+    share (dt, N) on one thread march as one stacked system.  Failed resolutions
     are marked in the report instead of aborting the sweep.  Maps come from
     ``cache`` (a fresh one when not given).
     """
@@ -516,6 +502,17 @@ def _floats(s: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in s.split(",") if tok.strip())
 
 
+def _finite(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _finite_floats(s: str) -> tuple[float, ...]:
+    return tuple(_finite(tok) for tok in s.split(",") if tok.strip())
+
+
 def _domain_fit(s: str) -> str:
     fits = sorted(v for k, v in vars(DomainFit).items() if k.isupper())
     if s not in fits:
@@ -592,20 +589,20 @@ def _build_run(kv: dict[str, str], label: str,
 
     style = get("contract.style", ExerciseStyle)
     put_call = get("contract.put_call", OptionType)
-    strike = get("contract.strike", float)
-    maturity = get("contract.maturity", float)
-    barrier_lower = get("contract.barrier_lower", float, None)
-    barrier_upper = get("contract.barrier_upper", float, None)
-    rebate = get("contract.rebate", float, 0.0)
+    strike = get("contract.strike", _finite)
+    maturity = get("contract.maturity", _finite)
+    barrier_lower = get("contract.barrier_lower", _finite, None)
+    barrier_upper = get("contract.barrier_upper", _finite, None)
+    rebate = get("contract.rebate", _finite, 0.0)
     observations = get("contract.observations_per_year", int, None)
-    dates = get("contract.observation_dates", _floats, None)
+    dates = get("contract.observation_dates", _finite_floats, None)
     contract = build("contract.", lambda: ContractSpec(
         style=style, put_call=put_call, strike=strike, maturity=maturity,
         barrier_lower=barrier_lower, barrier_upper=barrier_upper, rebate=rebate,
         observations_per_year=observations, observation_dates=dates))
-    rate = get("market.rate", float, 0.0)
-    dividend = get("market.dividend", float, 0.0)
-    sigma = get("market.sigma", float, 0.0)
+    rate = get("market.rate", _finite, 0.0)
+    dividend = get("market.dividend", _finite, 0.0)
+    sigma = get("market.sigma", _finite, 0.0)
     market = build("market.", lambda: MarketParams(rate=rate, dividend=dividend,
                                                    sigma=sigma))
     fit = get("domain.fit", _domain_fit, DomainFit.EXPLICIT)
@@ -678,9 +675,9 @@ class TableConfig:
     def run(self) -> list[tuple[str, ConvergenceReport]]:
         """Price every column's sweep with one ``_TableCache``: each reference
         (the shared one, or one per column) and every sweep row of every
-        column is queued; each reference marches as a part of its own and the
-        rows that share (dt, N) as one stacked system, ``workers()`` parts at
-        a time (see ``_TableCache.march``)."""
+        column is queued, and they march together through one ``fdm.march``,
+        which deals their blocks to ``workers()`` threads (see
+        ``_TableCache.march``)."""
         cache = _TableCache()
         shared: dict[float, float] | None = None
         if self.reference_mode == "shared":

@@ -20,13 +20,15 @@ scipy's compiled ``scipy/linalg/_flapack`` module: importing ``scipy.linalg``
 runs its whole package ``__init__``, which cost more of ``import
 stretchgrid`` (≈0.25 s and ≈20 MB) than the package itself.
 
-``march`` marches independent groups of blocks at the same time on
-``workers()`` threads, the calling thread among them.  The f2py ``dgttrs``
-releases the GIL for the whole solve, and numpy releases it inside the array
-loops on long vectors, so the serial LU recurrences of two large systems run
-on two cores; the Python of the step loop and of the hooks holds it, which is
-why small groups gain little.  Every block's values are bit for bit those of
-its own march, on any number of threads.  A zero pivot
+``march`` marches independent blocks at the same time on ``workers()``
+threads, the calling thread among them.  It deals the blocks out costliest
+(nodes x N) first, each to the thread with the least work so far, and each
+thread stacks its own blocks per (dt, N) and marches those stacks.  The f2py
+``dgttrs`` releases the GIL for the whole solve, and numpy releases it inside
+the array loops on long vectors, so the serial LU recurrences of two large
+systems run on two cores; the Python of the step loop and of the hooks holds
+it, which is why small stacks gain little.  Every block's values are bit for
+bit those of its own march, on any number of threads.  A zero pivot
 (``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
 both rise from the march.
 """
@@ -36,11 +38,12 @@ from __future__ import annotations
 import enum
 import importlib.machinery
 import importlib.util
+import logging
 import math
 import os
 import sys
 import threading
-from collections import deque
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,6 +95,8 @@ if _SCIPY is None:
                               name="scipy")
 dgttrf, dgttrs = _load_gttr(Path(_SCIPY.origin).parent / "linalg")
 
+log = logging.getLogger(__name__)
+
 GAMMA = 2.0 - math.sqrt(2.0)
 OMEGA = GAMMA / 2.0                      # shared implicit coefficient
 BDF2_NEW = 1.0 / (GAMMA * (2.0 - GAMMA))             # weight of the stage value
@@ -121,6 +126,9 @@ class MarketParams:
     sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("rate", "dividend", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
 
@@ -440,7 +448,8 @@ class TrBdf2Stepper:
     operator with boundary rows, dt, N, hooks and pinned rows.
 
     ``Stack`` stamps and factors blocks that share dt and N, ``march``
-    marches groups of them, and ``run`` marches this block alone.
+    deals blocks to threads that stack and march them, and ``run`` marches
+    this block alone.
     """
 
     def __init__(self, grid: Grid, mkt: MarketParams, config: PdeConfig,
@@ -467,13 +476,13 @@ class TrBdf2Stepper:
         """Values at time to maturity ``N * dt`` from the ``terminal`` payoff,
         which is not written: ``march`` with this block alone.
 
-        ``terminal`` may instead be the groups ``march`` takes, and ``run``
-        then returns what ``march`` does.  A table marches each batch through
-        one ``run`` of its first block, so a subclass that wraps ``run`` wraps
-        every march.
+        ``terminal`` may instead be the (block, terminal) pairs ``march``
+        takes, and ``run`` then returns what ``march`` does.  A table marches
+        all its queued pricings through one ``run`` of the first, so a
+        subclass that wraps ``run`` wraps every march.
         """
         if isinstance(terminal, np.ndarray):
-            return march([[(self, terminal)]])[0][0]
+            return march([(self, terminal)])[0]
         return march(terminal)
 
 
@@ -486,8 +495,9 @@ class Stack:
     No block may couple across its edge to the next (lower[0] = upper[-1] =
     0), so LU with partial pivoting never pivots across a block edge and
     ``matvec`` adds exact zeros there: each block's values equal those of
-    its own march exactly.  A zero pivot, or a ghost row that cannot be
-    eliminated, raises ``SingularSystemError`` here.
+    its own march exactly.  One block keeps its operator bands as they are.
+    A zero pivot, or a ghost row that cannot be eliminated, raises
+    ``SingularSystemError`` here.
     """
 
     def __init__(self, blocks):
@@ -503,8 +513,9 @@ class Stack:
         self.dt = head.dt
         self.n_steps = head.n_steps
         self._w = w = OMEGA * self.dt
-        self.op = SpatialOperator(*(np.concatenate(band) for band in zip(
-            *((block.op.lower, block.op.diag, block.op.upper) for block in blocks))))
+        self.op = head.op if len(blocks) == 1 else SpatialOperator(*(
+            np.concatenate(band) for band in zip(
+                *((block.op.lower, block.op.diag, block.op.upper) for block in blocks))))
         self._blocks, pins, offset = [], {}, 0
         for block in blocks:
             self._blocks.append((slice(offset, offset + block.op.n), block.hooks))
@@ -590,48 +601,93 @@ class Stack:
         return v
 
 
-def march(groups) -> list[list[np.ndarray]]:
-    """March independent ``groups`` of (block, terminal payoff) pairs at the
-    same time, and return each group's values, block by block.
+def _cost(block: TrBdf2Stepper) -> int:
+    return block.op.n * block.n_steps
 
-    The blocks of a group share dt and N: the thread that takes a group
-    stacks them (one gttrf) and marches the ``Stack``.  Groups are handed
-    out costliest (nodes x N) first to ``workers()`` threads, the calling
-    thread among them; with one worker no thread starts.  No thread calls
-    ``run``.  A group that raises stops the hand-out of the rest; once every
-    running group is done, the exception of the first failed group in the
-    given order is raised.
+
+def _deal(blocks, width: int) -> list[list[list[int]]]:
+    """The indices of ``blocks`` dealt to ``width`` threads, each thread's
+    grouped into the stacks it marches.
+
+    Blocks go out costliest (nodes x N) first, the earlier of two equal
+    costs first, each to the thread with the least cost so far, the lowest
+    of tied threads (Graham's longest-processing-time rule).  Each thread
+    stacks its blocks per (dt, N); its stacks, and the blocks in each, keep
+    the order they were dealt in.
     """
-    groups = [tuple(group) for group in groups]
-    results: list = [None] * len(groups)
-    pending = deque(sorted(range(len(groups)), key=lambda k: -sum(
-        block.op.n * block.n_steps for block, _ in groups[k])))
+    loads = [0] * width
+    stacks: list[dict[tuple[float, int], list[int]]] = [{} for _ in range(width)]
+    for k in sorted(range(len(blocks)), key=lambda k: -_cost(blocks[k])):
+        thread = loads.index(min(loads))
+        loads[thread] += _cost(blocks[k])
+        stacks[thread].setdefault((blocks[k].dt, blocks[k].n_steps), []).append(k)
+    return [list(by_time.values()) for by_time in stacks]
+
+
+def march(pairs) -> list[np.ndarray]:
+    """March (block, terminal payoff) ``pairs`` at the same time, and return
+    each block's values in the given order.
+
+    The blocks are dealt to ``workers()`` threads, the calling thread among
+    them (see ``_deal``; with one worker no thread starts), and each thread
+    stacks and marches its own: one gttrf per stack.  No thread calls
+    ``run``.  A one-block stack marches its block's terminal vector as it
+    is.  A stack that raises stops every thread before its next stack; once
+    all are done, the exception of the failed stack whose first block comes
+    first in the given order is raised.  Each march logs its deal, the CPU
+    seconds of each thread and its wall seconds at DEBUG level on the
+    ``stretchgrid.fdm`` logger.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    blocks = [block for block, _ in pairs]
+    dealt = _deal(blocks, min(workers(), len(pairs)))
+    results: list = [None] * len(pairs)
     errors: dict[int, Exception] = {}
+    cpu_s = [0.0] * len(dealt)
+    stop = threading.Event()
 
-    def work():
-        while True:
+    def work(thread: int):
+        start = time.thread_time()
+        for stack in dealt[thread]:
+            if stop.is_set():
+                break
             try:
-                k = pending.popleft()
-            except IndexError:
-                return
-            try:
-                system = Stack(block for block, _ in groups[k])
-                results[k] = system.split(system.march(np.concatenate(
-                    [terminal for _, terminal in groups[k]], dtype=float)))
+                system = Stack(blocks[k] for k in stack)
+                if len(stack) == 1:
+                    terminal = np.asarray(pairs[stack[0]][1], dtype=float)
+                else:
+                    terminal = np.concatenate([pairs[k][1] for k in stack], dtype=float)
+                for k, values in zip(stack, system.split(system.march(terminal))):
+                    results[k] = values
             except Exception as exc:  # raised again on the calling thread
-                errors[k] = exc
-                pending.clear()
+                errors[min(stack)] = exc
+                stop.set()
+        cpu_s[thread] = time.thread_time() - start
 
-    extra = [threading.Thread(target=work, name=f"fdm-march-{j}")
-             for j in range(min(workers(), len(groups)) - 1)]
-    for thread in extra:
-        thread.start()
+    began = time.perf_counter()
+    extra = [threading.Thread(target=work, args=(thread,), name=f"fdm-march-{thread}")
+             for thread in range(1, len(dealt))]
+    for worker in extra:
+        worker.start()
     try:
-        work()
+        work(0)
+    except BaseException:
+        stop.set()             # an interrupt on this thread stops the others
+        raise
     finally:
-        pending.clear()        # an interrupt on this thread stops the hand-out
-        for thread in extra:
-            thread.join()
+        for worker in extra:
+            worker.join()
+    if log.isEnabledFor(logging.DEBUG):
+        threads = []
+        for thread, stacks in enumerate(dealt):
+            shapes = ", ".join(f"stack(blocks={len(stack)}, nodes="
+                               f"{sum(blocks[k].op.n for k in stack)}, "
+                               f"N={blocks[stack[0]].n_steps})" for stack in stacks)
+            threads.append(f"thread {thread} ({cpu_s[thread]:.3f} s CPU) {shapes}")
+        log.debug("march of %d blocks in %.3f s wall: %s", len(pairs),
+                  time.perf_counter() - began, "; ".join(threads))
     if errors:
         raise errors[min(errors)]
     return results

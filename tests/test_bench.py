@@ -1,11 +1,11 @@
 import io
-import os
 from importlib import resources
 import threading
 import weakref
 
 import numpy as np
 import pytest
+from conftest import record_stacks, set_workers
 from hypothesis import given, settings, strategies as st
 
 from stretchgrid import bench, fdm, gridgen
@@ -105,6 +105,15 @@ pde.barrier_mode = ghost_lagrange3
         ("stretch.alhpa", "1.5"),
         ("domain.pad_fraction", "0.1"),
         ("column.x.stretch.kind", "cubic"),
+        ("market.sigma", "nan"),
+        ("market.rate", "inf"),
+        ("market.dividend", "-inf"),
+        ("contract.strike", "nan"),
+        ("contract.maturity", "nan"),
+        ("contract.barrier_lower", "-inf"),
+        ("contract.barrier_upper", "nan"),
+        ("contract.rebate", "inf"),
+        ("contract.observation_dates", "0.5, nan"),
     ])
     def test_bad_value_raises_config_error_naming_the_key(self, key, value):
         kv = parse_config_text(SMOKE)
@@ -321,10 +330,25 @@ column.stretched.stretch.alpha = 2.5
         assert message.startswith("run, I = 64: deformation did not converge in 40 passes")
         assert isinstance(err.value.__cause__, PlacementError)
         assert message == "run, I = 64: " + str(err.value.__cause__)
-        # a column's reference that fails in its march names the column too
-        text = TWO_COLUMNS + "column.stretched.market.rate = nan\n"
+
+    def test_failed_reference_march_names_its_column(self, monkeypatch):
+        # The references (64 intervals) are built in column order: poison
+        # the second one's payoff, so the stretched column's reference fails
+        # in its march.
+        real_payoff = bench.payoff
+        references = []
+
+        def nan_in_second_reference(contract, grid):
+            values = real_payoff(contract, grid)
+            if grid.points.size == 65:
+                references.append(1)
+                if len(references) == 2:
+                    values[5] = np.nan
+            return values
+
+        monkeypatch.setattr(bench, "payoff", nan_in_second_reference)
         with pytest.raises(bench.PricingError, match=r"^stretched, I = 64: fdm: non-finite") as err:
-            parse_table_config(parse_config_text(text)).run()
+            parse_table_config(parse_config_text(TWO_COLUMNS)).run()
         assert isinstance(err.value.__cause__, NonFiniteValueError)
 
     def test_spot_outside_grid_fails_before_marching(self, monkeypatch):
@@ -385,12 +409,6 @@ class TestMapCache:
         assert len(integrations) == 2 * shared_integrations
 
 
-def set_workers(monkeypatch, width: int):
-    """Make the process look as if it may run on ``width`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)),
-                        raising=False)
-
-
 class TestLockstepMarch:
     """The calls the benchmark's row timer, grid-only stub and traced stepper
     rely on: one ``price_run`` per row, and every march through one ``run``
@@ -402,7 +420,7 @@ class TestLockstepMarch:
 
         class CountingStepper(bench.TrBdf2Stepper):
             def run(self, terminal):
-                runs.append([len(group) for group in terminal])  # blocks per part
+                runs.append(len(terminal))  # blocks per march
                 return super().run(terminal)
 
         inner = price_run or bench.price_run
@@ -416,33 +434,43 @@ class TestLockstepMarch:
         return runs, calls
 
     def test_table_marches_reference_then_one_stack(self, monkeypatch):
-        # One worker: the shared reference marches alone, then the 32 rows as
-        # one stack.  More workers: one run holds the reference beside the
-        # stack, each a part of its own.
+        # One worker: the shared reference marches alone (a cache holds at
+        # most one reference per worker), then the 32 rows as one stack.  Two
+        # workers: one run marches both, the reference on one thread and the
+        # 32 rows, which cost less, in one stack on the other.  Three: the
+        # rows are dealt to the two threads beside the reference.
         runs, calls = self.count_calls(monkeypatch)
+        stacks = record_stacks(monkeypatch)
         table = load_bundled(4)
         rows = sum(len(cfg.space_steps) for _, cfg in table.columns)
         assert rows == 32
-        for width, want in ((1, [[1], [rows]]), (2, [[1, rows]]), (3, [[1, rows]])):
+        for width, want, sizes in ((1, [1, rows], [1, rows]), (2, [rows + 1], [1, rows]),
+                                   (3, [rows + 1], [1, rows // 2, rows // 2])):
             set_workers(monkeypatch, width)
             runs.clear()
             calls.clear()
+            stacks.clear()
             results = table.run()
             assert len(calls) == rows + 1        # the shared reference, then each row
             assert runs == want, width
+            assert sorted(len(blocks) for _, blocks in stacks) == sizes, width
+            assert len({thread for thread, _ in stacks}) == width
             assert not any(row.failed for _, report in results for row in report.rows)
 
     def test_each_marched_part_is_factored_once(self, monkeypatch):
-        # Building factors nothing; each reference and each (dt, N) stack of
-        # rows is factored once where it marches.
+        # Building factors nothing; each stack a thread marches is factored
+        # once.  At width 2 table 3 marches its references two by two, then
+        # deals its 16 rows into two stacks; table 4 stacks its rows beside
+        # the reference; tables 5 and 6 march each row's own N.
+        set_workers(monkeypatch, 2)
         calls = []
         dgttrf = fdm.dgttrf
         monkeypatch.setattr(fdm, "dgttrf", lambda *a, **k: calls.append(1) or dgttrf(*a, **k))
-        for number, parts in ((3, 5), (4, 2), (5, 5), (6, 5)):
+        for number, stacks in ((3, 6), (4, 2), (5, 5), (6, 5)):
             calls.clear()
             results = load_bundled(number).run()
             assert not any(row.failed for _, report in results for row in report.rows)
-            assert len(calls) == parts, number
+            assert len(calls) == stacks, number
         calls.clear()
         cfg = load_bundled(4).columns[0][1]
         bench.price_run(cfg, cfg.space_steps[0], bench._TableCache())
@@ -462,9 +490,9 @@ class TestLockstepMarch:
 class TestParallelMarch:
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_non_finite_part_fails_only_its_row(self, monkeypatch, width):
-        # With three workers both per-column references and the rows' stack
-        # march in one batch; the NaN fails the batch, every part marches
-        # again alone and the stack block by block.
+        # With three workers both per-column references and the rows march
+        # in one run; the NaN fails it, and every pricing marches again
+        # alone.
         set_workers(monkeypatch, width)
         table = parse_table_config(parse_config_text(TWO_COLUMNS))
         real_payoff = bench.payoff
@@ -531,8 +559,7 @@ class TestParallelMarch:
                     most_alive.append(len(alive))
 
             def run(self, terminal):
-                runs.append([1 for group in terminal for block, _ in group
-                             if block.op.n == 65])
+                runs.append([1 for block, _ in terminal if block.op.n == 65])
                 return super().run(terminal)
 
         monkeypatch.setattr(bench, "TrBdf2Stepper", Tracking)
@@ -543,6 +570,53 @@ class TestParallelMarch:
         assert sum(map(len, runs)) == 3
         assert all(len(refs) <= width for refs in runs)
         assert not any(row.failed for _, report in results for row in report.rows)
+
+
+# Table 3's shape at a tenth of its grid sizes: four columns, each with its
+# own reference, and 16 rows that share dt and N.
+SMALL_TABLE_3 = load_bundled_text("discrete_ko_stretch_placed.cfg").replace(
+    "sweep.space_steps = 250, 500, 1000, 2000", "sweep.space_steps = 25, 50, 100, 200").replace(
+    "sweep.reference_steps = 16000", "sweep.reference_steps = 1600").replace(
+    "pde.time_steps = 1500", "pde.time_steps = 250")
+
+
+class TestDeal:
+    def test_table_3_rows_split_into_two_balanced_stacks(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        stacks = record_stacks(monkeypatch)
+        table = parse_table_config(parse_config_text(SMALL_TABLE_3))
+        results = table.run()
+        assert not any(row.failed for _, report in results for row in report.rows)
+        reference = table.columns[0][1].reference_steps
+
+        def cost(block):
+            return block.op.n * block.n_steps
+
+        rows = [(thread, blocks) for thread, blocks in stacks
+                if all(block.op.n < reference for block in blocks)]
+        assert len(stacks) == 6 and len(rows) == 2
+        assert {thread for thread, _ in rows} == {threading.current_thread().name,
+                                                  "fdm-march-1"}
+        assert sum(len(blocks) for _, blocks in rows) == 16
+        (_, a), (_, b) = rows
+        largest = max(cost(block) for _, blocks in rows for block in blocks)
+        assert abs(sum(map(cost, a)) - sum(map(cost, b))) <= largest
+
+    @pytest.mark.parametrize("text", [SMALL_TABLE_3, load_bundled_text(
+        "double_ko_discrete_stretch.cfg")], ids=["small_table_3", "table_4"])
+    def test_csv_bytes_do_not_depend_on_the_width(self, monkeypatch, text):
+        table = parse_table_config(parse_config_text(text))
+        csv, prices = {}, {}
+        for width in (1, 2, 3):
+            set_workers(monkeypatch, width)
+            results = table.run()
+            buf = io.BytesIO()
+            emit_table_csv(results, buf)
+            csv[width] = buf.getvalue()
+            prices[width] = [(report.reference, [row.prices for row in report.rows])
+                             for _, report in results]
+        assert csv[1] == csv[2] == csv[3]
+        assert prices[1] == prices[2] == prices[3]
 
 
 class TestCsv:

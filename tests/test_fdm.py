@@ -1,7 +1,9 @@
 import importlib.machinery
 import importlib.util
+import logging
 import math
 import os
+import re
 import sys
 import threading
 import types
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import record_stacks, set_workers
 from hypothesis import assume, given, settings, strategies as st
 
 from stretchgrid import fdm
@@ -78,6 +81,13 @@ def dense_trbdf2_step(v, dt, op, rows=None, override=None):
 
     stage = solve(v_eff + w * lop @ v_eff)
     return solve(BDF2_NEW * stage - BDF2_OLD * v_eff)
+
+
+@pytest.mark.parametrize("field", ["rate", "dividend", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_market_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        MarketParams(**{field: value})
 
 
 class TestStencils:
@@ -614,42 +624,35 @@ def test_stacked_march_equals_solo_marches(blocks, horizon):
 
 
 @st.composite
-def march_groups(draw):
-    """A group of a march: one or more blocks with the group's own N and
-    horizon, each paired with its terminal values."""
+def march_pair(draw):
+    """A (block, terminal payoff) pair of a march, with its own size, N and
+    horizon; drawn from few N and horizons, so blocks often share dt and N."""
     n_steps = draw(st.sampled_from([2, 3, N_STACK]))
-    horizon = draw(st.floats(0.05, 1.0))
-    blocks = draw(st.lists(stack_blocks(n_steps), min_size=1, max_size=3))
-    return [(TrBdf2Stepper(grid, mkt, cfg, horizon, hooks), terminal)
-            for grid, mkt, cfg, hooks, terminal in blocks]
-
-
-def set_workers(monkeypatch, width: int):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)),
-                        raising=False)
+    horizon = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    grid, mkt, cfg, hooks, terminal = draw(stack_blocks(n_steps))
+    return TrBdf2Stepper(grid, mkt, cfg, horizon, hooks), terminal
 
 
 @settings(max_examples=100, deadline=None)
-@given(groups=st.lists(march_groups(), min_size=1, max_size=5),
-       width=st.sampled_from([1, 2, 3]))
-def test_parallel_march_equals_each_parts_own_run(groups, width):
-    solo = [[block.run(terminal) for block, terminal in group] for group in groups]
-    assume(all(np.isfinite(v).all() for values in solo for v in values))
+@given(pairs=st.lists(march_pair(), min_size=1, max_size=8),
+       width=st.sampled_from([1, 2, 3, 5]))
+def test_parallel_march_equals_each_parts_own_run(pairs, width):
+    solo = [block.run(terminal) for block, terminal in pairs]
+    assume(all(np.isfinite(v).all() for v in solo))
     with pytest.MonkeyPatch.context() as mp:
         set_workers(mp, width)
-        out = fdm.march(groups)
-    assert [len(values) for values in out] == [len(group) for group in groups]
-    for mine, expect in zip(out, solo):
-        for got, want in zip(mine, expect):
-            assert np.array_equal(got, want)
+        out = fdm.march(pairs)
+    assert len(out) == len(pairs)
+    for got, want in zip(out, solo):
+        assert np.array_equal(got, want)
 
 
 class TestParallel:
-    def groups(self, *shapes):
-        """One single-block group per (nodes, N) shape, with terminal values."""
+    def pairs(self, *shapes):
+        """One (block, terminal values) pair per (nodes, N) shape."""
         mkt = MarketParams(0.05, 0.0, 0.2)
-        return [[(TrBdf2Stepper(Grid(np.linspace(50.0, 150.0, n)), mkt, PdeConfig(steps), 1.0),
-                  np.linspace(0.0, 1.0, n) + k)]
+        return [(TrBdf2Stepper(Grid(np.linspace(50.0, 150.0, n)), mkt, PdeConfig(steps), 1.0),
+                 np.linspace(0.0, 1.0, n) + k)
                 for k, (n, steps) in enumerate(shapes)]
 
     def record_marches(self, monkeypatch) -> list:
@@ -665,10 +668,25 @@ class TestParallel:
         return marched
 
     def test_costliest_part_marches_first(self, monkeypatch):
+        # One thread marches its stacks in the order they were dealt, the
+        # costliest block first; its two N = 4 blocks share one stack.
         set_workers(monkeypatch, 1)
         marched = self.record_marches(monkeypatch)
-        fdm.march(self.groups((11, 4), (21, 4), (11, 9), (31, 2)))
-        assert marched == [(11, 9), (21, 4), (31, 2), (11, 4)]  # nodes x N: 99, 84, 62, 44
+        fdm.march(self.pairs((11, 4), (21, 4), (11, 9), (31, 2)))
+        assert marched == [(11, 9), (32, 4), (31, 2)]  # nodes x N: 99, 84 + 44, 62
+
+    @pytest.mark.parametrize("width, dealt", [
+        (1, [[[2], [1, 0], [3]]]),
+        (2, [[[2], [0]], [[1], [3]]]),      # loads 99 + 44, 84 + 62
+        (3, [[[2]], [[1]], [[3], [0]]]),    # the last block joins the lightest
+    ])
+    def test_each_block_goes_to_the_least_loaded_thread(self, width, dealt):
+        blocks = [block for block, _ in self.pairs((11, 4), (21, 4), (11, 9), (31, 2))]
+        assert fdm._deal(blocks, width) == dealt
+
+    def test_equal_costs_deal_in_the_given_order(self):
+        blocks = [block for block, _ in self.pairs(*[(11, 4)] * 5)]
+        assert fdm._deal(blocks, 2) == [[[0, 2, 4]], [[1, 3]]]
 
     @pytest.mark.parametrize("width, threads", [(1, 0), (2, 1), (3, 2), (8, 2)])
     def test_threads_started_count_the_calling_one(self, monkeypatch, width, threads):
@@ -677,7 +695,7 @@ class TestParallel:
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
-        fdm.march(self.groups((11, 4), (11, 4), (11, 4)))
+        fdm.march(self.pairs((11, 4), (11, 4), (11, 4)))
         assert len(started) == threads
 
     def test_threads_run_only_the_step_loop(self, monkeypatch):
@@ -691,42 +709,66 @@ class TestParallel:
                 return super().run(terminal)
 
         grid = Grid(np.linspace(50.0, 150.0, 11))
-        groups = [[(Counted(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0),
-                    np.ones(11))] for _ in range(3)]
-        out = groups[0][0][0].run(groups)
+        pairs = [(Counted(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0), np.ones(11))
+                 for _ in range(3)]
+        out = pairs[0][0].run(pairs)
         assert calls == [True]
-        assert [[v.shape for v in values] for values in out] == [[(11,)]] * 3
+        assert [v.shape for v in out] == [(11,)] * 3
 
     def test_many_threads_hand_out_every_part_once(self, monkeypatch):
         # More threads than cores, switching as often as the interpreter
-        # allows: a group handed out twice, or never, breaks the counts or
-        # the values.
+        # allows: every block is factored in exactly one stack, and a block
+        # marched twice, or never, breaks the values.
         set_workers(monkeypatch, 8)
         shapes = [(11 + k % 5, 2 + k % 3) for k in range(40)]
-        groups = self.groups(*shapes)
-        solo = [block.run(terminal) for (block, terminal), in groups]
-        marched = self.record_marches(monkeypatch)
+        pairs = self.pairs(*shapes)
+        solo = [block.run(terminal) for block, terminal in pairs]
+        stacked, factored = record_stacks(monkeypatch), []
+        dgttrf = fdm.dgttrf
+        monkeypatch.setattr(fdm, "dgttrf", lambda *a, **k: factored.append(1) or dgttrf(*a, **k))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = fdm.march(groups)
+            out = fdm.march(pairs)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(marched) == sorted(shapes)
-        for (got,), want in zip(out, solo):
+        blocks = [id(block) for _, blocks in stacked for block in blocks]
+        assert sorted(blocks) == sorted(id(block) for block, _ in pairs)
+        assert len(factored) == len(stacked)
+        assert len({thread for thread, _ in stacked}) == 8
+        for got, want in zip(out, solo):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_failed_part_raises_its_own_error(self, monkeypatch, width):
         set_workers(monkeypatch, width)
-        good, bad = self.groups((11, 4), (21, 8))
-        block, poisoned = bad[0]
+        good, bad = self.pairs((11, 4), (21, 8))
+        block, poisoned = bad
         poisoned[7] = np.nan
         with pytest.raises(NonFiniteValueError) as solo:
             block.run(poisoned)
         with pytest.raises(NonFiniteValueError) as both:
             fdm.march([good, bad])
         assert str(both.value) == str(solo.value)
+
+    def test_debug_record_lists_each_threads_stacks(self, monkeypatch, caplog):
+        set_workers(monkeypatch, 2)
+        pairs = self.pairs((11, 4), (21, 4), (11, 9), (31, 2))
+        quiet = fdm.march(pairs)
+        assert not [r for r in caplog.records if r.name == "stretchgrid.fdm"]
+        caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
+        logged = fdm.march(pairs)
+        record, = [r for r in caplog.records if r.name == "stretchgrid.fdm"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert re.fullmatch(
+            r"march of 4 blocks in [0-9.]+ s wall: "
+            r"thread 0 \([0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9\), "
+            r"stack\(blocks=1, nodes=11, N=4\); "
+            r"thread 1 \([0-9.]+ s CPU\) stack\(blocks=1, nodes=21, N=4\), "
+            r"stack\(blocks=1, nodes=31, N=2\)", message), message
+        for got, want in zip(logged, quiet):
+            assert np.array_equal(got, want)
 
     def test_workers_fall_back_to_the_cpu_count(self, monkeypatch):
         set_workers(monkeypatch, 3)
@@ -797,7 +839,8 @@ class TestStack:
         solo = TrBdf2Stepper(grid, mkt, cfg, 1.0, (Probe(), DirichletRegion(8, 11, 0.25)))
         plain, = self.steppers(3)
         alone = solo.run(terminal)
-        (_, out), = fdm.march([[(plain, terminal), (solo, terminal)]])
+        set_workers(monkeypatch, 1)  # one thread stacks both blocks
+        _, out = fdm.march([(plain, terminal), (solo, terminal)])
         assert np.array_equal(out, alone)
         assert [d.size for _, d, _ in factored] == [11, 22]  # solo, then the stack
         for (dl, d, du), offset in ((factored[0], 0), (factored[1], 11)):
@@ -809,6 +852,23 @@ class TestStack:
         assert [phase for phase, _ in seen] == ["rhs", "solve"] * 2 * 3 * 2
         for phase, values in seen:
             assert np.array_equal(values, want), phase
+
+    def test_one_block_stack_shares_its_block_and_terminal(self, monkeypatch):
+        block, twin = self.steppers(4, 4)
+        system = Stack([block])
+        for mine, its in zip((system.op.lower, system.op.diag, system.op.upper),
+                             (block.op.lower, block.op.diag, block.op.upper)):
+            assert np.shares_memory(mine, its)
+        marched = []
+        march = Stack.march
+        monkeypatch.setattr(Stack, "march", lambda system, v: marched.append(v) or march(system, v))
+        terminal = np.linspace(0.0, 1.0, 11)
+        out, = fdm.march([(block, terminal)])
+        assert np.shares_memory(marched[0], terminal)
+        set_workers(monkeypatch, 1)
+        both = fdm.march([(block, terminal), (twin, terminal)])
+        assert not np.shares_memory(marched[1], terminal)  # two blocks stack a copy
+        assert np.array_equal(both[0], out) and np.array_equal(both[1], out)
 
     def test_nan_in_one_block_raises_the_step(self):
         steppers = self.steppers(4, 4)
