@@ -171,26 +171,18 @@ class _Pricing:
 
 
 def _march(pricings: list[_Pricing]):
-    """March the pricings at the same time and fill their prices.
-
-    They march through one ``run`` of the first pricing's block, which calls
-    ``fdm.march``.  If it raises (a NaN in one block reaches its stack
-    neighbours through 0 * NaN; a singular block fails its stack's factor),
-    each pricing marches again alone, so only the failing pricing records
-    the error.
-    """
-    try:
-        values = pricings[0].stepper.run(
-            [(pricing.stepper, pricing.terminal) for pricing in pricings])
-        for pricing, block in zip(pricings, values):
+    """March the pricings at the same time through one ``run`` of the first
+    pricing's block, which calls ``fdm.march``, and fill their prices.  A
+    pricing whose block failed (``fdm.march`` splits a failed stack until the
+    failing block stands alone) records its own exception as its error."""
+    values = pricings[0].stepper.run(
+        [(pricing.stepper, pricing.terminal) for pricing in pricings])
+    for pricing, block in zip(pricings, values):
+        if isinstance(block, Exception):
+            pricing.prices.error = block
+        else:
             interp = MonotoneCubic(pricing.stepper.grid.points, block)
             pricing.prices.update((s, float(interp(s))) for s in pricing.spots)
-    except Exception as exc:  # noqa: BLE001 - row-level fault isolation
-        if len(pricings) > 1:
-            for pricing in pricings:
-                _march([pricing])
-        else:
-            pricings[0].prices.error = exc
 
 
 class _TableCache:
@@ -498,10 +490,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
-
-
 def _finite(s: str) -> float:
     value = float(s)
     if not math.isfinite(value):
@@ -535,9 +523,9 @@ def _parse_targets(s: str) -> tuple[Target, ...]:
             raise ConfigError(f"target {tok!r} must look like midcell:100")
         goal = goal.strip().lower()
         if goal == "midcell":
-            targets.append(Target(float(value), PlacementGoal.MID_CELL))
+            targets.append(Target(_finite(value), PlacementGoal.MID_CELL))
         elif goal == "ongrid":
-            targets.append(Target(float(value), PlacementGoal.ON_GRID))
+            targets.append(Target(_finite(value), PlacementGoal.ON_GRID))
         else:
             raise ConfigError(f"unknown placement goal {goal!r}")
     return tuple(targets)
@@ -551,7 +539,7 @@ def _parse_boundary(s: str) -> BoundaryCondition:
              "dirichlet": BoundaryKind.DIRICHLET_VALUE}
     if kind not in table:
         raise ConfigError(f"unknown boundary kind {kind!r}")
-    return BoundaryCondition(table[kind], float(value) if value else 0.0)
+    return BoundaryCondition(table[kind], _finite(value) if value else 0.0)
 
 
 _REQUIRED = object()
@@ -607,18 +595,18 @@ def _build_run(kv: dict[str, str], label: str,
                                                    sigma=sigma))
     fit = get("domain.fit", _domain_fit, DomainFit.EXPLICIT)
     domain = DomainSpec(
-        s_min=get("domain.s_min", float, 0.0),
-        s_max=get("domain.s_max", float, 0.0),
+        s_min=get("domain.s_min", _finite, 0.0),
+        s_max=get("domain.s_max", _finite, 0.0),
         fit=fit,
     )
     if fit == DomainFit.EXPLICIT and not domain.s_min < domain.s_max:
         raise ConfigError("explicit domains need domain.s_min < domain.s_max")
 
     kind = get("stretch.kind", StretchKind, StretchKind.UNIFORM)
-    points = get("stretch.points", _floats, ())
-    alphas = get("stretch.alpha", _floats, None)
-    chi = get("stretch.chi", float, 6.0)
-    lam = get("stretch.lambda", float, 0.25)
+    points = get("stretch.points", _finite_floats, ())
+    alphas = get("stretch.alpha", _finite_floats, None)
+    chi = get("stretch.chi", _finite, 6.0)
+    lam = get("stretch.lambda", _finite, 0.25)
     knot_rule = get("stretch.knot_rule", KnotRule, KnotRule.INVERSE)
     # Bounds are provisional; build_run_grid rebinds them per resolved domain.
     s_min = domain.s_min if fit == DomainFit.EXPLICIT else (contract.barrier_lower or 0.0) - 1.0
@@ -643,7 +631,7 @@ def _build_run(kv: dict[str, str], label: str,
         pde=pde,
         space_steps=get("sweep.space_steps", _ints),
         reference_steps=get("sweep.reference_steps", int),
-        report_spots=get("sweep.report_spots", _floats),
+        report_spots=get("sweep.report_spots", _finite_floats),
         domain=domain, match_time_steps=match_time, label=label,
     )
     for key, bc, side in (("pde.boundary_lower", lower, 0), ("pde.boundary_upper", upper, 1)):

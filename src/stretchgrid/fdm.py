@@ -30,7 +30,7 @@ systems run on two cores; the Python of the step loop and of the hooks holds
 it, which is why small stacks gain little.  Every block's values are bit for
 bit those of its own march, on any number of threads.  A zero pivot
 (``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
-both rise from the march.
+both rise from the march, which returns each in its failing block's slot.
 """
 
 from __future__ import annotations
@@ -474,16 +474,20 @@ class TrBdf2Stepper:
 
     def run(self, terminal: np.ndarray) -> np.ndarray:
         """Values at time to maturity ``N * dt`` from the ``terminal`` payoff,
-        which is not written: ``march`` with this block alone.
+        which is not written: ``march`` with this block alone, raising the
+        exception that failed it.
 
         ``terminal`` may instead be the (block, terminal) pairs ``march``
         takes, and ``run`` then returns what ``march`` does.  A table marches
         all its queued pricings through one ``run`` of the first, so a
         subclass that wraps ``run`` wraps every march.
         """
-        if isinstance(terminal, np.ndarray):
-            return march([(self, terminal)])[0]
-        return march(terminal)
+        if not isinstance(terminal, np.ndarray):
+            return march(terminal)
+        values, = march([(self, terminal)])
+        if isinstance(values, Exception):
+            raise values
+        return values
 
 
 class Stack:
@@ -624,19 +628,20 @@ def _deal(blocks, width: int) -> list[list[list[int]]]:
     return [list(by_time.values()) for by_time in stacks]
 
 
-def march(pairs) -> list[np.ndarray]:
-    """March (block, terminal payoff) ``pairs`` at the same time, and return
-    each block's values in the given order.
+def march(pairs) -> list:
+    """March (block, terminal payoff) ``pairs`` at the same time, and return,
+    in the given order, each block's values or the exception that failed it.
 
     The blocks are dealt to ``workers()`` threads, the calling thread among
     them (see ``_deal``; with one worker no thread starts), and each thread
     stacks and marches its own: one gttrf per stack.  No thread calls
     ``run``.  A one-block stack marches its block's terminal vector as it
-    is.  A stack that raises stops every thread before its next stack; once
-    all are done, the exception of the failed stack whose first block comes
-    first in the given order is raised.  Each march logs its deal, the CPU
-    seconds of each thread and its wall seconds at DEBUG level on the
-    ``stretchgrid.fdm`` logger.
+    is.  A stack that raises an ``Exception`` marches again as two halves,
+    each its own stack, until each failing block stands alone with the
+    exception of its own march; every other stack and thread carries on.  An
+    interrupt on the calling thread stops the others before their next
+    stack.  Each march logs its deal, the CPU seconds of each thread and its
+    wall seconds at DEBUG level on the ``stretchgrid.fdm`` logger.
     """
     pairs = list(pairs)
     if not pairs:
@@ -644,26 +649,29 @@ def march(pairs) -> list[np.ndarray]:
     blocks = [block for block, _ in pairs]
     dealt = _deal(blocks, min(workers(), len(pairs)))
     results: list = [None] * len(pairs)
-    errors: dict[int, Exception] = {}
     cpu_s = [0.0] * len(dealt)
     stop = threading.Event()
 
     def work(thread: int):
         start = time.thread_time()
-        for stack in dealt[thread]:
-            if stop.is_set():
-                break
+        todo = dealt[thread][::-1]
+        while todo and not stop.is_set():
+            stack = todo.pop()
             try:
                 system = Stack(blocks[k] for k in stack)
                 if len(stack) == 1:
                     terminal = np.asarray(pairs[stack[0]][1], dtype=float)
                 else:
                     terminal = np.concatenate([pairs[k][1] for k in stack], dtype=float)
-                for k, values in zip(stack, system.split(system.march(terminal))):
-                    results[k] = values
-            except Exception as exc:  # raised again on the calling thread
-                errors[min(stack)] = exc
-                stop.set()
+                marched = system.split(system.march(terminal))
+            except Exception as exc:  # noqa: BLE001 - returned in its block's slot
+                if len(stack) > 1:   # its halves march next, the first half first
+                    half = len(stack) // 2
+                    todo += [stack[half:], stack[:half]]
+                    continue
+                marched = [exc]
+            for k, values in zip(stack, marched):
+                results[k] = values
         cpu_s[thread] = time.thread_time() - start
 
     began = time.perf_counter()
@@ -688,6 +696,4 @@ def march(pairs) -> list[np.ndarray]:
             threads.append(f"thread {thread} ({cpu_s[thread]:.3f} s CPU) {shapes}")
         log.debug("march of %d blocks in %.3f s wall: %s", len(pairs),
                   time.perf_counter() - began, "; ".join(threads))
-    if errors:
-        raise errors[min(errors)]
     return results

@@ -89,12 +89,12 @@ class StretchSpec:
         if self.alphas is not None:
             alphas = tuple(float(a) for a in (
                 self.alphas if np.iterable(self.alphas) else (self.alphas,)))
-            if any(a <= 0.0 for a in alphas):
+            if any(not a > 0.0 for a in alphas):
                 raise GridConstructionError("alphas must be positive")
             if len(alphas) not in (1, max(len(pts), 1)):
                 raise GridConstructionError("need one alpha, or one per critical point")
             object.__setattr__(self, "alphas", alphas)
-        if self.chi <= 0.0:
+        if not self.chi > 0.0:
             raise GridConstructionError("chi must be positive")
         if not 0.0 < self.lam <= 0.5:
             raise GridConstructionError("lam must be in (0, 1/2]")

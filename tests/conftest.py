@@ -1,7 +1,9 @@
 import os
 import threading
 
-from stretchgrid import fdm
+import numpy as np
+
+from stretchgrid import bench, fdm
 
 
 def set_workers(monkeypatch, width: int):
@@ -22,3 +24,21 @@ def record_stacks(monkeypatch) -> list:
 
     monkeypatch.setattr(fdm.Stack, "__init__", recording)
     return stacks
+
+
+def poison_row(monkeypatch, nodes: int) -> list:
+    """Put a NaN in the middle of the payoff ``bench`` builds for the next
+    pricing whose grid has ``nodes`` nodes.  Returns the list of poisoned
+    grids; clearing it poisons the next such pricing too."""
+    poisoned = []
+    payoff = bench.payoff
+
+    def poisoning(contract, grid):
+        values = payoff(contract, grid)
+        if grid.points.size == nodes and not poisoned:
+            poisoned.append(grid)
+            values[values.size // 2] = np.nan
+        return values
+
+    monkeypatch.setattr(bench, "payoff", poisoning)
+    return poisoned

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import record_stacks, set_workers
+from conftest import poison_row, record_stacks, set_workers
 from hypothesis import given, settings, strategies as st
 
 from stretchgrid import bench, fdm, gridgen
@@ -114,6 +114,17 @@ pde.barrier_mode = ghost_lagrange3
         ("contract.barrier_upper", "nan"),
         ("contract.rebate", "inf"),
         ("contract.observation_dates", "0.5, nan"),
+        ("stretch.alpha", "nan"),
+        ("stretch.alpha", "inf"),
+        ("stretch.points", "75, nan"),
+        ("stretch.chi", "nan"),
+        ("stretch.lambda", "nan"),
+        ("domain.s_min", "nan"),
+        ("domain.s_max", "inf"),
+        ("sweep.report_spots", "nan"),
+        ("placement.targets", "midcell:nan"),
+        ("placement.targets", "ongrid:inf"),
+        ("pde.boundary_upper", "dirichlet:nan"),
     ])
     def test_bad_value_raises_config_error_naming_the_key(self, key, value):
         kv = parse_config_text(SMOKE)
@@ -237,15 +248,7 @@ class TestRunConvergence:
         assert not report.rows[1].failed
 
     def test_non_finite_values_fail_the_row(self, monkeypatch):
-        real_payoff = bench.payoff
-
-        def nan_at_32(contract, grid):
-            values = real_payoff(contract, grid)
-            if grid.points.size == 33:
-                values[5] = np.nan
-            return values
-
-        monkeypatch.setattr(bench, "payoff", nan_at_32)
+        poison_row(monkeypatch, 33)
         table = parse_table_config(parse_config_text(SMOKE))
         report = run_convergence(table.columns[0][1])
         assert not report.rows[0].failed
@@ -255,28 +258,13 @@ class TestRunConvergence:
 
     def test_non_finite_block_fails_only_its_row(self, monkeypatch):
         # Both columns' rows share (dt, N) and march as one stack; a NaN in
-        # one block reaches its neighbours, so the stack marches again block
-        # by block and only the poisoned row fails.
-        text = SMOKE.replace("market.sigma = 0", "market.sigma = 0.2") + """
-columns = plain, stretched
-column.stretched.stretch.kind = cubic
-column.stretched.stretch.points = 75
-column.stretched.stretch.alpha = 2.5
-"""
-        table = parse_table_config(parse_config_text(text))
-        real_payoff = bench.payoff
-        poisoned = []
-
-        def nan_once_at_32(contract, grid):
-            values = real_payoff(contract, grid)
-            if grid.points.size == 33 and not poisoned:
-                poisoned.append(1)
-                values[5] = np.nan
-            return values
-
-        monkeypatch.setattr(bench, "payoff", nan_once_at_32)
+        # one block reaches its neighbours, so the march splits the stack in
+        # halves until the poisoned block stands alone, and only its row
+        # fails.
+        table = parse_table_config(parse_config_text(TWO_COLUMNS))
+        poisoned = poison_row(monkeypatch, 33)
         results = table.run()
-        monkeypatch.setattr(bench, "payoff", real_payoff)
+        assert len(poisoned) == 1
         failed = [(name, row.steps) for name, report in results
                   for row in report.rows if row.failed]
         assert failed == [("plain", 32)]
@@ -291,8 +279,8 @@ column.stretched.stretch.alpha = 2.5
 
     def test_singular_block_fails_only_its_row(self, monkeypatch):
         # A zeroed row makes one block of the rows' stack singular: the
-        # stack's factor fails, the stack marches again block by block, and
-        # only that row is marked failed.
+        # stack's factor fails, the march splits the stack in halves until
+        # that block stands alone, and only its row is marked failed.
         table = parse_table_config(parse_config_text(TWO_COLUMNS))
         real_hooks = bench.constraint_hooks
         armed = []
@@ -491,28 +479,17 @@ class TestParallelMarch:
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_non_finite_part_fails_only_its_row(self, monkeypatch, width):
         # With three workers both per-column references and the rows march
-        # in one run; the NaN fails it, and every pricing marches again
-        # alone.
+        # in one run; the NaN fails the poisoned block's stack, which splits
+        # until that block stands alone, and every other block's values stand.
         set_workers(monkeypatch, width)
         table = parse_table_config(parse_config_text(TWO_COLUMNS))
-        real_payoff = bench.payoff
-
-        def nan_at_32(contract, grid):
-            values = real_payoff(contract, grid)
-            if grid.points.size == 33 and nan_at_32.armed:
-                nan_at_32.armed = False
-                values[5] = np.nan
-            return values
-
-        monkeypatch.setattr(bench, "payoff", nan_at_32)
+        poisoned = poison_row(monkeypatch, 33)
         plain = dict(table.columns)["plain"]
-        nan_at_32.armed = True
         with pytest.raises(NonFiniteValueError) as solo:
             bench.price_run(plain, 32)
-        nan_at_32.armed = True
+        poisoned.clear()
         results = table.run()
-        assert not nan_at_32.armed
-        monkeypatch.setattr(bench, "payoff", real_payoff)
+        assert len(poisoned) == 1
         failed = [(name, row.steps, row.failed) for name, report in results
                   for row in report.rows if row.failed]
         assert failed == [("plain", 32, "plain, I = 32: " + str(solo.value))]
@@ -522,6 +499,38 @@ class TestParallelMarch:
             for row in report.rows:
                 if not row.failed:
                     assert row.prices == bench.price_run(cfg, row.steps)
+
+    def test_poisoned_row_splits_only_its_stack(self, monkeypatch):
+        # Table 4 at two workers: the reference marches on one thread, the 32
+        # rows as one stack on the other.  A NaN in one row's payoff fails
+        # that stack, which splits in halves down to the row: 1 + 2 x 5
+        # factors, beside the reference's one.
+        set_workers(monkeypatch, 2)
+        table = load_bundled(4)
+        clean = dict(table.run())
+        name, cfg = table.columns[0]
+        reference = dict(table.columns)[table.reference_column]
+        nodes = bench.build_run_grid(reference, reference.reference_steps).points.size
+        poisoned = poison_row(monkeypatch, cfg.space_steps[0] + 1)
+        with pytest.raises(NonFiniteValueError) as solo:
+            bench.price_run(cfg, cfg.space_steps[0])
+        poisoned.clear()
+        factored = []
+        dgttrf = fdm.dgttrf
+        monkeypatch.setattr(fdm, "dgttrf",
+                            lambda dl, d, du: factored.append(d.size) or dgttrf(dl, d, du))
+        results = table.run()
+        assert len(poisoned) == 1
+        failed = [(column, row.steps, row.failed) for column, report in results
+                  for row in report.rows if row.failed]
+        assert failed == [(name, cfg.space_steps[0],
+                           f"{name}, I = {cfg.space_steps[0]}: {solo.value}")]
+        assert factored.count(nodes) == 1
+        assert len(factored) <= 12
+        for column, report in results:
+            assert report.reference == clean[column].reference
+            for row, want in zip(report.rows, clean[column].rows):
+                assert row.failed or row.prices == want.prices
 
     def test_one_worker_starts_no_thread_and_keeps_the_csv(self, monkeypatch):
         started = []

@@ -624,12 +624,18 @@ def test_stacked_march_equals_solo_marches(blocks, horizon):
 
 
 @st.composite
-def march_pair(draw):
+def march_pair(draw, poison: str = ""):
     """A (block, terminal payoff) pair of a march, with its own size, N and
-    horizon; drawn from few N and horizons, so blocks often share dt and N."""
+    horizon; drawn from few N and horizons, so blocks often share dt and N.
+    ``poison`` "nan" puts a NaN in the terminal, "zero" a ``ZeroRow`` hook on
+    the block."""
     n_steps = draw(st.sampled_from([2, 3, N_STACK]))
     horizon = draw(st.sampled_from([0.25, 0.5, 1.0]))
     grid, mkt, cfg, hooks, terminal = draw(stack_blocks(n_steps))
+    if poison == "nan":
+        terminal[draw(st.integers(0, terminal.size - 1))] = np.nan
+    elif poison == "zero":
+        hooks += (ZeroRow(),)
     return TrBdf2Stepper(grid, mkt, cfg, horizon, hooks), terminal
 
 
@@ -645,6 +651,51 @@ def test_parallel_march_equals_each_parts_own_run(pairs, width):
     assert len(out) == len(pairs)
     for got, want in zip(out, solo):
         assert np.array_equal(got, want)
+
+
+@st.composite
+def poisoned_march(draw):
+    """1-8 march pairs, 0-3 of them poisoned, and the poisoned indices."""
+    n = draw(st.integers(1, 8))
+    poisoned = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    pairs = [draw(march_pair(draw(st.sampled_from(["nan", "zero"])) if k in poisoned else ""))
+             for k in range(n)]
+    return pairs, poisoned
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=poisoned_march(), width=st.sampled_from([1, 2, 3]))
+def test_march_returns_each_blocks_own_values_or_error(drawn, width):
+    # Every slot holds what the block's own ``run`` gives: its values, or an
+    # exception of the same type and message.  A failed stack splits in
+    # halves, so one failing block in a k-block stack costs at most
+    # 2 ceil(log2 k) factors beyond the one of each dealt stack.
+    pairs, poisoned = drawn
+    solo = []
+    for block, terminal in pairs:
+        try:
+            solo.append(block.run(terminal))
+        except Exception as exc:  # noqa: BLE001 - compared with the march's slot
+            solo.append(exc)
+    factored = []
+    with pytest.MonkeyPatch.context() as mp:
+        set_workers(mp, width)
+        factor = fdm._factor
+        mp.setattr(fdm, "_factor", lambda *args: factored.append(1) or factor(*args))
+        out = fdm.march(pairs)
+    assert len(out) == len(pairs)
+    for got, want in zip(out, solo):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert np.array_equal(got, want)
+    failed = {k for k, want in enumerate(solo) if isinstance(want, Exception)}
+    if len(poisoned) == 1 and failed == poisoned:
+        blocks = [block for block, _ in pairs]
+        stacks = [stack for thread in fdm._deal(blocks, min(width, len(pairs)))
+                  for stack in thread]
+        k = len(next(stack for stack in stacks if poisoned <= set(stack)))
+        assert len(factored) <= len(stacks) + 2 * math.ceil(math.log2(k))
 
 
 class TestParallel:
@@ -741,15 +792,18 @@ class TestParallel:
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_failed_part_raises_its_own_error(self, monkeypatch, width):
+        # ``run`` of the poisoned block alone raises; ``march`` returns that
+        # exception in its slot, beside the other block's values, whether
+        # the two blocks stack (one worker) or not.
         set_workers(monkeypatch, width)
-        good, bad = self.pairs((11, 4), (21, 8))
+        good, bad = self.pairs((11, 4), (21, 4))
         block, poisoned = bad
         poisoned[7] = np.nan
         with pytest.raises(NonFiniteValueError) as solo:
             block.run(poisoned)
-        with pytest.raises(NonFiniteValueError) as both:
-            fdm.march([good, bad])
-        assert str(both.value) == str(solo.value)
+        values, error = fdm.march([good, bad])
+        assert np.array_equal(values, good[0].run(good[1]))
+        assert type(error) is NonFiniteValueError and str(error) == str(solo.value)
 
     def test_debug_record_lists_each_threads_stacks(self, monkeypatch, caplog):
         set_workers(monkeypatch, 2)

@@ -438,6 +438,15 @@ class TestSpecValidation:
             StretchSpec(StretchKind.PIECEWISE_CUBIC_C1, 0.0, 150.0,
                         (90.0, 100.0, 110.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alphas", (math.nan,), "alphas must be positive"),
+        ("chi", math.nan, "chi must be positive"),
+        ("lam", math.nan, "lam must be in"),
+    ])
+    def test_nan_shape_parameters_are_rejected(self, field, value, message):
+        with pytest.raises(GridConstructionError, match=message):
+            StretchSpec(StretchKind.CUBIC, 0.0, 150.0, (100.0,), **{field: value})
+
     def test_default_alpha_is_half_percent_of_range(self):
         spec = StretchSpec(StretchKind.PIECEWISE_CUBIC_C1, 54.57, 183.25,
                            (90.0, 102.0, 110.0))
