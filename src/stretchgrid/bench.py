@@ -92,20 +92,18 @@ class ConvergenceReport:
         return [r.errors_1e5[spot] for r in self.rows if not r.failed]
 
     def orders(self, spot: float) -> list[float]:
-        out = []
-        prev = None
-        for r in self.rows:
-            if r.failed:
-                prev = None
-                continue
-            if prev is not None:
-                e_prev, e_cur = prev.errors_1e5[spot], r.errors_1e5[spot]
-                if e_prev > 0.0 and e_cur > 0.0:
-                    out.append(math.log(e_prev / e_cur) / math.log(r.steps / prev.steps))
-                else:
-                    out.append(math.nan)
-            prev = r
-        return out
+        """The order between each two consecutive rows, neither failed."""
+        return [_order(prev, row, spot) for prev, row in zip(self.rows, self.rows[1:])
+                if not (prev.failed or row.failed)]
+
+
+def _order(prev: ConvergenceRow, row: ConvergenceRow, spot: float) -> float:
+    """Observed convergence order from ``prev`` to ``row`` at ``spot``; NaN
+    when either error is zero."""
+    e_prev, e_cur = prev.errors_1e5[spot], row.errors_1e5[spot]
+    if e_prev > 0.0 and e_cur > 0.0:
+        return math.log(e_prev / e_cur) / math.log(row.steps / prev.steps)
+    return math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -186,44 +184,31 @@ def _march(pricings: list[_Pricing]):
 
 
 class _TableCache:
-    """What the rows of one table share: stretch maps, and the pricings queued
-    to march together.
+    """What the rows of one table share: stretch maps, and ``pending``, the
+    pricings queued to march together, in the order they were queued.
 
     ``TableConfig.run`` keeps one cache for the references and every column,
-    so columns with equal stretch specs share their maps.  Maps are keyed on
-    the spec; ODE-defined maps also key on ode_steps, which follows the
-    resolution.
+    so columns with equal stretch specs share their maps.  A map is keyed on
+    its spec and on ode_steps, which follows the resolution for
+    Tavella-Randall maps and is ``None`` for every other kind.
     """
 
     def __init__(self):
         self._maps: dict[tuple, StretchMap] = {}
-        self._references: list[_Pricing] = []
-        self._rows: list[_Pricing] = []
+        self.pending: list[_Pricing] = []
 
     def get(self, spec: StretchSpec, steps: int) -> StretchMap:
-        if spec.kind is StretchKind.TAVELLA_RANDALL:
-            key = (spec, max(16, 8 * steps))
-            if key not in self._maps:
-                self._maps[key] = build_map(spec, ode_steps=key[1])
-        else:
-            key = (spec, 0)
-            if key not in self._maps:
-                self._maps[key] = build_map(spec)
+        ode_steps = (max(16, 8 * steps) if spec.kind is StretchKind.TAVELLA_RANDALL
+                     else None)
+        key = (spec, ode_steps)
+        if key not in self._maps:
+            self._maps[key] = build_map(spec, ode_steps=ode_steps)
         return self._maps[key]
 
-    @property
-    def references(self) -> int:
-        """Reference pricings waiting to march."""
-        return len(self._references)
-
-    def queue(self, pricing: _Pricing, reference: bool = False):
-        (self._references if reference else self._rows).append(pricing)
-
     def march(self):
-        """March every queued pricing, references first, through one
-        ``fdm.march`` (see ``_march``), and drop them from the queue."""
-        pricings = self._references + self._rows
-        self._references, self._rows = [], []
+        """March every pending pricing through one ``fdm.march`` (see
+        ``_march``), and empty the queue."""
+        pricings, self.pending = self.pending, []
         if pricings:
             _march(pricings)
 
@@ -244,10 +229,9 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
     """Price the contract on the grid for one resolution; spot -> price.
 
     Builds the row's grid, hooks and unfactored block.  With a table's
-    ``cache`` the pricing is queued (as a reference when ``steps`` is the
-    config's reference resolution) and the returned dict stays empty until
-    ``cache.march()`` fills it (or sets its ``error`` when the march fails).
-    Without a cache it marches at once and raises on failure.
+    ``cache`` the pricing joins ``cache.pending`` and the returned dict stays
+    empty until ``cache.march()`` fills it (or sets its ``error`` when the
+    march fails).  Without a cache it marches at once and raises on failure.
     """
     grid = build_run_grid(config, steps, cache)
     lo, hi = grid.points[0], grid.points[-1]
@@ -262,7 +246,7 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
     pricing = _Pricing(stepper, payoff(config.contract, grid), config.report_spots,
                        _Prices(config, steps))
     if cache is not None:
-        cache.queue(pricing, reference=steps == config.reference_steps)
+        cache.pending.append(pricing)
     else:
         _march([pricing])
         if pricing.prices.error is not None:
@@ -272,7 +256,8 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
 
 def _reference(config: RunConfig, cache: _TableCache) -> dict[float, float]:
     """Queue ``config``'s reference pricing.  The cache marches as soon as it
-    holds ``workers()`` references, so no more are ever alive at once.  A
+    holds ``workers()`` pricings, which are all references (every reference
+    is queued before any row), so no more are ever alive at once.  A
     reference that fails to build raises ``PricingError`` naming it."""
     try:
         prices = price_run(config, config.reference_steps, cache)
@@ -280,7 +265,7 @@ def _reference(config: RunConfig, cache: _TableCache) -> dict[float, float]:
         failed = _Prices(config, config.reference_steps)
         failed.error = exc
         raise PricingError(failed.message()) from exc
-    if cache.references >= workers():
+    if len(cache.pending) >= workers():
         cache.march()
     return prices
 
@@ -321,40 +306,31 @@ def _report(config: RunConfig, reference_prices: dict[float, float],
     report = ConvergenceReport(config.label, config.report_spots,
                                reference=dict(reference_prices))
     for steps, prices in rows:
-        error = _failure(prices)
-        if error is not None:
+        if _failure(prices) is not None:
             report.rows.append(ConvergenceRow(steps, {}, {}, failed=prices.message()))
             continue
         errors = {s: abs(prices[s] - reference_prices[s]) * 1e5
                   for s in config.report_spots}
-        report.rows.append(ConvergenceRow(steps, dict(prices), errors))
-    lead = config.report_spots[0]
-    orders = iter(report.orders(lead))
-    prev_ok = False
-    for row in report.rows:
-        if row.failed:
-            prev_ok = False
-            continue
-        row.order = next(orders) if prev_ok else math.nan
-        prev_ok = True
+        row = ConvergenceRow(steps, dict(prices), errors)
+        if report.rows and not report.rows[-1].failed:
+            row.order = _order(report.rows[-1], row, config.report_spots[0])
+        report.rows.append(row)
     return report
 
 
 def run_convergence(config: RunConfig,
-                    reference_prices: dict[float, float] | None = None,
-                    cache: _TableCache | None = None) -> ConvergenceReport:
+                    reference_prices: dict[float, float] | None = None) -> ConvergenceReport:
     """Sweep the space resolutions against a same-regime reference.
 
     The reference is priced with the same stretch/placement recipe at
     ``reference_steps`` unless explicit reference prices are passed in (used
     by table runs whose published reference is shared across columns).  The
-    reference and the sweep rows are queued and march together; blocks that
-    share (dt, N) on one thread march as one stacked system.  Failed resolutions
-    are marked in the report instead of aborting the sweep.  Maps come from
-    ``cache`` (a fresh one when not given).
+    reference and the sweep rows are queued in a fresh ``_TableCache`` and
+    march together; blocks that share (dt, N) on one thread march as one
+    stacked system.  Failed resolutions are marked in the report instead of
+    aborting the sweep; a failed reference raises ``PricingError``.
     """
-    return _sweep([(config, reference_prices)],
-                  _TableCache() if cache is None else cache)[0]
+    return _sweep([(config, reference_prices)], _TableCache())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +370,19 @@ def report_csv_lines(report: ConvergenceReport, prefix: tuple[str, ...] = ()) ->
     return out
 
 
-def _write_csv(lead: list[str], spots, rows, destination) -> int:
-    """Header (lead columns, per-spot price/error, order), then the rows."""
-    header = list(lead)
-    for s in spots:
-        header += [f"price_S{_fmt(float(s))}", f"err1e5_S{_fmt(float(s))}"]
-    header.append("order")
-    text = _csv_line(header) + "".join(_csv_line(fields) for fields in rows)
-    data = text.encode("utf-8")
+def _spot_columns(spots) -> list[str]:
+    """The price and error column names of each spot."""
+    return [f"{name}_S{_fmt(float(s))}" for s in spots for name in ("price", "err1e5")]
+
+
+def write_csv(header: list[str], rows, destination) -> int:
+    """Write the header, then each row's fields, as CSV to a path or a binary
+    stream; returns bytes written.
+
+    Numbers carry 10 significant digits, fields are RFC-4180 quoted when
+    needed and every line ends in CRLF, so identical runs are byte-identical.
+    """
+    data = "".join(_csv_line(fields) for fields in [header, *rows]).encode("utf-8")
     if hasattr(destination, "write"):
         destination.write(data)
     else:
@@ -410,22 +391,27 @@ def _write_csv(lead: list[str], spots, rows, destination) -> int:
 
 
 def emit_csv(report: ConvergenceReport, destination) -> int:
-    """Write one report as CSV; returns bytes written.
-
-    Column order is fixed (I, then per-spot price/error, then order), numbers
-    carry 10 significant digits, fields are RFC-4180 quoted when needed and
-    the file ends with a newline, so identical runs are byte-identical.
-    """
-    return _write_csv(["I"], report.spots, report_csv_lines(report), destination)
+    """Write one report as CSV (see ``write_csv``); returns bytes written.
+    The columns are I, then per-spot price/error, then order."""
+    header = ["I", *_spot_columns(report.spots), "order"]
+    return write_csv(header, report_csv_lines(report), destination)
 
 
 def emit_table_csv(results: list[tuple[str, ConvergenceReport]], destination) -> int:
-    """Concatenate per-column reports into one long-format CSV."""
+    """Concatenate per-column reports into one long-format CSV, under one
+    header; reports whose spots differ raise ``ConfigError``."""
     if not results:
         raise ConfigError("no reports to emit")
+    first, spots = results[0][0], results[0][1].spots
+    for name, report in results:
+        if report.spots != spots:
+            raise ConfigError(f"column {name!r} reports spots {report.spots} and column "
+                              f"{first!r} {spots}: a table CSV needs the same spots "
+                              "in every column")
     rows = [fields for name, report in results
             for fields in report_csv_lines(report, prefix=(name,))]
-    return _write_csv(["column", "I"], results[0][1].spots, rows, destination)
+    header = ["column", "I", *_spot_columns(spots), "order"]
+    return write_csv(header, rows, destination)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +684,14 @@ def parse_table_config(kv: dict[str, str]) -> TableConfig:
         merged.update(scoped)
         origin = {k: prefix + k for k in scoped}
         columns.append((name, _build_run(merged, name, origin)))
+        spots = columns[0][1].report_spots
+        if columns[-1][1].report_spots != spots:
+            # one of the two columns overrides the spots, or both would match
+            key = next(key for key in (prefix + "sweep.report_spots",
+                                       f"column.{names[0]}.sweep.report_spots") if key in kv)
+            raise ConfigError(f"{key} = {kv[key]!r}: column {name!r} reports spots "
+                              f"{columns[-1][1].report_spots} and column {names[0]!r} "
+                              f"{spots}, but a table's columns share one set of spots")
     reference_mode = kv.get("sweep.reference_mode", "per_column")
     if reference_mode not in ("per_column", "shared"):
         raise ConfigError(f"sweep.reference_mode = {reference_mode!r}: "

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import bench
 from .bench import (ConfigError, RunConfig, TableConfig, bench_transforms,
                     build_run_grid, emit_table_csv, load_bundled, load_config,
-                    price_run)
+                    price_run, write_csv)
 
 
 def _load(args) -> TableConfig:
@@ -19,14 +18,6 @@ def _load(args) -> TableConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
     raise ConfigError("pass --config PATH or --table N")
-
-
-def _write(text_or_bytes, out: str | None) -> None:
-    data = text_or_bytes if isinstance(text_or_bytes, bytes) else text_or_bytes.encode()
-    if out:
-        Path(out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
 
 
 def _column(table: TableConfig, name: str | None) -> RunConfig:
@@ -40,34 +31,24 @@ def _column(table: TableConfig, name: str | None) -> RunConfig:
 
 def cmd_grid(args) -> int:
     cfg = _column(_load(args), args.column)
-    grid = build_run_grid(cfg, args.steps)
-    lines = ["index,u,S\r\n"]
-    n = grid.points.size - 1
-    for j, s in enumerate(grid.points):
-        lines.append(f"{j},{j / n:.10g},{s:.10g}\r\n")
-    _write("".join(lines), args.out)
+    points = build_run_grid(cfg, args.steps).points
+    n = points.size - 1
+    write_csv(["index", "u", "S"], [(j, j / n, s) for j, s in enumerate(points)],
+              args.out or sys.stdout.buffer)
     return 0
 
 
 def cmd_price(args) -> int:
     cfg = _column(_load(args), args.column)
-    steps = args.steps or cfg.space_steps[-1]
+    steps = cfg.space_steps[-1] if args.steps is None else args.steps
     prices = price_run(cfg, steps)
-    lines = ["spot,price\r\n"]
-    for s in cfg.report_spots:
-        lines.append(f"{s:.10g},{prices[s]:.10g}\r\n")
-    _write("".join(lines), args.out)
+    write_csv(["spot", "price"], [(s, prices[s]) for s in cfg.report_spots],
+              args.out or sys.stdout.buffer)
     return 0
 
 
 def cmd_converge(args) -> int:
-    table = _load(args)
-    results = table.run()
-    if args.out:
-        with open(args.out, "wb") as fh:
-            emit_table_csv(results, fh)
-    else:
-        emit_table_csv(results, sys.stdout.buffer)
+    emit_table_csv(_load(args).run(), args.out or sys.stdout.buffer)
     return 0
 
 

@@ -89,8 +89,8 @@ class StretchSpec:
         if self.alphas is not None:
             alphas = tuple(float(a) for a in (
                 self.alphas if np.iterable(self.alphas) else (self.alphas,)))
-            if any(not a > 0.0 for a in alphas):
-                raise GridConstructionError("alphas must be positive")
+            if any(not (a > 0.0 and math.isfinite(a)) for a in alphas):
+                raise GridConstructionError(f"alphas must be positive and finite, got {alphas}")
             if len(alphas) not in (1, max(len(pts), 1)):
                 raise GridConstructionError("need one alpha, or one per critical point")
             object.__setattr__(self, "alphas", alphas)
@@ -858,6 +858,9 @@ class Grid:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 1 or self.points.size < 2:
             raise GridConstructionError("grid needs at least two points")
+        if not np.isfinite(self.points).all():
+            k = int(np.argmin(np.isfinite(self.points)))
+            raise GridConstructionError(f"grid point {k} is {self.points[k]}, not finite")
         if np.any(np.diff(self.points) <= 0.0):
             raise GridConstructionError("grid points must be strictly increasing")
 

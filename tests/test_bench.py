@@ -1,5 +1,6 @@
 import io
 from importlib import resources
+import math
 import threading
 import weakref
 
@@ -167,6 +168,15 @@ pde.barrier_mode = ghost_lagrange3
         path.write_text(load_bundled_text("double_ko_discrete_stretch.cfg"))
         assert bench.load_config(path) == load_bundled(4)
         assert bench.load_config(str(path)) == load_bundled(4)
+
+    @pytest.mark.parametrize("column", ["a", "b"])
+    def test_column_spots_must_match_the_first_column(self, column):
+        text = SMOKE + f"columns = a, b\ncolumn.{column}.sweep.report_spots = 60, 80\n"
+        with pytest.raises(ConfigError,
+                           match=rf"^column\.{column}\.sweep\.report_spots = '60, 80'"):
+            parse_table_config(parse_config_text(text))
+        same = SMOKE + f"columns = a, b\ncolumn.{column}.sweep.report_spots = 75\n"
+        parse_table_config(parse_config_text(same))
 
     def test_unknown_reference_mode_is_rejected(self):
         text = SMOKE + "columns = a, b\nsweep.reference_mode = sharde\n"
@@ -348,6 +358,23 @@ class TestRunConvergence:
             SMOKE.replace("sweep.report_spots = 75", "sweep.report_spots = 75, 200")))
         with pytest.raises(ConfigError, match=r"report spot 200\.0 outside the grid"):
             bench.price_run(table.columns[0][1], 16)
+
+    def test_order_skips_a_failed_row(self, monkeypatch):
+        # I = 32 fails: neither it nor I = 48 gets an order, I = 64 gets the
+        # order from I = 48, and orders() skips both pairs touching I = 32.
+        text = SMOKE.replace("market.sigma = 0", "market.sigma = 0.2").replace(
+            "sweep.space_steps = 16, 32", "sweep.space_steps = 16, 32, 48, 64").replace(
+            "sweep.reference_steps = 64", "sweep.reference_steps = 128")
+        poison_row(monkeypatch, 33)
+        report = run_convergence(parse_table_config(parse_config_text(text)).columns[0][1])
+        assert [bool(row.failed) for row in report.rows] == [False, True, False, False]
+        r48, r64 = report.rows[2:]
+        order = math.log(r48.errors_1e5[75.0] / r64.errors_1e5[75.0]) / math.log(64 / 48)
+        assert report.orders(75.0) == [order]
+        buf = io.BytesIO()
+        emit_csv(report, buf)
+        orders = [line.split(",")[-1] for line in buf.getvalue().decode().splitlines()[1:]]
+        assert orders == ["", "", "", f"{order:.10g}"]
 
     def test_orders_from_error_ratios(self):
         report = ConvergenceReport("x", (100.0,))
@@ -662,6 +689,12 @@ class TestCsv:
         buf = io.BytesIO()
         emit_csv(report, buf)
         assert b"failed" in buf.getvalue()
+
+    def test_table_csv_rejects_columns_with_other_spots(self):
+        reports = [("a", ConvergenceReport("a", (75.0,))),
+                   ("b", ConvergenceReport("b", (60.0, 80.0)))]
+        with pytest.raises(ConfigError, match=r"column 'b' reports spots \(60\.0, 80\.0\)"):
+            emit_table_csv(reports, io.BytesIO())
 
     def test_byte_stable_rerun(self):
         table = parse_table_config(parse_config_text(SMOKE))

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from stretchgrid.cli import main
 
 SMOKE = Path(__file__).resolve().parents[1] / "src/stretchgrid/configs/smoke_zero_vol.cfg"
@@ -39,6 +41,26 @@ def test_price_command(tmp_path):
     spot, price = lines[1].split(",")
     assert float(spot) == 75.0
     assert abs(float(price) - 25.0) < 1e-9
+
+
+def test_price_rejects_zero_steps(capsys):
+    assert main(["price", "--config", str(SMOKE), "--steps", "0"]) == 1
+    assert "need at least two intervals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--config", str(SMOKE), "--steps", "16"],
+    ["price", "--config", str(SMOKE)],
+    ["converge", "--config", str(SMOKE)],
+])
+def test_stdout_gets_the_bytes_of_out(tmp_path, capsysbinary, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv) == 0
+    written = out.read_bytes()
+    assert capsysbinary.readouterr().out == written
+    assert written.endswith(b"\r\n") and written.count(b"\r\n") == written.count(b"\n")
 
 
 def test_bench_command(capsys):

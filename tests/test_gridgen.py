@@ -447,6 +447,12 @@ class TestSpecValidation:
         with pytest.raises(GridConstructionError, match=message):
             StretchSpec(StretchKind.CUBIC, 0.0, 150.0, (100.0,), **{field: value})
 
+    @pytest.mark.parametrize("kind", list(StretchKind))
+    def test_infinite_alpha_is_rejected(self, kind):
+        with pytest.raises(GridConstructionError,
+                           match=r"alphas must be positive and finite, got \(inf,\)"):
+            StretchSpec(kind, 0.0, 150.0, (100.0,), (math.inf,))
+
     def test_default_alpha_is_half_percent_of_range(self):
         spec = StretchSpec(StretchKind.PIECEWISE_CUBIC_C1, 54.57, 183.25,
                            (90.0, 102.0, 110.0))
@@ -456,3 +462,8 @@ class TestSpecValidation:
     def test_grid_type_rejects_nonmonotone(self):
         with pytest.raises(GridConstructionError):
             Grid(np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_type_rejects_non_finite_points(self, bad):
+        with pytest.raises(GridConstructionError, match=rf"grid point 1 is {bad}, not finite"):
+            Grid(np.array([0.0, bad, 2.0]))
