@@ -111,7 +111,21 @@ def _order(prev: ConvergenceRow, row: ConvergenceRow, spot: float) -> float:
 
 
 def resolve_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
-    """Domain bounds and actual interval count for one sweep resolution."""
+    """Domain bounds and actual interval count for one sweep resolution.
+
+    Raises ``ConfigError`` naming I when I < 1, or when the domain fit
+    leaves fewer than two intervals.
+    """
+    if steps < 1:
+        raise ConfigError(f"I = {steps}: need at least two intervals (I must be at least 1)")
+    s_min, s_max, intervals = _fit_domain(config, steps)
+    if intervals < 2:
+        raise ConfigError(f"I = {steps}: need at least two intervals "
+                          f"(domain.fit = {config.domain.fit} gives {intervals})")
+    return s_min, s_max, intervals
+
+
+def _fit_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
     c = config.contract
     fit = config.domain.fit
     if fit == DomainFit.EXPLICIT:
@@ -434,7 +448,13 @@ def bench_transforms(samples: int = 10_000_000,
                      candidate: StretchSpec | None = None,
                      repetitions: int = 5) -> TimingReport:
     """Wall-clock of candidate (default cubic) vs baseline (default sinh)
-    map evaluation over identical uniform samples; best-of-n timing."""
+    map evaluation over identical uniform samples; best-of-n timing.
+
+    From 80 chunks of 65,536 samples up (the default 1e7 samples among
+    them) both maps evaluate on ``workers()`` threads (see
+    ``gridgen._chunked_eval``), so the times come from every CPU the process
+    may use, not from one.
+    """
     if samples < 1_000_000:
         raise ConfigError("need at least 1e6 samples for a stable timing")
     if baseline is None:

@@ -27,8 +27,10 @@ thread stacks its own blocks per (dt, N) and marches those stacks.  The f2py
 ``dgttrs`` releases the GIL for the whole solve, and numpy releases it inside
 the array loops on long vectors, so the serial LU recurrences of two large
 systems run on two cores; the Python of the step loop and of the hooks holds
-it, which is why small stacks gain little.  Every block's values are bit for
-bit those of its own march, on any number of threads.  A zero pivot
+it, which is why small stacks gain little.  ``_threads`` holds the thread
+policy, shared with ``gridgen``'s map evaluation, and runs every thread under
+the caller's ``np.geterr()``.  Every block's values, or the exception that
+fails it, are those of its own march, on any number of threads.  A zero pivot
 (``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
 both rise from the march, which returns each in its failing block's slot.
 """
@@ -40,15 +42,14 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
-import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._threads import run_parts, workers
 from .gridgen import Grid
 
 
@@ -434,15 +435,6 @@ def _acting(blocks, name: str) -> tuple:
                  if getattr(type(hook), name) is not default)
 
 
-def workers() -> int:
-    """Threads a march uses: the CPUs this process may run on, or
-    ``os.cpu_count()`` where the platform reports no affinity."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return len(affinity(0))
-    return os.cpu_count() or 1
-
-
 class TrBdf2Stepper:
     """One pricing's block of the TR-BDF2 system, built unfactored: its grid,
     operator with boundary rows, dt, N, hooks and pinned rows.
@@ -634,7 +626,8 @@ def march(pairs) -> list:
 
     The blocks are dealt to ``workers()`` threads, the calling thread among
     them (see ``_deal``; with one worker no thread starts), and each thread
-    stacks and marches its own: one gttrf per stack.  No thread calls
+    stacks and marches its own under the caller's numpy error state (see
+    ``_threads.run_parts``): one gttrf per stack.  No thread calls
     ``run``.  A one-block stack marches its block's terminal vector as it
     is.  A stack that raises an ``Exception`` marches again as two halves,
     each its own stack, until each failing block stands alone with the
@@ -650,9 +643,8 @@ def march(pairs) -> list:
     dealt = _deal(blocks, min(workers(), len(pairs)))
     results: list = [None] * len(pairs)
     cpu_s = [0.0] * len(dealt)
-    stop = threading.Event()
 
-    def work(thread: int):
+    def work(thread: int, stop):
         start = time.thread_time()
         todo = dealt[thread][::-1]
         while todo and not stop.is_set():
@@ -675,18 +667,7 @@ def march(pairs) -> list:
         cpu_s[thread] = time.thread_time() - start
 
     began = time.perf_counter()
-    extra = [threading.Thread(target=work, args=(thread,), name=f"fdm-march-{thread}")
-             for thread in range(1, len(dealt))]
-    for worker in extra:
-        worker.start()
-    try:
-        work(0)
-    except BaseException:
-        stop.set()             # an interrupt on this thread stops the others
-        raise
-    finally:
-        for worker in extra:
-            worker.join()
+    run_parts(work, len(dealt), "fdm-march")
     if log.isEnabledFor(logging.DEBUG):
         threads = []
         for thread, stacks in enumerate(dealt):

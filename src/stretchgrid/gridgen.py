@@ -20,6 +20,13 @@ A product-form Jacobian dS/du = alpha*A*prod_i (u - b_i)^2 + alpha would
 extend the single cubic to many points directly, but pinning (A, b_1..b_n)
 to the critical points is an n-dimensional nonlinear solve that scales
 poorly; the piecewise representations below exist to avoid it.
+
+``Sinh`` and ``Cubic`` evaluate arrays in 65,536-sample chunks.  A batch of
+``_THREADED_CHUNKS`` (80) full chunks or more is split into ``workers()``
+runs of chunks, one thread each (the thread policy of ``_threads``, shared
+with ``fdm.march``, every thread under the caller's ``np.geterr()``); each
+value is bit for bit that of one thread.  Every grid of the bundled tables
+is far below that size.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._threads import run_parts, workers
 from .spline import MonotoneCubic
 
 log = logging.getLogger(__name__)
@@ -178,13 +186,32 @@ class UniformMap(StretchMap):
 
 
 _EVAL_CHUNK = 65536  # keep hot-loop buffers cache-resident for big batches
+_THREADED_CHUNKS = 80  # from this many chunks up, two threads beat one (2-CPU host)
 
 
 def _chunked_eval(kernel, u: np.ndarray) -> np.ndarray:
+    """``kernel(src, dst)`` over ``u`` chunk by chunk into a new array.
+
+    A batch of ``_THREADED_CHUNKS`` full chunks or more is split into
+    ``workers()`` contiguous runs of chunks, one per thread, the calling
+    thread's first; each chunk goes through the same kernel into its own
+    slice of the output, so the values are bit for bit those of one thread.
+    """
     out = np.empty_like(u)
-    for i in range(0, u.size, _EVAL_CHUNK):
-        blk = slice(i, min(i + _EVAL_CHUNK, u.size))
-        kernel(u[blk], out[blk])
+    starts = range(0, u.size, _EVAL_CHUNK)
+    if u.size < _THREADED_CHUNKS * _EVAL_CHUNK:
+        for i in starts:
+            kernel(u[i:i + _EVAL_CHUNK], out[i:i + _EVAL_CHUNK])
+        return out
+    width = min(workers(), len(starts))
+
+    def part(k: int, stop):
+        for i in starts[k * len(starts) // width:(k + 1) * len(starts) // width]:
+            if stop.is_set():
+                return
+            kernel(u[i:i + _EVAL_CHUNK], out[i:i + _EVAL_CHUNK])
+
+    run_parts(part, width, "gridgen-eval")
     return out
 
 

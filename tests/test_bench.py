@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from importlib import resources
 import math
@@ -11,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from stretchgrid import bench, fdm, gridgen
 from stretchgrid.bench import (ConfigError, ConvergenceReport, ConvergenceRow,
-                               bench_transforms, emit_csv, emit_table_csv,
-                               load_bundled, parse_config_text,
-                               parse_table_config, run_convergence)
+                               DomainFit, DomainSpec, bench_transforms, emit_csv,
+                               emit_table_csv, load_bundled, parse_config_text,
+                               parse_table_config, resolve_domain, run_convergence)
 from stretchgrid.fdm import BarrierMode, BoundaryKind, Hook, NonFiniteValueError
 from stretchgrid.gridgen import StretchKind, StretchSpec
 from stretchgrid.instruments import ExerciseStyle, OptionType
@@ -704,6 +705,35 @@ class TestCsv:
             emit_table_csv(table.run(), buf)
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
+
+
+class TestResolveDomain:
+    # Intervals each fit makes of I: explicit and barrier_exact I, the
+    # half-cell offset I + 1, the node pad I + 2.
+    FITS = {DomainFit.EXPLICIT: 0, DomainFit.BARRIER_EXACT: 0,
+            DomainFit.BARRIER_OFFSET_HALF_CELL: 1, DomainFit.BARRIER_NODE_PAD: 2}
+
+    def config(self, fit):
+        # table 5's first column has both barriers, at 90 and 110
+        config = load_bundled(5).columns[0][1]
+        return dataclasses.replace(config, domain=DomainSpec(0.0, 150.0, fit))
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_no_intervals_names_i(self, fit, steps):
+        with pytest.raises(ConfigError, match=f"^I = {steps}: need at least two intervals"):
+            resolve_domain(self.config(fit), steps)
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_one_interval_is_refused_only_where_the_fit_adds_none(self, fit):
+        config = self.config(fit)
+        if self.FITS[fit]:
+            assert resolve_domain(config, 1)[2] == 1 + self.FITS[fit]
+        else:
+            with pytest.raises(ConfigError, match=f"^I = 1: need at least two intervals "
+                                                  f"\\(domain.fit = {fit} gives 1\\)"):
+                resolve_domain(config, 1)
+        assert resolve_domain(config, 2)[2] == 2 + self.FITS[fit]
 
 
 class TestBenchTransforms:

@@ -48,6 +48,18 @@ def test_price_rejects_zero_steps(capsys):
     assert "need at least two intervals" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, steps", [
+    (["price", "--table", "5", "--steps", "0"], 0),
+    (["grid", "--table", "6", "--steps", "0"], 0),
+    (["price", "--table", "3", "--steps", "1"], 1),
+])
+def test_too_few_intervals_name_i(capsys, argv, steps):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"I = {steps}: need at least two intervals" in err
+    assert "division by zero" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["grid", "--config", str(SMOKE), "--steps", "16"],
     ["price", "--config", str(SMOKE)],

@@ -805,6 +805,28 @@ class TestParallel:
         assert np.array_equal(values, good[0].run(good[1]))
         assert type(error) is NonFiniteValueError and str(error) == str(solo.value)
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("overflow_first", [True, False])
+    def test_every_thread_keeps_the_callers_error_state(self, monkeypatch, width,
+                                                         overflow_first):
+        # Under over="raise" a block of 1e308s fails alone with numpy's
+        # FloatingPointError.  Marched beside a costlier clean block it lands
+        # on another thread from two workers up, and must fail the same way
+        # there, not with the NonFiniteValueError of numpy's default state.
+        clean, (block, _) = self.pairs((41, 4), (21, 4))
+        bad = (block, np.full(21, 1e308))
+        pairs = [bad, clean] if overflow_first else [clean, bad]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError) as solo:
+                block.run(bad[1])
+            want = clean[0].run(clean[1])
+            set_workers(monkeypatch, width)
+            out = fdm.march(pairs)
+        error, values = out if overflow_first else out[::-1]
+        assert type(solo.value) is FloatingPointError
+        assert type(error) is type(solo.value) and str(error) == str(solo.value)
+        assert np.array_equal(values, want)
+
     def test_debug_record_lists_each_threads_stacks(self, monkeypatch, caplog):
         set_workers(monkeypatch, 2)
         pairs = self.pairs((11, 4), (21, 4), (11, 9), (31, 2))

@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from conftest import set_workers
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -14,6 +18,7 @@ from stretchgrid.gridgen import (ENDPOINT_RTOL, Grid, GridConstructionError,
                                  build_piecewise_c2, build_sinh,
                                  build_tavella_randall, sample_grid,
                                  second_derivative_jump, solve_depressed_cubic)
+from test_acceptance import transcendental_calls
 
 FIG1 = dict(s_min=0.0, s_max=150.0, critical_points=(125.0,), alphas=(1.5,))
 FIG2 = dict(s_min=54.0, s_max=183.0, critical_points=(90.0, 102.0, 110.0),
@@ -104,6 +109,109 @@ class TestCubic:
         t = m.c1 + (m.c2 - m.c1) * u
         direct = 125.0 + 1.5 * (t ** 3 / 6.0 + t)
         assert np.max(np.abs(m(u) - direct)) < 1e-10
+
+
+CHUNK = gridgen._EVAL_CHUNK
+THREADED = gridgen._THREADED_CHUNKS * CHUNK  # the smallest batch split across threads
+
+
+def count_started(monkeypatch) -> list:
+    """Record every thread started from now on."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
+
+
+class TestThreadedEval:
+    MAPS = {kind: build_map(StretchSpec(kind, **FIG1))
+            for kind in (StretchKind.SINH, StretchKind.CUBIC)}
+
+    @pytest.mark.parametrize("samples", [THREADED - 1, THREADED, THREADED + 7, 3_000_005, 0])
+    @pytest.mark.parametrize("kind", MAPS)
+    def test_every_width_gives_the_bits_of_the_serial_loop(self, monkeypatch, kind, samples):
+        mapping = self.MAPS[kind]
+        u = np.random.default_rng(samples).random(samples)
+        # one call per chunk: each batch is below the threshold, so serial
+        serial = np.concatenate([mapping(u[i:i + CHUNK]) for i in range(0, samples, CHUNK)]
+                                or [mapping(u)])
+        for width in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                set_workers(patch, width)
+                started = count_started(patch)
+                out = mapping(u)
+            assert len(started) == (width - 1 if samples >= THREADED else 0)
+            assert out.shape == u.shape
+            assert np.array_equal(out.view(np.int64), serial.view(np.int64)), width
+
+    def test_many_threads_switching_often_keep_the_bits(self, monkeypatch):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a chunk evaluated twice, or never, breaks the values.
+        mapping = self.MAPS[StretchKind.CUBIC]
+        u = np.random.default_rng(8).random(THREADED + 7)
+        serial = np.concatenate([mapping(u[i:i + CHUNK]) for i in range(0, u.size, CHUNK)])
+        set_workers(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = mapping(u)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(out.view(np.int64), serial.view(np.int64))
+
+    def test_a_failing_part_raises_in_the_caller_after_every_join(self, monkeypatch):
+        # Three parts of the chunks; chunk 60 of 80 lies in the last one.
+        set_workers(monkeypatch, 3)
+        u = np.arange(THREADED, dtype=float)
+
+        def kernel(src, dst):
+            if src[0] == 60 * CHUNK:
+                raise ValueError("chunk 60")
+            dst[:] = src
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="chunk 60"):
+            gridgen._chunked_eval(kernel, u)
+        assert threading.active_count() == before
+
+    def test_an_interrupt_stops_the_other_parts_before_their_next_chunk(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(gridgen, "_EVAL_CHUNK", 1)
+        u = np.arange(2 * 1000, dtype=float)   # 1,000 one-sample chunks a part
+        other = []
+
+        def kernel(src, dst):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            other.append(src[0])
+            time.sleep(0.001)
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            gridgen._chunked_eval(kernel, u)
+        assert threading.active_count() == before
+        assert len(other) < 100
+
+    def test_an_overflow_in_a_threads_part_raises_as_on_the_caller(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        u = np.zeros(THREADED)
+        u[-1] = 1e3   # sinh(c1 + dc * 1e3) overflows, in the second part
+        mapping = self.MAPS[StretchKind.SINH]
+        with np.errstate(over="ignore"):
+            assert np.isinf(mapping(u)[-1])
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                mapping(u)
+
+    def test_threaded_cubic_makes_no_transcendental_call(self, monkeypatch):
+        # Criterion 7's probe, on a batch split across two threads.
+        set_workers(monkeypatch, 2)
+        started = count_started(monkeypatch)
+        u = np.linspace(0.0, 1.0, THREADED + 7)
+        assert not transcendental_calls(monkeypatch, self.MAPS[StretchKind.CUBIC], u)
+        assert "sinh" in transcendental_calls(monkeypatch, self.MAPS[StretchKind.SINH], u)
+        assert len(started) == 2
 
 
 class TestPiecewiseC1:
