@@ -21,12 +21,15 @@ extend the single cubic to many points directly, but pinning (A, b_1..b_n)
 to the critical points is an n-dimensional nonlinear solve that scales
 poorly; the piecewise representations below exist to avoid it.
 
-``Sinh`` and ``Cubic`` evaluate arrays in 65,536-sample chunks.  A batch of
-``_THREADED_CHUNKS`` (80) full chunks or more is split into ``workers()``
-runs of chunks, one thread each (the thread policy of ``_threads``, shared
-with ``fdm.march``, every thread under the caller's ``np.geterr()``); each
-value is bit for bit that of one thread.  Every grid of the bundled tables
-is far below that size.
+Every map evaluates through one path, ``StretchMap.__call__``: a family
+writes only its elementwise kernel ``_eval(u, out)``, and a scalar or an
+array of any shape is flattened, evaluated in 65,536-sample chunks
+(``_chunked_eval``) and reshaped back.  So a scalar gets the bits of the
+same sample inside an array.  A batch of ``_THREADED_CHUNKS`` (80) full
+chunks or more is split into ``workers()`` runs of chunks, one thread each
+(the thread policy of ``_threads``, shared with ``fdm.march``, every thread
+under the caller's ``np.geterr()``); each value is bit for bit that of one
+thread.  Every grid of the bundled tables is far below that size.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,8 +106,8 @@ class StretchSpec:
             if len(alphas) not in (1, max(len(pts), 1)):
                 raise GridConstructionError("need one alpha, or one per critical point")
             object.__setattr__(self, "alphas", alphas)
-        if not self.chi > 0.0:
-            raise GridConstructionError("chi must be positive")
+        if not (self.chi > 0.0 and math.isfinite(self.chi)):
+            raise GridConstructionError(f"chi must be positive and finite, got {self.chi}")
         if not 0.0 < self.lam <= 0.5:
             raise GridConstructionError("lam must be in (0, 1/2]")
         if self.kind in (StretchKind.SINH, StretchKind.CUBIC) and len(pts) != 1:
@@ -153,11 +157,17 @@ def solve_depressed_cubic(chi: float, d: float) -> float:
 
 
 class StretchMap:
-    """Monotone map S(u), u in [0, 1], onto [s_min, s_max]."""
+    """Monotone map S(u), u in [0, 1], onto [s_min, s_max].  A family writes
+    only its elementwise kernel ``_eval(u, out)``: S(u) of 1-d ``u`` into ``out``."""
 
     spec: StretchSpec
 
     def __call__(self, u):
+        """S(u) for a scalar or any array; a 0-d input gives a numpy scalar."""
+        u = np.asarray(u, dtype=float)
+        return _chunked_eval(self._eval, u.ravel()).reshape(u.shape)[()]
+
+    def _eval(self, u: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError
 
     def derivative(self, u):
@@ -172,9 +182,9 @@ class StretchMap:
 class UniformMap(StretchMap):
     spec: StretchSpec
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.spec.s_min + u * self.spec.range
+    def _eval(self, u, out):
+        np.multiply(u, self.spec.range, out=out)
+        out += self.spec.s_min
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
@@ -190,7 +200,7 @@ _THREADED_CHUNKS = 80  # from this many chunks up, two threads beat one (2-CPU h
 
 
 def _chunked_eval(kernel, u: np.ndarray) -> np.ndarray:
-    """``kernel(src, dst)`` over ``u`` chunk by chunk into a new array.
+    """``kernel(src, dst)`` over a 1-d ``u`` chunk by chunk into a new array.
 
     A batch of ``_THREADED_CHUNKS`` full chunks or more is split into
     ``workers()`` contiguous runs of chunks, one per thread, the calling
@@ -221,23 +231,18 @@ class SinhMap(StretchMap):
     c1: float
     c2: float
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        b = self.spec.critical_points[0]
-        alpha = self.spec.alpha_per_point()[0]
-        dc = self.c2 - self.c1
-        if u.ndim == 0:
-            return b + alpha * math.sinh(self.c1 + dc * float(u))
-        c1 = self.c1
+    @cached_property
+    def _consts(self) -> tuple[float, float, float, float]:
+        return (self.spec.critical_points[0], self.spec.alpha_per_point()[0],
+                self.c1, self.c2 - self.c1)
 
-        def kernel(src, dst):
-            np.multiply(src, dc, out=dst)
-            dst += c1
-            np.sinh(dst, out=dst)
-            dst *= alpha
-            dst += b
-
-        return _chunked_eval(kernel, u)
+    def _eval(self, u, out):
+        b, alpha, c1, dc = self._consts
+        np.multiply(u, dc, out=out)
+        out += c1
+        np.sinh(out, out=out)
+        out *= alpha
+        out += b
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
@@ -255,6 +260,7 @@ class CubicMap(StretchMap):
     c1: float
     c2: float
 
+    @cached_property
     def _poly_coeffs(self) -> tuple[float, float, float, float]:
         # Expand B + alpha*((c1 + dc u)^3/chi + c1 + dc u) in powers of u;
         # Horner evaluation then needs no transcendental work at all.
@@ -267,22 +273,14 @@ class CubicMap(StretchMap):
                 3.0 * a3 * self.c1 * dc * dc,
                 a3 * dc ** 3)
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        p0, p1, p2, p3 = self._poly_coeffs()
-        if u.ndim == 0:
-            x = float(u)
-            return ((p3 * x + p2) * x + p1) * x + p0
-
-        def kernel(src, dst):
-            np.multiply(src, p3, out=dst)
-            dst += p2
-            dst *= src
-            dst += p1
-            dst *= src
-            dst += p0
-
-        return _chunked_eval(kernel, u)
+    def _eval(self, u, out):
+        p0, p1, p2, p3 = self._poly_coeffs
+        np.multiply(u, p3, out=out)
+        out += p2
+        out *= u
+        out += p1
+        out *= u
+        out += p0
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
@@ -380,8 +378,8 @@ class PiecewiseMap(StretchMap):
             self.c_right[i] - self.c_left[i])
 
     # -- public surface ------------------------------------------------
-    def __call__(self, u):
-        return self._blend(u, self.piece_value, QuinticPatch.value)
+    def _eval(self, u, out):
+        out[:] = self._blend(u, self.piece_value, QuinticPatch.value)
 
     def derivative(self, u):
         return self._blend(u, self.piece_deriv, QuinticPatch.deriv)
@@ -417,10 +415,9 @@ class TavellaRandallMap(StretchMap):
         if self._interp is None:
             self._interp = MonotoneCubic(self.trajectory_u, self.trajectory_s)
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
+    def _eval(self, u, out):
         # Trajectory nodes are exact; interpolate only strictly between them.
-        return self._interp(np.clip(u, 0.0, 1.0))
+        out[:] = self._interp(np.clip(u, 0.0, 1.0))
 
     def derivative(self, u):
         s = self(u)
@@ -911,7 +908,7 @@ def sample_grid(mapping: StretchMap, I: int) -> Grid:
         raise GridConstructionError("need at least two intervals")
     spec = mapping.spec
     u = np.linspace(0.0, 1.0, I + 1)
-    pts = np.asarray(mapping(u), dtype=float).copy()
+    pts = mapping(u)
     if abs(pts[0] - spec.s_min) > ENDPOINT_RTOL * spec.range or \
             abs(pts[-1] - spec.s_max) > ENDPOINT_RTOL * spec.range:
         raise GridConstructionError("map endpoints violate the bounds tolerance")

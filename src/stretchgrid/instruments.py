@@ -49,6 +49,10 @@ class ContractSpec:
     observation_dates: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("strike", "maturity", "rebate", "barrier_lower", "barrier_upper"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
         if self.strike <= 0.0 or self.maturity <= 0.0:
             raise ContractError("need positive strike and maturity")
         if self.barrier_lower is not None and self.barrier_upper is not None \

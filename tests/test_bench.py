@@ -2,6 +2,7 @@ import dataclasses
 import io
 from importlib import resources
 import math
+from pathlib import Path
 import threading
 import weakref
 
@@ -752,3 +753,25 @@ class TestBenchTransforms:
         slow = bench_transforms(4_000_000, repetitions=3)
         assert slow.seconds_baseline > fast.seconds_baseline
         assert slow.seconds_candidate > fast.seconds_candidate
+
+
+GOLDEN_NODES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "grid_nodes.npz"
+NODE_TOL = 1e-3 * 1e-5   # perfbench's node tolerance, NODE_TOL_1E5 x 1e-5
+
+
+def test_every_bundled_grid_matches_its_golden_nodes():
+    # The 127 grids (sweep rows and references, keyed config:column:I) that
+    # the benchmark's grid_build replay checks, so that a node which moves
+    # fails here and not only when the benchmark runs.
+    with np.load(GOLDEN_NODES) as golden:
+        nodes = dict(golden)
+    assert len(nodes) == 127
+    tables = {}
+    for row, expected in nodes.items():
+        key, column, steps = row.split(":")
+        if key not in tables:
+            tables[key] = dict(load_bundled(key).columns), bench._TableCache()
+        columns, cache = tables[key]
+        points = bench.build_run_grid(columns[column], int(steps), cache).points
+        assert points.shape == expected.shape, row
+        assert np.max(np.abs(points - expected)) <= NODE_TOL, row

@@ -125,11 +125,19 @@ def count_started(monkeypatch) -> list:
 
 
 class TestThreadedEval:
-    MAPS = {kind: build_map(StretchSpec(kind, **FIG1))
-            for kind in (StretchKind.SINH, StretchKind.CUBIC)}
+    # One map of every family; the multi-point families on FIG2, so that the
+    # C2 map has quintic patches.
+    MAPS = {kind: build_map(StretchSpec(kind, **FIG1)) for kind in
+            (StretchKind.SINH, StretchKind.CUBIC, StretchKind.UNIFORM)}
+    MAPS.update({kind: build_map(StretchSpec(kind, **FIG2)) for kind in
+                 (StretchKind.PIECEWISE_CUBIC_C1, StretchKind.PIECEWISE_C2,
+                  StretchKind.TAVELLA_RANDALL)})
 
-    @pytest.mark.parametrize("samples", [THREADED - 1, THREADED, THREADED + 7, 3_000_005, 0])
-    @pytest.mark.parametrize("kind", MAPS)
+    @pytest.mark.parametrize("kind, samples", [
+        *((kind, samples) for kind in (StretchKind.SINH, StretchKind.CUBIC)
+          for samples in (THREADED - 1, THREADED, THREADED + 7, 3_000_005, 0)),
+        *((kind, THREADED + 7) for kind in MAPS
+          if kind not in (StretchKind.SINH, StretchKind.CUBIC))])
     def test_every_width_gives_the_bits_of_the_serial_loop(self, monkeypatch, kind, samples):
         mapping = self.MAPS[kind]
         u = np.random.default_rng(samples).random(samples)
@@ -212,6 +220,65 @@ class TestThreadedEval:
         assert not transcendental_calls(monkeypatch, self.MAPS[StretchKind.CUBIC], u)
         assert "sinh" in transcendental_calls(monkeypatch, self.MAPS[StretchKind.SINH], u)
         assert len(started) == 2
+
+
+class TestOnePath:
+    """Every family evaluates through ``StretchMap.__call__``: scalars,
+    arrays of any shape and large batches all go through ``_chunked_eval``."""
+
+    MAPS = TestThreadedEval.MAPS
+
+    @pytest.mark.parametrize("kind", MAPS)
+    def test_a_scalar_gets_the_bits_of_the_same_sample_in_an_array(self, kind):
+        mapping = self.MAPS[kind]
+        u = np.random.default_rng(0).random(2000)
+        scalars = np.array([mapping(float(x)) for x in u])
+        assert np.array_equal(scalars.view(np.int64), mapping(u).view(np.int64))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_a_2d_batch_is_chunked_and_threaded_as_its_flat_copy(self, monkeypatch, width):
+        mapping = build_map(StretchSpec(StretchKind.CUBIC, **FIG1))
+        u = np.random.default_rng(width).random((gridgen._THREADED_CHUNKS, CHUNK))
+        flat = mapping(u.ravel().copy())
+        calls = []
+        kernel = mapping._eval
+
+        def recording(src, dst):
+            calls.append((threading.current_thread().name, src.size))
+            kernel(src, dst)
+
+        mapping._eval = recording
+        set_workers(monkeypatch, width)
+        out = mapping(u)
+        assert out.shape == u.shape
+        assert np.array_equal(out.ravel().view(np.int64), flat.view(np.int64))
+        assert [size for _, size in calls] == [CHUNK] * gridgen._THREADED_CHUNKS
+        assert len({name for name, _ in calls}) == width
+
+    @pytest.mark.parametrize("kind", MAPS)
+    def test_a_0d_input_gives_a_numpy_float(self, kind):
+        mapping = self.MAPS[kind]
+        for u in (0.3, np.float64(0.3), np.array(0.3), 1):
+            value = mapping(u)
+            assert type(value) is np.float64
+            assert value == mapping(np.array([u], dtype=float))[0]
+
+    @pytest.mark.parametrize("kind", MAPS)
+    def test_an_empty_batch_keeps_its_shape(self, kind):
+        for shape in ((0,), (3, 0), (0, 2, 5)):
+            out = self.MAPS[kind](np.empty(shape))
+            assert out.shape == shape and out.dtype == np.float64
+
+    def test_sampling_at_the_ode_resolution_leaves_the_trajectory_alone(self):
+        # At I = ode_steps every sample is a trajectory node; the grid must
+        # still be a fresh array, since sample_grid snaps its endpoints.
+        m = build_tavella_randall(StretchSpec(StretchKind.TAVELLA_RANDALL, **FIG2), 512)
+        trajectory = m.trajectory_s.copy()
+        grid = sample_grid(m, 512)
+        assert np.array_equal(grid.points, trajectory)
+        assert not np.shares_memory(grid.points, m.trajectory_s)
+        grid.points[1:-1] += 1.0
+        assert np.array_equal(m.trajectory_s.view(np.int64), trajectory.view(np.int64))
 
 
 class TestPiecewiseC1:
@@ -549,6 +616,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field, value, message", [
         ("alphas", (math.nan,), "alphas must be positive"),
         ("chi", math.nan, "chi must be positive"),
+        ("chi", math.inf, r"chi must be positive and finite, got inf"),
         ("lam", math.nan, "lam must be in"),
     ])
     def test_nan_shape_parameters_are_rejected(self, field, value, message):

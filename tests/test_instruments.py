@@ -1,6 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from stretchgrid.bench import load_bundled
 from stretchgrid.fdm import (AmericanProjection, BarrierMode, BoundaryCondition,
                              BoundaryKind, DirichletRegion, DiscreteKnockout,
                              GhostBarrier, GhostSide, MarketParams, PdeConfig,
@@ -157,3 +161,14 @@ class TestValidation:
         assert len(dates) == 22
         assert dates[0] == pytest.approx(1.0 / 44.0)
         assert dates[-1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["strike", "maturity", "rebate",
+                                       "barrier_lower", "barrier_upper"])
+    def test_non_finite_inputs_are_rejected_by_name(self, field, value):
+        # Table 4's contract: a NaN maturity used to fail with an untyped
+        # ValueError, a NaN strike or rebate as a NonFiniteValueError in the
+        # march, and an infinite upper barrier priced with no error.
+        contract = dict(load_bundled(4).columns)["uniform_deform"].contract
+        with pytest.raises(ContractError, match=rf"^{field} must be finite, got {value}$"):
+            dataclasses.replace(contract, **{field: value})
