@@ -14,20 +14,31 @@ tridiagonal.
 
 ``Stack`` joins blocks that share dt and N into one block-diagonal matrix and
 factors it once by a tridiagonal LU with partial pivoting (LAPACK gttrf);
-every substage of their lockstep march reuses the factors (gttrs).  Both are
-the f2py routines ``scipy.linalg.lapack`` exposes, loaded straight from
-scipy's compiled ``scipy/linalg/_flapack`` module: importing ``scipy.linalg``
-runs its whole package ``__init__``, which cost more of ``import
-stretchgrid`` (≈0.25 s and ≈20 MB) than the package itself.
+every substage of their lockstep march reuses the factors (gttrs).  Both come
+from the OpenBLAS that numpy's wheel bundles (``numpy.libs/``, or
+``numpy/.dylibs/`` on macOS), which ``import numpy`` has already mapped: it
+exports reference LAPACK with 64-bit integers as ``scipy_dgttrf_64_`` and
+``scipy_dgttrs_64_``, called here through ``ctypes``.  Binding them costs
+≈0.1 ms and no memory, where loading scipy's ``_flapack`` maps a second
+OpenBLAS (≈2.6 MB and 4-8 ms a process), and the bundled build solves with the
+same bits, a little faster.  Only where numpy bundles no such library (a numpy
+not installed from the PyPI wheel) are they the f2py routines of scipy's
+compiled ``scipy/linalg/_flapack`` module, loaded alone: importing
+``scipy.linalg`` runs its whole package ``__init__``, which cost more of
+``import stretchgrid`` (≈0.25 s and ≈20 MB) than the package itself.  Either
+way ``dgttrf`` and ``dgttrs`` keep the f2py signatures and return tuples, and
+the path of the library bound is logged once, at DEBUG level, when the module
+loads.
 
 ``march`` marches independent blocks at the same time on ``workers()``
 threads, the calling thread among them.  It deals the blocks out costliest
 (nodes x N) first, each to the thread with the least work so far, and each
-thread stacks its own blocks per (dt, N) and marches those stacks.  The f2py
-``dgttrs`` releases the GIL for the whole solve, and numpy releases it inside
-the array loops on long vectors, so the serial LU recurrences of two large
-systems run on two cores; the Python of the step loop and of the hooks holds
-it, which is why small stacks gain little.  ``_threads`` holds the thread
+thread stacks its own blocks per (dt, N) and marches those stacks.  ``dgttrs``
+releases the GIL for the whole solve (a ``ctypes.CDLL`` call does, as the f2py
+routine does), and numpy releases it inside the array loops on long vectors,
+so the serial LU recurrences of two large systems run on two cores; the Python
+of the step loop and of the hooks holds it, which is why small stacks gain
+little.  ``_threads`` holds the thread
 policy, shared with ``gridgen``'s map evaluation, and runs every thread under
 the caller's ``np.geterr()``.  Every block's values, or the exception that
 fails it, are those of its own march, on any number of threads.  A zero pivot
@@ -37,6 +48,7 @@ both rise from the march, which returns each in its failing block's slot.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import importlib.machinery
 import importlib.util
@@ -53,6 +65,98 @@ from ._threads import run_parts, workers
 from .gridgen import Grid
 
 
+log = logging.getLogger(__name__)
+
+
+def _bundled_openblas():
+    """(path, dgttrf, dgttrs) of the OpenBLAS numpy's wheel bundles, or None.
+
+    The library is in ``numpy.libs/`` (``numpy/.dylibs/`` on macOS) and
+    already mapped, so loading it again costs no memory.  None when no such
+    library loads or exports both ILP64 routines, ``scipy_dgttrf_64_`` and
+    ``scipy_dgttrs_64_``, as with a numpy not installed from the PyPI wheel.
+    """
+    numpy_dir = Path(np.__file__).parent
+    for path in [*sorted(numpy_dir.parent.glob("numpy.libs/*openblas*")),
+                 *sorted(numpy_dir.glob(".dylibs/*openblas*"))]:
+        try:
+            lib = ctypes.CDLL(str(path))
+            gttrf, gttrs = lib.scipy_dgttrf_64_, lib.scipy_dgttrs_64_
+        except (OSError, AttributeError):
+            continue
+        gttrf.restype = gttrs.restype = None
+        return path, gttrf, gttrs
+    return None
+
+
+_INT = ctypes.c_int64
+_TRANS = ctypes.c_char_p(b"N")
+_TRANS_LEN = ctypes.c_size_t(1)          # gfortran's hidden len(trans) argument
+
+
+def _pointer(a: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.c_void_p(a.ctypes.data)
+
+
+def _bands(n: int, **arrays) -> tuple[np.ndarray, ...]:
+    """``arrays`` as C-contiguous 1-D float64 (int64 for ``ipiv``) of the
+    lengths an n-row tridiagonal system needs; ValueError naming any other."""
+    want = {"dl": n - 1, "du": n - 1, "du2": n - 2, "ipiv": n}
+    out = []
+    for name, a in arrays.items():
+        a = np.ascontiguousarray(a, dtype=np.int64 if name == "ipiv" else float)
+        if a.shape != (max(want.get(name, n), 0),):
+            raise ValueError(f"fdm: {name} has shape {a.shape}; the tridiagonal "
+                             f"system has {n} rows")
+        out.append(a)
+    return tuple(out)
+
+
+def _numpy_dgttrf(dl, d, du):
+    """LAPACK dgttrf from numpy's bundled OpenBLAS, as the f2py routine:
+    (dl, d, du, du2, ipiv, info), the inputs not written, ipiv int64."""
+    dl, d, du = (a.copy() for a in _bands(np.size(d), dl=dl, d=d, du=du))
+    du2 = np.empty(max(d.size - 2, 0))
+    ipiv = np.empty(d.size, dtype=np.int64)
+    info = _INT()
+    _DGTTRF(ctypes.byref(_INT(d.size)), *map(_pointer, (dl, d, du, du2, ipiv)),
+            ctypes.byref(info))
+    return dl, d, du, du2, ipiv, info.value
+
+
+class _Gttrs:
+    """dgttrs on one factored system, its call built once from the factors:
+    a solve passes only the rhs, which it overwrites with the solution and
+    returns.  The rhs is a writable C-contiguous float64 buffer of n x nrhs
+    values, the columns one after another."""
+
+    def __init__(self, dl, d, du, du2, ipiv, nrhs: int = 1):
+        n = np.size(d)
+        self._factors = _bands(n, dl=dl, d=d, du=du, du2=du2, ipiv=ipiv)
+        self.info = _INT()
+        self._rhs = ctypes.c_double * (n * nrhs)
+        self._head = (_TRANS, ctypes.byref(_INT(n)), ctypes.byref(_INT(nrhs)),
+                      *map(_pointer, self._factors))
+        self._tail = (ctypes.byref(_INT(max(n, 1))), ctypes.byref(self.info), _TRANS_LEN)
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        _DGTTRS(*self._head, self._rhs.from_buffer(b), *self._tail)
+        return b
+
+
+def _numpy_dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=0):
+    """LAPACK dgttrs (no transpose) from numpy's bundled OpenBLAS, as the
+    f2py routine: (x, info), with x Fortran-ordered and written into ``b``
+    itself when ``overwrite_b`` and ``b`` is Fortran-contiguous float64."""
+    x = (np.asarray if overwrite_b else np.array)(b, dtype=float, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != np.size(d):
+        raise ValueError(f"fdm: b has shape {x.shape}; the tridiagonal system "
+                         f"has {np.size(d)} rows")
+    solve = _Gttrs(dl, d, du, du2, ipiv, 1 if x.ndim == 1 else x.shape[1])
+    solve(x.T)
+    return x, solve.info.value
+
+
 def _load_gttr(linalg_dir: Path):
     """LAPACK's ``dgttrf`` and ``dgttrs`` from scipy's compiled ``_flapack``.
 
@@ -63,7 +167,7 @@ def _load_gttr(linalg_dir: Path):
     module is missing or lacks either routine.
     """
     name = "scipy.linalg._flapack"
-    path = linalg_dir / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    path = _flapack_path(linalg_dir)
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
     saved = sys.modules.get(name)
     try:
@@ -82,6 +186,10 @@ def _load_gttr(linalg_dir: Path):
             sys.modules[name] = saved
 
 
+def _flapack_path(linalg_dir: Path) -> Path:
+    return linalg_dir / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+
+
 def _scipy_version() -> str:
     from importlib import metadata
     try:
@@ -90,13 +198,26 @@ def _scipy_version() -> str:
         return "unknown"
 
 
-_SCIPY = importlib.util.find_spec("scipy")
-if _SCIPY is None:
-    raise ModuleNotFoundError("fdm: needs scipy for LAPACK dgttrf and dgttrs",
-                              name="scipy")
-dgttrf, dgttrs = _load_gttr(Path(_SCIPY.origin).parent / "linalg")
+def _flapack_solver(*lu):
+    return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
 
-log = logging.getLogger(__name__)
+
+# ``dgttrf``, ``dgttrs`` and ``_solver`` (a factored system's in-place solve)
+# from numpy's bundled OpenBLAS, else from scipy's ``_flapack``.
+_SCIPY = importlib.util.find_spec("scipy")
+_BUNDLED = _bundled_openblas()
+if _BUNDLED is not None:
+    _LAPACK, _DGTTRF, _DGTTRS = _BUNDLED
+    dgttrf, dgttrs, _solver = _numpy_dgttrf, _numpy_dgttrs, _Gttrs
+else:
+    if _SCIPY is None:
+        raise ModuleNotFoundError("fdm: needs scipy for LAPACK dgttrf and dgttrs, since "
+                                  "numpy bundles no OpenBLAS that exports them",
+                                  name="scipy")
+    _LAPACK = _flapack_path(Path(_SCIPY.origin).parent / "linalg")
+    dgttrf, dgttrs = _load_gttr(_LAPACK.parent)
+    _solver = _flapack_solver
+log.debug("LAPACK dgttrf/dgttrs from %s", _LAPACK)
 
 GAMMA = 2.0 - math.sqrt(2.0)
 OMEGA = GAMMA / 2.0                      # shared implicit coefficient
@@ -541,14 +662,11 @@ class Stack:
                         f"fdm: cannot stack block {k}: it couples across its edge with "
                         f"block {k - 1} (its lower[0] = {below[rows.start]:g}, block "
                         f"{k - 1}'s upper[-1] = {above[rows.start - 1]:g})")
-        self._lu = _factor(lower, diag, upper, self.dt)
+        self._solve = _solver(*_factor(lower, diag, upper, self.dt))
 
     def split(self, v: np.ndarray) -> list[np.ndarray]:
         """Each block's rows of a stacked vector, in stacking order."""
         return [v[rows] for rows, _ in self._blocks]
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return dgttrs(*self._lu, rhs, overwrite_b=1)[0]
 
     def _rhs_pins(self, rhs: np.ndarray, tau: float):
         rhs[self._pin_rows] = self._pin_values

@@ -65,8 +65,17 @@ class ContractSpec:
                           ExerciseStyle.CONTINUOUS_DOUBLE_KO):
             if self.barrier_lower is None or self.barrier_upper is None:
                 raise ContractError("double knock-out needs both barriers")
+        count = self.observations_per_year
+        if self.is_discrete and count is not None:
+            if count < 1:
+                raise ContractError(f"observations_per_year must be at least 1, got {count}")
+            if round(self.maturity * count) < 1:
+                raise ContractError(f"observations_per_year = {count} gives no observation "
+                                    f"date up to maturity {self.maturity}")
         if self.observation_dates is not None:
             dates = tuple(float(t) for t in self.observation_dates)
+            if self.is_discrete and not dates:
+                raise ContractError("observation_dates must name at least one date, got ()")
             if any(not 0.0 < t <= self.maturity + 1e-12 for t in dates):
                 raise ContractError("observation dates must lie in (0, T]")
             object.__setattr__(self, "observation_dates", dates)

@@ -99,12 +99,20 @@ class TestDoubleBarrier:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats, scipy.special and scipy.linalg cost most of a cold import;
-    # the scalar oracles need only the normal CDF, which math.erfc gives, and
-    # fdm loads gttrf/gttrs from the compiled _flapack module alone.
+    # the scalar oracles need only the normal CDF, which math.erfc gives.
+    # fdm takes gttrf/gttrs from the OpenBLAS numpy bundles, so where numpy
+    # bundles one, importing the package and marching a column loads no scipy
+    # module at all; elsewhere it loads the compiled _flapack module alone.
     src = str(Path(stretchgrid.__file__).resolve().parents[1])
     probe = (f"import sys; sys.path.insert(0, {src!r}); import stretchgrid; "
+             "from stretchgrid import bench, fdm; "
+             "bench.run_convergence(dict(bench.load_bundled(4).columns)['uniform_deform']); "
              "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules, "
-             "'scipy.linalg' in sys.modules)")
+             "'scipy.linalg' in sys.modules, fdm._BUNDLED is not None, "
+             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False False False"
+    *unloaded, bundled, scipy_modules = out.stdout.strip().split(" ", 4)
+    assert unloaded == ["False", "False", "False"]
+    if bundled == "True":
+        assert scipy_modules == "[]"

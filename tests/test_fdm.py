@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import re
+import subprocess
 import sys
 import threading
 import types
@@ -962,8 +963,16 @@ class TestStack:
         assert 11 <= err.value.row < 22 and "n = 33" in str(err.value)
 
 
+LINALG_DIR = Path(fdm._SCIPY.origin).parent / "linalg"
+BUNDLED = fdm._BUNDLED is not None
+needs_bundled = pytest.mark.skipif(
+    not BUNDLED, reason="numpy bundles no OpenBLAS exporting scipy_dgttrf_64_")
+
+
 class TestLapackLoader:
-    """``fdm`` loads gttrf/gttrs from scipy's ``_flapack`` without ``scipy.linalg``."""
+    """``fdm`` takes gttrf/gttrs from numpy's bundled OpenBLAS, else from
+    scipy's ``_flapack`` without ``scipy.linalg``; both give the public
+    routines' bits."""
 
     @staticmethod
     def system(kind, n):
@@ -977,19 +986,34 @@ class TestLapackLoader:
             lower[n // 2 - 1] = diag[n // 2] = upper[n // 2] = 0.0
         return lower, diag, upper, rng.standard_normal((n, 2))
 
+    @staticmethod
+    def routines(path):
+        if path == "flapack":
+            return fdm._load_gttr(LINALG_DIR)
+        if not BUNDLED:
+            pytest.skip(needs_bundled.kwargs["reason"])
+        return fdm._numpy_dgttrf, fdm._numpy_dgttrs
+
+    @pytest.mark.parametrize("path", ["numpy", "flapack"])
     @pytest.mark.parametrize("kind, n", [("dominant", 200), ("pivoting", 500),
                                          ("singular", 40)])
-    def test_bit_identical_to_the_public_routines(self, kind, n):
+    def test_bit_identical_to_the_public_routines(self, kind, n, path):
+        dgttrf, dgttrs = self.routines(path)
         lower, diag, upper, rhs = self.system(kind, n)
-        *lu, info = fdm.dgttrf(lower, diag, upper)
-        x, solve_info = fdm.dgttrs(*lu, rhs.copy(), overwrite_b=1)
+        bands = [a.copy() for a in (lower, diag, upper)]
+        *lu, info = dgttrf(lower, diag, upper)
+        x, solve_info = dgttrs(*lu, rhs.copy(), overwrite_b=1)
+        for band, kept in zip((lower, diag, upper), bands):
+            assert band.tobytes() == kept.tobytes()        # the inputs are not written
         # scipy.linalg comes in after stretchgrid loaded its own copy of _flapack
         from scipy.linalg import lapack
         *lu_ref, info_ref = lapack.dgttrf(lower, diag, upper)
         x_ref, solve_info_ref = lapack.dgttrs(*lu_ref, rhs.copy(), overwrite_b=1)
         assert (info, solve_info) == (info_ref, solve_info_ref)
-        for mine, ref in zip([*lu, x], [*lu_ref, x_ref]):
+        for mine, ref in zip([*lu[:4], x], [*lu_ref[:4], x_ref]):
             assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+        # the ILP64 pivots are int64, scipy's int32: compare them by value
+        assert lu[4].shape == lu_ref[4].shape and np.array_equal(lu[4], lu_ref[4])
         pivots = int(np.count_nonzero(lu[-1] != np.arange(1, n + 1)))
         if kind == "pivoting":
             assert pivots > n // 2
@@ -999,6 +1023,95 @@ class TestLapackLoader:
             matrix = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
             assert info == 0 and np.allclose(matrix @ x, rhs, rtol=0.0, atol=1e-8)
         assert lapack._flapack is sys.modules["scipy.linalg._flapack"]
+
+    @pytest.mark.parametrize("path", ["numpy", "flapack"])
+    def test_stack_solve_is_dgttrs_in_place(self, path, monkeypatch):
+        # A Stack's prepared solve writes the solution into the rhs it is
+        # given, with the bits of dgttrs on the same factors.
+        dgttrf, dgttrs = self.routines(path)
+        monkeypatch.setattr(fdm, "dgttrs", dgttrs)
+        solver = fdm._Gttrs if path == "numpy" else fdm._flapack_solver
+        lower, diag, upper, rhs = self.system("pivoting", 500)
+        lu = dgttrf(lower, diag, upper)[:-1]
+        b = rhs[:, 0].copy()
+        x = solver(*lu)(b)
+        assert x is b or np.shares_memory(x, b)
+        assert x.tobytes() == dgttrs(*lu, rhs[:, 0])[0].tobytes()
+
+    def test_a_numpy_built_on_ilp64_scipy_openblas_is_bound(self):
+        # numpy's PyPI wheel is built on scipy-openblas with 64-bit integers
+        # and bundles it; a discovery that missed it would quietly run the
+        # fallback and skip every test of the bundled path.
+        try:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy reports no LAPACK build configuration")
+        if lapack.get("name") != "scipy-openblas" or \
+                "USE64BITINT" not in lapack.get("openblas configuration", ""):
+            pytest.skip(f"numpy is built on {lapack.get('name')}, not ILP64 scipy-openblas")
+        assert BUNDLED
+
+    @needs_bundled
+    def test_binds_numpys_bundled_openblas(self):
+        assert fdm.dgttrf is fdm._numpy_dgttrf and fdm.dgttrs is fdm._numpy_dgttrs
+        assert fdm._solver is fdm._Gttrs
+        path = fdm._LAPACK
+        assert "openblas" in path.name and path.parent.name in ("numpy.libs", ".dylibs")
+
+    @needs_bundled
+    def test_overwrite_b_as_the_f2py_routine(self):
+        lower, diag, upper, rhs = self.system("dominant", 50)
+        lu = fdm.dgttrf(lower, diag, upper)[:-1]
+        b = rhs[:, 0].copy()
+        x, _ = fdm.dgttrs(*lu, b)
+        assert not np.shares_memory(x, b) and b.tobytes() == rhs[:, 0].tobytes()
+        x_in_place, _ = fdm.dgttrs(*lu, b, overwrite_b=1)
+        assert x_in_place is b and b.tobytes() == x.tobytes()
+        strided = np.repeat(rhs[:, 0], 2)[::2]             # not contiguous: copied
+        x_copy, _ = fdm.dgttrs(*lu, strided, overwrite_b=1)
+        assert not np.shares_memory(x_copy, strided) and x_copy.tobytes() == x.tobytes()
+
+    @needs_bundled
+    @pytest.mark.parametrize("call, message", [
+        (lambda lu: fdm.dgttrf(np.ones(3), np.ones(3), np.ones(2)), r"dl has shape \(3,\)"),
+        (lambda lu: fdm.dgttrf(np.ones(2), np.ones((3, 1)), np.ones(2)), r"d has shape \(3, 1\)"),
+        (lambda lu: fdm.dgttrs(*lu, np.ones(4)), r"b has shape \(4,\)"),
+        (lambda lu: fdm.dgttrs(*lu[:3], np.ones(2), lu[4], np.ones(5)), r"du2 has shape"),
+        (lambda lu: fdm.dgttrs(*lu[:4], lu[4][:4], np.ones(5)), r"ipiv has shape \(4,\)"),
+    ])
+    def test_mismatched_shapes_are_value_errors(self, call, message):
+        # ctypes would pass the pointers whatever their lengths; each is
+        # checked against the row count first.
+        lu = fdm.dgttrf(np.ones(4), 4.0 * np.ones(5), np.ones(4))[:-1]
+        with pytest.raises(ValueError, match=message):
+            call(lu)
+
+    @needs_bundled
+    def test_fallback_marches_table_5_with_the_same_bits(self):
+        # Hide numpy's bundled library from the discovery, as on a numpy not
+        # installed from the PyPI wheel: fdm falls back to scipy's _flapack,
+        # logs that file, and table 5 (its pivoting 4,001-node reference and
+        # ghost rows) prices as with the bundled library, bit for bit.
+        src = str(Path(fdm.__file__).resolve().parents[1])
+        hide = ("import pathlib; glob = pathlib.Path.glob; pathlib.Path.glob = "
+                "lambda self, pattern: iter(()) if 'openblas' in pattern else glob(self, pattern)")
+        table_5 = "\n".join([
+            "import logging, sys",
+            "logging.basicConfig(level=logging.DEBUG, format='%(name)s %(message)s')",
+            f"sys.path.insert(0, {src!r})",
+            "from stretchgrid import bench, fdm",
+            "print(fdm._solver.__name__)",
+            "for _, report in bench.load_bundled(5).run():",
+            "    for prices in [report.reference, *(row.prices for row in report.rows)]:",
+            "        print(*(price.hex() for price in prices.values()))"])
+        hidden, bundled = (subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                          text=True, check=True)
+                           for probe in (hide + "\n" + table_5, table_5))
+        assert hidden.stdout.startswith("_flapack_solver\n")
+        assert bundled.stdout.startswith("_Gttrs\n")
+        assert hidden.stdout.split("\n", 1)[1] == bundled.stdout.split("\n", 1)[1]
+        for out, path in ((hidden, fdm._flapack_path(LINALG_DIR)), (bundled, fdm._LAPACK)):
+            assert f"stretchgrid.fdm LAPACK dgttrf/dgttrs from {path}" in out.stderr.splitlines()
 
     def test_missing_module_names_path_module_and_version(self, tmp_path):
         registered = sys.modules.get("scipy.linalg._flapack")

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from stretchgrid.bench import load_bundled
+from stretchgrid.bench import (ConfigError, load_bundled, parse_config_text,
+                               parse_table_config)
 from stretchgrid.fdm import (AmericanProjection, BarrierMode, BoundaryCondition,
                              BoundaryKind, DirichletRegion, DiscreteKnockout,
                              GhostBarrier, GhostSide, MarketParams, PdeConfig,
@@ -15,6 +17,10 @@ from stretchgrid.instruments import (ContractError, ContractSpec, ExerciseStyle,
                                      observation_steps, payoff)
 
 MKT = MarketParams(0.07, 0.02, 0.20)
+
+
+def load_bundled_text(name: str) -> str:
+    return resources.files("stretchgrid").joinpath("configs").joinpath(name).read_text()
 
 
 def uniform_grid(s_min, s_max, steps):
@@ -172,3 +178,22 @@ class TestValidation:
         contract = dict(load_bundled(4).columns)["uniform_deform"].contract
         with pytest.raises(ContractError, match=rf"^{field} must be finite, got {value}$"):
             dataclasses.replace(contract, **{field: value})
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"observations_per_year": 0}, r"^observations_per_year must be at least 1, got 0$"),
+        ({"observations_per_year": -3}, r"^observations_per_year must be at least 1, got -3$"),
+        ({"maturity": 0.25, "observations_per_year": 2},
+         r"^observations_per_year = 2 gives no observation date up to maturity 0\.25$"),
+        ({"observation_dates": ()}, r"^observation_dates must name at least one date"),
+    ])
+    def test_empty_observation_schedule_is_rejected_by_name(self, changes, message):
+        # Table 1's contract with no observation date used to price with no
+        # monitoring at all: 4.0507 at S = 100 against 2.3462 with 250 dates.
+        contract = dict(load_bundled(1).columns)["uniform"].contract
+        with pytest.raises(ContractError, match=message):
+            dataclasses.replace(contract, **changes)
+
+    def test_empty_observation_dates_fail_at_parse_time(self):
+        text = load_bundled_text("discrete_ko_stretch.cfg") + "contract.observation_dates = ,\n"
+        with pytest.raises(ConfigError, match="observation_dates must name at least one date"):
+            parse_table_config(parse_config_text(text))
