@@ -13,34 +13,43 @@ eliminated in place against the neighbouring row, so the system stays
 tridiagonal.
 
 ``Stack`` joins blocks that share dt and N into one block-diagonal matrix and
-factors it once by a tridiagonal LU with partial pivoting (LAPACK gttrf);
-every substage of their lockstep march reuses the factors (gttrs).  Both come
-from the OpenBLAS that numpy's wheel bundles (``numpy.libs/``, or
-``numpy/.dylibs/`` on macOS), which ``import numpy`` has already mapped: it
-exports reference LAPACK with 64-bit integers as ``scipy_dgttrf_64_`` and
-``scipy_dgttrs_64_``, called here through ``ctypes``.  Binding them costs
-≈0.1 ms and no memory, where loading scipy's ``_flapack`` maps a second
-OpenBLAS (≈2.6 MB and 4-8 ms a process), and the bundled build solves with the
-same bits, a little faster.  Only where numpy bundles no such library (a numpy
-not installed from the PyPI wheel) are they the f2py routines of scipy's
-compiled ``scipy/linalg/_flapack`` module, loaded alone: importing
-``scipy.linalg`` runs its whole package ``__init__``, which cost more of
-``import stretchgrid`` (≈0.25 s and ≈20 MB) than the package itself.  Either
-way ``dgttrf`` and ``dgttrs`` keep the f2py signatures and return tuples, and
-the path of the library bound is logged once, at DEBUG level, when the module
-loads.
+factors it once; every substage of their lockstep march reuses the factors.
+A block whose matrix I - wL is similar to a symmetric positive definite one
+(on the grids the engine builds it is an M-matrix with dominant diagonal) is
+factored by LDL^T: rows with no off-diagonal (pinned rows, the S = 0 row) are
+solved first and folded into their neighbours' rhs, a wrong-signed chain end
+(a zero-gamma edge, a ghost row) is folded into its neighbour by one Schur
+step, a diagonal row scaling makes the rest symmetric, and LAPACK dpttrf
+factors it; each solve is one dpttrs, whose back-substitution keeps the
+division off the recurrence that gttrs has on it.  Any other block (a cell
+Peclet number above 1, a hand-built hook) is factored by a tridiagonal LU with
+partial pivoting (gttrf) and solved by gttrs.  The routines come from the
+OpenBLAS that numpy's wheel bundles (``numpy.libs/``, or ``numpy/.dylibs/``
+on macOS), which ``import numpy`` has already mapped: it exports reference
+LAPACK with 64-bit integers as ``scipy_dgttrf_64_`` and so on, called here
+through ``ctypes``.  Binding them costs ≈0.1 ms and no memory, where loading
+scipy's ``_flapack`` maps a second OpenBLAS (≈2.6 MB and 4-8 ms a process),
+and the bundled build solves with the same bits, a little faster.  Only where
+numpy bundles no such library (a numpy not installed from the PyPI wheel) are
+they the f2py routines of scipy's compiled ``scipy/linalg/_flapack`` module,
+loaded alone: importing ``scipy.linalg`` runs its whole package ``__init__``,
+which cost more of ``import stretchgrid`` (≈0.25 s and ≈20 MB) than the
+package itself.  Either way ``dgttrf``, ``dgttrs``, ``dpttrf`` and ``dpttrs``
+keep the f2py signatures and return tuples.  The path of the library bound
+is logged at DEBUG level when the module loads, and again in every march's
+record, beside each stack's solve (``ldl`` or ``lu``).
 
 ``march`` marches independent blocks at the same time on ``workers()``
 threads, the calling thread among them.  It deals the blocks out costliest
 (nodes x N) first, each to the thread with the least work so far, and each
-thread stacks its own blocks per (dt, N) and marches those stacks.  ``dgttrs``
-releases the GIL for the whole solve (a ``ctypes.CDLL`` call does, as the f2py
-routine does), and numpy releases it inside the array loops on long vectors,
-so the serial LU recurrences of two large systems run on two cores; the Python
-of the step loop and of the hooks holds it, which is why small stacks gain
-little.  ``_threads`` holds the thread
-policy, shared with ``gridgen``'s map evaluation, and runs every thread under
-the caller's ``np.geterr()``.  Every block's values, or the exception that
+thread stacks its own blocks per (dt, N) and marches those stacks.  A solve
+releases the GIL for the whole LAPACK call (a ``ctypes.CDLL`` call does, as
+the f2py routine does), and numpy releases it inside the array loops on long
+vectors, so the serial recurrences of two large systems run on two cores;
+the Python of the step loop and of the hooks holds it, which is why small
+stacks gain little.  ``_threads`` holds the thread policy, shared with
+``gridgen``'s map evaluation, and runs every thread under the caller's
+``np.geterr()``.  Every block's values, or the exception that
 fails it, are those of its own march, on any number of threads.  A zero pivot
 (``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
 both rise from the march, which returns each in its failing block's slot.
@@ -52,12 +61,14 @@ import ctypes
 import enum
 import importlib.machinery
 import importlib.util
+import itertools
 import logging
 import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,26 +80,29 @@ log = logging.getLogger(__name__)
 
 
 def _bundled_openblas():
-    """(path, dgttrf, dgttrs) of the OpenBLAS numpy's wheel bundles, or None.
+    """(path, dgttrf, dgttrs, dpttrf, dpttrs) of the OpenBLAS numpy's wheel
+    bundles, or None.
 
     The library is in ``numpy.libs/`` (``numpy/.dylibs/`` on macOS) and
     already mapped, so loading it again costs no memory.  None when no such
-    library loads or exports both ILP64 routines, ``scipy_dgttrf_64_`` and
-    ``scipy_dgttrs_64_``, as with a numpy not installed from the PyPI wheel.
+    library loads or exports all four ILP64 routines (``scipy_dgttrf_64_``
+    and so on), as with a numpy not installed from the PyPI wheel.
     """
     numpy_dir = Path(np.__file__).parent
     for path in [*sorted(numpy_dir.parent.glob("numpy.libs/*openblas*")),
                  *sorted(numpy_dir.glob(".dylibs/*openblas*"))]:
         try:
             lib = ctypes.CDLL(str(path))
-            gttrf, gttrs = lib.scipy_dgttrf_64_, lib.scipy_dgttrs_64_
+            routines = [getattr(lib, f"scipy_{name}_64_") for name in _ROUTINES]
         except (OSError, AttributeError):
             continue
-        gttrf.restype = gttrs.restype = None
-        return path, gttrf, gttrs
+        for routine in routines:
+            routine.restype = None
+        return path, *routines
     return None
 
 
+_ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs")
 _INT = ctypes.c_int64
 _TRANS = ctypes.c_char_p(b"N")
 _TRANS_LEN = ctypes.c_size_t(1)          # gfortran's hidden len(trans) argument
@@ -101,7 +115,7 @@ def _pointer(a: np.ndarray) -> ctypes.c_void_p:
 def _bands(n: int, **arrays) -> tuple[np.ndarray, ...]:
     """``arrays`` as C-contiguous 1-D float64 (int64 for ``ipiv``) of the
     lengths an n-row tridiagonal system needs; ValueError naming any other."""
-    want = {"dl": n - 1, "du": n - 1, "du2": n - 2, "ipiv": n}
+    want = {"dl": n - 1, "du": n - 1, "du2": n - 2, "e": n - 1, "ipiv": n}
     out = []
     for name, a in arrays.items():
         a = np.ascontiguousarray(a, dtype=np.int64 if name == "ipiv" else float)
@@ -124,6 +138,21 @@ def _numpy_dgttrf(dl, d, du):
     return dl, d, du, du2, ipiv, info.value
 
 
+def _numpy_dpttrf(d, e, overwrite_d=0, overwrite_e=0):
+    """LAPACK dpttrf (LDL^T of a symmetric positive definite tridiagonal
+    matrix) from numpy's bundled OpenBLAS, as the f2py routine: (d, e, info),
+    each input written only when its ``overwrite_*`` is set and it is a
+    contiguous float64 array."""
+    d, e = _bands(np.size(d), d=d, e=e)
+    if not overwrite_d:
+        d = d.copy()
+    if not overwrite_e:
+        e = e.copy()
+    info = _INT()
+    _DPTTRF(ctypes.byref(_INT(d.size)), _pointer(d), _pointer(e), ctypes.byref(info))
+    return d, e, info.value
+
+
 class _Gttrs:
     """dgttrs on one factored system, its call built once from the factors:
     a solve passes only the rhs, which it overwrites with the solution and
@@ -144,6 +173,26 @@ class _Gttrs:
         return b
 
 
+class _Pttrs:
+    """dpttrs on one system factored by dpttrf, its call built once from the
+    factors, as ``_Gttrs``: a solve passes only a writable C-contiguous
+    float64 rhs of n values, which it overwrites with the solution and
+    returns."""
+
+    def __init__(self, d, e):
+        n = np.size(d)
+        self._factors = _bands(n, d=d, e=e)
+        self.info = _INT()
+        self._rhs = ctypes.c_double * n
+        self._head = (ctypes.byref(_INT(n)), ctypes.byref(_INT(1)),
+                      *map(_pointer, self._factors))
+        self._tail = (ctypes.byref(_INT(max(n, 1))), ctypes.byref(self.info))
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        _DPTTRS(*self._head, self._rhs.from_buffer(b), *self._tail)
+        return b
+
+
 def _numpy_dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=0):
     """LAPACK dgttrs (no transpose) from numpy's bundled OpenBLAS, as the
     f2py routine: (x, info), with x Fortran-ordered and written into ``b``
@@ -157,14 +206,28 @@ def _numpy_dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=0):
     return x, solve.info.value
 
 
-def _load_gttr(linalg_dir: Path):
-    """LAPACK's ``dgttrf`` and ``dgttrs`` from scipy's compiled ``_flapack``.
+def _numpy_dpttrs(d, e, b, overwrite_b=0):
+    """LAPACK dpttrs from numpy's bundled OpenBLAS, as the f2py routine for
+    one rhs: (x, info), with x written into ``b`` itself when
+    ``overwrite_b`` and ``b`` is contiguous float64."""
+    x = (np.asarray if overwrite_b else np.array)(b, dtype=float, order="C")
+    if x.shape != (np.size(d),):
+        raise ValueError(f"fdm: b has shape {x.shape}; the tridiagonal system "
+                         f"has {np.size(d)} rows")
+    solve = _Pttrs(d, e)
+    solve(x)
+    return x, solve.info.value
+
+
+def _load_flapack(linalg_dir: Path):
+    """LAPACK's ``dgttrf``, ``dgttrs``, ``dpttrf`` and ``dpttrs`` from scipy's
+    compiled ``_flapack``.
 
     Loads the one extension module from ``linalg_dir`` without running any
     scipy package ``__init__``, and leaves ``sys.modules`` as it found it, so
     a later ``import scipy.linalg`` builds the normal package.  Raises
     ``ImportError`` naming the file, the module and scipy's version when the
-    module is missing or lacks either routine.
+    module is missing or lacks any of the routines.
     """
     name = "scipy.linalg._flapack"
     path = _flapack_path(linalg_dir)
@@ -174,10 +237,10 @@ def _load_gttr(linalg_dir: Path):
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_loader(name, loader))
         loader.exec_module(module)
-        return module.dgttrf, module.dgttrs
+        return tuple(getattr(module, routine) for routine in _ROUTINES)
     except (ImportError, AttributeError) as exc:
-        raise ImportError(f"fdm: needs dgttrf and dgttrs from scipy's compiled "
-                          f"module {name}, expected at {path} "
+        raise ImportError(f"fdm: needs {', '.join(_ROUTINES[:-1])} and {_ROUTINES[-1]} "
+                          f"from scipy's compiled module {name}, expected at {path} "
                           f"(installed scipy: {_scipy_version()})") from exc
     finally:
         if saved is None:
@@ -202,21 +265,28 @@ def _flapack_solver(*lu):
     return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
 
 
-# ``dgttrf``, ``dgttrs`` and ``_solver`` (a factored system's in-place solve)
-# from numpy's bundled OpenBLAS, else from scipy's ``_flapack``.
+def _flapack_ldl_solver(d, e):
+    return lambda rhs: dpttrs(d, e, rhs, overwrite_b=1)[0]
+
+
+# ``dgttrf``, ``dgttrs``, ``dpttrf`` and ``dpttrs`` with the f2py signatures,
+# and ``_solver`` and ``_ldl_solver`` (a factored system's in-place solve, by
+# LU and by LDL^T), from numpy's bundled OpenBLAS, else from scipy's
+# ``_flapack``.
 _SCIPY = importlib.util.find_spec("scipy")
 _BUNDLED = _bundled_openblas()
 if _BUNDLED is not None:
-    _LAPACK, _DGTTRF, _DGTTRS = _BUNDLED
-    dgttrf, dgttrs, _solver = _numpy_dgttrf, _numpy_dgttrs, _Gttrs
+    _LAPACK, _DGTTRF, _DGTTRS, _DPTTRF, _DPTTRS = _BUNDLED
+    dgttrf, dgttrs, dpttrf, dpttrs = _numpy_dgttrf, _numpy_dgttrs, _numpy_dpttrf, _numpy_dpttrs
+    _solver, _ldl_solver = _Gttrs, _Pttrs
 else:
     if _SCIPY is None:
-        raise ModuleNotFoundError("fdm: needs scipy for LAPACK dgttrf and dgttrs, since "
-                                  "numpy bundles no OpenBLAS that exports them",
+        raise ModuleNotFoundError("fdm: needs scipy for LAPACK dgttrf, dgttrs, dpttrf and "
+                                  "dpttrs, since numpy bundles no OpenBLAS that exports them",
                                   name="scipy")
     _LAPACK = _flapack_path(Path(_SCIPY.origin).parent / "linalg")
-    dgttrf, dgttrs = _load_gttr(_LAPACK.parent)
-    _solver = _flapack_solver
+    dgttrf, dgttrs, dpttrf, dpttrs = _load_flapack(_LAPACK.parent)
+    _solver, _ldl_solver = _flapack_solver, _flapack_ldl_solver
 log.debug("LAPACK dgttrf/dgttrs from %s", _LAPACK)
 
 GAMMA = 2.0 - math.sqrt(2.0)
@@ -539,14 +609,175 @@ class DiscreteKnockout(Hook):
 # TR-BDF2 stepping
 
 
-def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float) -> list:
+_TINY = np.finfo(float).tiny             # the smallest normal float64
+
+
+class _LdlBlock(NamedTuple):
+    """One block's system, symmetrised and factored by ``_ldl``.  A step
+    (targets, sources, coefficients) subtracts c * v[s] from v[t]; no target
+    repeats or is a source of its step."""
+
+    d: np.ndarray          # dpttrf's D
+    e: np.ndarray          # dpttrf's L subdiagonal
+    scale: np.ndarray      # the row scaling applied to the rhs
+    pre: tuple             # steps on the rhs before the solve, in order
+    post: tuple            # the step on the solution after it
+
+
+def _ldl(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+         quiet: np.ndarray) -> _LdlBlock | None:
+    """One block's stamped system, made symmetric positive definite and
+    factored by dpttrf, or None where the block does not qualify.
+
+    ``lower[0]`` and ``upper[-1]`` lie outside the block; ``quiet`` marks the
+    rows whose rhs is zero at every solve.  The block qualifies when:
+
+    1. every row with no off-diagonal (a pinned row, the S = 0 row) has a
+       nonzero diagonal: it is solved first, x = rhs / d, and folded into
+       its neighbours' rhs (no work where its rhs is quiet);
+    2. every row left coupling to one neighbour only, whose pair of entries
+       does not share a sign (a zero-gamma edge, a ghost row; of two such
+       rows coupled to each other, the upper), has a nonzero diagonal and a
+       partner that is not such a row too: one Schur step folds it into its
+       partner before the solve, and it is recovered after;
+    3. every other pair of entries shares its sign, or both are zero;
+    4. the row scaling R that makes R A symmetric, which restarts at 1 on each
+       chain of coupled rows, stays finite and at least the smallest normal
+       float;
+    5. dpttrf factors R A, so it is positive definite.
+
+    On the grids the engine builds, I - wL is an M-matrix whose rows are
+    diagonally dominant, and all five hold.  A block that fails takes LU.
+    """
+    lo, d, up = lower.copy(), diag.copy(), upper.copy()
+    lo[0] = up[-1] = 0.0
+    free = (lo == 0.0) & (up == 0.0)
+    ends = np.zeros(d.size, dtype=bool)
+    pre, post = [], []
+    # Overflow and division by zero leave non-finite values, which disqualify
+    # the block below; they are no error of the caller's.
+    with np.errstate(all="ignore"):
+        below = np.flatnonzero(free[:-1]) + 1     # rows whose lower neighbour is free
+        above = np.flatnonzero(free[1:])          # rows whose upper neighbour is free
+        for t, side, band in ((below, -1, lo), (above, 1, up)):
+            c = band[t] / d[t + side]
+            keep = (c != 0.0) & ~quiet[t + side]
+            pre.append((t[keep], t[keep] + side, c[keep]))
+        lo[below] = up[above] = 0.0
+
+        has_lo, has_up = lo != 0.0, up != 0.0
+        end_lo = np.flatnonzero(has_lo & ~has_up)    # coupled to the row below only
+        end_lo = end_lo[~(lo[end_lo] * up[end_lo - 1] > 0.0)]
+        ends[end_lo] = True
+        end_up = np.flatnonzero(has_up & ~has_lo)    # coupled to the row above only
+        end_up = end_up[~(up[end_up] * lo[end_up + 1] > 0.0) & ~ends[end_up + 1]]
+        ends[end_up] = True
+        clash = False
+        for e, side, own, partner in ((end_up, 1, up, lo), (end_lo, -1, lo, up)):
+            k = e + side
+            clash |= ends[k].any()
+            a_ek, a_ke, d_e = own[e], partner[k], d[e]
+            pre.append((k, e, a_ke / d_e))
+            post.append((e, k, a_ek / d_e))
+            d[k] -= a_ke * a_ek / d_e
+            own[e] = partner[k] = 0.0
+
+        signed = ((up[:-1] * lo[1:] > 0.0) | ((up[:-1] == 0.0) & (lo[1:] == 0.0))).all()
+        # each chain of coupled pairs (i, i + 1), i in [a, b), scaled from 1
+        coupled = np.concatenate(([False], up[:-1] != 0.0, [False]))
+        chains = np.flatnonzero(coupled[1:] != coupled[:-1])
+        scale = np.ones(d.size)
+        for a, b in chains.reshape(-1, 2):
+            scale[a + 1:b + 1] = np.multiply.accumulate(up[a:b] / lo[a + 1:b + 1])
+        d *= scale
+        up[:-1] *= scale[:-1]                     # R A's off-diagonal
+    post = tuple(np.concatenate(a) for a in zip(*post))
+    if clash or not (
+            signed and (scale >= _TINY).all()
+            and all(np.isfinite(a).all() for a in (d, up, scale, post[2], *(c for *_, c in pre)))):
+        return None
+    d, e, info = dpttrf(d, up[:-1], overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        return None
+    return _LdlBlock(d, e, scale, tuple(pre), post)
+
+
+def _joined(steps, starts) -> tuple:
+    """One step of ``steps``, each on rows offset by its start."""
+    return tuple(np.concatenate(a) for a in zip(*(
+        (t + start, s + start, c) for (t, s, c), start in zip(steps, starts))))
+
+
+class _Ldl:
+    """In-place solve of consecutive blocks, each factored by ``_ldl``: the
+    folds and Schur steps of their edge rows, the row scaling, one dpttrs
+    call for all of them, then the Schur rows' recovery.  No coupling
+    crosses a block edge (a zero in ``e``), so each block's solution is that
+    of its own solve."""
+
+    def __init__(self, blocks: list[_LdlBlock]):
+        starts = np.cumsum([0] + [block.d.size for block in blocks[:-1]])
+
+        def concat(arrays):
+            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+        pre = [_joined(step, starts) for step in zip(*(block.pre for block in blocks))]
+        post = _joined([block.post for block in blocks], starts)
+        self._pre = [step for step in pre if step[0].size]
+        self._post = [post] if post[0].size else []
+        scale = concat([block.scale for block in blocks])
+        self._scale = None if (scale == 1.0).all() else scale
+        self._solve = _ldl_solver(
+            concat([block.d for block in blocks]),
+            concat([a for block in blocks for a in (block.e, np.zeros(1))][:-1]))
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        for t, s, c in self._pre:
+            b[t] -= c * b[s]
+        if self._scale is not None:
+            b *= self._scale
+        x = self._solve(b)
+        for t, s, c in self._post:
+            x[t] -= c * x[s]
+        return x
+
+
+def _lu(lower, diag, upper, dt: float, start: int, n: int):
+    """In-place solve of consecutive blocks (rows ``start`` on of an n-row
+    stack) factored together by gttrf."""
     *lu, info = dgttrf(lower[1:], diag, upper[:-1])
     if info > 0:
+        row = start + info - 1
         raise SingularSystemError(
-            info - 1, f"fdm: TR-BDF2 matrix is singular (n = {diag.size}, dt = {dt:g}): "
-            f"zero U pivot at index {info - 1} after partial pivoting; the faulty "
+            row, f"fdm: TR-BDF2 matrix is singular (n = {n}, dt = {dt:g}): "
+            f"zero U pivot at index {row} after partial pivoting; the faulty "
             f"equation may be an earlier row")
-    return lu
+    return _solver(*lu)
+
+
+def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float,
+            blocks: list[slice], quiet: np.ndarray):
+    """(kind, solve) of a stack's stamped system, whose ``blocks`` are these
+    row ranges: each block is factored by LDL^T where ``_ldl`` qualifies it
+    and by LU with partial pivoting (gttrf) otherwise, and ``solve`` makes
+    one call per maximal run of blocks of one kind, in place where it can.
+    ``kind`` names those runs' kinds, joined by "+"."""
+    parts = [_ldl(lower[rows], diag[rows], upper[rows], quiet[rows]) for rows in blocks]
+    kinds, solves = [], []
+    for by_lu, run in itertools.groupby(zip(blocks, parts), key=lambda pair: pair[1] is None):
+        run = list(run)
+        rows = slice(run[0][0].start, run[-1][0].stop)
+        kinds.append("lu" if by_lu else "ldl")
+        solves.append((rows, _lu(lower[rows], diag[rows], upper[rows], dt, rows.start, diag.size)
+                       if by_lu else _Ldl([part for _, part in run])))
+    if len(solves) == 1:
+        return kinds[0], solves[0][1]
+
+    def solve(b):
+        for rows, run in solves:
+            b[rows] = run(b[rows])
+        return b
+    return "+".join(kinds), solve
 
 
 def _acting(blocks, name: str) -> tuple:
@@ -605,12 +836,16 @@ class TrBdf2Stepper:
 
 class Stack:
     """Blocks that share dt and N as one block-diagonal system: stamped and
-    factored once (gttrf), then marched in lockstep with one gttrs per
-    substage, one operator product and one finiteness check per step over
-    the stacked vector, and each hook on its own block's rows.
+    factored once, then marched in lockstep with one solve per substage, one
+    operator product and one finiteness check per step over the stacked
+    vector, and each hook on its own block's rows.
 
+    Each block is factored by LDL^T where its matrix qualifies (dpttrf; see
+    ``_ldl``) and by LU with partial pivoting otherwise (gttrf), and each
+    maximal run of blocks of one kind is solved by one dpttrs or gttrs call;
+    ``solve_kind`` names the runs' kinds (``ldl``, ``lu``, ``ldl+lu``, ...).
     No block may couple across its edge to the next (lower[0] = upper[-1] =
-    0), so LU with partial pivoting never pivots across a block edge and
+    0), so neither factorization couples or pivots across a block edge and
     ``matvec`` adds exact zeros there: each block's values equal those of
     its own march exactly.  One block keeps its operator bands as they are.
     A zero pivot, or a ghost row that cannot be eliminated, raises
@@ -662,7 +897,14 @@ class Stack:
                         f"fdm: cannot stack block {k}: it couples across its edge with "
                         f"block {k - 1} (its lower[0] = {below[rows.start]:g}, block "
                         f"{k - 1}'s upper[-1] = {above[rows.start - 1]:g})")
-        self._solve = _solver(*_factor(lower, diag, upper, self.dt))
+        # Rows whose rhs is zero at every solve: pins to 0, in blocks where no
+        # hook adjusts the rhs.
+        quiet = np.zeros(diag.size, dtype=bool)
+        quiet[self._pin_rows[self._pin_values == 0.0]] = True
+        for _, rows in self._rhs_hooks:
+            quiet[rows] = False
+        self.solve_kind, self._solve = _factor(lower, diag, upper, self.dt,
+                                               [rows for rows, _ in self._blocks], quiet)
 
     def split(self, v: np.ndarray) -> list[np.ndarray]:
         """Each block's rows of a stacked vector, in stacking order."""
@@ -674,8 +916,8 @@ class Stack:
             adjust_rhs(rhs[rows], tau)
 
     def _after_solve(self, v: np.ndarray, tau: float):
-        # Partial pivoting solves pinned rows only to round-off; constraints
-        # are exact, so re-stamp them.
+        # LU with partial pivoting solves pinned rows only to round-off;
+        # constraints are exact, so re-stamp them.
         v[self._pin_rows] = self._pin_values
         for post_substage, rows in self._substage_hooks:
             post_substage(v[rows], tau)
@@ -745,14 +987,15 @@ def march(pairs) -> list:
     The blocks are dealt to ``workers()`` threads, the calling thread among
     them (see ``_deal``; with one worker no thread starts), and each thread
     stacks and marches its own under the caller's numpy error state (see
-    ``_threads.run_parts``): one gttrf per stack.  No thread calls
+    ``_threads.run_parts``): one factorization per stack.  No thread calls
     ``run``.  A one-block stack marches its block's terminal vector as it
     is.  A stack that raises an ``Exception`` marches again as two halves,
     each its own stack, until each failing block stands alone with the
     exception of its own march; every other stack and thread carries on.  An
     interrupt on the calling thread stops the others before their next
-    stack.  Each march logs its deal, the CPU seconds of each thread and its
-    wall seconds at DEBUG level on the ``stretchgrid.fdm`` logger.
+    stack.  Each march logs the LAPACK library bound, its deal with each
+    stack's solve (``Stack.solve_kind``), the CPU seconds of each thread and
+    its wall seconds at DEBUG level on the ``stretchgrid.fdm`` logger.
     """
     pairs = list(pairs)
     if not pairs:
@@ -761,6 +1004,7 @@ def march(pairs) -> list:
     dealt = _deal(blocks, min(workers(), len(pairs)))
     results: list = [None] * len(pairs)
     cpu_s = [0.0] * len(dealt)
+    kinds: dict[tuple[int, ...], str] = {}
 
     def work(thread: int, stop):
         start = time.thread_time()
@@ -769,6 +1013,7 @@ def march(pairs) -> list:
             stack = todo.pop()
             try:
                 system = Stack(blocks[k] for k in stack)
+                kinds[tuple(stack)] = system.solve_kind
                 if len(stack) == 1:
                     terminal = np.asarray(pairs[stack[0]][1], dtype=float)
                 else:
@@ -791,8 +1036,9 @@ def march(pairs) -> list:
         for thread, stacks in enumerate(dealt):
             shapes = ", ".join(f"stack(blocks={len(stack)}, nodes="
                                f"{sum(blocks[k].op.n for k in stack)}, "
-                               f"N={blocks[stack[0]].n_steps})" for stack in stacks)
+                               f"N={blocks[stack[0]].n_steps}, "
+                               f"solve={kinds.get(tuple(stack), 'none')})" for stack in stacks)
             threads.append(f"thread {thread} ({cpu_s[thread]:.3f} s CPU) {shapes}")
-        log.debug("march of %d blocks in %.3f s wall: %s", len(pairs),
-                  time.perf_counter() - began, "; ".join(threads))
+        log.debug("march of %d blocks in %.3f s wall, LAPACK from %s: %s", len(pairs),
+                  time.perf_counter() - began, _LAPACK, "; ".join(threads))
     return results

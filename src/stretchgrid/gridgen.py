@@ -645,7 +645,8 @@ def build_tavella_randall(spec: StretchSpec, ode_steps: int = 1024) -> TavellaRa
         if path is None:
             path = paths[a_const] = _tr_integrate(a_const, s_min, points, alphas,
                                                   ode_steps, cap=overshoot_cap)
-        return path[-1]
+        # a float, so the secant probes built from it stay plain floats too
+        return float(path[-1])
 
     p, q = _verified_bracket(lambda a: terminal(a) - s_max,
                              _tr_quadrature(points, alphas, s_min, s_max), 4.0 * tol)

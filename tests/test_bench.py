@@ -481,8 +481,8 @@ class TestLockstepMarch:
         # the reference; tables 5 and 6 march each row's own N.
         set_workers(monkeypatch, 2)
         calls = []
-        dgttrf = fdm.dgttrf
-        monkeypatch.setattr(fdm, "dgttrf", lambda *a, **k: calls.append(1) or dgttrf(*a, **k))
+        factor = fdm._factor
+        monkeypatch.setattr(fdm, "_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
         for number, stacks in ((3, 6), (4, 2), (5, 5), (6, 5)):
             calls.clear()
             results = load_bundled(number).run()
@@ -545,9 +545,9 @@ class TestParallelMarch:
             bench.price_run(cfg, cfg.space_steps[0])
         poisoned.clear()
         factored = []
-        dgttrf = fdm.dgttrf
-        monkeypatch.setattr(fdm, "dgttrf",
-                            lambda dl, d, du: factored.append(d.size) or dgttrf(dl, d, du))
+        factor = fdm._factor
+        monkeypatch.setattr(fdm, "_factor",
+                            lambda *args: factored.append(args[1].size) or factor(*args))
         results = table.run()
         assert len(poisoned) == 1
         failed = [(column, row.steps, row.failed) for column, report in results

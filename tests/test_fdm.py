@@ -16,7 +16,7 @@ import pytest
 from conftest import record_stacks, set_workers
 from hypothesis import assume, given, settings, strategies as st
 
-from stretchgrid import fdm
+from stretchgrid import bench, fdm
 from stretchgrid.analytics import black_scholes_vanilla
 from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, AmericanProjection,
                              BarrierMode, BoundaryCondition, BoundaryKind,
@@ -233,10 +233,10 @@ class TestTrBdf2:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return dgttrf(*args, **kwargs)
+            return factor(*args, **kwargs)
 
-        dgttrf = fdm.dgttrf
-        monkeypatch.setattr(fdm, "dgttrf", counting)
+        factor = fdm._factor
+        monkeypatch.setattr(fdm, "_factor", counting)
         grid = Grid(np.linspace(50.0, 150.0, 21))
         stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.01, 0.2), PdeConfig(7), 1.0)
         assert calls == []                       # a block is built unfactored
@@ -556,19 +556,26 @@ N_STACK = 6
 
 
 @st.composite
-def stack_blocks(draw, n_steps=N_STACK):
+def stack_blocks(draw, n_steps=N_STACK, m_matrix=False):
     """A random pricing block: nonuniform grid, market, boundary rows and one
-    kind of hook set, all sharing the stack's N (``n_steps``) and horizon."""
+    kind of hook set, all sharing the stack's N (``n_steps``) and horizon.
+
+    With ``m_matrix`` the grid and market keep sigma^2 S above |r - q| times
+    each spacing beside S, so every interior row of L couples to both
+    neighbours with positive entries (cell Peclet number below 1), and each
+    rate is 0 or at least 1e-4, so no entry is near underflow."""
     n = draw(st.integers(8, 40))
     lower_kind = draw(st.sampled_from(list(BoundaryKind)))
     upper_kind = draw(st.sampled_from([BoundaryKind.DIRICHLET_VALUE,
                                        BoundaryKind.ZERO_GAMMA]))
     start = 0.0 if lower_kind is BoundaryKind.DEGENERATE_EXACT else draw(
-        st.floats(1.0, 50.0))
-    steps = draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1, max_size=n - 1))
+        st.floats(5.0, 50.0) if m_matrix else st.floats(1.0, 50.0))
+    steps = draw(st.lists(st.floats(0.5, 0.9) if m_matrix else st.floats(0.2, 3.0),
+                          min_size=n - 1, max_size=n - 1))
     s = start + np.concatenate(([0.0], np.cumsum(steps)))
-    mkt = MarketParams(draw(st.floats(0.0, 0.1)), draw(st.floats(0.0, 0.1)),
-                       draw(st.floats(0.1, 0.6)))
+    rates = st.one_of(st.just(0.0), st.floats(1e-4, 0.1)) if m_matrix else st.floats(0.0, 0.1)
+    mkt = MarketParams(draw(rates), draw(rates),
+                       draw(st.floats(0.45, 0.6) if m_matrix else st.floats(0.1, 0.6)))
     kind = draw(st.sampled_from(["none", "knockout", "dirichlet", "ghost", "american"]))
     mode = BarrierMode.ON_GRID_DIRICHLET
     strike = float(s[draw(st.integers(1, n - 2))])
@@ -776,8 +783,8 @@ class TestParallel:
         pairs = self.pairs(*shapes)
         solo = [block.run(terminal) for block, terminal in pairs]
         stacked, factored = record_stacks(monkeypatch), []
-        dgttrf = fdm.dgttrf
-        monkeypatch.setattr(fdm, "dgttrf", lambda *a, **k: factored.append(1) or dgttrf(*a, **k))
+        factor = fdm._factor
+        monkeypatch.setattr(fdm, "_factor", lambda *a, **k: factored.append(1) or factor(*a, **k))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -839,11 +846,11 @@ class TestParallel:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert re.fullmatch(
-            r"march of 4 blocks in [0-9.]+ s wall: "
-            r"thread 0 \([0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9\), "
-            r"stack\(blocks=1, nodes=11, N=4\); "
-            r"thread 1 \([0-9.]+ s CPU\) stack\(blocks=1, nodes=21, N=4\), "
-            r"stack\(blocks=1, nodes=31, N=2\)", message), message
+            r"march of 4 blocks in [0-9.]+ s wall, LAPACK from " + re.escape(str(fdm._LAPACK)) +
+            r": thread 0 \([0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
+            r"stack\(blocks=1, nodes=11, N=4, solve=ldl\); "
+            r"thread 1 \([0-9.]+ s CPU\) stack\(blocks=1, nodes=21, N=4, solve=ldl\), "
+            r"stack\(blocks=1, nodes=31, N=2, solve=ldl\)", message), message
         for got, want in zip(logged, quiet):
             assert np.array_equal(got, want)
 
@@ -892,12 +899,12 @@ class TestStack:
         # its values: the stepper pins rows before any hook runs.
         factored = []
 
-        def recording(dl, d, du):
-            factored.append((dl.copy(), d.copy(), du.copy()))
-            return dgttrf(dl, d, du)
+        def recording(lower, diag, upper, *args):
+            factored.append((lower[1:].copy(), diag.copy(), upper[:-1].copy()))
+            return factor(lower, diag, upper, *args)
 
-        dgttrf = fdm.dgttrf
-        monkeypatch.setattr(fdm, "dgttrf", recording)
+        factor = fdm._factor
+        monkeypatch.setattr(fdm, "_factor", recording)
         seen = []
 
         class Probe(Hook):
@@ -963,6 +970,74 @@ class TestStack:
         assert 11 <= err.value.row < 22 and "n = 33" in str(err.value)
 
 
+def factored_bands(monkeypatch) -> list:
+    """Record the stamped (lower, diag, upper) of every stack as it is factored."""
+    stamped = []
+    factor = fdm._factor
+    monkeypatch.setattr(fdm, "_factor", lambda *args: stamped.append(
+        [band.copy() for band in args[:3]]) or factor(*args))
+    return stamped
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=stack_blocks(m_matrix=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_m_matrix_blocks_solve_by_ldl(block, seed):
+    # Every boundary kind (Dirichlet, zero-gamma, the degenerate S = 0 row),
+    # Dirichlet regions at zero and nonzero values, and up and down ghost
+    # rows, linear and 3-point: the block qualifies, and its solve agrees
+    # with a dense one on the stamped matrix, for a rhs whose pinned and
+    # ghost rows are set as a step sets them.
+    grid, mkt, cfg, hooks, _ = block
+    with pytest.MonkeyPatch.context() as mp:
+        stamped = factored_bands(mp)
+        system = Stack([TrBdf2Stepper(grid, mkt, cfg, 0.5, hooks)])
+    assert system.solve_kind == "ldl"
+    rhs = np.random.default_rng(seed).standard_normal(grid.points.size)
+    system._rhs_pins(rhs, 0.0)
+    want = np.linalg.solve(dense_matrix(*stamped[0]), rhs)
+    got = system._solve(rhs.copy())
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_convection_dominated_block_takes_lu_with_its_bits(monkeypatch):
+    # sigma = 0.05 and r = 0.1 near S = 0: the cell Peclet number
+    # (r - q) h / (sigma^2 S) is far above 1, L's lower entries turn
+    # negative and the matrix is no symmetrisable M-matrix.  The block is
+    # solved by gttrf/gttrs on its stamped rows, bit for bit; stacked between
+    # two blocks that qualify, each block still marches as it does alone.
+    grid = Grid(np.linspace(0.0, 100.0, 41))
+    cfg = PdeConfig(4, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
+                    BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+    peclet = TrBdf2Stepper(grid, MarketParams(0.1, 0.0, 0.05), cfg, 1.0)
+    plain = TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.3), cfg, 1.0)
+    stamped = factored_bands(monkeypatch)
+    system = Stack([peclet])
+    assert system.solve_kind == "lu"
+    lower, diag, upper = stamped[0]
+    rhs = np.random.default_rng(5).standard_normal(41)
+    lu = fdm.dgttrf(lower[1:], diag, upper[:-1])[:-1]
+    assert system._solve(rhs.copy()).tobytes() == fdm.dgttrs(*lu, rhs)[0].tobytes()
+    mixed = Stack([plain, peclet, plain])
+    assert mixed.solve_kind == "ldl+lu+ldl"
+    terminal = np.maximum(grid.points - 50.0, 0.0)
+    out = mixed.split(mixed.march(np.concatenate([terminal] * 3)))
+    for got, block in zip(out, (plain, peclet, plain)):
+        assert np.array_equal(got, block.run(terminal))
+
+
+@pytest.mark.parametrize("table", [3, 4, 5, 6])
+def test_every_stack_of_the_bundled_tables_solves_by_ldl(caplog, table):
+    # Logging is configured after the import: each march's own record names
+    # the LAPACK library bound and the solve of every stack.
+    caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
+    results = bench.load_bundled(table).run()
+    assert not any(row.failed for _, report in results for row in report.rows)
+    records = [r.getMessage() for r in caplog.records if r.name == "stretchgrid.fdm"]
+    assert records and all(f"LAPACK from {fdm._LAPACK}: " in r for r in records)
+    solves = [solve for r in records for solve in re.findall(r"solve=([a-z+]+)\)", r)]
+    assert solves and set(solves) == {"ldl"}
+
+
 LINALG_DIR = Path(fdm._SCIPY.origin).parent / "linalg"
 BUNDLED = fdm._BUNDLED is not None
 needs_bundled = pytest.mark.skipif(
@@ -989,7 +1064,7 @@ class TestLapackLoader:
     @staticmethod
     def routines(path):
         if path == "flapack":
-            return fdm._load_gttr(LINALG_DIR)
+            return fdm._load_flapack(LINALG_DIR)[:2]
         if not BUNDLED:
             pytest.skip(needs_bundled.kwargs["reason"])
         return fdm._numpy_dgttrf, fdm._numpy_dgttrs
@@ -1038,6 +1113,40 @@ class TestLapackLoader:
         assert x is b or np.shares_memory(x, b)
         assert x.tobytes() == dgttrs(*lu, rhs[:, 0])[0].tobytes()
 
+    @pytest.mark.parametrize("path", ["numpy", "flapack"])
+    @pytest.mark.parametrize("n", [5, 200, 4001])
+    def test_ldl_routines_are_bit_identical_to_the_public_ones(self, path, n, monkeypatch):
+        # dpttrf and the prepared dpttrs of a Stack, from either library,
+        # give the bits of scipy.linalg.lapack's, in place, with the inputs
+        # of dpttrf not written; a matrix that is not positive definite
+        # reports its first failing pivot alike.
+        if path == "flapack":
+            dpttrf, dpttrs = fdm._load_flapack(LINALG_DIR)[2:]
+        elif not BUNDLED:
+            pytest.skip(needs_bundled.kwargs["reason"])
+        else:
+            dpttrf, dpttrs = fdm._numpy_dpttrf, fdm._numpy_dpttrs
+        monkeypatch.setattr(fdm, "dpttrs", dpttrs)
+        solver = fdm._Pttrs if path == "numpy" else fdm._flapack_ldl_solver
+        from scipy.linalg import lapack
+        rng = np.random.default_rng(n)
+        diag, sub, rhs = 2.5 + rng.uniform(0.0, 1.0, n), -rng.uniform(0.1, 1.0, n - 1), \
+            rng.standard_normal(n)
+        kept = diag.tobytes(), sub.tobytes()
+        *factors, info = dpttrf(diag, sub)
+        *ref, info_ref = lapack.dpttrf(diag, sub)
+        assert (diag.tobytes(), sub.tobytes()) == kept
+        assert info == info_ref == 0
+        for mine, theirs in zip(factors, ref):
+            assert mine.tobytes() == theirs.tobytes()
+        b = rhs.copy()
+        x = solver(*factors)(b)
+        assert np.shares_memory(x, b)
+        x_ref, _ = lapack.dpttrs(*ref, rhs)
+        assert x.tobytes() == x_ref.tobytes() == dpttrs(*factors, rhs)[0].tobytes()
+        diag[n // 2] = -1.0
+        assert dpttrf(diag, sub)[-1] == lapack.dpttrf(diag, sub)[-1] > 0
+
     def test_a_numpy_built_on_ilp64_scipy_openblas_is_bound(self):
         # numpy's PyPI wheel is built on scipy-openblas with 64-bit integers
         # and bundles it; a discovery that missed it would quietly run the
@@ -1055,6 +1164,8 @@ class TestLapackLoader:
     def test_binds_numpys_bundled_openblas(self):
         assert fdm.dgttrf is fdm._numpy_dgttrf and fdm.dgttrs is fdm._numpy_dgttrs
         assert fdm._solver is fdm._Gttrs
+        assert fdm.dpttrf is fdm._numpy_dpttrf and fdm.dpttrs is fdm._numpy_dpttrs
+        assert fdm._ldl_solver is fdm._Pttrs
         path = fdm._LAPACK
         assert "openblas" in path.name and path.parent.name in ("numpy.libs", ".dylibs")
 
@@ -1116,7 +1227,7 @@ class TestLapackLoader:
     def test_missing_module_names_path_module_and_version(self, tmp_path):
         registered = sys.modules.get("scipy.linalg._flapack")
         with pytest.raises(ImportError) as err:
-            fdm._load_gttr(tmp_path)
+            fdm._load_flapack(tmp_path)
         assert sys.modules.get("scipy.linalg._flapack") is registered
         message = str(err.value)
         expected = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
@@ -1129,6 +1240,6 @@ class TestLapackLoader:
         stub.dgttrf = fdm.dgttrf
         monkeypatch.setattr(importlib.util, "module_from_spec", lambda spec: stub)
         linalg_dir = Path(fdm._SCIPY.origin).parent / "linalg"
-        with pytest.raises(ImportError, match="needs dgttrf and dgttrs") as err:
-            fdm._load_gttr(linalg_dir)
+        with pytest.raises(ImportError, match="needs dgttrf, dgttrs, dpttrf and dpttrs") as err:
+            fdm._load_flapack(linalg_dir)
         assert isinstance(err.value.__cause__, AttributeError)

@@ -438,6 +438,18 @@ class TestTavellaRandall:
         assert np.allclose(m.derivative(u), fd, rtol=2e-3)
 
 
+def table4_tavella_randall_builds() -> set:
+    """(spec, ode_steps) of every Tavella-Randall map table 4 builds."""
+    builds = set()
+    for _, cfg in load_bundled(4).columns:
+        if cfg.stretch.kind is StretchKind.TAVELLA_RANDALL:
+            for steps in (*cfg.space_steps, cfg.reference_steps):
+                s_min, s_max, intervals = resolve_domain(cfg, steps)
+                builds.add((dataclasses.replace(cfg.stretch, s_min=s_min,
+                                                s_max=s_max), 8 * intervals))
+    return builds
+
+
 def reference_tavella_randall(spec, ode_steps):
     """Plain shooting bisection: every bracket probe and midpoint integrated.
 
@@ -533,18 +545,28 @@ class TestTavellaRandallShooting:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(gridgen, "_tr_integrate", counting)
-        builds = set()
-        for _, cfg in load_bundled(4).columns:
-            if cfg.stretch.kind is StretchKind.TAVELLA_RANDALL:
-                for steps in (*cfg.space_steps, cfg.reference_steps):
-                    s_min, s_max, intervals = resolve_domain(cfg, steps)
-                    builds.add((dataclasses.replace(cfg.stretch, s_min=s_min,
-                                                    s_max=s_max), 8 * intervals))
+        builds = table4_tavella_randall_builds()
         assert len(builds) == 5
         for spec, ode_steps in builds:   # the parent bisection needs 38-43
             calls.clear()
             build_tavella_randall(spec, ode_steps)
             assert len(calls) <= 10, (ode_steps, len(calls))
+
+    def test_table4_builds_integrate_on_plain_floats(self, monkeypatch):
+        # The RK4 loop runs about three times slower on a numpy scalar
+        # constant than on a float; the secant probes of the bracket come
+        # from terminal values, so those must be floats too.
+        integrate = gridgen._tr_integrate
+        constants = []
+
+        def recording(a_const, *args, **kwargs):
+            constants.append(type(a_const))
+            return integrate(a_const, *args, **kwargs)
+
+        monkeypatch.setattr(gridgen, "_tr_integrate", recording)
+        for spec, ode_steps in table4_tavella_randall_builds():
+            build_tavella_randall(spec, ode_steps)
+        assert len(constants) >= 25 and set(constants) == {float}
 
     def test_single_point_prediction_is_the_asinh_closed_form(self):
         for b, alpha in ((125.0, 1.5), (10.0, 0.05), (75.0, 400.0)):
