@@ -15,29 +15,31 @@ tridiagonal.
 ``Stack`` joins blocks that share dt and N into one block-diagonal matrix and
 factors it once; every substage of their lockstep march reuses the factors.
 A block whose matrix I - wL is similar to a symmetric positive definite one
-(on the grids the engine builds it is an M-matrix with dominant diagonal) is
+(every block of the bundled tables is an M-matrix with dominant diagonal) is
 factored by LDL^T: rows with no off-diagonal (pinned rows, the S = 0 row) are
 solved first and folded into their neighbours' rhs, a wrong-signed chain end
 (a zero-gamma edge, a ghost row) is folded into its neighbour by one Schur
 step, a diagonal row scaling makes the rest symmetric, and LAPACK dpttrf
 factors it; each solve is one dpttrs, whose back-substitution keeps the
 division off the recurrence that gttrs has on it.  Any other block (a cell
-Peclet number above 1, a hand-built hook) is factored by a tridiagonal LU with
-partial pivoting (gttrf) and solved by gttrs.  The routines come from the
-OpenBLAS that numpy's wheel bundles (``numpy.libs/``, or ``numpy/.dylibs/``
-on macOS), which ``import numpy`` has already mapped: it exports reference
-LAPACK with 64-bit integers as ``scipy_dgttrf_64_`` and so on, called here
-through ``ctypes``.  Binding them costs ≈0.1 ms and no memory, where loading
-scipy's ``_flapack`` maps a second OpenBLAS (≈2.6 MB and 4-8 ms a process),
-and the bundled build solves with the same bits, a little faster.  Only where
-numpy bundles no such library (a numpy not installed from the PyPI wheel) are
-they the f2py routines of scipy's compiled ``scipy/linalg/_flapack`` module,
-loaded alone: importing ``scipy.linalg`` runs its whole package ``__init__``,
-which cost more of ``import stretchgrid`` (≈0.25 s and ≈20 MB) than the
-package itself.  Either way ``dgttrf``, ``dgttrs``, ``dpttrf`` and ``dpttrs``
-keep the f2py signatures and return tuples.  The path of the library bound
-is logged at DEBUG level when the module loads, and again in every march's
-record, beside each stack's solve (``ldl`` or ``lu``).
+Peclet number above 1, sigma = 0 included, or a zero-gamma edge row whose
+diagonal turns negative at a large dt; a hand-built hook) is factored by a
+tridiagonal LU with partial pivoting (gttrf) and solved by gttrs.  The
+routines come from the OpenBLAS that numpy's wheel bundles (``numpy.libs/``,
+or ``numpy/.dylibs/`` on macOS), which ``import numpy`` has already mapped: it
+exports reference LAPACK with 64-bit integers as ``scipy_dgttrf_64_`` and so
+on, called here through ``ctypes``.  Binding them costs ≈0.1 ms and no memory,
+where loading scipy's ``_flapack`` maps a second OpenBLAS (≈2.6 MB and 4-8 ms
+a process), and the bundled build solves with the same bits, a little faster.
+Only where numpy bundles no such library (a numpy not installed from the PyPI
+wheel) are they the f2py routines of scipy's compiled
+``scipy/linalg/_flapack`` module, loaded alone: importing ``scipy.linalg``
+runs its whole package ``__init__``, which cost more of ``import stretchgrid``
+(≈0.25 s and ≈20 MB) than the package itself.  Either way ``dgttrf`` and
+``dpttrf`` keep the f2py signatures, and ``_solver`` and ``_ldl_solver`` make
+a factored system's in-place solve.  The routines and the library's path are
+logged at DEBUG level when the module loads, and the path again in every
+march's record, beside each stack's solve (``ldl`` or ``lu``).
 
 ``march`` marches independent blocks at the same time on ``workers()``
 threads, the calling thread among them.  It deals the blocks out costliest
@@ -153,70 +155,34 @@ def _numpy_dpttrf(d, e, overwrite_d=0, overwrite_e=0):
     return d, e, info.value
 
 
-class _Gttrs:
-    """dgttrs on one factored system, its call built once from the factors:
-    a solve passes only the rhs, which it overwrites with the solution and
-    returns.  The rhs is a writable C-contiguous float64 buffer of n x nrhs
-    values, the columns one after another."""
+class _Prepared:
+    """dgttrs (no transpose) or dpttrs on one factored system, its call built
+    once from the ``factors``: a solve passes only the rhs, a writable
+    C-contiguous float64 array of at least n values (``from_buffer`` rejects
+    a shorter, read-only or strided one), which it overwrites with the
+    solution and returns."""
 
-    def __init__(self, dl, d, du, du2, ipiv, nrhs: int = 1):
-        n = np.size(d)
-        self._factors = _bands(n, dl=dl, d=d, du=du, du2=du2, ipiv=ipiv)
-        self.info = _INT()
-        self._rhs = ctypes.c_double * (n * nrhs)
-        self._head = (_TRANS, ctypes.byref(_INT(n)), ctypes.byref(_INT(nrhs)),
+    def __init__(self, routine, trans: tuple = (), **factors):
+        n = np.size(factors["d"])
+        self._routine, self._rhs = routine, ctypes.c_double * n
+        self._factors = _bands(n, **factors)
+        self._head = (*trans, ctypes.byref(_INT(n)), ctypes.byref(_INT(1)),
                       *map(_pointer, self._factors))
-        self._tail = (ctypes.byref(_INT(max(n, 1))), ctypes.byref(self.info), _TRANS_LEN)
+        # ldb, info (only an illegal argument sets it) and len(trans)
+        self._tail = (ctypes.byref(_INT(max(n, 1))), ctypes.byref(_INT()),
+                      *(_TRANS_LEN for _ in trans))
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        _DGTTRS(*self._head, self._rhs.from_buffer(b), *self._tail)
+        self._routine(*self._head, self._rhs.from_buffer(b), *self._tail)
         return b
 
 
-class _Pttrs:
-    """dpttrs on one system factored by dpttrf, its call built once from the
-    factors, as ``_Gttrs``: a solve passes only a writable C-contiguous
-    float64 rhs of n values, which it overwrites with the solution and
-    returns."""
-
-    def __init__(self, d, e):
-        n = np.size(d)
-        self._factors = _bands(n, d=d, e=e)
-        self.info = _INT()
-        self._rhs = ctypes.c_double * n
-        self._head = (ctypes.byref(_INT(n)), ctypes.byref(_INT(1)),
-                      *map(_pointer, self._factors))
-        self._tail = (ctypes.byref(_INT(max(n, 1))), ctypes.byref(self.info))
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        _DPTTRS(*self._head, self._rhs.from_buffer(b), *self._tail)
-        return b
+def _numpy_solver(dl, d, du, du2, ipiv) -> _Prepared:
+    return _Prepared(_DGTTRS, (_TRANS,), dl=dl, d=d, du=du, du2=du2, ipiv=ipiv)
 
 
-def _numpy_dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=0):
-    """LAPACK dgttrs (no transpose) from numpy's bundled OpenBLAS, as the
-    f2py routine: (x, info), with x Fortran-ordered and written into ``b``
-    itself when ``overwrite_b`` and ``b`` is Fortran-contiguous float64."""
-    x = (np.asarray if overwrite_b else np.array)(b, dtype=float, order="F")
-    if x.ndim not in (1, 2) or x.shape[0] != np.size(d):
-        raise ValueError(f"fdm: b has shape {x.shape}; the tridiagonal system "
-                         f"has {np.size(d)} rows")
-    solve = _Gttrs(dl, d, du, du2, ipiv, 1 if x.ndim == 1 else x.shape[1])
-    solve(x.T)
-    return x, solve.info.value
-
-
-def _numpy_dpttrs(d, e, b, overwrite_b=0):
-    """LAPACK dpttrs from numpy's bundled OpenBLAS, as the f2py routine for
-    one rhs: (x, info), with x written into ``b`` itself when
-    ``overwrite_b`` and ``b`` is contiguous float64."""
-    x = (np.asarray if overwrite_b else np.array)(b, dtype=float, order="C")
-    if x.shape != (np.size(d),):
-        raise ValueError(f"fdm: b has shape {x.shape}; the tridiagonal system "
-                         f"has {np.size(d)} rows")
-    solve = _Pttrs(d, e)
-    solve(x)
-    return x, solve.info.value
+def _numpy_ldl_solver(d, e) -> _Prepared:
+    return _Prepared(_DPTTRS, d=d, e=e)
 
 
 def _load_flapack(linalg_dir: Path):
@@ -261,33 +227,28 @@ def _scipy_version() -> str:
         return "unknown"
 
 
-def _flapack_solver(*lu):
-    return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
+def _flapack_backend(linalg_dir: Path):
+    """(dgttrf, dpttrf, solver, ldl_solver) from scipy's ``_flapack`` (see
+    ``_load_flapack``), each solver's solve in place by f2py dgttrs or dpttrs."""
+    dgttrf, dgttrs, dpttrf, dpttrs = _load_flapack(linalg_dir)
+    return (dgttrf, dpttrf, lambda *lu: lambda b: dgttrs(*lu, b, overwrite_b=1)[0],
+            lambda d, e: lambda b: dpttrs(d, e, b, overwrite_b=1)[0])
 
 
-def _flapack_ldl_solver(d, e):
-    return lambda rhs: dpttrs(d, e, rhs, overwrite_b=1)[0]
-
-
-# ``dgttrf``, ``dgttrs``, ``dpttrf`` and ``dpttrs`` with the f2py signatures,
-# and ``_solver`` and ``_ldl_solver`` (a factored system's in-place solve, by
-# LU and by LDL^T), from numpy's bundled OpenBLAS, else from scipy's
-# ``_flapack``.
 _SCIPY = importlib.util.find_spec("scipy")
 _BUNDLED = _bundled_openblas()
 if _BUNDLED is not None:
     _LAPACK, _DGTTRF, _DGTTRS, _DPTTRF, _DPTTRS = _BUNDLED
-    dgttrf, dgttrs, dpttrf, dpttrs = _numpy_dgttrf, _numpy_dgttrs, _numpy_dpttrf, _numpy_dpttrs
-    _solver, _ldl_solver = _Gttrs, _Pttrs
+    dgttrf, dpttrf, _solver, _ldl_solver = (_numpy_dgttrf, _numpy_dpttrf,
+                                            _numpy_solver, _numpy_ldl_solver)
 else:
     if _SCIPY is None:
         raise ModuleNotFoundError("fdm: needs scipy for LAPACK dgttrf, dgttrs, dpttrf and "
                                   "dpttrs, since numpy bundles no OpenBLAS that exports them",
                                   name="scipy")
     _LAPACK = _flapack_path(Path(_SCIPY.origin).parent / "linalg")
-    dgttrf, dgttrs, dpttrf, dpttrs = _load_flapack(_LAPACK.parent)
-    _solver, _ldl_solver = _flapack_solver, _flapack_ldl_solver
-log.debug("LAPACK dgttrf/dgttrs from %s", _LAPACK)
+    dgttrf, dpttrf, _solver, _ldl_solver = _flapack_backend(_LAPACK.parent)
+log.debug("LAPACK %s from %s", "/".join(_ROUTINES), _LAPACK)
 
 GAMMA = 2.0 - math.sqrt(2.0)
 OMEGA = GAMMA / 2.0                      # shared implicit coefficient
@@ -646,8 +607,11 @@ def _ldl(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
        float;
     5. dpttrf factors R A, so it is positive definite.
 
-    On the grids the engine builds, I - wL is an M-matrix whose rows are
-    diagonally dominant, and all five hold.  A block that fails takes LU.
+    On the bundled tables' grids, I - wL is an M-matrix whose rows are
+    diagonally dominant, and all five hold.  A block that fails takes LU: a
+    cell Peclet number above 1 on a coupled row (sigma = 0 included) fails 3,
+    a zero-gamma edge row whose diagonal turns negative at a large dt fails 5,
+    and a hand-built hook may fail any.
     """
     lo, d, up = lower.copy(), diag.copy(), upper.copy()
     lo[0] = up[-1] = 0.0

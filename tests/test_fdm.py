@@ -999,38 +999,68 @@ def test_m_matrix_blocks_solve_by_ldl(block, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_convection_dominated_block_takes_lu_with_its_bits(monkeypatch):
+# Blocks the engine builds that LDL^T does not serve: (grid, market, N).
+LU_BLOCKS = {
     # sigma = 0.05 and r = 0.1 near S = 0: the cell Peclet number
-    # (r - q) h / (sigma^2 S) is far above 1, L's lower entries turn
-    # negative and the matrix is no symmetrisable M-matrix.  The block is
-    # solved by gttrf/gttrs on its stamped rows, bit for bit; stacked between
-    # two blocks that qualify, each block still marches as it does alone.
-    grid = Grid(np.linspace(0.0, 100.0, 41))
-    cfg = PdeConfig(4, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
+    # (r - q) h / (sigma^2 S) is far above 1 and L's lower entries turn
+    # negative, so the matrix is no symmetrisable M-matrix
+    "peclet": (np.linspace(0.0, 100.0, 41), MarketParams(0.1, 0.0, 0.05), 4),
+    # sigma = 0: every coupled row pairs a negative lower entry with a
+    # positive upper one
+    "pure_convection": (np.linspace(0.0, 150.0, 41), MarketParams(0.05, 0.0, 0.0), 4),
+    # tables 5 and 6's market: only the zero-gamma top row disqualifies the
+    # block, its diagonal 1 - w(|r - q| S / h - r) = -1.93 (at N = 100 the
+    # same block takes ldl)
+    "zero_gamma_large_dt": (np.linspace(0.0, 200.0, 1001), MarketParams(0.1, 0.0, 0.25), 10),
+}
+
+
+def lu_block(name: str, n_steps: int | None = None) -> TrBdf2Stepper:
+    """The block ``name`` of ``LU_BLOCKS`` over one year, from the degenerate
+    S = 0 row to a zero-gamma top row, at its own N unless given one."""
+    points, mkt, own_steps = LU_BLOCKS[name]
+    cfg = PdeConfig(n_steps or own_steps, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
                     BoundaryCondition(BoundaryKind.ZERO_GAMMA))
-    peclet = TrBdf2Stepper(grid, MarketParams(0.1, 0.0, 0.05), cfg, 1.0)
-    plain = TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.3), cfg, 1.0)
+    return TrBdf2Stepper(Grid(points), mkt, cfg, 1.0)
+
+
+@pytest.mark.parametrize("name", list(LU_BLOCKS))
+def test_convection_dominated_block_takes_lu_with_its_bits(monkeypatch, name):
+    # The block is solved by gttrf/gttrs on its stamped rows, with the bits
+    # of scipy.linalg.lapack's; stacked between two blocks that qualify, each
+    # block still marches as it does alone.
+    from scipy.linalg import lapack
+    block = lu_block(name)
+    points, _, n_steps = LU_BLOCKS[name]
+    plain = TrBdf2Stepper(Grid(points), MarketParams(0.05, 0.0, 0.3), PdeConfig(
+        n_steps, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
+        BoundaryCondition(BoundaryKind.DIRICHLET_VALUE)), 1.0)
     stamped = factored_bands(monkeypatch)
-    system = Stack([peclet])
+    system = Stack([block])
     assert system.solve_kind == "lu"
     lower, diag, upper = stamped[0]
-    rhs = np.random.default_rng(5).standard_normal(41)
-    lu = fdm.dgttrf(lower[1:], diag, upper[:-1])[:-1]
-    assert system._solve(rhs.copy()).tobytes() == fdm.dgttrs(*lu, rhs)[0].tobytes()
-    mixed = Stack([plain, peclet, plain])
+    rhs = np.random.default_rng(5).standard_normal(points.size)
+    *lu, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
+    assert info == 0
+    assert system._solve(rhs.copy()).tobytes() == lapack.dgttrs(*lu, rhs)[0].tobytes()
+    mixed = Stack([plain, block, plain])
     assert mixed.solve_kind == "ldl+lu+ldl"
-    terminal = np.maximum(grid.points - 50.0, 0.0)
+    terminal = np.maximum(points - 50.0, 0.0)
     out = mixed.split(mixed.march(np.concatenate([terminal] * 3)))
-    for got, block in zip(out, (plain, peclet, plain)):
-        assert np.array_equal(got, block.run(terminal))
+    for got, each in zip(out, (plain, block, plain)):
+        assert np.array_equal(got, each.run(terminal))
 
 
-@pytest.mark.parametrize("table", [3, 4, 5, 6])
-def test_every_stack_of_the_bundled_tables_solves_by_ldl(caplog, table):
+def test_zero_gamma_block_takes_ldl_at_a_small_dt():
+    assert Stack([lu_block("zero_gamma_large_dt", 100)]).solve_kind == "ldl"
+
+
+@pytest.mark.parametrize("config", [1, 2, 3, 4, 5, 6, "american_put_stretch", "smoke_zero_vol"])
+def test_every_stack_of_the_bundled_tables_solves_by_ldl(caplog, config):
     # Logging is configured after the import: each march's own record names
     # the LAPACK library bound and the solve of every stack.
     caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
-    results = bench.load_bundled(table).run()
+    results = bench.load_bundled(config).run()
     assert not any(row.failed for _, report in results for row in report.rows)
     records = [r.getMessage() for r in caplog.records if r.name == "stretchgrid.fdm"]
     assert records and all(f"LAPACK from {fdm._LAPACK}: " in r for r in records)
@@ -1045,9 +1075,9 @@ needs_bundled = pytest.mark.skipif(
 
 
 class TestLapackLoader:
-    """``fdm`` takes gttrf/gttrs from numpy's bundled OpenBLAS, else from
-    scipy's ``_flapack`` without ``scipy.linalg``; both give the public
-    routines' bits."""
+    """``fdm`` takes dgttrf and dpttrf, and the in-place solves of their
+    factors, from numpy's bundled OpenBLAS, else from scipy's ``_flapack``
+    without ``scipy.linalg``; both give the bits of ``scipy.linalg.lapack``."""
 
     @staticmethod
     def system(kind, n):
@@ -1062,33 +1092,42 @@ class TestLapackLoader:
         return lower, diag, upper, rng.standard_normal((n, 2))
 
     @staticmethod
-    def routines(path):
+    def backend(path):
+        """(dgttrf, dpttrf, solver, ldl_solver) from one library."""
         if path == "flapack":
-            return fdm._load_flapack(LINALG_DIR)[:2]
+            return fdm._flapack_backend(LINALG_DIR)
         if not BUNDLED:
             pytest.skip(needs_bundled.kwargs["reason"])
-        return fdm._numpy_dgttrf, fdm._numpy_dgttrs
+        return fdm._numpy_dgttrf, fdm._numpy_dpttrf, fdm._numpy_solver, fdm._numpy_ldl_solver
 
     @pytest.mark.parametrize("path", ["numpy", "flapack"])
     @pytest.mark.parametrize("kind, n", [("dominant", 200), ("pivoting", 500),
                                          ("singular", 40)])
     def test_bit_identical_to_the_public_routines(self, kind, n, path):
-        dgttrf, dgttrs = self.routines(path)
+        # dgttrf, with its inputs not written, and the prepared solve of its
+        # factors, which writes the solution into the rhs it is given.
+        dgttrf, _, solver, _ = self.backend(path)
         lower, diag, upper, rhs = self.system(kind, n)
         bands = [a.copy() for a in (lower, diag, upper)]
         *lu, info = dgttrf(lower, diag, upper)
-        x, solve_info = dgttrs(*lu, rhs.copy(), overwrite_b=1)
+        solve = solver(*lu)
+        xs = []
+        for column in rhs.T:
+            b = column.copy()
+            xs.append(solve(b))
+            assert np.shares_memory(xs[-1], b)
         for band, kept in zip((lower, diag, upper), bands):
-            assert band.tobytes() == kept.tobytes()        # the inputs are not written
+            assert band.tobytes() == kept.tobytes()
         # scipy.linalg comes in after stretchgrid loaded its own copy of _flapack
         from scipy.linalg import lapack
         *lu_ref, info_ref = lapack.dgttrf(lower, diag, upper)
-        x_ref, solve_info_ref = lapack.dgttrs(*lu_ref, rhs.copy(), overwrite_b=1)
-        assert (info, solve_info) == (info_ref, solve_info_ref)
-        for mine, ref in zip([*lu[:4], x], [*lu_ref[:4], x_ref]):
+        assert info == info_ref
+        for mine, ref in zip(lu[:4], lu_ref[:4]):
             assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
         # the ILP64 pivots are int64, scipy's int32: compare them by value
         assert lu[4].shape == lu_ref[4].shape and np.array_equal(lu[4], lu_ref[4])
+        for x, column in zip(xs, rhs.T):
+            assert x.tobytes() == lapack.dgttrs(*lu_ref, column)[0].tobytes()
         pivots = int(np.count_nonzero(lu[-1] != np.arange(1, n + 1)))
         if kind == "pivoting":
             assert pivots > n // 2
@@ -1096,38 +1135,17 @@ class TestLapackLoader:
             assert info > 0
         else:
             matrix = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-            assert info == 0 and np.allclose(matrix @ x, rhs, rtol=0.0, atol=1e-8)
+            assert info == 0 and np.allclose(matrix @ np.stack(xs, 1), rhs, rtol=0.0, atol=1e-8)
         assert lapack._flapack is sys.modules["scipy.linalg._flapack"]
 
     @pytest.mark.parametrize("path", ["numpy", "flapack"])
-    def test_stack_solve_is_dgttrs_in_place(self, path, monkeypatch):
-        # A Stack's prepared solve writes the solution into the rhs it is
-        # given, with the bits of dgttrs on the same factors.
-        dgttrf, dgttrs = self.routines(path)
-        monkeypatch.setattr(fdm, "dgttrs", dgttrs)
-        solver = fdm._Gttrs if path == "numpy" else fdm._flapack_solver
-        lower, diag, upper, rhs = self.system("pivoting", 500)
-        lu = dgttrf(lower, diag, upper)[:-1]
-        b = rhs[:, 0].copy()
-        x = solver(*lu)(b)
-        assert x is b or np.shares_memory(x, b)
-        assert x.tobytes() == dgttrs(*lu, rhs[:, 0])[0].tobytes()
-
-    @pytest.mark.parametrize("path", ["numpy", "flapack"])
     @pytest.mark.parametrize("n", [5, 200, 4001])
-    def test_ldl_routines_are_bit_identical_to_the_public_ones(self, path, n, monkeypatch):
-        # dpttrf and the prepared dpttrs of a Stack, from either library,
+    def test_ldl_routines_are_bit_identical_to_the_public_ones(self, path, n):
+        # dpttrf and the prepared solve of its factors, from either library,
         # give the bits of scipy.linalg.lapack's, in place, with the inputs
         # of dpttrf not written; a matrix that is not positive definite
         # reports its first failing pivot alike.
-        if path == "flapack":
-            dpttrf, dpttrs = fdm._load_flapack(LINALG_DIR)[2:]
-        elif not BUNDLED:
-            pytest.skip(needs_bundled.kwargs["reason"])
-        else:
-            dpttrf, dpttrs = fdm._numpy_dpttrf, fdm._numpy_dpttrs
-        monkeypatch.setattr(fdm, "dpttrs", dpttrs)
-        solver = fdm._Pttrs if path == "numpy" else fdm._flapack_ldl_solver
+        _, dpttrf, _, ldl_solver = self.backend(path)
         from scipy.linalg import lapack
         rng = np.random.default_rng(n)
         diag, sub, rhs = 2.5 + rng.uniform(0.0, 1.0, n), -rng.uniform(0.1, 1.0, n - 1), \
@@ -1140,10 +1158,9 @@ class TestLapackLoader:
         for mine, theirs in zip(factors, ref):
             assert mine.tobytes() == theirs.tobytes()
         b = rhs.copy()
-        x = solver(*factors)(b)
+        x = ldl_solver(*factors)(b)
         assert np.shares_memory(x, b)
-        x_ref, _ = lapack.dpttrs(*ref, rhs)
-        assert x.tobytes() == x_ref.tobytes() == dpttrs(*factors, rhs)[0].tobytes()
+        assert x.tobytes() == lapack.dpttrs(*ref, rhs)[0].tobytes()
         diag[n // 2] = -1.0
         assert dpttrf(diag, sub)[-1] == lapack.dpttrf(diag, sub)[-1] > 0
 
@@ -1162,33 +1179,39 @@ class TestLapackLoader:
 
     @needs_bundled
     def test_binds_numpys_bundled_openblas(self):
-        assert fdm.dgttrf is fdm._numpy_dgttrf and fdm.dgttrs is fdm._numpy_dgttrs
-        assert fdm._solver is fdm._Gttrs
-        assert fdm.dpttrf is fdm._numpy_dpttrf and fdm.dpttrs is fdm._numpy_dpttrs
-        assert fdm._ldl_solver is fdm._Pttrs
+        assert fdm.dgttrf is fdm._numpy_dgttrf and fdm.dpttrf is fdm._numpy_dpttrf
+        assert fdm._solver is fdm._numpy_solver and fdm._ldl_solver is fdm._numpy_ldl_solver
+        assert not hasattr(fdm, "dgttrs") and not hasattr(fdm, "dpttrs")
         path = fdm._LAPACK
         assert "openblas" in path.name and path.parent.name in ("numpy.libs", ".dylibs")
 
     @needs_bundled
-    def test_overwrite_b_as_the_f2py_routine(self):
-        lower, diag, upper, rhs = self.system("dominant", 50)
-        lu = fdm.dgttrf(lower, diag, upper)[:-1]
-        b = rhs[:, 0].copy()
-        x, _ = fdm.dgttrs(*lu, b)
-        assert not np.shares_memory(x, b) and b.tobytes() == rhs[:, 0].tobytes()
-        x_in_place, _ = fdm.dgttrs(*lu, b, overwrite_b=1)
-        assert x_in_place is b and b.tobytes() == x.tobytes()
-        strided = np.repeat(rhs[:, 0], 2)[::2]             # not contiguous: copied
-        x_copy, _ = fdm.dgttrs(*lu, strided, overwrite_b=1)
-        assert not np.shares_memory(x_copy, strided) and x_copy.tobytes() == x.tobytes()
+    @pytest.mark.parametrize("kind", ["lu", "ldl"])
+    def test_prepared_solve_rejects_a_short_read_only_or_strided_rhs(self, kind):
+        # The prepared solve hands LAPACK the rhs buffer itself, its first n
+        # values written in place: a rhs it cannot use so is an error, and
+        # is left as it was.
+        if kind == "lu":
+            solve = fdm._solver(*fdm.dgttrf(np.ones(4), 4.0 * np.ones(5), np.ones(4))[:-1])
+        else:
+            solve = fdm._ldl_solver(*fdm.dpttrf(4.0 * np.ones(5), np.ones(4))[:-1])
+        read_only = np.ones(5)
+        read_only.flags.writeable = False
+        for rhs, error, message in ((np.ones(4), ValueError, "Buffer size too small"),
+                                    (read_only, TypeError, "not writable"),
+                                    (np.ones(10)[::2], TypeError, "not C contiguous")):
+            with pytest.raises(error, match=message):
+                solve(rhs)
+            assert (rhs == 1.0).all()
 
     @needs_bundled
     @pytest.mark.parametrize("call, message", [
         (lambda lu: fdm.dgttrf(np.ones(3), np.ones(3), np.ones(2)), r"dl has shape \(3,\)"),
         (lambda lu: fdm.dgttrf(np.ones(2), np.ones((3, 1)), np.ones(2)), r"d has shape \(3, 1\)"),
-        (lambda lu: fdm.dgttrs(*lu, np.ones(4)), r"b has shape \(4,\)"),
-        (lambda lu: fdm.dgttrs(*lu[:3], np.ones(2), lu[4], np.ones(5)), r"du2 has shape"),
-        (lambda lu: fdm.dgttrs(*lu[:4], lu[4][:4], np.ones(5)), r"ipiv has shape \(4,\)"),
+        (lambda lu: fdm._solver(*lu[:3], np.ones(2), lu[4]), r"du2 has shape"),
+        (lambda lu: fdm._solver(*lu[:4], lu[4][:4]), r"ipiv has shape \(4,\)"),
+        (lambda lu: fdm.dpttrf(np.ones(5), np.ones(3)), r"e has shape \(3,\)"),
+        (lambda lu: fdm._ldl_solver(np.ones(5), np.ones(5)), r"e has shape \(5,\)"),
     ])
     def test_mismatched_shapes_are_value_errors(self, call, message):
         # ctypes would pass the pointers whatever their lengths; each is
@@ -1201,28 +1224,39 @@ class TestLapackLoader:
     def test_fallback_marches_table_5_with_the_same_bits(self):
         # Hide numpy's bundled library from the discovery, as on a numpy not
         # installed from the PyPI wheel: fdm falls back to scipy's _flapack,
-        # logs that file, and table 5 (its pivoting 4,001-node reference and
-        # ghost rows) prices as with the bundled library, bit for bit.
+        # logs that file, and table 5 (its 4,001-node reference and ghost
+        # rows) prices as with the bundled library, bit for bit.  No bundled
+        # table reaches the LU solve, so one LU block marches too.
         src = str(Path(fdm.__file__).resolve().parents[1])
+        points, mkt, n_steps = LU_BLOCKS["zero_gamma_large_dt"]
         hide = ("import pathlib; glob = pathlib.Path.glob; pathlib.Path.glob = "
                 "lambda self, pattern: iter(()) if 'openblas' in pattern else glob(self, pattern)")
         table_5 = "\n".join([
             "import logging, sys",
             "logging.basicConfig(level=logging.DEBUG, format='%(name)s %(message)s')",
             f"sys.path.insert(0, {src!r})",
+            "import numpy as np",
             "from stretchgrid import bench, fdm",
-            "print(fdm._solver.__name__)",
+            "from stretchgrid.fdm import *",
+            "from stretchgrid.gridgen import Grid",
+            "print(fdm._BUNDLED is None)",
             "for _, report in bench.load_bundled(5).run():",
             "    for prices in [report.reference, *(row.prices for row in report.rows)]:",
-            "        print(*(price.hex() for price in prices.values()))"])
+            "        print(*(price.hex() for price in prices.values()))",
+            f"block = TrBdf2Stepper(Grid(np.linspace({points[0]!r}, {points[-1]!r}, "
+            f"{points.size})), {mkt!r}, PdeConfig({n_steps}, BoundaryCondition("
+            "BoundaryKind.DEGENERATE_EXACT), BoundaryCondition(BoundaryKind.ZERO_GAMMA)), 1.0)",
+            "print(Stack([block]).solve_kind)",
+            "print(*(v.hex() for v in block.run(np.maximum(block.grid.points - 100.0, 0.0))))"])
         hidden, bundled = (subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                           text=True, check=True)
                            for probe in (hide + "\n" + table_5, table_5))
-        assert hidden.stdout.startswith("_flapack_solver\n")
-        assert bundled.stdout.startswith("_Gttrs\n")
+        assert hidden.stdout.startswith("True\n") and bundled.stdout.startswith("False\n")
         assert hidden.stdout.split("\n", 1)[1] == bundled.stdout.split("\n", 1)[1]
+        assert bundled.stdout.splitlines()[-2] == "lu"
         for out, path in ((hidden, fdm._flapack_path(LINALG_DIR)), (bundled, fdm._LAPACK)):
-            assert f"stretchgrid.fdm LAPACK dgttrf/dgttrs from {path}" in out.stderr.splitlines()
+            assert (f"stretchgrid.fdm LAPACK dgttrf/dgttrs/dpttrf/dpttrs from {path}"
+                    in out.stderr.splitlines())
 
     def test_missing_module_names_path_module_and_version(self, tmp_path):
         registered = sys.modules.get("scipy.linalg._flapack")
