@@ -19,27 +19,36 @@ A block whose matrix I - wL is similar to a symmetric positive definite one
 factored by LDL^T: rows with no off-diagonal (pinned rows, the S = 0 row) are
 solved first and folded into their neighbours' rhs, a wrong-signed chain end
 (a zero-gamma edge, a ghost row) is folded into its neighbour by one Schur
-step, a diagonal row scaling makes the rest symmetric, and LAPACK dpttrf
+step, a diagonal row scaling R makes the rest symmetric, and LAPACK dpttrf
 factors it; each solve is one dpttrs, whose back-substitution keeps the
 division off the recurrence that gttrs has on it.  Any other block (a cell
 Peclet number above 1, sigma = 0 included, or a zero-gamma edge row whose
 diagonal turns negative at a large dt; a hand-built hook) is factored by a
-tridiagonal LU with partial pivoting (gttrf) and solved by gttrs.  The
-routines come from the OpenBLAS that numpy's wheel bundles (``numpy.libs/``,
+tridiagonal LU with partial pivoting (gttrf) and solved by gttrs, with R = 1.
+The march runs in the row-scaled system: the stack keeps R (I + wL), R times
+each BDF2 weight and the folds' coefficients times R, so a step's first rhs
+is one banded product, LAPACK dlagtm, and its second one combination, with no
+scaling pass per solve.  The scaled march rounds differently from an unscaled
+one: on the bundled tables their prices differ by at most 2.3e-11.
+
+The routines come from the OpenBLAS that numpy's wheel bundles (``numpy.libs/``,
 or ``numpy/.dylibs/`` on macOS), which ``import numpy`` has already mapped: it
 exports reference LAPACK with 64-bit integers as ``scipy_dgttrf_64_`` and so
-on, called here through ``ctypes``.  Binding them costs ≈0.1 ms and no memory,
-where loading scipy's ``_flapack`` maps a second OpenBLAS (≈2.6 MB and 4-8 ms
-a process), and the bundled build solves with the same bits, a little faster.
+on, called here through ``ctypes``, each call checking that its vectors are
+float64.  Binding them costs ≈0.1 ms and no memory, where loading scipy's
+``_flapack`` maps a second OpenBLAS (≈2.6 MB and 4-8 ms a process), and the
+bundled build solves with the same bits, a little faster.
 Only where numpy bundles no such library (a numpy not installed from the PyPI
 wheel) are they the f2py routines of scipy's compiled
 ``scipy/linalg/_flapack`` module, loaded alone: importing ``scipy.linalg``
 runs its whole package ``__init__``, which cost more of ``import stretchgrid``
-(≈0.25 s and ≈20 MB) than the package itself.  Either way ``dgttrf`` and
-``dpttrf`` keep the f2py signatures, and ``_solver`` and ``_ldl_solver`` make
-a factored system's in-place solve.  The routines and the library's path are
-logged at DEBUG level when the module loads, and the path again in every
-march's record, beside each stack's solve (``ldl`` or ``lu``).
+(≈0.25 s and ≈20 MB) than the package itself.  That module has no dlagtm, so
+there the product is numpy's, summed in dlagtm's order for its bits.  Either
+way ``dgttrf`` and ``dpttrf`` keep the f2py signatures, and ``_solver``,
+``_ldl_solver`` and ``_product`` make a factored system's in-place solve and
+a band set's product.  The routines, the library's path and the product's
+source are logged at DEBUG level when the module loads, and the path again in
+every march's record, beside each stack's solve (``ldl`` or ``lu``).
 
 ``march`` marches independent blocks at the same time on ``workers()``
 threads, the calling thread among them.  It deals the blocks out costliest
@@ -70,7 +79,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -82,12 +91,12 @@ log = logging.getLogger(__name__)
 
 
 def _bundled_openblas():
-    """(path, dgttrf, dgttrs, dpttrf, dpttrs) of the OpenBLAS numpy's wheel
-    bundles, or None.
+    """(path, dgttrf, dgttrs, dpttrf, dpttrs, dlagtm) of the OpenBLAS numpy's
+    wheel bundles, or None.
 
     The library is in ``numpy.libs/`` (``numpy/.dylibs/`` on macOS) and
     already mapped, so loading it again costs no memory.  None when no such
-    library loads or exports all four ILP64 routines (``scipy_dgttrf_64_``
+    library loads or exports all five ILP64 routines (``scipy_dgttrf_64_``
     and so on), as with a numpy not installed from the PyPI wheel.
     """
     numpy_dir = Path(np.__file__).parent
@@ -95,7 +104,7 @@ def _bundled_openblas():
                  *sorted(numpy_dir.glob(".dylibs/*openblas*"))]:
         try:
             lib = ctypes.CDLL(str(path))
-            routines = [getattr(lib, f"scipy_{name}_64_") for name in _ROUTINES]
+            routines = [getattr(lib, f"scipy_{name}_64_") for name in (*_ROUTINES, "dlagtm")]
         except (OSError, AttributeError):
             continue
         for routine in routines:
@@ -108,6 +117,7 @@ _ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs")
 _INT = ctypes.c_int64
 _TRANS = ctypes.c_char_p(b"N")
 _TRANS_LEN = ctypes.c_size_t(1)          # gfortran's hidden len(trans) argument
+_DOUBLE = np.dtype(float)
 
 
 def _pointer(a: np.ndarray) -> ctypes.c_void_p:
@@ -155,6 +165,14 @@ def _numpy_dpttrf(d, e, overwrite_d=0, overwrite_e=0):
     return d, e, info.value
 
 
+def _doubles(a: np.ndarray, role: str) -> np.ndarray:
+    """``a``, a float64 array; TypeError naming its dtype otherwise, since
+    LAPACK would read any other array's bytes as doubles."""
+    if a.dtype != _DOUBLE:
+        raise TypeError(f"fdm: the {role} has dtype {a.dtype}; LAPACK takes float64")
+    return a
+
+
 class _Prepared:
     """dgttrs (no transpose) or dpttrs on one factored system, its call built
     once from the ``factors``: a solve passes only the rhs, a writable
@@ -173,8 +191,47 @@ class _Prepared:
                       *(_TRANS_LEN for _ in trans))
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        self._routine(*self._head, self._rhs.from_buffer(b), *self._tail)
+        self._routine(*self._head, self._rhs.from_buffer(_doubles(b, "rhs")), *self._tail)
         return b
+
+
+class _Product:
+    """dlagtm (no transpose, alpha 1, beta 0) with one tridiagonal matrix A,
+    its call built once from the bands: ``product(x, b)`` writes A x into
+    ``b`` and returns it.  Both are writable C-contiguous float64 arrays of
+    at least n values, as ``_Prepared`` takes its rhs; ``x`` is not
+    written."""
+
+    def __init__(self, dl, d, du):
+        n = np.size(d)
+        self._vector = ctypes.c_double * n
+        self._bands = _bands(n, dl=dl, d=d, du=du)
+        ld = ctypes.byref(_INT(max(n, 1)))
+        self._head = (_TRANS, ctypes.byref(_INT(n)), ctypes.byref(_INT(1)),
+                      ctypes.byref(ctypes.c_double(1.0)), *map(_pointer, self._bands))
+        self._beta = (ld, ctypes.byref(ctypes.c_double(0.0)))     # ldx, beta
+        self._tail = (ld, _TRANS_LEN)                              # ldb, len(trans)
+
+    def __call__(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        vector = self._vector
+        _DLAGTM(*self._head, vector.from_buffer(_doubles(x, "vector")), *self._beta,
+                vector.from_buffer(_doubles(b, "product")), *self._tail)
+        return b
+
+
+def _band_product(dl, d, du):
+    """``_Product`` in numpy, where scipy's ``_flapack`` has no dlagtm: it sums
+    each row as dlagtm does, (0 + dl x[i-1]) + d x[i] + du x[i+1] in that
+    order, which gives dlagtm's bits."""
+    dl, d, du = _bands(np.size(d), dl=dl, d=d, du=du)
+
+    def product(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        b[:] = 0.0
+        b[1:] += dl * x[:-1]
+        b += d * x
+        b[:-1] += du * x[1:]
+        return b
+    return product
 
 
 def _numpy_solver(dl, d, du, du2, ipiv) -> _Prepared:
@@ -238,9 +295,9 @@ def _flapack_backend(linalg_dir: Path):
 _SCIPY = importlib.util.find_spec("scipy")
 _BUNDLED = _bundled_openblas()
 if _BUNDLED is not None:
-    _LAPACK, _DGTTRF, _DGTTRS, _DPTTRF, _DPTTRS = _BUNDLED
-    dgttrf, dpttrf, _solver, _ldl_solver = (_numpy_dgttrf, _numpy_dpttrf,
-                                            _numpy_solver, _numpy_ldl_solver)
+    _LAPACK, _DGTTRF, _DGTTRS, _DPTTRF, _DPTTRS, _DLAGTM = _BUNDLED
+    dgttrf, dpttrf, _solver, _ldl_solver, _product = (
+        _numpy_dgttrf, _numpy_dpttrf, _numpy_solver, _numpy_ldl_solver, _Product)
 else:
     if _SCIPY is None:
         raise ModuleNotFoundError("fdm: needs scipy for LAPACK dgttrf, dgttrs, dpttrf and "
@@ -248,12 +305,15 @@ else:
                                   name="scipy")
     _LAPACK = _flapack_path(Path(_SCIPY.origin).parent / "linalg")
     dgttrf, dpttrf, _solver, _ldl_solver = _flapack_backend(_LAPACK.parent)
+    _product = _band_product
 log.debug("LAPACK %s from %s", "/".join(_ROUTINES), _LAPACK)
+log.debug("band product by %s", "LAPACK dlagtm" if _BUNDLED else "numpy, with dlagtm's bits")
 
 GAMMA = 2.0 - math.sqrt(2.0)
 OMEGA = GAMMA / 2.0                      # shared implicit coefficient
 BDF2_NEW = 1.0 / (GAMMA * (2.0 - GAMMA))             # weight of the stage value
 BDF2_OLD = (1.0 - GAMMA) ** 2 / (GAMMA * (2.0 - GAMMA))
+_BDF2_RATIO = BDF2_NEW / BDF2_OLD
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -346,12 +406,6 @@ class SpatialOperator:
     def n(self) -> int:
         return self.diag.size
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[1:] += self.lower[1:] * v[:-1]
-        out[:-1] += self.upper[:-1] * v[1:]
-        return out
-
 
 def discretize_operator(grid: Grid, mkt: MarketParams) -> SpatialOperator:
     """Interior rows of the Black-Scholes operator; boundary rows left zero."""
@@ -440,9 +494,6 @@ class Hook:
     def stamp_matrix(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
         pass
 
-    def adjust_rhs(self, rhs: np.ndarray, tau: float):
-        pass
-
     def post_substage(self, v: np.ndarray, tau: float):
         pass
 
@@ -474,10 +525,11 @@ class GhostBarrier(Hook):
     (GHOST_LINEAR) or two (GHOST_LAGRANGE3) interior nodes, with the rebate
     on the right.  The 3-point row's entry two columns off the diagonal is
     eliminated in place against the inner row, once, when the matrix is
-    stamped; the same factor carries the inner row's rhs into the ghost rhs
-    on every solve.  The explicit half-steps set the ghost value from the
-    same weights.  Rows beyond the ghost node are pinned by a separate
-    DirichletRegion (see ``instruments.constraint_hooks``).
+    stamped, by ``factor`` times that row (0 for a linear row); the ghost
+    row's rhs is then ``rebate - factor * rhs[inner]``, which ``Stack``
+    folds in as data on every solve.  The explicit half-steps set the ghost
+    value from the same weights.  Rows beyond the ghost node are pinned by a
+    separate DirichletRegion (see ``instruments.constraint_hooks``).
     """
 
     def __init__(self, points: np.ndarray, barrier: float, order: BarrierMode,
@@ -508,7 +560,7 @@ class GhostBarrier(Hook):
         self.weights = tuple(
             math.prod(barrier - s[k] for k in nodes if k != j)
             / math.prod(s[j] - s[k] for k in nodes if k != j) for j in nodes)
-        self._factor = 0.0
+        self.factor = 0.0
 
     def override_previous(self, v, tau):
         g, *inner = self.nodes
@@ -535,12 +587,9 @@ class GhostBarrier(Hook):
                 raise SingularSystemError(
                     a, f"fdm: cannot eliminate the 3-point ghost row {g} of barrier "
                     f"{self.barrier}: inner row {a} has no coupling to node {far[0]}")
-            self._factor = w_far[0] / pivot
-            inward[g] -= self._factor * diag[a]
-            diag[g] -= self._factor * outward[a]
-
-    def adjust_rhs(self, rhs, tau):
-        rhs[self.ghost] = self.rebate - self._factor * rhs[self.inner]
+            self.factor = w_far[0] / pivot
+            inward[g] -= self.factor * diag[a]
+            diag[g] -= self.factor * outward[a]
 
 
 class AmericanProjection(Hook):
@@ -574,14 +623,16 @@ _TINY = np.finfo(float).tiny             # the smallest normal float64
 
 
 class _LdlBlock(NamedTuple):
-    """One block's system, symmetrised and factored by ``_ldl``.  A step
-    (targets, sources, coefficients) subtracts c * v[s] from v[t]; no target
-    repeats or is a source of its step."""
+    """One block's system A, made R A symmetric and factored by ``_ldl``.  A
+    step (targets, sources, coefficients) subtracts c * v[s] from v[t]; no
+    target repeats or is a source of its step.  The ``pre`` steps act on the
+    scaled rhs R b, their coefficients times R of the target row; every
+    source row has R = 1, so a source reads its unscaled rhs."""
 
     d: np.ndarray          # dpttrf's D
     e: np.ndarray          # dpttrf's L subdiagonal
-    scale: np.ndarray      # the row scaling applied to the rhs
-    pre: tuple             # steps on the rhs before the solve, in order
+    scale: np.ndarray      # the row scaling R
+    pre: tuple             # steps on the scaled rhs before the solve, in order
     post: tuple            # the step on the solution after it
 
 
@@ -603,8 +654,9 @@ def _ldl(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
        partner before the solve, and it is recovered after;
     3. every other pair of entries shares its sign, or both are zero;
     4. the row scaling R that makes R A symmetric, which restarts at 1 on each
-       chain of coupled rows, stays finite and at least the smallest normal
-       float;
+       chain of coupled rows (and so is 1 on every folded or Schur row, which
+       couples to nothing once folded), stays finite and at least the
+       smallest normal float;
     5. dpttrf factors R A, so it is positive definite.
 
     On the bundled tables' grids, I - wL is an M-matrix whose rows are
@@ -655,6 +707,7 @@ def _ldl(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
             scale[a + 1:b + 1] = np.multiply.accumulate(up[a:b] / lo[a + 1:b + 1])
         d *= scale
         up[:-1] *= scale[:-1]                     # R A's off-diagonal
+        pre = tuple((t, s, c * scale[t]) for t, s, c in pre)
     post = tuple(np.concatenate(a) for a in zip(*post))
     if clash or not (
             signed and (scale >= _TINY).all()
@@ -663,7 +716,7 @@ def _ldl(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     d, e, info = dpttrf(d, up[:-1], overwrite_d=1, overwrite_e=1)
     if info != 0:
         return None
-    return _LdlBlock(d, e, scale, tuple(pre), post)
+    return _LdlBlock(d, e, scale, pre, post)
 
 
 def _joined(steps, starts) -> tuple:
@@ -672,38 +725,24 @@ def _joined(steps, starts) -> tuple:
         (t + start, s + start, c) for (t, s, c), start in zip(steps, starts))))
 
 
-class _Ldl:
-    """In-place solve of consecutive blocks, each factored by ``_ldl``: the
-    folds and Schur steps of their edge rows, the row scaling, one dpttrs
-    call for all of them, then the Schur rows' recovery.  No coupling
-    crosses a block edge (a zero in ``e``), so each block's solution is that
-    of its own solve."""
+def _merged(steps) -> list:
+    """``steps``, applied in order, as the fewest runs of consecutive steps
+    that one fancy-index step each applies: a step joins the run before it
+    when none of its targets or sources is a target there.  Numpy reads
+    every source and target of a step before it writes any target, so a
+    later step may still target an earlier one's source."""
+    runs = []
+    for step in steps:
+        if not step[0].size:
+            continue
+        if runs and set(runs[-1][0].tolist()).isdisjoint([*step[0].tolist(), *step[1].tolist()]):
+            step = tuple(np.concatenate(pair) for pair in zip(runs.pop(), step))
+        runs.append(step)
+    return runs
 
-    def __init__(self, blocks: list[_LdlBlock]):
-        starts = np.cumsum([0] + [block.d.size for block in blocks[:-1]])
 
-        def concat(arrays):
-            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-        pre = [_joined(step, starts) for step in zip(*(block.pre for block in blocks))]
-        post = _joined([block.post for block in blocks], starts)
-        self._pre = [step for step in pre if step[0].size]
-        self._post = [post] if post[0].size else []
-        scale = concat([block.scale for block in blocks])
-        self._scale = None if (scale == 1.0).all() else scale
-        self._solve = _ldl_solver(
-            concat([block.d for block in blocks]),
-            concat([a for block in blocks for a in (block.e, np.zeros(1))][:-1]))
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        for t, s, c in self._pre:
-            b[t] -= c * b[s]
-        if self._scale is not None:
-            b *= self._scale
-        x = self._solve(b)
-        for t, s, c in self._post:
-            x[t] -= c * x[s]
-        return x
+def _concat(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _lu(lower, diag, upper, dt: float, start: int, n: int):
@@ -719,29 +758,51 @@ def _lu(lower, diag, upper, dt: float, start: int, n: int):
     return _solver(*lu)
 
 
+class _Factored(NamedTuple):
+    """A stack's stamped system A, factored by ``_factor``: the row scaling R
+    (1 on LU rows), the ``pre`` steps on the scaled rhs R b, the in-place
+    ``solve`` of R A x = R b, and the ``post`` steps on its solution."""
+
+    kind: str              # the runs' kinds, joined by "+"
+    scale: np.ndarray
+    pre: list
+    solve: Callable[[np.ndarray], np.ndarray]
+    post: list
+
+
 def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float,
-            blocks: list[slice], quiet: np.ndarray):
-    """(kind, solve) of a stack's stamped system, whose ``blocks`` are these
-    row ranges: each block is factored by LDL^T where ``_ldl`` qualifies it
-    and by LU with partial pivoting (gttrf) otherwise, and ``solve`` makes
-    one call per maximal run of blocks of one kind, in place where it can.
-    ``kind`` names those runs' kinds, joined by "+"."""
+            blocks: list[slice], quiet: np.ndarray) -> _Factored:
+    """A stack's stamped system, whose ``blocks`` are these row ranges,
+    factored: each block by LDL^T where ``_ldl`` qualifies it and by LU with
+    partial pivoting (gttrf) otherwise.  The solve makes one dpttrs or gttrs
+    call per maximal run of blocks of one kind, in place where it can."""
     parts = [_ldl(lower[rows], diag[rows], upper[rows], quiet[rows]) for rows in blocks]
-    kinds, solves = [], []
+    kinds, solves, ldl, scale = [], [], [], []
     for by_lu, run in itertools.groupby(zip(blocks, parts), key=lambda pair: pair[1] is None):
         run = list(run)
         rows = slice(run[0][0].start, run[-1][0].stop)
         kinds.append("lu" if by_lu else "ldl")
-        solves.append((rows, _lu(lower[rows], diag[rows], upper[rows], dt, rows.start, diag.size)
-                       if by_lu else _Ldl([part for _, part in run])))
+        if by_lu:
+            solves.append((rows, _lu(lower[rows], diag[rows], upper[rows], dt, rows.start,
+                                     diag.size)))
+            scale.append(np.ones(rows.stop - rows.start))
+            continue
+        scale += [part.scale for _, part in run]
+        ldl += run
+        solves.append((rows, _ldl_solver(
+            _concat([part.d for _, part in run]),
+            _concat([a for _, part in run for a in (part.e, np.zeros(1))][:-1]))))
+    starts = [block.start for block, _ in ldl]
+    pre = [_joined(step, starts) for step in zip(*(part.pre for _, part in ldl))]
+    post = [_joined([part.post for _, part in ldl], starts)] if ldl else []
     if len(solves) == 1:
-        return kinds[0], solves[0][1]
-
-    def solve(b):
-        for rows, run in solves:
-            b[rows] = run(b[rows])
-        return b
-    return "+".join(kinds), solve
+        solve = solves[0][1]
+    else:
+        def solve(b):
+            for rows, run in solves:
+                b[rows] = run(b[rows])
+            return b
+    return _Factored("+".join(kinds), _concat(scale), pre, solve, post)
 
 
 def _acting(blocks, name: str) -> tuple:
@@ -800,20 +861,27 @@ class TrBdf2Stepper:
 
 class Stack:
     """Blocks that share dt and N as one block-diagonal system: stamped and
-    factored once, then marched in lockstep with one solve per substage, one
-    operator product and one finiteness check per step over the stacked
-    vector, and each hook on its own block's rows.
+    factored once, then marched in lockstep, one product per step and one
+    solve per substage over the stacked vector, and each hook on its own
+    block's rows.
 
     Each block is factored by LDL^T where its matrix qualifies (dpttrf; see
     ``_ldl``) and by LU with partial pivoting otherwise (gttrf), and each
     maximal run of blocks of one kind is solved by one dpttrs or gttrs call;
     ``solve_kind`` names the runs' kinds (``ldl``, ``lu``, ``ldl+lu``, ...).
+    LDL^T solves the row-scaled system R A x = R b, and every substage builds
+    its rhs in that system directly, R = 1 on LU rows: the stack keeps
+    R (I + wL) as three bands (pinned and ghost rows zeroed) and R BDF2_OLD,
+    so the first rhs is one banded product (``_product``) and the second
+    R BDF2_OLD (BDF2_NEW / BDF2_OLD stage - v), three passes in place.
+    Pinned rows then take their values, each ghost row its rebate less its
+    inner row's rhs times the hook's ``factor``, and the folds of ``_ldl``
+    follow, all times R of their row.
     No block may couple across its edge to the next (lower[0] = upper[-1] =
     0), so neither factorization couples or pivots across a block edge and
-    ``matvec`` adds exact zeros there: each block's values equal those of
-    its own march exactly.  One block keeps its operator bands as they are.
-    A zero pivot, or a ghost row that cannot be eliminated, raises
-    ``SingularSystemError`` here.
+    the product adds exact zeros there: each block's values equal those of
+    its own march exactly.  A zero pivot, or a ghost row that cannot be
+    eliminated, raises ``SingularSystemError`` here.
     """
 
     def __init__(self, blocks):
@@ -828,10 +896,7 @@ class Stack:
                     f"differ from block 0 (dt = {head.dt:g}, N = {head.n_steps})")
         self.dt = head.dt
         self.n_steps = head.n_steps
-        self._w = w = OMEGA * self.dt
-        self.op = head.op if len(blocks) == 1 else SpatialOperator(*(
-            np.concatenate(band) for band in zip(
-                *((block.op.lower, block.op.diag, block.op.upper) for block in blocks))))
+        w = OMEGA * self.dt
         self._blocks, pins, offset = [], {}, 0
         for block in blocks:
             self._blocks.append((slice(offset, offset + block.op.n), block.hooks))
@@ -840,57 +905,92 @@ class Stack:
         self._pin_rows = np.fromiter(pins, dtype=np.intp, count=len(pins))
         self._pin_values = np.fromiter(pins.values(), dtype=float, count=len(pins))
         self._overrides = _acting(self._blocks, "override_previous")
-        self._rhs_hooks = _acting(self._blocks, "adjust_rhs")
         self._substage_hooks = _acting(self._blocks, "post_substage")
         self._step_hooks = _acting(self._blocks, "post_step")
+
+        def stacked(band: str) -> np.ndarray:
+            """w times the blocks' operator ``band``, stacked."""
+            out = np.concatenate([getattr(block.op, band) for block in blocks])
+            out *= w
+            return out
+
         # The matrix I - w L: pinned rows become identity rows, then each hook
         # stamps its own block's rows.
-        lower = -w * self.op.lower
-        diag = 1.0 - w * self.op.diag
-        upper = -w * self.op.upper
-        lower[self._pin_rows] = 0.0
-        upper[self._pin_rows] = 0.0
-        diag[self._pin_rows] = 1.0
+        a_lower, a_diag, a_upper = -stacked("lower"), 1.0 - stacked("diag"), -stacked("upper")
+        a_lower[self._pin_rows] = 0.0
+        a_upper[self._pin_rows] = 0.0
+        a_diag[self._pin_rows] = 1.0
+        # the unscaled rhs of the rows a rule fixes: pins, then ghost rows
+        fixed, ghosts = dict(pins), []
         for rows, hooks in self._blocks:
             for hook in hooks:
-                hook.stamp_matrix(lower[rows], diag[rows], upper[rows])
+                hook.stamp_matrix(a_lower[rows], a_diag[rows], a_upper[rows])
+                if isinstance(hook, GhostBarrier):
+                    fixed[rows.start + hook.ghost] = hook.rebate
+                    ghosts.append((rows.start + hook.ghost, rows.start + hook.inner, hook.factor))
         for k, (rows, _) in enumerate(self._blocks[1:], 1):
-            for below, above in ((self.op.lower, self.op.upper), (lower, upper)):
-                if below[rows.start] != 0.0 or above[rows.start - 1] != 0.0:
+            for below, above in ((blocks[k].op.lower[0], blocks[k - 1].op.upper[-1]),
+                                 (a_lower[rows.start], a_upper[rows.start - 1])):
+                if below != 0.0 or above != 0.0:
                     raise ValueError(
                         f"fdm: cannot stack block {k}: it couples across its edge with "
-                        f"block {k - 1} (its lower[0] = {below[rows.start]:g}, block "
-                        f"{k - 1}'s upper[-1] = {above[rows.start - 1]:g})")
-        # Rows whose rhs is zero at every solve: pins to 0, in blocks where no
-        # hook adjusts the rhs.
-        quiet = np.zeros(diag.size, dtype=bool)
-        quiet[self._pin_rows[self._pin_values == 0.0]] = True
-        for _, rows in self._rhs_hooks:
-            quiet[rows] = False
-        self.solve_kind, self._solve = _factor(lower, diag, upper, self.dt,
-                                               [rows for rows, _ in self._blocks], quiet)
+                        f"block {k - 1} (its lower[0] = {below:g}, block "
+                        f"{k - 1}'s upper[-1] = {above:g})")
+        ghosts = [(g, inner, factor) for g, inner, factor in ghosts if factor != 0.0]
+        # Rows whose rhs is zero at every solve: those fixed at 0 that no
+        # ghost row's rule adds to.
+        self._fixed_rows = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
+        values = np.fromiter(fixed.values(), dtype=float, count=len(fixed))
+        quiet = np.zeros(a_diag.size, dtype=bool)
+        quiet[self._fixed_rows[values == 0.0]] = True
+        quiet[[g for g, *_ in ghosts]] = False
+        factored = _factor(a_lower, a_diag, a_upper, self.dt,
+                           [rows for rows, _ in self._blocks], quiet)
+        del a_lower, a_diag, a_upper    # freed before the band set: the factors hold them
+        self.solve_kind, self._solve = factored.kind, factored.solve
+        r = factored.scale
+        self._fixed_values = values * r[self._fixed_rows]
+        # each ghost row's rule, one step per hook in hook order, before the folds
+        ghost_steps = [(np.array([g]), np.array([inner]), np.array([factor * r[g] / r[inner]]))
+                       for g, inner, factor in ghosts]
+        self._pre = _merged([*ghost_steps, *factored.pre])
+        self._post = _merged(factored.post)
+        # R (I + w L), its pinned and ghost rows zeroed
+        lower, diag, upper = stacked("lower"), stacked("diag"), stacked("upper")
+        diag += 1.0
+        for band in (lower, diag, upper):
+            band *= r
+            band[self._fixed_rows] = 0.0
+        self._product = _product(lower[1:], diag, upper[:-1])
+        self._old = BDF2_OLD * r
 
     def split(self, v: np.ndarray) -> list[np.ndarray]:
         """Each block's rows of a stacked vector, in stacking order."""
         return [v[rows] for rows, _ in self._blocks]
 
-    def _rhs_pins(self, rhs: np.ndarray, tau: float):
-        rhs[self._pin_rows] = self._pin_values
-        for adjust_rhs, rows in self._rhs_hooks:
-            adjust_rhs(rhs[rows], tau)
-
-    def _after_solve(self, v: np.ndarray, tau: float):
+    def _substage(self, rhs: np.ndarray, tau: float) -> np.ndarray:
+        """Solve the substage whose scaled rhs ``rhs`` holds, in place where
+        the solve is, and return the solution."""
+        rhs[self._fixed_rows] = self._fixed_values
+        for t, s, c in self._pre:
+            rhs[t] -= c * rhs[s]
+        v = self._solve(rhs)
+        for t, s, c in self._post:
+            v[t] -= c * v[s]
         # LU with partial pivoting solves pinned rows only to round-off;
         # constraints are exact, so re-stamp them.
         v[self._pin_rows] = self._pin_values
         for post_substage, rows in self._substage_hooks:
             post_substage(v[rows], tau)
+        return v
 
     def step(self, v: np.ndarray, step_index: int, tau: float) -> np.ndarray:
         """One composite step from tau to tau + dt (tau is time to maturity).
 
-        ``v`` is not written: hooks that override the explicit half-step
-        values write into one copy of it.
+        ``v``, a writable C-contiguous float64 vector (``march`` makes its
+        terminal one), is not written: hooks that override the explicit
+        half-step values write into one copy of it.  The values returned are
+        a new vector.
         """
         v_eff = v
         if self._overrides:
@@ -898,16 +998,14 @@ class Stack:
             for override_previous, rows in self._overrides:
                 override_previous(v_eff[rows], tau)
 
-        rhs = v_eff + self._w * self.op.matvec(v_eff)
-        self._rhs_pins(rhs, tau + GAMMA * self.dt)
-        v_stage = self._solve(rhs)
-        self._after_solve(v_stage, tau + GAMMA * self.dt)
-
-        rhs = BDF2_NEW * v_stage - BDF2_OLD * v_eff
-        self._rhs_pins(rhs, tau + self.dt)
-        v_new = self._solve(rhs)
+        stage = self._product(v_eff, np.empty_like(self._old))
+        stage = self._substage(stage, tau + GAMMA * self.dt)
+        # R (BDF2_NEW stage - BDF2_OLD v_eff), in place in the stage values
+        stage *= _BDF2_RATIO
+        stage -= v_eff
+        stage *= self._old
         tau_new = tau + self.dt
-        self._after_solve(v_new, tau_new)
+        v_new = self._substage(stage, tau_new)
         for post_step, rows in self._step_hooks:
             post_step(v_new[rows], step_index, tau_new)
         if not np.isfinite(v_new).all():
@@ -953,13 +1051,15 @@ def march(pairs) -> list:
     stacks and marches its own under the caller's numpy error state (see
     ``_threads.run_parts``): one factorization per stack.  No thread calls
     ``run``.  A one-block stack marches its block's terminal vector as it
-    is.  A stack that raises an ``Exception`` marches again as two halves,
-    each its own stack, until each failing block stands alone with the
-    exception of its own march; every other stack and thread carries on.  An
-    interrupt on the calling thread stops the others before their next
-    stack.  Each march logs the LAPACK library bound, its deal with each
-    stack's solve (``Stack.solve_kind``), the CPU seconds of each thread and
-    its wall seconds at DEBUG level on the ``stretchgrid.fdm`` logger.
+    is, or a copy where that is not a writable C-contiguous float64 array
+    (which ``Stack.step`` needs).  A stack that raises an ``Exception``
+    marches again as two halves, each its own stack, until each failing
+    block stands alone with the exception of its own march; every other
+    stack and thread carries on.  An interrupt on the calling thread stops
+    the others before their next stack.  Each march logs the LAPACK library
+    bound, its deal with each stack's solve (``Stack.solve_kind``), the CPU
+    seconds of each thread and its wall seconds at DEBUG level on the
+    ``stretchgrid.fdm`` logger.
     """
     pairs = list(pairs)
     if not pairs:
@@ -979,7 +1079,7 @@ def march(pairs) -> list:
                 system = Stack(blocks[k] for k in stack)
                 kinds[tuple(stack)] = system.solve_kind
                 if len(stack) == 1:
-                    terminal = np.asarray(pairs[stack[0]][1], dtype=float)
+                    terminal = np.require(pairs[stack[0]][1], float, "CW")
                 else:
                     terminal = np.concatenate([pairs[k][1] for k in stack], dtype=float)
                 marched = system.split(system.march(terminal))

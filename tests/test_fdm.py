@@ -149,7 +149,7 @@ class ZeroRow(Hook):
     def stamp_matrix(self, lower, diag, upper):
         lower[3] = diag[3] = upper[3] = 0.0
 
-    def adjust_rhs(self, rhs, tau):
+    def override_previous(self, v, tau):
         raise AssertionError("no step may run on a singular matrix")
 
 
@@ -243,13 +243,31 @@ class TestTrBdf2:
         stepper.run(np.maximum(grid.points - 100.0, 0.0))
         assert len(calls) == 1
 
-    def test_nan_terminal_raises_with_step(self):
-        v = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_terminal_raises_with_step(self, bad):
+        v = np.array([1.0, 2.0, bad, 4.0, 5.0])
         with pytest.raises(NonFiniteValueError) as err:
             self.march(v, 0.1, MarketParams(0.05, 0.01, 0.2), PdeConfig(3))
         assert err.value.step == 1
         assert err.value.tau == pytest.approx(0.1 / 3)
         assert "step 1" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_written_by_a_hook_raises_at_its_step(self, bad):
+        # Every step is checked, not only the first: a value a post_step hook
+        # writes at step 3 of 5 fails that step.
+        class Poison(Hook):
+            def post_step(self, v, step, tau):
+                if step == 3:
+                    v[2] = bad
+
+        grid = Grid(np.linspace(50.0, 150.0, 5))
+        stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.01, 0.2), PdeConfig(5), 0.5,
+                                (Poison(),))
+        with pytest.raises(NonFiniteValueError) as err:
+            stepper.run(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert err.value.step == 3 and "step 3" in str(err.value)
+        assert err.value.tau == pytest.approx(0.3)
 
     def test_vanilla_european_matches_closed_form(self):
         mkt = MarketParams(0.07, 0.02, 0.20)
@@ -342,9 +360,8 @@ class TestGhostRows:
         rest = np.arange(n) != g
         assert np.all(lower[rest] == -1.0) and np.all(diag[rest] == 3.0)
         assert np.all(upper[rest] == -1.0)
-        rhs = np.arange(float(n))
-        hook.adjust_rhs(rhs, 0.0)
-        assert rhs[g] == 1.5
+        # a linear row eliminates nothing: its rhs is the rebate alone
+        assert hook.factor == 0.0
 
     @pytest.mark.parametrize("side, barrier, shown", [
         (GhostSide.UP, 0.0, "up barrier 0.0 is not inside the grid (0.0, 10.0]"),
@@ -390,7 +407,7 @@ class TestGhostRows:
         rhs_d[5] = 0.7
         expect = np.linalg.solve(dense, rhs_d)
         hook.stamp_matrix(lower, diag, upper)
-        hook.adjust_rhs(rhs, 0.0)
+        rhs[5] = 0.7 - hook.factor * rhs[4]
         mine = np.linalg.solve(dense_matrix(lower, diag, upper), rhs)
         assert np.max(np.abs(mine - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))
 
@@ -416,7 +433,7 @@ class TestGhostRows:
             rhs_d[hook.ghost] = 0.8 + trial
             expect = np.linalg.solve(dense, rhs_d)
             hook.stamp_matrix(lower, diag, upper)
-            hook.adjust_rhs(rhs, 0.0)
+            rhs[hook.ghost] = hook.rebate - hook.factor * rhs[hook.inner]
             mine = np.linalg.solve(dense_matrix(lower, diag, upper), rhs)
             assert np.max(np.abs(mine - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))
 
@@ -631,6 +648,75 @@ def test_stacked_march_equals_solo_marches(blocks, horizon):
         assert np.array_equal(mine, expect)
 
 
+def dense_march(grid, mkt, cfg, horizon, hooks, terminal) -> np.ndarray:
+    """TR-BDF2 on the unscaled dense I - wL, solved by ``np.linalg.solve``,
+    with the hooks applied as documented: the Dirichlet boundary rows no hook
+    owns, then each DirichletRegion's rows, are identity rows whose rhs is
+    their value, re-stamped after every solve; a GhostBarrier row holds its
+    unreduced Lagrange weights with the rebate on the right, and its ghost
+    value is set from the same weights before the explicit half; the
+    American projection follows every solve, and a discrete knock-out sets
+    its region to the rebate after each observation step."""
+    s, n = grid.points, grid.points.size
+    op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
+    lop = dense_matrix(op.lower, op.diag, op.upper)
+    dt = horizon / cfg.time_steps
+    w = OMEGA * dt
+    owned = {row for hook in hooks for row in hook.owned_rows()}
+    pins = {row: bc.value for row, bc in ((0, cfg.boundary_lower), (n - 1, cfg.boundary_upper))
+            if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in owned}
+    for hook in hooks:
+        if isinstance(hook, DirichletRegion):
+            pins.update(dict.fromkeys(range(n)[hook.start:hook.stop], hook.value))
+    ghosts = [hook for hook in hooks if isinstance(hook, GhostBarrier)]
+    a = np.eye(n) - w * lop
+    for row in pins:
+        a[row] = np.eye(n)[row]
+    for hook in ghosts:
+        a[hook.ghost] = lagrange_row(s, hook.nodes, hook.barrier, n)
+
+    def solve(rhs):
+        for row, value in pins.items():
+            rhs[row] = value
+        for hook in ghosts:
+            rhs[hook.ghost] = hook.rebate
+        x = np.linalg.solve(a, rhs)
+        for row, value in pins.items():
+            x[row] = value
+        for hook in hooks:
+            if isinstance(hook, AmericanProjection):
+                x = np.maximum(x, hook.obstacle)
+        return x
+
+    v = np.array(terminal, dtype=float)
+    for step in range(1, cfg.time_steps + 1):
+        v_eff = v.copy()
+        for hook in ghosts:
+            row = a[hook.ghost]
+            v_eff[hook.ghost] = (hook.rebate - (row @ v_eff - row[hook.ghost] * v_eff[hook.ghost])
+                                 ) / row[hook.ghost]
+        stage = solve(v_eff + w * lop @ v_eff)
+        v = solve(BDF2_NEW * stage - BDF2_OLD * v_eff)
+        for hook in hooks:
+            if isinstance(hook, DiscreteKnockout) and step in hook.steps:
+                v[hook.mask] = hook.rebate
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=stack_blocks(), horizon=st.floats(0.05, 1.0))
+def test_march_equals_a_dense_march(block, horizon):
+    # Every boundary kind, pins at zero and nonzero values, up and down
+    # ghost rows of both orders, discrete knock-outs and the American
+    # projection, on blocks of 8-40 rows solved by LDL^T or LU: the engine's
+    # march, in the row-scaled system, is the dense march to round-off.
+    grid, mkt, cfg, hooks, terminal = block
+    want = dense_march(grid, mkt, cfg, horizon, hooks, terminal)
+    assume(np.isfinite(want).all())
+    got = TrBdf2Stepper(grid, mkt, cfg, horizon, hooks).run(terminal)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @st.composite
 def march_pair(draw, poison: str = ""):
     """A (block, terminal payoff) pair of a march, with its own size, N and
@@ -720,7 +806,7 @@ class TestParallel:
         march = Stack.march
 
         def recording(system, v):
-            marched.append((system.op.n, system.n_steps))
+            marched.append((v.size, system.n_steps))
             return march(system, v)
 
         monkeypatch.setattr(Stack, "march", recording)
@@ -817,12 +903,19 @@ class TestParallel:
     @pytest.mark.parametrize("overflow_first", [True, False])
     def test_every_thread_keeps_the_callers_error_state(self, monkeypatch, width,
                                                          overflow_first):
-        # Under over="raise" a block of 1e308s fails alone with numpy's
-        # FloatingPointError.  Marched beside a costlier clean block it lands
-        # on another thread from two workers up, and must fail the same way
-        # there, not with the NonFiniteValueError of numpy's default state.
-        clean, (block, _) = self.pairs((41, 4), (21, 4))
-        bad = (block, np.full(21, 1e308))
+        # Under over="raise" a block whose hook overflows its values fails
+        # alone with numpy's FloatingPointError.  Marched beside a costlier
+        # clean block it lands on another thread from two workers up, and
+        # must fail the same way there, not with the NonFiniteValueError of
+        # numpy's default state.
+        class Overflow(Hook):
+            def post_step(self, v, step, tau):
+                v *= 1e308
+
+        clean, (block, terminal) = self.pairs((41, 4), (21, 4))
+        block = TrBdf2Stepper(block.grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
+                              (Overflow(),))
+        bad = (block, terminal)
         pairs = [bad, clean] if overflow_first else [clean, bad]
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError) as solo:
@@ -893,24 +986,28 @@ class TestStack:
     def test_region_overlapping_a_dirichlet_boundary_row_wins(self, monkeypatch):
         # Rows 8-10 are a knocked-out region at 0.25; row 10 is also the
         # Dirichlet upper boundary at 2.5.  The region's value holds in the
-        # factored matrix, in every rhs and after every solve, alone and
-        # stacked behind another block; row 0 keeps its boundary value 1.5.
-        # The probe comes before the region in the hook tuple and still sees
-        # its values: the stepper pins rows before any hook runs.
+        # factored matrix, in every rhs the solve is given and after every
+        # solve, alone and stacked behind another block; row 0 keeps its
+        # boundary value 1.5.  The probe comes before the region in the hook
+        # tuple and still sees its values: the stepper pins rows before any
+        # hook runs.
         factored = []
+        seen = []
 
         def recording(lower, diag, upper, *args):
             factored.append((lower[1:].copy(), diag.copy(), upper[:-1].copy()))
-            return factor(lower, diag, upper, *args)
+            system = factor(lower, diag, upper, *args)
+            rows = diag.size - 11 + np.array([0, 8, 9, 10])   # the probed block's
+
+            def solve(rhs):
+                seen.append(("rhs", rhs[rows]))
+                return system.solve(rhs)
+            return system._replace(solve=solve)
 
         factor = fdm._factor
         monkeypatch.setattr(fdm, "_factor", recording)
-        seen = []
 
         class Probe(Hook):
-            def adjust_rhs(self, rhs, tau):
-                seen.append(("rhs", rhs[[0, 8, 9, 10]]))
-
             def post_substage(self, v, tau):
                 seen.append(("solve", v[[0, 8, 9, 10]]))
 
@@ -937,12 +1034,8 @@ class TestStack:
         for phase, values in seen:
             assert np.array_equal(values, want), phase
 
-    def test_one_block_stack_shares_its_block_and_terminal(self, monkeypatch):
+    def test_one_block_stack_marches_its_own_terminal(self, monkeypatch):
         block, twin = self.steppers(4, 4)
-        system = Stack([block])
-        for mine, its in zip((system.op.lower, system.op.diag, system.op.upper),
-                             (block.op.lower, block.op.diag, block.op.upper)):
-            assert np.shares_memory(mine, its)
         marched = []
         march = Stack.march
         monkeypatch.setattr(Stack, "march", lambda system, v: marched.append(v) or march(system, v))
@@ -953,6 +1046,20 @@ class TestStack:
         both = fdm.march([(block, terminal), (twin, terminal)])
         assert not np.shares_memory(marched[1], terminal)  # two blocks stack a copy
         assert np.array_equal(both[0], out) and np.array_equal(both[1], out)
+
+    def test_read_only_or_strided_terminal_marches_as_a_copy(self):
+        # The product and the solves hand LAPACK writable C-contiguous
+        # buffers, so ``march`` copies a terminal that is neither, and leaves
+        # it as it was.
+        block, = self.steppers(4)
+        terminal = np.linspace(0.0, 1.0, 11)
+        want = block.run(terminal)
+        read_only = terminal.copy()
+        read_only.flags.writeable = False
+        strided = np.repeat(terminal, 2)[::2]
+        for v in (read_only, strided):
+            assert np.array_equal(block.run(v), want)
+            assert np.array_equal(v, terminal)
 
     def test_nan_in_one_block_raises_the_step(self):
         steppers = self.steppers(4, 4)
@@ -984,18 +1091,27 @@ def factored_bands(monkeypatch) -> list:
 def test_m_matrix_blocks_solve_by_ldl(block, seed):
     # Every boundary kind (Dirichlet, zero-gamma, the degenerate S = 0 row),
     # Dirichlet regions at zero and nonzero values, and up and down ghost
-    # rows, linear and 3-point: the block qualifies, and its solve agrees
-    # with a dense one on the stamped matrix, for a rhs whose pinned and
-    # ghost rows are set as a step sets them.
+    # rows, linear and 3-point: the block qualifies, and its first substage,
+    # built and solved in the row-scaled system, agrees with a dense solve
+    # on the stamped matrix of the rhs (I + wL) v, its pinned and ghost rows
+    # set by the documented rules.
     grid, mkt, cfg, hooks, _ = block
+    block = TrBdf2Stepper(grid, mkt, cfg, 0.5, hooks)
     with pytest.MonkeyPatch.context() as mp:
         stamped = factored_bands(mp)
-        system = Stack([TrBdf2Stepper(grid, mkt, cfg, 0.5, hooks)])
+        system = Stack([block])
     assert system.solve_kind == "ldl"
-    rhs = np.random.default_rng(seed).standard_normal(grid.points.size)
-    system._rhs_pins(rhs, 0.0)
+    v = np.random.default_rng(seed).standard_normal(grid.points.size)
+    rhs = v + OMEGA * block.dt * (dense_matrix(block.op.lower, block.op.diag, block.op.upper) @ v)
+    for row, value in block.pins.items():
+        rhs[row] = value
+    for hook in hooks:
+        if isinstance(hook, GhostBarrier):
+            rhs[hook.ghost] = hook.rebate - hook.factor * rhs[hook.inner]
     want = np.linalg.solve(dense_matrix(*stamped[0]), rhs)
-    got = system._solve(rhs.copy())
+    for hook in hooks:
+        hook.post_substage(want, 0.0)
+    got = system._substage(system._product(v, np.empty_like(v)), 0.0)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -1049,6 +1165,42 @@ def test_convection_dominated_block_takes_lu_with_its_bits(monkeypatch, name):
     out = mixed.split(mixed.march(np.concatenate([terminal] * 3)))
     for got, each in zip(out, (plain, block, plain)):
         assert np.array_equal(got, each.run(terminal))
+
+
+@pytest.mark.parametrize("name", list(LU_BLOCKS))
+def test_lu_block_march_equals_a_dense_march(name):
+    block = lu_block(name)
+    terminal = np.maximum(block.grid.points - 50.0, 0.0)
+    points, mkt, n_steps = LU_BLOCKS[name]
+    cfg = PdeConfig(n_steps, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
+                    BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+    want = dense_march(block.grid, mkt, cfg, 1.0, (), terminal)
+    got = block.run(terminal)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_merged_steps_apply_as_the_steps_in_order():
+    # A step joins the run before it unless it reads or writes a row that
+    # run writes; it may write a row the run reads.
+    def step(t, s, c):
+        return np.array(t), np.array(s), np.array(c, dtype=float)
+
+    steps = [step([4], [5], [0.5]),
+             step([1, 7], [0, 8], [0.25, -2.0]),     # joins: run 1 writes 4, 1, 7
+             step([5], [4], [3.0]),                  # reads 4: run 2
+             step([0], [2], [1.5]),                  # joins run 2
+             step([2], [3], [-0.75]),                # writes 2, which run 2 reads: joins
+             step([5], [6], [2.0])]                  # writes 5 again: run 3
+    runs = fdm._merged(steps)
+    assert [list(t) for t, _, _ in runs] == [[4, 1, 7], [5, 0, 2], [5]]
+    v = np.random.default_rng(2).standard_normal(9)
+    want, got = v.copy(), v.copy()
+    for t, s, c in steps:
+        for ti, si, ci in zip(t, s, c):
+            want[ti] -= ci * want[si]
+    for t, s, c in runs:
+        got[t] -= c * got[s]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_zero_gamma_block_takes_ldl_at_a_small_dt():
@@ -1181,6 +1333,7 @@ class TestLapackLoader:
     def test_binds_numpys_bundled_openblas(self):
         assert fdm.dgttrf is fdm._numpy_dgttrf and fdm.dpttrf is fdm._numpy_dpttrf
         assert fdm._solver is fdm._numpy_solver and fdm._ldl_solver is fdm._numpy_ldl_solver
+        assert fdm._product is fdm._Product
         assert not hasattr(fdm, "dgttrs") and not hasattr(fdm, "dpttrs")
         path = fdm._LAPACK
         assert "openblas" in path.name and path.parent.name in ("numpy.libs", ".dylibs")
@@ -1203,6 +1356,54 @@ class TestLapackLoader:
             with pytest.raises(error, match=message):
                 solve(rhs)
             assert (rhs == 1.0).all()
+
+    @needs_bundled
+    def test_import_logs_the_routines_and_the_products_source(self):
+        src = str(Path(fdm.__file__).resolve().parents[1])
+        probe = ("import logging, sys; logging.basicConfig(level=logging.DEBUG, "
+                 f"format='%(name)s %(message)s'); sys.path.insert(0, {src!r}); "
+                 "import stretchgrid.fdm")
+        err = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True).stderr.splitlines()
+        assert f"stretchgrid.fdm LAPACK dgttrf/dgttrs/dpttrf/dpttrs from {fdm._LAPACK}" in err
+        assert "stretchgrid.fdm band product by LAPACK dlagtm" in err
+
+    @needs_bundled
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 4001])
+    def test_numpy_band_product_has_dlagtms_bits(self, n):
+        # The fallback's numpy product sums each row in dlagtm's order, so
+        # the two agree bit for bit, signed zeros included; x is not written.
+        rng = np.random.default_rng(n)
+        dl, d, du, x = (rng.standard_normal(size) for size in (n - 1, n, n - 1, n))
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.2] = -0.0
+        d[rng.random(n) < 0.1] = -0.0
+        kept = x.tobytes()
+        got = fdm._Product(dl, d, du)(x, np.empty(n))
+        assert x.tobytes() == kept
+        assert got.tobytes() == fdm._band_product(dl, d, du)(x, np.empty(n)).tobytes()
+        matrix = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+        assert np.allclose(got, matrix @ x, rtol=1e-14, atol=1e-14)
+
+    @needs_bundled
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    @pytest.mark.parametrize("call", ["lu", "ldl", "product x", "product b"])
+    def test_lapack_calls_reject_a_vector_that_is_not_float64(self, call, dtype):
+        # Each buffer's bytes would be read as doubles: 40 bytes pass the
+        # size check of a 5-row system, whatever their dtype.
+        bad = np.ones(40 // np.dtype(dtype).itemsize, dtype=dtype)
+        good = np.ones(5)
+        if call == "lu":
+            solve = fdm._solver(*fdm.dgttrf(np.ones(4), 4.0 * np.ones(5), np.ones(4))[:-1])
+        elif call == "ldl":
+            solve = fdm._ldl_solver(*fdm.dpttrf(4.0 * np.ones(5), np.ones(4))[:-1])
+        else:
+            product = fdm._Product(np.ones(4), 4.0 * np.ones(5), np.ones(4))
+            solve = ((lambda v: product(v, good)) if call == "product x"
+                     else (lambda v: product(good, v)))
+        with pytest.raises(TypeError, match=f"has dtype {np.dtype(dtype)}; LAPACK takes float64"):
+            solve(bad)
+        assert (bad == 1).all() and (good == 1.0).all()
 
     @needs_bundled
     @pytest.mark.parametrize("call, message", [
