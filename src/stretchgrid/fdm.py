@@ -6,11 +6,11 @@ marches backward from maturity with the composite trapezoidal/BDF2 step
 (gamma = 2 - sqrt(2), so both substages share one tridiagonal matrix).
 A pricing is one block, ``TrBdf2Stepper``, built unfactored: its operator
 with boundary rows, dt, N, hooks and the rows it pins (Dirichlet boundary rows
-and knock-out regions alike).  Hooks enforce off-grid barrier (ghost) rows,
-discrete knock-outs and the American exercise projection; a 3-point ghost row
-is stamped straight into the matrix, its entry two columns off the diagonal
-eliminated in place against the neighbouring row, so the system stays
-tridiagonal.
+and knock-out regions alike).  Its hooks are constraints, plain data that a
+``Stack`` turns into stacked arrays once: off-grid barrier (ghost) rows,
+discrete knock-outs and the American exercise projection.  ``Stack`` stamps
+a 3-point ghost row straight into the matrix, its entry two columns off the
+diagonal eliminated against the neighbouring row, so it stays tridiagonal.
 
 ``Stack`` joins blocks that share dt and N into one block-diagonal matrix and
 factors it once; every substage of their lockstep march reuses the factors.
@@ -23,8 +23,8 @@ step, a diagonal row scaling R makes the rest symmetric, and LAPACK dpttrf
 factors it; each solve is one dpttrs, whose back-substitution keeps the
 division off the recurrence that gttrs has on it.  Any other block (a cell
 Peclet number above 1, sigma = 0 included, or a zero-gamma edge row whose
-diagonal turns negative at a large dt; a hand-built hook) is factored by a
-tridiagonal LU with partial pivoting (gttrf) and solved by gttrs, with R = 1.
+diagonal turns negative at a large dt) is factored by a tridiagonal LU with
+partial pivoting (gttrf) and solved by gttrs, with R = 1.
 The march runs in the row-scaled system: the stack keeps R (I + wL), R times
 each BDF2 weight and the folds' coefficients times R, so a step's first rhs
 is one banded product, LAPACK dlagtm, and its second one combination, with no
@@ -57,11 +57,11 @@ thread stacks its own blocks per (dt, N) and marches those stacks.  A solve
 releases the GIL for the whole LAPACK call (a ``ctypes.CDLL`` call does, as
 the f2py routine does), and numpy releases it inside the array loops on long
 vectors, so the serial recurrences of two large systems run on two cores;
-the Python of the step loop and of the hooks holds it, which is why small
-stacks gain little.  ``_threads`` holds the thread policy, shared with
-``gridgen``'s map evaluation, and runs every thread under the caller's
-``np.geterr()``.  Every block's values, or the exception that
-fails it, are those of its own march, on any number of threads.  A zero pivot
+the Python of the step loop holds it, which is why small stacks gain little.
+``_threads`` holds the thread policy, shared with ``gridgen``'s map
+evaluation, and runs every thread under the caller's ``np.geterr()``.  Every
+block's values, or the exception that fails it, are those of its own march,
+on any number of threads.  A zero pivot
 (``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
 both rise from the march, which returns each in its failing block's slot.
 """
@@ -463,7 +463,7 @@ def attach_boundary_rows(op: SpatialOperator, grid: Grid, mkt: MarketParams,
 
 
 # ---------------------------------------------------------------------------
-# Ghost-point barrier rows
+# Constraints: plain data that ``Stack`` applies
 
 
 class GhostSide(enum.Enum):
@@ -471,42 +471,10 @@ class GhostSide(enum.Enum):
     DOWN = "down"
 
 
-# ---------------------------------------------------------------------------
-# Constraint hooks
-
-
-class Hook:
-    """Constraint applied while stepping; methods default to no-ops.
-
-    Every vector a hook receives holds its own pricing's rows only (a view
-    into a ``Stack``'s vector), so hooks index their grid from zero.
-    """
-
-    def override_previous(self, v: np.ndarray, tau: float):
-        """Write, in place, the values the explicit half-steps use into ``v``,
-        the stepper's copy of the previous step's values."""
-
-    def owned_rows(self) -> tuple[int, ...]:
-        """Rows whose equations this hook replaces (boundary rows a hook
-        owns must not be re-pinned by the configured boundary values)."""
-        return ()
-
-    def stamp_matrix(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        pass
-
-    def post_substage(self, v: np.ndarray, tau: float):
-        pass
-
-    def post_step(self, v: np.ndarray, step: int, tau: float):
-        pass
-
-
-class DirichletRegion(Hook):
+class DirichletRegion:
     """Pin the index range [start, stop) to a fixed value: the knock-out region
     beyond a barrier, whether the barrier sits on a node or has a ghost row.
-
-    Plain data: ``TrBdf2Stepper`` adds these rows to the rows it pins.
-    """
+    ``TrBdf2Stepper`` adds these rows to the rows it pins."""
 
     def __init__(self, start: int, stop: int, value: float):
         self.start = start
@@ -514,7 +482,7 @@ class DirichletRegion(Hook):
         self.value = value
 
 
-class GhostBarrier(Hook):
+class GhostBarrier:
     """Ghost-point row for an off-grid barrier.
 
     The ghost node is the first node at or beyond the barrier: at or above
@@ -523,12 +491,9 @@ class GhostBarrier(Hook):
     row exactly to a Dirichlet row.  The ghost row holds the Lagrange weights
     that interpolate the solution at the barrier from the ghost node and one
     (GHOST_LINEAR) or two (GHOST_LAGRANGE3) interior nodes, with the rebate
-    on the right.  The 3-point row's entry two columns off the diagonal is
-    eliminated in place against the inner row, once, when the matrix is
-    stamped, by ``factor`` times that row (0 for a linear row); the ghost
-    row's rhs is then ``rebate - factor * rhs[inner]``, which ``Stack``
-    folds in as data on every solve.  The explicit half-steps set the ghost
-    value from the same weights.  Rows beyond the ghost node are pinned by a
+    on the right.  ``stamp`` writes the row into its block's bands; the
+    explicit half-steps set the ghost value from the same weights, which
+    ``Stack`` applies as data.  Rows beyond the ghost node are pinned by a
     separate DirichletRegion (see ``instruments.constraint_hooks``).
     """
 
@@ -560,20 +525,12 @@ class GhostBarrier(Hook):
         self.weights = tuple(
             math.prod(barrier - s[k] for k in nodes if k != j)
             / math.prod(s[j] - s[k] for k in nodes if k != j) for j in nodes)
-        self.factor = 0.0
 
-    def override_previous(self, v, tau):
-        g, *inner = self.nodes
-        wg, *w_inner = self.weights
-        value = self.rebate
-        for w, k in zip(w_inner, inner):
-            value -= w * v[k]
-        v[g] = value / wg
-
-    def owned_rows(self):
-        return (self.ghost,)
-
-    def stamp_matrix(self, lower, diag, upper):
+    def stamp(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> float:
+        """Write the ghost row into its block's bands, a 3-point row's entry
+        two columns off the diagonal eliminated in place by ``factor`` times
+        the inner row, and return the factor (0 for a linear row): the ghost
+        row's rhs is then ``rebate - factor * rhs[inner]``."""
         g, a, *far = self.nodes
         wg, wa, *w_far = self.weights
         # the band toward the interior, and the one away from it
@@ -581,28 +538,27 @@ class GhostBarrier(Hook):
         diag[g] = wg
         inward[g] = wa
         outward[g] = 0.0
-        if far:
-            pivot = inward[a]
-            if pivot == 0.0:
-                raise SingularSystemError(
-                    a, f"fdm: cannot eliminate the 3-point ghost row {g} of barrier "
-                    f"{self.barrier}: inner row {a} has no coupling to node {far[0]}")
-            self.factor = w_far[0] / pivot
-            inward[g] -= self.factor * diag[a]
-            diag[g] -= self.factor * outward[a]
+        if not far:
+            return 0.0
+        pivot = inward[a]
+        if pivot == 0.0:
+            raise SingularSystemError(
+                a, f"fdm: cannot eliminate the 3-point ghost row {g} of barrier "
+                f"{self.barrier}: inner row {a} has no coupling to node {far[0]}")
+        factor = w_far[0] / pivot
+        inward[g] -= factor * diag[a]
+        diag[g] -= factor * outward[a]
+        return factor
 
 
-class AmericanProjection(Hook):
+class AmericanProjection:
     """Keep the solution above the exercise payoff after every substage solve."""
 
     def __init__(self, obstacle: np.ndarray):
         self.obstacle = np.asarray(obstacle, dtype=float)
 
-    def post_substage(self, v, tau):
-        np.maximum(v, self.obstacle, out=v)
 
-
-class DiscreteKnockout(Hook):
+class DiscreteKnockout:
     """Set the knocked-out region to the rebate at each observation step."""
 
     def __init__(self, mask: np.ndarray, steps: set[int], rebate: float):
@@ -610,9 +566,9 @@ class DiscreteKnockout(Hook):
         self.steps = steps
         self.rebate = rebate
 
-    def post_step(self, v, step, tau):
-        if step in self.steps:
-            v[self.mask] = self.rebate
+
+# The kinds a block's hooks may be: plain data that ``Stack`` applies
+Constraint = DirichletRegion | GhostBarrier | AmericanProjection | DiscreteKnockout
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +597,8 @@ def _ldl(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     """One block's stamped system, made symmetric positive definite and
     factored by dpttrf, or None where the block does not qualify.
 
-    ``lower[0]`` and ``upper[-1]`` lie outside the block; ``quiet`` marks the
-    rows whose rhs is zero at every solve.  The block qualifies when:
+    ``quiet`` marks the rows whose rhs is zero at every solve.  The block
+    qualifies when:
 
     1. every row with no off-diagonal (a pinned row, the S = 0 row) has a
        nonzero diagonal: it is solved first, x = rhs / d, and folded into
@@ -662,11 +618,10 @@ def _ldl(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     On the bundled tables' grids, I - wL is an M-matrix whose rows are
     diagonally dominant, and all five hold.  A block that fails takes LU: a
     cell Peclet number above 1 on a coupled row (sigma = 0 included) fails 3,
-    a zero-gamma edge row whose diagonal turns negative at a large dt fails 5,
-    and a hand-built hook may fail any.
+    and a zero-gamma edge row whose diagonal turns negative at a large dt
+    fails 5.
     """
     lo, d, up = lower.copy(), diag.copy(), upper.copy()
-    lo[0] = up[-1] = 0.0
     free = (lo == 0.0) & (up == 0.0)
     ends = np.zeros(d.size, dtype=bool)
     pre, post = [], []
@@ -741,6 +696,45 @@ def _merged(steps) -> list:
     return runs
 
 
+def _ghost_rules(ghosts) -> list:
+    """The explicit-half rule v[g] = (rebate - sum of w v[k]) / w_g of each
+    (block rows, GhostBarrier) of ``ghosts``, applied in order, as the runs
+    ``_merged`` makes of them (a rule targets g and reads its inner nodes k):
+    (ghost rows, rebates, w_g, terms), 3-point rows first, so that the j-th
+    term (count, inner rows, weights) acts on the run's first ``count``."""
+    steps = [(np.array([rows.start + hook.ghost]), rows.start + np.array(hook.nodes[1:]),
+              np.array([k])) for k, (rows, hook) in enumerate(ghosts)]
+    rules = []
+    for *_, members in _merged(steps):
+        run = sorted((ghosts[k] for k in members), key=lambda pair: -len(pair[1].nodes))
+        nodes = [rows.start + np.array(hook.nodes) for rows, hook in run]
+        weights = [hook.weights for _, hook in run]
+        counts = [sum(n.size > j for n in nodes) for j in range(nodes[0].size)]
+        terms = [(counts[j], np.array([n[j] for n in nodes[:counts[j]]]),
+                  np.array([w[j] for w in weights[:counts[j]]])) for j in range(1, len(counts))]
+        rules.append((np.array([n[0] for n in nodes]),
+                      np.array([hook.rebate for _, hook in run], dtype=float),
+                      np.array([w[0] for w in weights]), terms))
+    return rules
+
+
+def _knockouts(knockouts, n: int) -> list:
+    """(block rows, DiscreteKnockout) pairs, applied in order, as one (steps,
+    mask, rebate) assignment on an n-row stack per observation set and
+    rebate (a signed zero its own): each joins the last one of its set and
+    rebate unless a later one writes one of its rows."""
+    joined = []
+    for rows, hook in knockouts:
+        key = (hook.steps, hook.rebate, math.copysign(1.0, hook.rebate))
+        k = next((k for k in reversed(range(len(joined)))
+                  if joined[k][0] == key or (joined[k][1][rows] & hook.mask).any()), None)
+        if k is None or joined[k][0] != key:
+            joined.append((key, np.zeros(n, dtype=bool)))
+            k = -1
+        joined[k][1][rows] |= hook.mask
+    return [(steps, mask, rebate) for (steps, rebate, _), mask in joined]
+
+
 def _concat(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
@@ -805,16 +799,10 @@ def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float,
     return _Factored("+".join(kinds), _concat(scale), pre, solve, post)
 
 
-def _acting(blocks, name: str) -> tuple:
-    """(bound method, block rows) of every hook that overrides ``name``."""
-    default = getattr(Hook, name)
-    return tuple((getattr(hook, name), rows) for rows, hooks in blocks for hook in hooks
-                 if getattr(type(hook), name) is not default)
-
-
 class TrBdf2Stepper:
     """One pricing's block of the TR-BDF2 system, built unfactored: its grid,
-    operator with boundary rows, dt, N, hooks and pinned rows.
+    operator with boundary rows, dt, N, hooks (each of a ``Constraint``
+    kind) and pinned rows.
 
     ``Stack`` stamps and factors blocks that share dt and N, ``march``
     deals blocks to threads that stack and march them, and ``run`` marches
@@ -822,7 +810,7 @@ class TrBdf2Stepper:
     """
 
     def __init__(self, grid: Grid, mkt: MarketParams, config: PdeConfig,
-                 horizon: float, hooks: tuple[Hook, ...] = ()):
+                 horizon: float, hooks: tuple[Constraint, ...] = ()):
         if horizon <= 0.0:
             raise ValueError("horizon must be positive")
         self.grid = grid
@@ -831,15 +819,21 @@ class TrBdf2Stepper:
         self.n_steps = config.time_steps
         self.op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, config)
         n = self.op.n
-        # Pinned rows: the Dirichlet boundary rows no hook owns, then the rows
-        # of each DirichletRegion; a later pin of the same row wins.
-        hook_rows = {row for hook in self.hooks for row in hook.owned_rows()}
+        # Pinned rows: the Dirichlet boundary rows that are no ghost row, then
+        # the rows of each DirichletRegion; a later pin of the same row wins.
+        ghost_rows = {hook.ghost for hook in self.hooks if isinstance(hook, GhostBarrier)}
         self.pins = {row: bc.value
                      for row, bc in ((0, config.boundary_lower), (n - 1, config.boundary_upper))
-                     if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in hook_rows}
+                     if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in ghost_rows}
         for hook in self.hooks:
             if isinstance(hook, DirichletRegion):
                 self.pins.update(dict.fromkeys(range(n)[hook.start:hook.stop], hook.value))
+            elif isinstance(hook, DiscreteKnockout) and hook.mask.shape != (n,):
+                raise ValueError(f"fdm: a knock-out mask has shape {hook.mask.shape}; "
+                                 f"the grid has {n} nodes")
+            elif not isinstance(hook, Constraint):
+                raise TypeError(f"fdm: a hook is a {type(hook).__name__}; TrBdf2Stepper takes "
+                                f"{', '.join(kind.__name__ for kind in Constraint.__args__)}")
 
     def run(self, terminal: np.ndarray) -> np.ndarray:
         """Values at time to maturity ``N * dt`` from the ``terminal`` payoff,
@@ -862,8 +856,7 @@ class TrBdf2Stepper:
 class Stack:
     """Blocks that share dt and N as one block-diagonal system: stamped and
     factored once, then marched in lockstep, one product per step and one
-    solve per substage over the stacked vector, and each hook on its own
-    block's rows.
+    solve per substage over the stacked vector.
 
     Each block is factored by LDL^T where its matrix qualifies (dpttrf; see
     ``_ldl``) and by LU with partial pivoting otherwise (gttrf), and each
@@ -875,13 +868,16 @@ class Stack:
     so the first rhs is one banded product (``_product``) and the second
     R BDF2_OLD (BDF2_NEW / BDF2_OLD stage - v), three passes in place.
     Pinned rows then take their values, each ghost row its rebate less its
-    inner row's rhs times the hook's ``factor``, and the folds of ``_ldl``
-    follow, all times R of their row.
-    No block may couple across its edge to the next (lower[0] = upper[-1] =
-    0), so neither factorization couples or pivots across a block edge and
-    the product adds exact zeros there: each block's values equal those of
-    its own march exactly.  A zero pivot, or a ghost row that cannot be
-    eliminated, raises ``SingularSystemError`` here.
+    inner row's rhs times its ``stamp``'s factor, and the folds of ``_ldl``
+    follow, all times R of their row.  The other constraints are stacked
+    arrays, applied in block and hook order: the explicit half's ghost values
+    (``_ghost_rules``), after every solve the pins and one obstacle (-inf
+    where no ``AmericanProjection`` is), and after each step the knock-outs
+    (``_knockouts``).  No block couples across its edge (lower[0] =
+    upper[-1] = 0 in every block), so neither factorization couples or
+    pivots there and the product adds exact zeros: each block's values equal
+    those of its own march exactly.  A zero pivot, or a ghost row that cannot
+    be eliminated, raises ``SingularSystemError`` here.
     """
 
     def __init__(self, blocks):
@@ -897,16 +893,24 @@ class Stack:
         self.dt = head.dt
         self.n_steps = head.n_steps
         w = OMEGA * self.dt
-        self._blocks, pins, offset = [], {}, 0
+        self._blocks, pins, hooks, offset = [], {}, [], 0
         for block in blocks:
-            self._blocks.append((slice(offset, offset + block.op.n), block.hooks))
+            rows = slice(offset, offset + block.op.n)
+            self._blocks.append(rows)
             pins.update((offset + row, value) for row, value in block.pins.items())
+            hooks += [(rows, hook) for hook in block.hooks]
             offset += block.op.n
         self._pin_rows = np.fromiter(pins, dtype=np.intp, count=len(pins))
         self._pin_values = np.fromiter(pins.values(), dtype=float, count=len(pins))
-        self._overrides = _acting(self._blocks, "override_previous")
-        self._substage_hooks = _acting(self._blocks, "post_substage")
-        self._step_hooks = _acting(self._blocks, "post_step")
+        ghosts = [(rows, hook) for rows, hook in hooks if isinstance(hook, GhostBarrier)]
+        self._ghosts = _ghost_rules(ghosts)
+        self._knockouts = _knockouts([(rows, hook) for rows, hook in hooks
+                                      if isinstance(hook, DiscreteKnockout)], offset)
+        projections = [(rows, hook.obstacle) for rows, hook in hooks
+                       if isinstance(hook, AmericanProjection)]
+        self._obstacle = np.full(offset, -np.inf) if projections else None
+        for rows, obstacle in projections:
+            np.maximum(self._obstacle[rows], obstacle, out=self._obstacle[rows])
 
         def stacked(band: str) -> np.ndarray:
             """w times the blocks' operator ``band``, stacked."""
@@ -914,45 +918,34 @@ class Stack:
             out *= w
             return out
 
-        # The matrix I - w L: pinned rows become identity rows, then each hook
-        # stamps its own block's rows.
+        # The matrix I - w L: pinned rows become identity rows, then each
+        # ghost row is stamped into its own block's rows.
         a_lower, a_diag, a_upper = -stacked("lower"), 1.0 - stacked("diag"), -stacked("upper")
         a_lower[self._pin_rows] = 0.0
         a_upper[self._pin_rows] = 0.0
         a_diag[self._pin_rows] = 1.0
         # the unscaled rhs of the rows a rule fixes: pins, then ghost rows
-        fixed, ghosts = dict(pins), []
-        for rows, hooks in self._blocks:
-            for hook in hooks:
-                hook.stamp_matrix(a_lower[rows], a_diag[rows], a_upper[rows])
-                if isinstance(hook, GhostBarrier):
-                    fixed[rows.start + hook.ghost] = hook.rebate
-                    ghosts.append((rows.start + hook.ghost, rows.start + hook.inner, hook.factor))
-        for k, (rows, _) in enumerate(self._blocks[1:], 1):
-            for below, above in ((blocks[k].op.lower[0], blocks[k - 1].op.upper[-1]),
-                                 (a_lower[rows.start], a_upper[rows.start - 1])):
-                if below != 0.0 or above != 0.0:
-                    raise ValueError(
-                        f"fdm: cannot stack block {k}: it couples across its edge with "
-                        f"block {k - 1} (its lower[0] = {below:g}, block "
-                        f"{k - 1}'s upper[-1] = {above:g})")
-        ghosts = [(g, inner, factor) for g, inner, factor in ghosts if factor != 0.0]
+        fixed, folds = dict(pins), []
+        for rows, hook in ghosts:
+            factor = hook.stamp(a_lower[rows], a_diag[rows], a_upper[rows])
+            fixed[rows.start + hook.ghost] = hook.rebate
+            if factor != 0.0:
+                folds.append((rows.start + hook.ghost, rows.start + hook.inner, factor))
         # Rows whose rhs is zero at every solve: those fixed at 0 that no
         # ghost row's rule adds to.
         self._fixed_rows = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
         values = np.fromiter(fixed.values(), dtype=float, count=len(fixed))
         quiet = np.zeros(a_diag.size, dtype=bool)
         quiet[self._fixed_rows[values == 0.0]] = True
-        quiet[[g for g, *_ in ghosts]] = False
-        factored = _factor(a_lower, a_diag, a_upper, self.dt,
-                           [rows for rows, _ in self._blocks], quiet)
+        quiet[[g for g, *_ in folds]] = False
+        factored = _factor(a_lower, a_diag, a_upper, self.dt, self._blocks, quiet)
         del a_lower, a_diag, a_upper    # freed before the band set: the factors hold them
         self.solve_kind, self._solve = factored.kind, factored.solve
         r = factored.scale
         self._fixed_values = values * r[self._fixed_rows]
         # each ghost row's rule, one step per hook in hook order, before the folds
         ghost_steps = [(np.array([g]), np.array([inner]), np.array([factor * r[g] / r[inner]]))
-                       for g, inner, factor in ghosts]
+                       for g, inner, factor in folds]
         self._pre = _merged([*ghost_steps, *factored.pre])
         self._post = _merged(factored.post)
         # R (I + w L), its pinned and ghost rows zeroed
@@ -966,9 +959,9 @@ class Stack:
 
     def split(self, v: np.ndarray) -> list[np.ndarray]:
         """Each block's rows of a stacked vector, in stacking order."""
-        return [v[rows] for rows, _ in self._blocks]
+        return [v[rows] for rows in self._blocks]
 
-    def _substage(self, rhs: np.ndarray, tau: float) -> np.ndarray:
+    def _substage(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the substage whose scaled rhs ``rhs`` holds, in place where
         the solve is, and return the solution."""
         rhs[self._fixed_rows] = self._fixed_values
@@ -980,40 +973,42 @@ class Stack:
         # LU with partial pivoting solves pinned rows only to round-off;
         # constraints are exact, so re-stamp them.
         v[self._pin_rows] = self._pin_values
-        for post_substage, rows in self._substage_hooks:
-            post_substage(v[rows], tau)
+        if self._obstacle is not None:
+            np.maximum(v, self._obstacle, out=v)
         return v
 
     def step(self, v: np.ndarray, step_index: int, tau: float) -> np.ndarray:
         """One composite step from tau to tau + dt (tau is time to maturity).
 
-        ``v``, a writable C-contiguous float64 vector (``march`` makes its
-        terminal one), is not written: hooks that override the explicit
-        half-step values write into one copy of it.  The values returned are
-        a new vector.
+        ``v``, a writable C-contiguous float64 vector (``march`` makes it
+        one), is not written: the ghost rows' explicit-half values go into
+        one copy of it.  The values returned are a new vector.
         """
-        v_eff = v
-        if self._overrides:
-            v_eff = np.array(v, dtype=float)
-            for override_previous, rows in self._overrides:
-                override_previous(v_eff[rows], tau)
+        v_eff = v.copy() if self._ghosts else v
+        for rows, rebate, weight, terms in self._ghosts:
+            value = rebate.copy()
+            for count, sources, w in terms:
+                value[:count] -= w * v_eff[sources]
+            v_eff[rows] = value / weight
 
         stage = self._product(v_eff, np.empty_like(self._old))
-        stage = self._substage(stage, tau + GAMMA * self.dt)
+        stage = self._substage(stage)
         # R (BDF2_NEW stage - BDF2_OLD v_eff), in place in the stage values
         stage *= _BDF2_RATIO
         stage -= v_eff
         stage *= self._old
-        tau_new = tau + self.dt
-        v_new = self._substage(stage, tau_new)
-        for post_step, rows in self._step_hooks:
-            post_step(v_new[rows], step_index, tau_new)
+        v_new = self._substage(stage)
+        for steps, mask, rebate in self._knockouts:
+            if step_index in steps:
+                v_new[mask] = rebate
         if not np.isfinite(v_new).all():
-            raise NonFiniteValueError(step_index, tau_new)
+            raise NonFiniteValueError(step_index, tau + self.dt)
         return v_new
 
     def march(self, v: np.ndarray) -> np.ndarray:
-        """Values after all N steps from ``v``, which is not written."""
+        """Values after all N steps from ``v``, which is not written: a copy
+        where it is not a writable C-contiguous float64 array."""
+        v = np.require(v, float, "CW")
         for j in range(self.n_steps):
             v = self.step(v, j + 1, j * self.dt)
         return v
@@ -1050,16 +1045,15 @@ def march(pairs) -> list:
     them (see ``_deal``; with one worker no thread starts), and each thread
     stacks and marches its own under the caller's numpy error state (see
     ``_threads.run_parts``): one factorization per stack.  No thread calls
-    ``run``.  A one-block stack marches its block's terminal vector as it
-    is, or a copy where that is not a writable C-contiguous float64 array
-    (which ``Stack.step`` needs).  A stack that raises an ``Exception``
-    marches again as two halves, each its own stack, until each failing
-    block stands alone with the exception of its own march; every other
-    stack and thread carries on.  An interrupt on the calling thread stops
-    the others before their next stack.  Each march logs the LAPACK library
-    bound, its deal with each stack's solve (``Stack.solve_kind``), the CPU
-    seconds of each thread and its wall seconds at DEBUG level on the
-    ``stretchgrid.fdm`` logger.
+    ``run``.  A one-block stack marches its block's terminal as it is (see
+    ``Stack.march``).  A stack that raises an ``Exception`` marches again
+    as two halves, each its own stack, until each failing block stands
+    alone with the exception of its own march; every other stack and thread
+    carries on.  An interrupt on the calling thread stops the others before
+    their next stack.  Each march logs the LAPACK library bound, its deal
+    with each stack's solve (``Stack.solve_kind``), the CPU seconds of each
+    thread and its wall seconds at DEBUG level on the ``stretchgrid.fdm``
+    logger.
     """
     pairs = list(pairs)
     if not pairs:
@@ -1079,7 +1073,7 @@ def march(pairs) -> list:
                 system = Stack(blocks[k] for k in stack)
                 kinds[tuple(stack)] = system.solve_kind
                 if len(stack) == 1:
-                    terminal = np.require(pairs[stack[0]][1], float, "CW")
+                    terminal = pairs[stack[0]][1]
                 else:
                     terminal = np.concatenate([pairs[k][1] for k in stack], dtype=float)
                 marched = system.split(system.march(terminal))

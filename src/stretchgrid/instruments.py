@@ -1,4 +1,9 @@
-"""Contract definitions: payoffs, event schedules and stepper hooks.
+"""Contract definitions: payoffs, event schedules and the constraints a
+pricing's block takes.
+
+``constraint_hooks`` lists them in the order the stepper applies them, as
+plain data of the kinds ``fdm.Constraint`` names: knock-out regions, ghost
+barrier rows, discrete knock-outs and the American projection.
 
 Knock-in contracts are intentionally absent: price them by in-out parity
 (knock-in = vanilla - knock-out, exact for these payoffs) instead of the
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdm import (AmericanProjection, BarrierMode, BoundaryKind, DirichletRegion,
-                  DiscreteKnockout, GhostBarrier, GhostSide, Hook, PdeConfig)
+from .fdm import (AmericanProjection, BarrierMode, BoundaryKind, Constraint, DirichletRegion,
+                  DiscreteKnockout, GhostBarrier, GhostSide, PdeConfig)
 from .gridgen import Grid
 
 
@@ -138,11 +143,11 @@ def _locate_node(s: np.ndarray, level: float, rng: float) -> int | None:
     return k if abs(s[k] - level) <= 1e-9 * rng else None
 
 
-def constraint_hooks(spec: ContractSpec, grid: Grid, config: PdeConfig) -> list[Hook]:
+def constraint_hooks(spec: ContractSpec, grid: Grid, config: PdeConfig) -> list[Constraint]:
     """Ordered hook list the stepper applies each step."""
     s = grid.points
     rng = s[-1] - s[0]
-    hooks: list[Hook] = []
+    hooks: list[Constraint] = []
 
     if spec.style is ExerciseStyle.EUROPEAN_VANILLA:
         return hooks
@@ -182,7 +187,7 @@ def constraint_hooks(spec: ContractSpec, grid: Grid, config: PdeConfig) -> list[
     return hooks
 
 
-def _knockout_region(side: GhostSide, first: int, n: int, rebate: float) -> list[Hook]:
+def _knockout_region(side: GhostSide, first: int, n: int, rebate: float) -> list[Constraint]:
     """Pin nodes from ``first`` outward to the domain edge; none if that is empty."""
     start, stop = (first, n) if side is GhostSide.UP else (0, first + 1)
     return [DirichletRegion(start, stop, rebate)] if start < stop else []

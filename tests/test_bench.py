@@ -16,7 +16,8 @@ from stretchgrid.bench import (ConfigError, ConvergenceReport, ConvergenceRow,
                                DomainFit, DomainSpec, bench_transforms, emit_csv,
                                emit_table_csv, load_bundled, parse_config_text,
                                parse_table_config, resolve_domain, run_convergence)
-from stretchgrid.fdm import BarrierMode, BoundaryKind, Hook, NonFiniteValueError
+from stretchgrid.fdm import (BarrierMode, BoundaryKind, GhostBarrier, MarketParams,
+                             NonFiniteValueError)
 from stretchgrid.gridgen import StretchKind, StretchSpec
 from stretchgrid.instruments import ExerciseStyle, OptionType
 from stretchgrid.placement import PlacementError, PlacementGoal, PlacementMode
@@ -227,13 +228,6 @@ def test_malformed_config_raises_only_config_error(edits, dropped):
         pass
 
 
-class ZeroRow(Hook):
-    """Zeroes row 3 of its block's matrix, which makes it singular."""
-
-    def stamp_matrix(self, lower, diag, upper):
-        lower[3] = diag[3] = upper[3] = 0.0
-
-
 TWO_COLUMNS = SMOKE.replace("market.sigma = 0", "market.sigma = 0.2") + """
 columns = plain, stretched
 column.stretched.stretch.kind = cubic
@@ -290,28 +284,31 @@ class TestRunConvergence:
                     assert row.prices == bench.price_run(cfg, row.steps)
 
     def test_singular_block_fails_only_its_row(self, monkeypatch):
-        # A zeroed row makes one block of the rows' stack singular: the
-        # stack's factor fails, the march splits the stack in halves until
-        # that block stands alone, and only its row is marked failed.
+        # One block of the rows' stack is singular: sigma = 0 and r = q
+        # leave its 3-point ghost row's inner row without the coupling the
+        # elimination needs.  The stack fails, the march splits it in halves
+        # until that block stands alone, and only its row is marked failed.
         table = parse_table_config(parse_config_text(TWO_COLUMNS))
-        real_hooks = bench.constraint_hooks
+        real_stepper = bench.TrBdf2Stepper
         armed = []
 
-        def zero_row_at_32(contract, grid, pde):
-            hooks = real_hooks(contract, grid, pde)
+        def singular_at_32(grid, mkt, pde, horizon, hooks):
             if grid.points.size == 33 and not armed:
                 armed.append(1)
-                hooks = [*hooks, ZeroRow()]
-            return hooks
+                s = grid.points
+                mkt = MarketParams(mkt.rate, mkt.rate, 0.0)
+                hooks = (*hooks, GhostBarrier(s, 0.5 * (s[20] + s[21]),
+                                              BarrierMode.GHOST_LAGRANGE3))
+            return real_stepper(grid, mkt, pde, horizon, hooks)
 
-        monkeypatch.setattr(bench, "constraint_hooks", zero_row_at_32)
+        monkeypatch.setattr(bench, "TrBdf2Stepper", singular_at_32)
         results = table.run()
-        monkeypatch.setattr(bench, "constraint_hooks", real_hooks)
+        monkeypatch.setattr(bench, "TrBdf2Stepper", real_stepper)
         failed = [(name, row.steps) for name, report in results
                   for row in report.rows if row.failed]
         assert failed == [("plain", 32)]
         assert dict(results)["plain"].rows[1].failed.startswith(
-            "plain, I = 32: fdm: TR-BDF2 matrix is singular")
+            "plain, I = 32: fdm: cannot eliminate the 3-point ghost row 21")
         for name, cfg in table.columns:
             report = dict(results)[name]
             assert report.reference == bench.price_run(cfg, cfg.reference_steps)

@@ -21,7 +21,7 @@ from stretchgrid.analytics import black_scholes_vanilla
 from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, AmericanProjection,
                              BarrierMode, BoundaryCondition, BoundaryKind,
                              DirichletRegion, DiscreteKnockout,
-                             GhostBarrier, GhostSide, Hook,
+                             GhostBarrier, GhostSide,
                              MarketParams, NonFiniteValueError, PdeConfig,
                              SingularSystemError, Stack, TrBdf2Stepper,
                              attach_boundary_rows, discretize_operator,
@@ -143,14 +143,24 @@ class TestStencils:
             discretize_operator(bad, MarketParams())
 
 
-class ZeroRow(Hook):
-    """Zeroes row 3 of its block's matrix, which makes it singular."""
+def unreducible_block(points, horizon=1.0, n_steps=4) -> TrBdf2Stepper:
+    """A block whose 3-point ghost row cannot be eliminated: sigma = 0 and
+    r = q leave its inner row without a coupling to the second inner node."""
+    barrier = 0.5 * (points[-3] + points[-2])
+    return TrBdf2Stepper(Grid(points), MarketParams(0.05, 0.05, 0.0),
+                         PdeConfig(n_steps, barrier_mode=BarrierMode.GHOST_LAGRANGE3), horizon,
+                         (GhostBarrier(points, barrier, BarrierMode.GHOST_LAGRANGE3),))
 
-    def stamp_matrix(self, lower, diag, upper):
-        lower[3] = diag[3] = upper[3] = 0.0
 
-    def override_previous(self, v, tau):
-        raise AssertionError("no step may run on a singular matrix")
+def zeroed_row_bands(blocks, zeroed: int):
+    """The stacked bands of I - wL of ``blocks`` (no pins, no ghost rows),
+    with row ``zeroed`` all zero, which makes the matrix singular."""
+    w = OMEGA * blocks[0].dt
+    lower, diag, upper = (np.concatenate([getattr(b.op, band) for b in blocks])
+                          for band in ("lower", "diag", "upper"))
+    lower, diag, upper = -w * lower, 1.0 - w * diag, -w * upper
+    lower[zeroed] = diag[zeroed] = upper[zeroed] = 0.0
+    return lower, diag, upper
 
 
 class TestTrBdf2:
@@ -216,14 +226,20 @@ class TestTrBdf2:
         expect = dense_trbdf2_step(v0, 0.5, op, rows, ghost_override({31: ghost_row}, 0.3))
         assert np.max(np.abs(via_stepper - expect)) < 1e-12 * np.max(np.abs(expect))
 
-    def test_singular_matrix_raises_from_run(self):
-        # Building a block factors nothing; the zero pivot rises where the
-        # block is stacked and factored, before any step.
+    def test_singular_matrix_raises_from_run(self, monkeypatch):
+        # Building a block stamps and factors nothing; the singular system
+        # rises where the block is stacked, before any step.
+        stepper = unreducible_block(np.linspace(80.0, 170.0, 31))
+        monkeypatch.setattr(Stack, "step", lambda *args: pytest.fail("a step ran"))
+        with pytest.raises(SingularSystemError, match="cannot eliminate the 3-point ghost row"):
+            stepper.run(np.ones(31))
+
+    def test_zero_pivot_names_its_row_n_and_dt(self):
         grid = Grid(np.linspace(50.0, 150.0, 6))
-        stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
-                                (ZeroRow(),))
+        block = TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0)
         with pytest.raises(SingularSystemError) as err:
-            stepper.run(np.ones(6))
+            fdm._factor(*zeroed_row_bands([block], 3), block.dt, [slice(0, 6)],
+                        np.zeros(6, dtype=bool))
         # gttrf reports the zero U pivot after pivoting, not the zeroed row
         assert err.value.row == 5
         assert "n = 6" in str(err.value) and "dt = 0.25" in str(err.value)
@@ -254,16 +270,12 @@ class TestTrBdf2:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_written_by_a_hook_raises_at_its_step(self, bad):
-        # Every step is checked, not only the first: a value a post_step hook
-        # writes at step 3 of 5 fails that step.
-        class Poison(Hook):
-            def post_step(self, v, step, tau):
-                if step == 3:
-                    v[2] = bad
-
+        # Every step is checked, not only the first: a knock-out whose rebate
+        # is not finite, observed at step 3 of 5, fails that step.
         grid = Grid(np.linspace(50.0, 150.0, 5))
+        poison = DiscreteKnockout(np.arange(5) == 2, {3}, bad)
         stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.01, 0.2), PdeConfig(5), 0.5,
-                                (Poison(),))
+                                (poison,))
         with pytest.raises(NonFiniteValueError) as err:
             stepper.run(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert err.value.step == 3 and "step 3" in str(err.value)
@@ -322,6 +334,19 @@ class TestTrBdf2:
             assert v.min() >= -1e-10
 
 
+def explicit_half(hooks, v, points=np.linspace(0.0, 10.0, 11)) -> np.ndarray:
+    """The values the explicit half of ``Stack.step`` reads (its product's
+    input) from ``v``, for one block on ``points`` with ``hooks``."""
+    block = TrBdf2Stepper(Grid(points), MarketParams(0.05, 0.01, 0.25), PdeConfig(1), 1.0,
+                          hooks)
+    system = Stack([block])
+    seen = []
+    product = system._product
+    system._product = lambda x, b: seen.append(x.copy()) or product(x, b)
+    system.step(v, 1, 0.0)
+    return seen[0]
+
+
 class TestGhostRows:
     def make_hook(self, barrier, side=GhostSide.UP, rebate=2.0,
                   order=BarrierMode.GHOST_LINEAR):
@@ -330,19 +355,16 @@ class TestGhostRows:
     def test_linear_weights_on_node(self):
         hook = self.make_hook(5.0)
         assert hook.weights == (1.0, 0.0)
-        v = np.arange(11.0)
-        hook.override_previous(v, 0.0)
-        assert v[5] == 2.0
+        assert explicit_half((hook,), np.arange(11.0))[5] == 2.0
 
     def test_linear_explicit_override(self):
         hook = self.make_hook(4.6, rebate=0.0)
         g, a = hook.ghost, hook.inner
         assert (g, a) == (5, 4)
+        assert explicit_half((hook,), np.zeros(11))[g] == 0.0
         v = np.zeros(11)
-        hook.override_previous(v, 0.0)
-        assert v[g] == 0.0
         v[a] = 3.0
-        hook.override_previous(v, 0.0)
+        v = explicit_half((hook,), v)
         # linear interpolation through (S_inner, 3.0) and (S_ghost, G) is 0 at 4.6
         s = np.linspace(0.0, 10.0, 11)
         interp = (v[g] * (4.6 - s[a]) + 3.0 * (s[g] - 4.6)) / (s[g] - s[a])
@@ -352,7 +374,7 @@ class TestGhostRows:
         hook = self.make_hook(4.6, rebate=1.5)
         n = 11
         lower, diag, upper = np.full(n, -1.0), np.full(n, 3.0), np.full(n, -1.0)
-        hook.stamp_matrix(lower, diag, upper)
+        factor = hook.stamp(lower, diag, upper)
         g = hook.ghost
         assert diag[g] == pytest.approx((4.6 - 4.0) / 1.0)
         assert lower[g] == pytest.approx((5.0 - 4.6) / 1.0)
@@ -361,7 +383,7 @@ class TestGhostRows:
         assert np.all(lower[rest] == -1.0) and np.all(diag[rest] == 3.0)
         assert np.all(upper[rest] == -1.0)
         # a linear row eliminates nothing: its rhs is the rebate alone
-        assert hook.factor == 0.0
+        assert factor == 0.0
 
     @pytest.mark.parametrize("side, barrier, shown", [
         (GhostSide.UP, 0.0, "up barrier 0.0 is not inside the grid (0.0, 10.0]"),
@@ -384,9 +406,7 @@ class TestGhostRows:
     def test_lagrange_weights_on_node(self):
         hook = self.make_hook(5.0, order=BarrierMode.GHOST_LAGRANGE3)
         assert hook.weights == (1.0, -0.0, 0.0)
-        v = np.arange(11.0)
-        hook.override_previous(v, 0.0)
-        assert v[5] == 2.0
+        assert explicit_half((hook,), np.arange(11.0))[5] == 2.0
 
     def test_lagrange_elimination_matches_dense(self):
         rng = np.random.default_rng(9)
@@ -406,8 +426,8 @@ class TestGhostRows:
         rhs_d = rhs.copy()
         rhs_d[5] = 0.7
         expect = np.linalg.solve(dense, rhs_d)
-        hook.stamp_matrix(lower, diag, upper)
-        rhs[5] = 0.7 - hook.factor * rhs[4]
+        factor = hook.stamp(lower, diag, upper)
+        rhs[5] = 0.7 - factor * rhs[4]
         mine = np.linalg.solve(dense_matrix(lower, diag, upper), rhs)
         assert np.max(np.abs(mine - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))
 
@@ -432,8 +452,8 @@ class TestGhostRows:
             rhs_d = rhs.copy()
             rhs_d[hook.ghost] = 0.8 + trial
             expect = np.linalg.solve(dense, rhs_d)
-            hook.stamp_matrix(lower, diag, upper)
-            rhs[hook.ghost] = hook.rebate - hook.factor * rhs[hook.inner]
+            factor = hook.stamp(lower, diag, upper)
+            rhs[hook.ghost] = hook.rebate - factor * rhs[hook.inner]
             mine = np.linalg.solve(dense_matrix(lower, diag, upper), rhs)
             assert np.max(np.abs(mine - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))
 
@@ -460,7 +480,7 @@ class TestGhostRows:
         assert hook.ghost == 2 and hook.inner == 3
         v = np.zeros(11)
         v[3] = 1.0
-        hook.override_previous(v, 0.0)
+        v = explicit_half((hook,), v)
         s = pts
         interp = v[2] * (s[3] - 2.4) / (s[3] - s[2]) + 1.0 * (2.4 - s[2]) / (s[3] - s[2])
         assert interp == pytest.approx(0.0, abs=1e-12)
@@ -513,8 +533,8 @@ class TestGhostRows:
             assert np.max(np.abs(sols[mode] - base)) <= 1e-12
 
     def test_step_leaves_the_callers_vector_alone(self):
-        # The ghost rows override the explicit half-step values in one copy
-        # made by the stepper; the vector passed to step is not written.
+        # The ghost rows set the explicit half-step values in one copy made
+        # by the stepper; the vector passed to step is not written.
         s = np.linspace(80.0, 170.0, 31)
         grid = Grid(s)
         cfg = PdeConfig(4, barrier_mode=BarrierMode.GHOST_LAGRANGE3)
@@ -522,14 +542,9 @@ class TestGhostRows:
                                 100.0, 1.0, barrier_lower=90.0, barrier_upper=160.0,
                                 rebate=0.3)
         hooks = tuple(constraint_hooks(contract, grid, cfg))
-        stepper = TrBdf2Stepper(grid, MarketParams(0.05, 0.01, 0.25), cfg, 1.0, hooks)
         v = payoff(contract, grid) + 0.5
         before = v.copy()
-        overridden = v.copy()
-        for hook in hooks:
-            hook.override_previous(overridden, 0.0)
-        assert not np.array_equal(overridden, before)  # the hooks do override
-        Stack([stepper]).step(v, 1, 0.0)
+        assert not np.array_equal(explicit_half(hooks, v, s), before)  # the rows set values
         assert np.array_equal(v, before)
 
 
@@ -572,10 +587,31 @@ def test_ghost_row_brackets_and_interpolates_an_off_node_barrier(
 N_STACK = 6
 
 
+HOOK_KINDS = ("none", "knockout", "knockouts", "dirichlet", "ghost", "ghosts", "american",
+              "american+dirichlet")
+GHOST_MODES = st.sampled_from([BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3])
+
+
+def ghost_with_region(s, barrier, mode, rebate, side) -> list:
+    """A ghost barrier and the region beyond its ghost node, if any."""
+    hook = GhostBarrier(s, barrier, mode, rebate, side)
+    start, stop = (hook.ghost + 1, s.size) if side is GhostSide.UP else (0, hook.ghost)
+    return [hook, DirichletRegion(start, stop, rebate)] if start < stop else [hook]
+
+
 @st.composite
-def stack_blocks(draw, n_steps=N_STACK, m_matrix=False):
+def stack_blocks(draw, n_steps=N_STACK, m_matrix=False, kinds=HOOK_KINDS):
     """A random pricing block: nonuniform grid, market, boundary rows and one
     kind of hook set, all sharing the stack's N (``n_steps``) and horizon.
+
+    The hook sets (``kinds``): none; one discrete knock-out, or two or
+    three, each observed on a new set of steps or on an earlier one's, the
+    first two masks overlapping, the third above or below a level; a
+    Dirichlet region;
+    one ghost barrier with the region beyond it, or a down and an up one in
+    either order, their cells zero to three apart, so that one ghost node
+    may be an inner node of the other's row; an American projection, alone
+    or beside a Dirichlet region.
 
     With ``m_matrix`` the grid and market keep sigma^2 S above |r - q| times
     each spacing beside S, so every interior row of L couples to both
@@ -593,24 +629,26 @@ def stack_blocks(draw, n_steps=N_STACK, m_matrix=False):
     rates = st.one_of(st.just(0.0), st.floats(1e-4, 0.1)) if m_matrix else st.floats(0.0, 0.1)
     mkt = MarketParams(draw(rates), draw(rates),
                        draw(st.floats(0.45, 0.6) if m_matrix else st.floats(0.1, 0.6)))
-    kind = draw(st.sampled_from(["none", "knockout", "dirichlet", "ghost", "american"]))
+    kind = draw(st.sampled_from(kinds))
     mode = BarrierMode.ON_GRID_DIRICHLET
     strike = float(s[draw(st.integers(1, n - 2))])
     terminal = np.maximum(strike - s, 0.0) + draw(st.floats(0.0, 1.0))
-    hooks: list[Hook] = []
-    if kind == "knockout":
-        level = float(s[draw(st.integers(1, n - 2))])
-        dates = draw(st.sets(st.integers(1, n_steps), min_size=1))
-        hooks.append(DiscreteKnockout(s >= level, dates, draw(st.floats(0.0, 1.0))))
-    elif kind == "dirichlet":
+    hooks = []
+    if kind.startswith("knockout"):
+        dates = st.sets(st.integers(1, n_steps), min_size=1)
+        seen = []
+        for k in range(1 if kind == "knockout" else draw(st.integers(2, 3))):
+            seen.append(draw(st.one_of(dates, *map(st.just, seen))))
+            level = float(s[draw(st.integers(1, n - 2))])
+            mask = s <= level if k == 2 and draw(st.booleans()) else s >= level
+            hooks.append(DiscreteKnockout(mask, seen[-1], draw(st.floats(0.0, 1.0))))
+    elif kind.endswith("dirichlet"):
         a = draw(st.integers(0, n - 1))
         b = draw(st.integers(a + 1, n))
         hooks.append(DirichletRegion(a, b, draw(st.floats(0.0, 1.0))))
     elif kind == "ghost":
-        mode = draw(st.sampled_from([BarrierMode.GHOST_LINEAR,
-                                     BarrierMode.GHOST_LAGRANGE3]))
+        mode = draw(GHOST_MODES)
         side = draw(st.sampled_from(list(GhostSide)))
-        rebate = draw(st.floats(0.0, 1.0))
         if side is GhostSide.UP:
             i0 = draw(st.integers(2, n - 1))
             frac = draw(st.floats(0.05, 1.0))
@@ -620,13 +658,24 @@ def stack_blocks(draw, n_steps=N_STACK, m_matrix=False):
         barrier = float(s[i0 - 1] + frac * (s[i0] - s[i0 - 1]))
         assume(s[i0 - 1] < barrier < s[i0] if side is GhostSide.UP
                else s[i0 - 1] <= barrier < s[i0])
-        hook = GhostBarrier(s, barrier, mode, rebate, side)
-        hooks.append(hook)
-        start_, stop = (hook.ghost + 1, n) if side is GhostSide.UP else (0, hook.ghost)
-        if start_ < stop:
-            hooks.append(DirichletRegion(start_, stop, rebate))
-    elif kind == "american":
-        hooks.append(AmericanProjection(np.maximum(strike - s, 0.0)))
+        hooks += ghost_with_region(s, barrier, mode, draw(st.floats(0.0, 1.0)), side)
+    elif kind == "ghosts":
+        # the down barrier in cell a, the up one in cell b >= a; a 3-point
+        # row's inner node may not be the other ghost node, so there b > a
+        mode = draw(GHOST_MODES)
+        a = draw(st.integers(1, n - 3))
+        b = draw(st.integers(a + (mode is BarrierMode.GHOST_LAGRANGE3), min(a + 3, n - 1)))
+        down = float(s[a - 1] + draw(st.floats(0.0, 0.95)) * (s[a] - s[a - 1]))
+        up = float(s[b - 1] + draw(st.floats(0.05, 1.0)) * (s[b] - s[b - 1]))
+        assume(s[a - 1] <= down < s[a] and s[b - 1] < up <= s[b] and down < up)
+        pair = [ghost_with_region(s, down, mode, draw(st.floats(0.0, 1.0)), GhostSide.DOWN),
+                ghost_with_region(s, up, mode, draw(st.floats(0.0, 1.0)), GhostSide.UP)]
+        if draw(st.booleans()):
+            pair.reverse()
+        hooks += pair[0] + pair[1]
+    if kind.startswith("american"):
+        hooks.insert(draw(st.integers(0, len(hooks))),
+                     AmericanProjection(np.maximum(strike - s, 0.0)))
     cfg = PdeConfig(n_steps, BoundaryCondition(lower_kind, draw(st.floats(0.0, 1.0))),
                     BoundaryCondition(upper_kind, draw(st.floats(0.0, 1.0))),
                     barrier_mode=mode)
@@ -635,8 +684,13 @@ def stack_blocks(draw, n_steps=N_STACK, m_matrix=False):
 
 @settings(max_examples=150, deadline=None)
 @given(blocks=st.lists(stack_blocks(), min_size=1, max_size=4),
+       repeated=st.none() | stack_blocks(kinds=("ghost", "ghosts")),
        horizon=st.floats(0.05, 1.0))
-def test_stacked_march_equals_solo_marches(blocks, horizon):
+def test_stacked_march_equals_solo_marches(blocks, repeated, horizon):
+    # ``repeated``, a ghost block, stacks twice, at both ends, with the same
+    # hook objects.
+    if repeated is not None:
+        blocks = [repeated, *blocks, repeated]
     steppers = [TrBdf2Stepper(grid, mkt, cfg, horizon, hooks)
                 for grid, mkt, cfg, hooks, _ in blocks]
     solo = [stepper.run(terminal) for stepper, (*_, terminal) in zip(steppers, blocks)]
@@ -650,25 +704,25 @@ def test_stacked_march_equals_solo_marches(blocks, horizon):
 
 def dense_march(grid, mkt, cfg, horizon, hooks, terminal) -> np.ndarray:
     """TR-BDF2 on the unscaled dense I - wL, solved by ``np.linalg.solve``,
-    with the hooks applied as documented: the Dirichlet boundary rows no hook
-    owns, then each DirichletRegion's rows, are identity rows whose rhs is
-    their value, re-stamped after every solve; a GhostBarrier row holds its
-    unreduced Lagrange weights with the rebate on the right, and its ghost
-    value is set from the same weights before the explicit half; the
-    American projection follows every solve, and a discrete knock-out sets
-    its region to the rebate after each observation step."""
+    with the hooks applied as documented: the Dirichlet boundary rows that
+    are no ghost row, then each DirichletRegion's rows, are identity rows
+    whose rhs is their value, re-stamped after every solve; a GhostBarrier
+    row holds its unreduced Lagrange weights with the rebate on the right,
+    and its ghost value is set from the same weights before the explicit
+    half, hook by hook; the American projection follows every solve, and a
+    discrete knock-out sets its region to the rebate after each observation
+    step, hook by hook."""
     s, n = grid.points, grid.points.size
     op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
     lop = dense_matrix(op.lower, op.diag, op.upper)
     dt = horizon / cfg.time_steps
     w = OMEGA * dt
-    owned = {row for hook in hooks for row in hook.owned_rows()}
+    ghosts = [hook for hook in hooks if isinstance(hook, GhostBarrier)]
     pins = {row: bc.value for row, bc in ((0, cfg.boundary_lower), (n - 1, cfg.boundary_upper))
-            if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in owned}
+            if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in {g.ghost for g in ghosts}}
     for hook in hooks:
         if isinstance(hook, DirichletRegion):
             pins.update(dict.fromkeys(range(n)[hook.start:hook.stop], hook.value))
-    ghosts = [hook for hook in hooks if isinstance(hook, GhostBarrier)]
     a = np.eye(n) - w * lop
     for row in pins:
         a[row] = np.eye(n)[row]
@@ -707,9 +761,10 @@ def dense_march(grid, mkt, cfg, horizon, hooks, terminal) -> np.ndarray:
 @given(block=stack_blocks(), horizon=st.floats(0.05, 1.0))
 def test_march_equals_a_dense_march(block, horizon):
     # Every boundary kind, pins at zero and nonzero values, up and down
-    # ghost rows of both orders, discrete knock-outs and the American
-    # projection, on blocks of 8-40 rows solved by LDL^T or LU: the engine's
-    # march, in the row-scaled system, is the dense march to round-off.
+    # ghost rows of both orders, alone or both in one block, one or two
+    # discrete knock-outs and the American projection, on blocks of 8-40
+    # rows solved by LDL^T or LU: the engine's march, in the row-scaled
+    # system, is the dense march to round-off.
     grid, mkt, cfg, hooks, terminal = block
     want = dense_march(grid, mkt, cfg, horizon, hooks, terminal)
     assume(np.isfinite(want).all())
@@ -721,15 +776,15 @@ def test_march_equals_a_dense_march(block, horizon):
 def march_pair(draw, poison: str = ""):
     """A (block, terminal payoff) pair of a march, with its own size, N and
     horizon; drawn from few N and horizons, so blocks often share dt and N.
-    ``poison`` "nan" puts a NaN in the terminal, "zero" a ``ZeroRow`` hook on
-    the block."""
+    ``poison`` "nan" puts a NaN in the terminal; "singular" makes the block
+    one whose 3-point ghost row cannot be eliminated, on the drawn grid."""
     n_steps = draw(st.sampled_from([2, 3, N_STACK]))
     horizon = draw(st.sampled_from([0.25, 0.5, 1.0]))
     grid, mkt, cfg, hooks, terminal = draw(stack_blocks(n_steps))
     if poison == "nan":
         terminal[draw(st.integers(0, terminal.size - 1))] = np.nan
-    elif poison == "zero":
-        hooks += (ZeroRow(),)
+    elif poison == "singular":
+        return unreducible_block(grid.points, horizon, n_steps), terminal
     return TrBdf2Stepper(grid, mkt, cfg, horizon, hooks), terminal
 
 
@@ -752,8 +807,8 @@ def poisoned_march(draw):
     """1-8 march pairs, 0-3 of them poisoned, and the poisoned indices."""
     n = draw(st.integers(1, 8))
     poisoned = draw(st.sets(st.integers(0, n - 1), max_size=3))
-    pairs = [draw(march_pair(draw(st.sampled_from(["nan", "zero"])) if k in poisoned else ""))
-             for k in range(n)]
+    pairs = [draw(march_pair(draw(st.sampled_from(["nan", "singular"])) if k in poisoned
+                             else "")) for k in range(n)]
     return pairs, poisoned
 
 
@@ -903,18 +958,15 @@ class TestParallel:
     @pytest.mark.parametrize("overflow_first", [True, False])
     def test_every_thread_keeps_the_callers_error_state(self, monkeypatch, width,
                                                          overflow_first):
-        # Under over="raise" a block whose hook overflows its values fails
-        # alone with numpy's FloatingPointError.  Marched beside a costlier
+        # Under over="raise" a block whose knocked-out region's rebate
+        # overflows the second substage's rhs fails alone with numpy's
+        # FloatingPointError.  Marched beside a costlier
         # clean block it lands on another thread from two workers up, and
         # must fail the same way there, not with the NonFiniteValueError of
         # numpy's default state.
-        class Overflow(Hook):
-            def post_step(self, v, step, tau):
-                v *= 1e308
-
         clean, (block, terminal) = self.pairs((41, 4), (21, 4))
         block = TrBdf2Stepper(block.grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
-                              (Overflow(),))
+                              (DirichletRegion(18, 21, 1e308),))
         bad = (block, terminal)
         pairs = [bad, clean] if overflow_first else [clean, bad]
         with np.errstate(over="raise"):
@@ -971,26 +1023,12 @@ class TestStack:
         with pytest.raises(ValueError, match="block 1: dt = 0.125, N = 8"):
             Stack(self.steppers(4, 8))
 
-    def test_rejects_blocks_coupled_across_their_edge(self):
-        class CoupleBelow(Hook):
-            def stamp_matrix(self, lower, diag, upper):
-                lower[0] = 0.5
-
-        a, = self.steppers(4)
-        b, = self.steppers(4, hooks=(CoupleBelow(),))
-        b.run(np.ones(11))  # alone, the coupling is outside the matrix
-        Stack([b, a])       # first, its lower[0] is outside the matrix too
-        with pytest.raises(ValueError, match="block 1: .*lower\\[0\\] = 0.5"):
-            Stack([a, b])
-
     def test_region_overlapping_a_dirichlet_boundary_row_wins(self, monkeypatch):
         # Rows 8-10 are a knocked-out region at 0.25; row 10 is also the
         # Dirichlet upper boundary at 2.5.  The region's value holds in the
         # factored matrix, in every rhs the solve is given and after every
         # solve, alone and stacked behind another block; row 0 keeps its
-        # boundary value 1.5.  The probe comes before the region in the hook
-        # tuple and still sees its values: the stepper pins rows before any
-        # hook runs.
+        # boundary value 1.5.
         factored = []
         seen = []
 
@@ -1001,23 +1039,20 @@ class TestStack:
 
             def solve(rhs):
                 seen.append(("rhs", rhs[rows]))
-                return system.solve(rhs)
+                x = system.solve(rhs)
+                seen.append(("solve", x[rows]))
+                return x
             return system._replace(solve=solve)
 
         factor = fdm._factor
         monkeypatch.setattr(fdm, "_factor", recording)
-
-        class Probe(Hook):
-            def post_substage(self, v, tau):
-                seen.append(("solve", v[[0, 8, 9, 10]]))
-
         grid = Grid(np.linspace(50.0, 150.0, 11))
         cfg = PdeConfig(3, BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 1.5),
                         BoundaryCondition(BoundaryKind.DIRICHLET_VALUE, 2.5))
         mkt = MarketParams(0.05, 0.01, 0.2)
         terminal = np.maximum(grid.points - 100.0, 0.0)
         want = np.array([1.5, 0.25, 0.25, 0.25])
-        solo = TrBdf2Stepper(grid, mkt, cfg, 1.0, (Probe(), DirichletRegion(8, 11, 0.25)))
+        solo = TrBdf2Stepper(grid, mkt, cfg, 1.0, (DirichletRegion(8, 11, 0.25),))
         plain, = self.steppers(3)
         alone = solo.run(terminal)
         set_workers(monkeypatch, 1)  # one thread stacks both blocks
@@ -1061,6 +1096,29 @@ class TestStack:
             assert np.array_equal(block.run(v), want)
             assert np.array_equal(v, terminal)
 
+    def test_stack_march_takes_a_read_only_or_strided_terminal(self):
+        steppers = self.steppers(4, 4)
+        terminal = np.linspace(0.0, 1.0, 22)
+        want = Stack(steppers).march(terminal)
+        read_only = terminal.copy()
+        read_only.flags.writeable = False
+        for v in (read_only, np.repeat(terminal, 2)[::2], list(terminal)):
+            assert np.array_equal(Stack(steppers).march(v), want)
+        assert np.array_equal(read_only, terminal)
+
+    def test_rejects_a_hook_of_another_kind(self):
+        class Custom:
+            pass
+
+        with pytest.raises(TypeError, match="^fdm: a hook is a Custom; TrBdf2Stepper takes "
+                                            "DirichletRegion, GhostBarrier, AmericanProjection, "
+                                            "DiscreteKnockout$"):
+            self.steppers(4, hooks=(DirichletRegion(0, 2, 0.0), Custom()))
+
+    def test_rejects_a_knockout_mask_of_another_size(self):
+        with pytest.raises(ValueError, match="mask has shape \\(12,\\); the grid has 11 nodes"):
+            self.steppers(4, hooks=(DiscreteKnockout(np.ones(12, dtype=bool), {1}, 0.0),))
+
     def test_nan_in_one_block_raises_the_step(self):
         steppers = self.steppers(4, 4)
         terminal = np.ones(22)
@@ -1070,10 +1128,16 @@ class TestStack:
 
     def test_singular_block_fails_its_stack(self):
         a, b = self.steppers(4, 4)
-        c, = self.steppers(4, hooks=(ZeroRow(),))
-        with pytest.raises(SingularSystemError) as err:
+        c = unreducible_block(np.linspace(50.0, 150.0, 11))
+        with pytest.raises(SingularSystemError, match="cannot eliminate"):
             Stack([a, c, b])
-        # the zero pivot lies in the singular block: rows 11-21 of the stack
+
+    def test_zero_pivot_lies_in_the_singular_block(self):
+        # rows 11-21 of the stack, row 3 of the middle block zeroed
+        blocks = self.steppers(4, 4, 4)
+        with pytest.raises(SingularSystemError) as err:
+            fdm._factor(*zeroed_row_bands(blocks, 14), blocks[0].dt,
+                        [slice(0, 11), slice(11, 22), slice(22, 33)], np.zeros(33, dtype=bool))
         assert 11 <= err.value.row < 22 and "n = 33" in str(err.value)
 
 
@@ -1107,11 +1171,15 @@ def test_m_matrix_blocks_solve_by_ldl(block, seed):
         rhs[row] = value
     for hook in hooks:
         if isinstance(hook, GhostBarrier):
-            rhs[hook.ghost] = hook.rebate - hook.factor * rhs[hook.inner]
+            # stamped again on a copy of the stamped bands: the inner row is
+            # as it was, so the factor is too
+            factor = hook.stamp(*(band.copy() for band in stamped[0]))
+            rhs[hook.ghost] = hook.rebate - factor * rhs[hook.inner]
     want = np.linalg.solve(dense_matrix(*stamped[0]), rhs)
     for hook in hooks:
-        hook.post_substage(want, 0.0)
-    got = system._substage(system._product(v, np.empty_like(v)), 0.0)
+        if isinstance(hook, AmericanProjection):
+            want = np.maximum(want, hook.obstacle)
+    got = system._substage(system._product(v, np.empty_like(v)))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -1201,6 +1269,38 @@ def test_merged_steps_apply_as_the_steps_in_order():
     for t, s, c in runs:
         got[t] -= c * got[s]
     assert got.tobytes() == want.tobytes()
+
+
+def test_knockouts_join_per_observation_set_and_apply_in_order():
+    # A knock-out joins the last assignment of its observation set and
+    # rebate, unless a later assignment writes one of its rows.
+    def knockout(start, stop, steps, rebate):
+        return DiscreteKnockout(np.isin(np.arange(10), range(start, stop)), steps, rebate)
+
+    a, b = {1, 2}, {2, 3}
+    hooks = [knockout(0, 4, a, 0.5),
+             knockout(6, 8, b, 1.5),
+             knockout(2, 5, a, 0.5),     # joins the first, past b's rows 6-7
+             knockout(3, 4, a, 2.5),     # another rebate: its own assignment
+             knockout(7, 10, a, 0.5),    # writes row 7 after b: a new assignment
+             knockout(0, 1, b, 1.5),     # joins b's, which no later one overlaps
+             knockout(9, 10, a, -0.0),   # a signed zero is its own rebate
+             knockout(8, 9, a, 0.0)]     # and 0.0 is not -0.0: a new assignment
+    joined = fdm._knockouts([(slice(0, 10), hook) for hook in hooks], 10)
+    assert [(steps, np.flatnonzero(mask).tolist(), str(rebate))
+            for steps, mask, rebate in joined] == [
+        (a, [0, 1, 2, 3, 4], "0.5"), (b, [0, 6, 7], "1.5"), (a, [3], "2.5"),
+        (a, [7, 8, 9], "0.5"), (a, [9], "-0.0"), (a, [8], "0.0")]
+    v = np.random.default_rng(3).standard_normal(10)
+    for step in (1, 2, 3):
+        want, got = v.copy(), v.copy()
+        for hook in hooks:
+            if step in hook.steps:
+                want[hook.mask] = hook.rebate
+        for steps, mask, rebate in joined:
+            if step in steps:
+                got[mask] = rebate
+        assert got.tobytes() == want.tobytes()
 
 
 def test_zero_gamma_block_takes_ldl_at_a_small_dt():
