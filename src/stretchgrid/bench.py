@@ -289,7 +289,7 @@ def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
     """One report per (config, reference prices or None) job.
 
     Each missing reference is queued, then every sweep row of every job; the
-    queued pricings march together, dealt to ``workers()`` threads.  A row
+    queued pricings march together, dealt to ``workers()`` parts.  A row
     that fails to build or to march is marked failed instead of aborting; a
     failed reference raises ``PricingError``.  Either names its column and I.
     """
@@ -340,7 +340,7 @@ def run_convergence(config: RunConfig,
     ``reference_steps`` unless explicit reference prices are passed in (used
     by table runs whose published reference is shared across columns).  The
     reference and the sweep rows are queued in a fresh ``_TableCache`` and
-    march together; blocks that share (dt, N) on one thread march as one
+    march together; blocks that share (dt, N) in one part march as one
     stacked system.  Failed resolutions are marked in the report instead of
     aborting the sweep; a failed reference raises ``PricingError``.
     """
@@ -670,7 +670,7 @@ class TableConfig:
         """Price every column's sweep with one ``_TableCache``: each reference
         (the shared one, or one per column) and every sweep row of every
         column is queued, and they march together through one ``fdm.march``,
-        which deals their blocks to ``workers()`` threads (see
+        which deals their blocks to ``workers()`` parts (see
         ``_TableCache.march``)."""
         cache = _TableCache()
         shared: dict[float, float] | None = None

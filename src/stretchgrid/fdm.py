@@ -28,21 +28,19 @@ partial pivoting (gttrf) and solved by gttrs, with R = 1.
 The march runs in the row-scaled system: the stack keeps R (I + wL), R times
 each BDF2 weight and the folds' coefficients times R, so a step's first rhs
 is one banded product, LAPACK dlagtm, and its second one combination, with no
-scaling pass per solve.  The scaled march rounds differently from an unscaled
-one: on the bundled tables their prices differ by at most 2.3e-11.
+scaling pass per solve.
 
 The routines come from the OpenBLAS that numpy's wheel bundles (``numpy.libs/``,
 or ``numpy/.dylibs/`` on macOS), which ``import numpy`` has already mapped: it
 exports reference LAPACK with 64-bit integers as ``scipy_dgttrf_64_`` and so
 on, called here through ``ctypes``, each call checking that its vectors are
-float64.  Binding them costs ≈0.1 ms and no memory, where loading scipy's
-``_flapack`` maps a second OpenBLAS (≈2.6 MB and 4-8 ms a process), and the
-bundled build solves with the same bits, a little faster.
-Only where numpy bundles no such library (a numpy not installed from the PyPI
-wheel) are they the f2py routines of scipy's compiled
+float64.  Binding them maps no second library, where loading scipy's
+``_flapack`` maps a second OpenBLAS, and the bundled build solves with the
+same bits.  Only where numpy bundles no such library (a numpy not installed
+from the PyPI wheel) are they the f2py routines of scipy's compiled
 ``scipy/linalg/_flapack`` module, loaded alone: importing ``scipy.linalg``
-runs its whole package ``__init__``, which cost more of ``import stretchgrid``
-(≈0.25 s and ≈20 MB) than the package itself.  That module has no dlagtm, so
+runs its whole package ``__init__``, which costs more of ``import
+stretchgrid`` than the package itself.  That module has no dlagtm, so
 there the product is numpy's, summed in dlagtm's order for its bits.  Either
 way ``dgttrf`` and ``dpttrf`` keep the f2py signatures, and ``_solver``,
 ``_ldl_solver`` and ``_product`` make a factored system's in-place solve and
@@ -50,20 +48,22 @@ a band set's product.  The routines, the library's path and the product's
 source are logged at DEBUG level when the module loads, and the path again in
 every march's record, beside each stack's solve (``ldl`` or ``lu``).
 
-``march`` marches independent blocks at the same time on ``workers()``
-threads, the calling thread among them.  It deals the blocks out costliest
-(nodes x N) first, each to the thread with the least work so far, and each
-thread stacks its own blocks per (dt, N) and marches those stacks.  A solve
-releases the GIL for the whole LAPACK call (a ``ctypes.CDLL`` call does, as
-the f2py routine does), and numpy releases it inside the array loops on long
-vectors, so the serial recurrences of two large systems run on two cores;
-the Python of the step loop holds it, which is why small stacks gain little.
-``_threads`` holds the thread policy, shared with ``gridgen``'s map
-evaluation, and runs every thread under the caller's ``np.geterr()``.  Every
-block's values, or the exception that fails it, are those of its own march,
-on any number of threads.  A zero pivot
+``march`` marches independent blocks at the same time in ``workers()``
+parts.  It deals the blocks out costliest (nodes x N) first, each to the part
+with the least work so far, and each part stacks its own blocks per (dt, N)
+and marches those stacks.  Part 0 marches in the calling thread.  On Linux
+each other part marches in a process forked for the march, and elsewhere on
+a thread (``_threads`` holds this policy, shared with ``gridgen``'s map
+evaluation).  Threads would share the GIL: a step releases it for each
+LAPACK call and inside numpy's loops on long vectors and takes it back for
+the Python between them, so two parts stepping on two threads hand it back
+and forth at every step and each waits on the other, where a forked part
+waits on nothing.  Every part runs under the caller's ``np.geterr()``, and
+every block's values, or the exception that fails it, are those of its own
+march, in any number of parts, threads or processes.  A zero pivot
 (``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
-both rise from the march, which returns each in its failing block's slot.
+both rise from the march, which returns each in its failing block's slot;
+both survive pickling, as a forked part's results must.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _threads
+from ._threads import LostPartError  # noqa: F401 - march raises it
 from ._threads import run_parts, workers
 from .gridgen import Grid
 
@@ -317,9 +319,15 @@ _BDF2_RATIO = BDF2_NEW / BDF2_OLD
 
 
 class SingularSystemError(np.linalg.LinAlgError):
+    """A zero pivot, or a ghost row that cannot be eliminated: ``row`` is
+    its row in the system that was factored (a stack's, not its block's)."""
+
     def __init__(self, row: int, message: str = ""):
         self.row = row
         super().__init__(message or f"zero pivot at row {row}")
+
+    def __reduce__(self):
+        return type(self), (self.row, str(self)), self.__dict__
 
 
 class NonFiniteValueError(FloatingPointError):
@@ -330,6 +338,9 @@ class NonFiniteValueError(FloatingPointError):
         self.tau = tau
         super().__init__(f"fdm: non-finite value after TR-BDF2 step {step} "
                          f"(time to maturity {tau:g})")
+
+    def __reduce__(self):
+        return type(self), (self.step, self.tau), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -526,12 +537,15 @@ class GhostBarrier:
             math.prod(barrier - s[k] for k in nodes if k != j)
             / math.prod(s[j] - s[k] for k in nodes if k != j) for j in nodes)
 
-    def stamp(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> float:
-        """Write the ghost row into its block's bands, a 3-point row's entry
-        two columns off the diagonal eliminated in place by ``factor`` times
-        the inner row, and return the factor (0 for a linear row): the ghost
-        row's rhs is then ``rebate - factor * rhs[inner]``."""
-        g, a, *far = self.nodes
+    def stamp(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+              start: int = 0) -> float:
+        """Write the ghost row into the bands of a system whose rows from
+        ``start`` on are its block's, a 3-point row's entry two columns off
+        the diagonal eliminated in place by ``factor`` times the inner row,
+        and return the factor (0 for a linear row): the ghost row's rhs is
+        then ``rebate - factor * rhs[inner]``.  A ``SingularSystemError``
+        names the system's rows."""
+        g, a, *far = (start + node for node in self.nodes)
         wg, wa, *w_far = self.weights
         # the band toward the interior, and the one away from it
         inward, outward = (lower, upper) if self.side is GhostSide.UP else (upper, lower)
@@ -805,7 +819,7 @@ class TrBdf2Stepper:
     kind) and pinned rows.
 
     ``Stack`` stamps and factors blocks that share dt and N, ``march``
-    deals blocks to threads that stack and march them, and ``run`` marches
+    deals blocks to parts that stack and march them, and ``run`` marches
     this block alone.
     """
 
@@ -927,7 +941,7 @@ class Stack:
         # the unscaled rhs of the rows a rule fixes: pins, then ghost rows
         fixed, folds = dict(pins), []
         for rows, hook in ghosts:
-            factor = hook.stamp(a_lower[rows], a_diag[rows], a_upper[rows])
+            factor = hook.stamp(a_lower, a_diag, a_upper, rows.start)
             fixed[rows.start + hook.ghost] = hook.rebate
             if factor != 0.0:
                 folds.append((rows.start + hook.ghost, rows.start + hook.inner, factor))
@@ -1019,21 +1033,21 @@ def _cost(block: TrBdf2Stepper) -> int:
 
 
 def _deal(blocks, width: int) -> list[list[list[int]]]:
-    """The indices of ``blocks`` dealt to ``width`` threads, each thread's
+    """The indices of ``blocks`` dealt to ``width`` parts, each part's
     grouped into the stacks it marches.
 
     Blocks go out costliest (nodes x N) first, the earlier of two equal
-    costs first, each to the thread with the least cost so far, the lowest
-    of tied threads (Graham's longest-processing-time rule).  Each thread
-    stacks its blocks per (dt, N); its stacks, and the blocks in each, keep
-    the order they were dealt in.
+    costs first, each to the part with the least cost so far, the lowest
+    of tied parts (Graham's longest-processing-time rule), so part 0 holds
+    the costliest block.  Each part stacks its blocks per (dt, N); its
+    stacks, and the blocks in each, keep the order they were dealt in.
     """
     loads = [0] * width
     stacks: list[dict[tuple[float, int], list[int]]] = [{} for _ in range(width)]
     for k in sorted(range(len(blocks)), key=lambda k: -_cost(blocks[k])):
-        thread = loads.index(min(loads))
-        loads[thread] += _cost(blocks[k])
-        stacks[thread].setdefault((blocks[k].dt, blocks[k].n_steps), []).append(k)
+        part = loads.index(min(loads))
+        loads[part] += _cost(blocks[k])
+        stacks[part].setdefault((blocks[k].dt, blocks[k].n_steps), []).append(k)
     return [list(by_time.values()) for by_time in stacks]
 
 
@@ -1041,32 +1055,40 @@ def march(pairs) -> list:
     """March (block, terminal payoff) ``pairs`` at the same time, and return,
     in the given order, each block's values or the exception that failed it.
 
-    The blocks are dealt to ``workers()`` threads, the calling thread among
-    them (see ``_deal``; with one worker no thread starts), and each thread
-    stacks and marches its own under the caller's numpy error state (see
-    ``_threads.run_parts``): one factorization per stack.  No thread calls
-    ``run``.  A one-block stack marches its block's terminal as it is (see
-    ``Stack.march``).  A stack that raises an ``Exception`` marches again
-    as two halves, each its own stack, until each failing block stands
-    alone with the exception of its own march; every other stack and thread
-    carries on.  An interrupt on the calling thread stops the others before
-    their next stack.  Each march logs the LAPACK library bound, its deal
-    with each stack's solve (``Stack.solve_kind``), the CPU seconds of each
-    thread and its wall seconds at DEBUG level on the ``stretchgrid.fdm``
-    logger.
+    The blocks are dealt to ``workers()`` parts (see ``_deal``), and each
+    part stacks and marches its own under the caller's numpy error state:
+    one factorization per stack.  Part 0, which holds the costliest block,
+    marches in the calling thread; on Linux each other part marches in a
+    process forked for this march, which sends its blocks' values (or
+    exceptions), its stacks' solve kinds and its CPU seconds back pickled,
+    and elsewhere on a thread of its own (see ``_threads.run_parts``; with
+    one part nothing starts).  Two parts on two threads would wait on each
+    other at every step for the GIL; two processes do not.  No part calls
+    ``run``.  A one-block stack marches its block's terminal as
+    it is (see ``Stack.march``).  A stack that raises an ``Exception``
+    marches again as two halves, each its own stack, until each failing
+    block stands alone with the exception of its own march; every other
+    stack and part carries on.  An interrupt of the calling thread kills
+    the forked parts, or stops the threads before their next stack, and
+    every child is reaped before ``march`` returns or raises; a forked part
+    that dies without a result raises ``LostPartError``.  Each march logs
+    the LAPACK library bound, its deal with where each part ran, its CPU
+    seconds and each of its stacks' solve (``Stack.solve_kind``), and its
+    wall seconds at DEBUG level on the ``stretchgrid.fdm`` logger.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     blocks = [block for block, _ in pairs]
     dealt = _deal(blocks, min(workers(), len(pairs)))
-    results: list = [None] * len(pairs)
-    cpu_s = [0.0] * len(dealt)
-    kinds: dict[tuple[int, ...], str] = {}
+    forked = _threads.FORK
 
-    def work(thread: int, stop):
+    def work(part: int, stop) -> tuple[list, dict, float]:
+        """The part's (block index, values or exception) pairs, its stacks'
+        solve kinds and its CPU seconds."""
         start = time.thread_time()
-        todo = dealt[thread][::-1]
+        todo = dealt[part][::-1]
+        slots, kinds = [], {}
         while todo and not stop.is_set():
             stack = todo.pop()
             try:
@@ -1083,20 +1105,24 @@ def march(pairs) -> list:
                     todo += [stack[half:], stack[:half]]
                     continue
                 marched = [exc]
-            for k, values in zip(stack, marched):
-                results[k] = values
-        cpu_s[thread] = time.thread_time() - start
+            slots += zip(stack, marched)
+        return slots, kinds, time.thread_time() - start
 
     began = time.perf_counter()
-    run_parts(work, len(dealt), "fdm-march")
+    done = run_parts(work, len(dealt), "fdm-march", fork=forked)
+    results: list = [None] * len(pairs)
+    for slots, _, _ in done:
+        for k, values in slots:
+            results[k] = values
     if log.isEnabledFor(logging.DEBUG):
-        threads = []
-        for thread, stacks in enumerate(dealt):
+        parts = []
+        for part, (stacks, (_, kinds, cpu_s)) in enumerate(zip(dealt, done)):
             shapes = ", ".join(f"stack(blocks={len(stack)}, nodes="
                                f"{sum(blocks[k].op.n for k in stack)}, "
                                f"N={blocks[stack[0]].n_steps}, "
                                f"solve={kinds.get(tuple(stack), 'none')})" for stack in stacks)
-            threads.append(f"thread {thread} ({cpu_s[thread]:.3f} s CPU) {shapes}")
+            where = "process" if forked and part else "thread"
+            parts.append(f"part {part} ({where}, {cpu_s:.3f} s CPU) {shapes}")
         log.debug("march of %d blocks in %.3f s wall, LAPACK from %s: %s", len(pairs),
-                  time.perf_counter() - began, _LAPACK, "; ".join(threads))
+                  time.perf_counter() - began, _LAPACK, "; ".join(parts))
     return results

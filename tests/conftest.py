@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 
-from stretchgrid import bench, fdm
+from stretchgrid import _threads, bench, fdm
 
 
 def set_workers(monkeypatch, width: int):
@@ -12,8 +12,16 @@ def set_workers(monkeypatch, width: int):
                         raising=False)
 
 
+def on_threads(monkeypatch):
+    """March every part on a thread, as off Linux, so that what a patched
+    function records in any part reaches this process."""
+    monkeypatch.setattr(_threads, "FORK", False)
+
+
 def record_stacks(monkeypatch) -> list:
-    """Record, for every stack as it is built, its thread's name and blocks."""
+    """Record, for every stack as it is built, its thread's name and blocks
+    (every part on a thread; see ``on_threads``)."""
+    on_threads(monkeypatch)
     stacks = []
     init = fdm.Stack.__init__
 

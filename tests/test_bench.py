@@ -2,16 +2,17 @@ import dataclasses
 import io
 from importlib import resources
 import math
+import os
 from pathlib import Path
 import threading
 import weakref
 
 import numpy as np
 import pytest
-from conftest import poison_row, record_stacks, set_workers
+from conftest import on_threads, poison_row, record_stacks, set_workers
 from hypothesis import given, settings, strategies as st
 
-from stretchgrid import bench, fdm, gridgen
+from stretchgrid import _threads, bench, fdm, gridgen
 from stretchgrid.bench import (ConfigError, ConvergenceReport, ConvergenceRow,
                                DomainFit, DomainSpec, bench_transforms, emit_csv,
                                emit_table_csv, load_bundled, parse_config_text,
@@ -475,8 +476,10 @@ class TestLockstepMarch:
         # Building factors nothing; each stack a thread marches is factored
         # once.  At width 2 table 3 marches its references two by two, then
         # deals its 16 rows into two stacks; table 4 stacks its rows beside
-        # the reference; tables 5 and 6 march each row's own N.
+        # the reference; tables 5 and 6 march each row's own N.  Every part
+        # runs on a thread, where the count sees it.
         set_workers(monkeypatch, 2)
+        on_threads(monkeypatch)
         calls = []
         factor = fdm._factor
         monkeypatch.setattr(fdm, "_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
@@ -530,8 +533,10 @@ class TestParallelMarch:
         # Table 4 at two workers: the reference marches on one thread, the 32
         # rows as one stack on the other.  A NaN in one row's payoff fails
         # that stack, which splits in halves down to the row: 1 + 2 x 5
-        # factors, beside the reference's one.
+        # factors, beside the reference's one (every part on a thread, where
+        # the count sees it).
         set_workers(monkeypatch, 2)
+        on_threads(monkeypatch)
         table = load_bundled(4)
         clean = dict(table.run())
         name, cfg = table.columns[0]
@@ -559,6 +564,8 @@ class TestParallelMarch:
                 assert row.failed or row.prices == want.prices
 
     def test_one_worker_starts_no_thread_and_keeps_the_csv(self, monkeypatch):
+        # Two workers start one part beside the calling thread: a forked
+        # process on Linux, a thread elsewhere.
         started = []
         start = threading.Thread.start
 
@@ -567,6 +574,9 @@ class TestParallelMarch:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
+        if _threads.FORK:
+            fork = os.fork
+            monkeypatch.setattr(os, "fork", lambda: started.append("fork") or fork())
         table = load_bundled(4)
         csv, threads = {}, {}
         for width in (1, 2):

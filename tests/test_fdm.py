@@ -4,19 +4,21 @@ import logging
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 import types
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import record_stacks, set_workers
+from conftest import on_threads, record_stacks, set_workers
 from hypothesis import assume, given, settings, strategies as st
 
-from stretchgrid import bench, fdm
+from stretchgrid import _threads, bench, fdm
 from stretchgrid.analytics import black_scholes_vanilla
 from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, AmericanProjection,
                              BarrierMode, BoundaryCondition, BoundaryKind,
@@ -812,13 +814,20 @@ def poisoned_march(draw):
     return pairs, poisoned
 
 
+# Where march parts run: on threads, and in forked processes where they may.
+PLACES = [False, True] if _threads.FORK else [False]
+needs_fork = pytest.mark.skipif(not _threads.FORK, reason="parts fork only on Linux")
+
+
 @settings(max_examples=100, deadline=None)
-@given(drawn=poisoned_march(), width=st.sampled_from([1, 2, 3]))
-def test_march_returns_each_blocks_own_values_or_error(drawn, width):
+@given(drawn=poisoned_march(), width=st.sampled_from([1, 2, 3]), fork=st.sampled_from(PLACES))
+def test_march_returns_each_blocks_own_values_or_error(drawn, width, fork):
     # Every slot holds what the block's own ``run`` gives: its values, or an
-    # exception of the same type and message.  A failed stack splits in
-    # halves, so one failing block in a k-block stack costs at most
-    # 2 ceil(log2 k) factors beyond the one of each dealt stack.
+    # exception of the same type, message and attributes, whether the other
+    # parts are forked or threads.  A failed stack splits in halves, so one
+    # failing block in a k-block stack costs at most 2 ceil(log2 k) factors
+    # beyond the one of each dealt stack (counted where every part is a
+    # thread of this process).
     pairs, poisoned = drawn
     solo = []
     for block, terminal in pairs:
@@ -829,6 +838,7 @@ def test_march_returns_each_blocks_own_values_or_error(drawn, width):
     factored = []
     with pytest.MonkeyPatch.context() as mp:
         set_workers(mp, width)
+        mp.setattr(_threads, "FORK", fork)
         factor = fdm._factor
         mp.setattr(fdm, "_factor", lambda *args: factored.append(1) or factor(*args))
         out = fdm.march(pairs)
@@ -836,10 +846,11 @@ def test_march_returns_each_blocks_own_values_or_error(drawn, width):
     for got, want in zip(out, solo):
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
+            assert vars(got) == vars(want)
         else:
             assert np.array_equal(got, want)
     failed = {k for k, want in enumerate(solo) if isinstance(want, Exception)}
-    if len(poisoned) == 1 and failed == poisoned:
+    if len(poisoned) == 1 and failed == poisoned and not (fork and width > 1):
         blocks = [block for block, _ in pairs]
         stacks = [stack for thread in fdm._deal(blocks, min(width, len(pairs)))
                   for stack in thread]
@@ -891,6 +902,7 @@ class TestParallel:
     @pytest.mark.parametrize("width, threads", [(1, 0), (2, 1), (3, 2), (8, 2)])
     def test_threads_started_count_the_calling_one(self, monkeypatch, width, threads):
         set_workers(monkeypatch, width)
+        on_threads(monkeypatch)
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
@@ -920,6 +932,7 @@ class TestParallel:
         # allows: every block is factored in exactly one stack, and a block
         # marched twice, or never, breaks the values.
         set_workers(monkeypatch, 8)
+        on_threads(monkeypatch)
         shapes = [(11 + k % 5, 2 + k % 3) for k in range(40)]
         pairs = self.pairs(*shapes)
         solo = [block.run(terminal) for block, terminal in pairs]
@@ -956,14 +969,16 @@ class TestParallel:
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("overflow_first", [True, False])
-    def test_every_thread_keeps_the_callers_error_state(self, monkeypatch, width,
-                                                         overflow_first):
+    @pytest.mark.parametrize("fork", PLACES)
+    def test_every_part_keeps_the_callers_error_state(self, monkeypatch, width,
+                                                       overflow_first, fork):
         # Under over="raise" a block whose knocked-out region's rebate
         # overflows the second substage's rhs fails alone with numpy's
-        # FloatingPointError.  Marched beside a costlier
-        # clean block it lands on another thread from two workers up, and
-        # must fail the same way there, not with the NonFiniteValueError of
-        # numpy's default state.
+        # FloatingPointError.  Marched beside a costlier clean block it lands
+        # in another part from two workers up, a thread or a forked process,
+        # and must fail the same way there, not with the NonFiniteValueError
+        # of numpy's default state.
+        monkeypatch.setattr(_threads, "FORK", fork)
         clean, (block, terminal) = self.pairs((41, 4), (21, 4))
         block = TrBdf2Stepper(block.grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
                               (DirichletRegion(18, 21, 1e308),))
@@ -980,8 +995,13 @@ class TestParallel:
         assert type(error) is type(solo.value) and str(error) == str(solo.value)
         assert np.array_equal(values, want)
 
-    def test_debug_record_lists_each_threads_stacks(self, monkeypatch, caplog):
+    @pytest.mark.parametrize("fork, where", [(False, "thread"),
+                                             pytest.param(True, "process", marks=needs_fork)])
+    def test_debug_record_lists_each_parts_stacks(self, monkeypatch, caplog, fork, where):
+        # Part 0 runs in the calling thread; part 1, forked or a thread,
+        # sends its CPU seconds and its stacks' solves back into the record.
         set_workers(monkeypatch, 2)
+        monkeypatch.setattr(_threads, "FORK", fork)
         pairs = self.pairs((11, 4), (21, 4), (11, 9), (31, 2))
         quiet = fdm.march(pairs)
         assert not [r for r in caplog.records if r.name == "stretchgrid.fdm"]
@@ -992,9 +1012,10 @@ class TestParallel:
         message = record.getMessage()
         assert re.fullmatch(
             r"march of 4 blocks in [0-9.]+ s wall, LAPACK from " + re.escape(str(fdm._LAPACK)) +
-            r": thread 0 \([0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
+            r": part 0 \(thread, [0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
             r"stack\(blocks=1, nodes=11, N=4, solve=ldl\); "
-            r"thread 1 \([0-9.]+ s CPU\) stack\(blocks=1, nodes=21, N=4, solve=ldl\), "
+            r"part 1 \(" + where + r", [0-9.]+ s CPU\) "
+            r"stack\(blocks=1, nodes=21, N=4, solve=ldl\), "
             r"stack\(blocks=1, nodes=31, N=2, solve=ldl\)", message), message
         for got, want in zip(logged, quiet):
             assert np.array_equal(got, want)
@@ -1007,6 +1028,160 @@ class TestParallel:
         assert fdm.workers() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert fdm.workers() == 1
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+class TestForkedParts:
+    """On Linux every part of a march but the first runs in a forked
+    process, and none outlives the march."""
+
+    pairs = TestParallel.pairs
+
+    def poisoned(self):
+        """A costly clean block, which part 0 marches, and two blocks that
+        fail in part 1 at two workers: a NaN and an unreducible ghost row."""
+        clean, nan = self.pairs((401, 8), (21, 4))
+        nan[1][10] = np.nan
+        return [clean, nan, (unreducible_block(np.linspace(50.0, 150.0, 11)), np.ones(11))]
+
+    def test_no_process_outlives_a_march_that_returns(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        pairs = self.pairs((41, 4), (21, 4), (11, 9))
+        solo = [block.run(terminal) for block, terminal in pairs]
+        out = fdm.march(pairs)
+        assert_no_child_left()
+        for got, want in zip(out, solo):
+            assert np.array_equal(got, want)
+
+    def test_a_childs_failed_block_returns_its_error_in_its_slot(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        pairs = self.poisoned()
+        assert fdm._deal([b for b, _ in pairs], 2) == [[[0]], [[1, 2]]]
+        solo = []
+        for block, terminal in pairs:
+            try:
+                solo.append(block.run(terminal))
+            except Exception as exc:  # noqa: BLE001 - compared with the march's slot
+                solo.append(exc)
+        out = fdm.march(pairs)
+        assert_no_child_left()
+        assert np.array_equal(out[0], solo[0])
+        assert [type(exc) for exc in out[1:]] == [NonFiniteValueError, SingularSystemError]
+        for got, want in zip(out[1:], solo[1:]):
+            assert type(got) is type(want) and str(got) == str(want)
+            assert vars(got) == vars(want)
+
+    @pytest.mark.parametrize("when", ["in part 0", "while waiting for part 1"])
+    def test_an_interrupt_in_the_calling_thread_kills_the_others(self, monkeypatch, when):
+        # The forked part would sleep a minute.  An interrupt in part 0, or
+        # one that arrives (by a timer) while the calling thread waits for
+        # part 1's result, kills it and reaps it at once.
+        set_workers(monkeypatch, 2)
+        parent, march = os.getpid(), Stack.march
+
+        def interrupted(system, v):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+            elif when == "in part 0":
+                raise KeyboardInterrupt
+            return march(system, v)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Stack, "march", interrupted)
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        began = time.perf_counter()
+        try:
+            if when != "in part 0":
+                signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                fdm.march(self.pairs((41, 4), (21, 4)))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.perf_counter() - began < 30.0
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("end, exitcode", [("exit", 3), ("kill", -9)])
+    def test_a_part_that_dies_without_a_result_is_named(self, monkeypatch, end, exitcode):
+        set_workers(monkeypatch, 2)
+        parent, march = os.getpid(), Stack.march
+
+        def dying(system, v):
+            if os.getpid() != parent:
+                if end == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), 9)
+            return march(system, v)
+
+        monkeypatch.setattr(Stack, "march", dying)
+        with pytest.raises(fdm.LostPartError) as err:
+            fdm.march(self.pairs((41, 4), (21, 4)))
+        assert_no_child_left()
+        assert (err.value.part, err.value.exitcode) == (1, exitcode)
+        assert str(err.value).startswith("fdm-march: part 1 ended without a result")
+
+    def test_a_result_that_does_not_pickle_raises_why(self, monkeypatch):
+        # The forked part's slot would hold an exception of a local class,
+        # which pickle cannot name: the part fails with pickle's error.
+        set_workers(monkeypatch, 2)
+        parent, march = os.getpid(), Stack.march
+
+        class Local(Exception):
+            pass
+
+        def failing(system, v):
+            if os.getpid() != parent:
+                raise Local
+            return march(system, v)
+
+        monkeypatch.setattr(Stack, "march", failing)
+        with pytest.raises(AttributeError, match="Can't pickle local object"):
+            fdm.march(self.pairs((41, 4), (21, 4)))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("width, pairs, forks", [
+        (1, 3, 0), (2, 1, 0),                 # one part forks nothing
+        (2, 3, 1), (3, 3, 2), (8, 3, 2)])
+    def test_processes_forked_count_the_calling_one(self, monkeypatch, width, pairs, forks):
+        set_workers(monkeypatch, width)
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        fdm.march(self.pairs(*[(11, 4)] * pairs))
+        assert len(forked) == forks
+
+    def test_processes_and_threads_give_the_same_bits(self, monkeypatch, caplog):
+        # Two parts: part 0 stacks a plain block with a ghost block, part 1
+        # an LU block with a plain one.
+        set_workers(monkeypatch, 2)
+        points = np.linspace(0.0, 100.0, 41)
+        lu = lu_block("peclet")
+        mkt, cfg = MarketParams(0.05, 0.0, 0.3), PdeConfig(4)
+        plain = TrBdf2Stepper(Grid(points), mkt, cfg, 1.0)
+        barrier = GhostBarrier(points, 71.3, BarrierMode.GHOST_LAGRANGE3, 0.5)
+        ghost = TrBdf2Stepper(Grid(points), mkt, PdeConfig(
+            4, barrier_mode=BarrierMode.GHOST_LAGRANGE3), 1.0,
+            (barrier, DirichletRegion(barrier.ghost + 1, points.size, 0.5)))
+        terminal = np.maximum(points - 50.0, 0.0)
+        pairs = [(block, terminal) for block in (plain, lu, ghost, plain)]
+        assert fdm._deal([b for b, _ in pairs], 2) == [[[0, 2]], [[1, 3]]]
+        caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
+        out = {}
+        for fork in (False, True):
+            monkeypatch.setattr(_threads, "FORK", fork)
+            out[fork] = fdm.march(pairs)
+        assert_no_child_left()
+        for got, want, (block, _) in zip(out[True], out[False], pairs):
+            assert got.tobytes() == want.tobytes() == block.run(terminal).tobytes()
+        solves = [re.findall(r"solve=([a-z+]+)\)", r.getMessage()) for r in caplog.records
+                  if r.name == "stretchgrid.fdm"]
+        assert solves[:2] == [["ldl", "lu+ldl"]] * 2
 
 
 class TestStack:
@@ -1131,6 +1306,20 @@ class TestStack:
         c = unreducible_block(np.linspace(50.0, 150.0, 11))
         with pytest.raises(SingularSystemError, match="cannot eliminate"):
             Stack([a, c, b])
+
+    def test_unreducible_ghost_row_names_the_stacks_rows(self):
+        # The middle block's ghost row 9, inner row 8 and second inner node
+        # 7 are rows 20, 19 and 18 of the stack, as a zero pivot's row is.
+        a, = self.steppers(4)
+        c = unreducible_block(np.linspace(50.0, 150.0, 11))
+        with pytest.raises(SingularSystemError) as alone:
+            Stack([c])
+        assert alone.value.row == 8
+        with pytest.raises(SingularSystemError) as err:
+            Stack([a, c, a])
+        assert err.value.row == 19
+        assert re.search(r"ghost row 20 of barrier .*: inner row 19 has no coupling to "
+                         r"node 18$", str(err.value)), str(err.value)
 
     def test_zero_pivot_lies_in_the_singular_block(self):
         # rows 11-21 of the stack, row 3 of the middle block zeroed
