@@ -17,11 +17,12 @@ import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .fdm import (BarrierMode, BoundaryCondition, BoundaryKind, MarketParams,
-                  PdeConfig, TrBdf2Stepper, workers)
+                  PdeConfig, TrBdf2Stepper, start, workers)
 from .gridgen import (Grid, StretchKind, StretchMap, StretchSpec, KnotRule,
                       build_map, sample_grid)
 from .instruments import (ContractSpec, ExerciseStyle, OptionType,
@@ -182,6 +183,16 @@ class _Pricing:
     prices: _Prices
 
 
+def _fill(prices: _Prices, points: np.ndarray, spots: tuple[float, ...], values):
+    """Interpolate a marched block's ``values`` on its grid ``points`` at
+    each spot into ``prices``, or record the exception that failed it."""
+    if isinstance(values, Exception):
+        prices.error = values
+    else:
+        interp = MonotoneCubic(points, values)
+        prices.update((s, float(interp(s))) for s in spots)
+
+
 def _march(pricings: list[_Pricing]):
     """March the pricings at the same time through one ``run`` of the first
     pricing's block, which calls ``fdm.march``, and fill their prices.  A
@@ -190,19 +201,27 @@ def _march(pricings: list[_Pricing]):
     values = pricings[0].stepper.run(
         [(pricing.stepper, pricing.terminal) for pricing in pricings])
     for pricing, block in zip(pricings, values):
-        if isinstance(block, Exception):
-            pricing.prices.error = block
-        else:
-            interp = MonotoneCubic(pricing.stepper.grid.points, block)
-            pricing.prices.update((s, float(interp(s))) for s in pricing.spots)
+        _fill(pricing.prices, pricing.stepper.grid.points, pricing.spots, block)
+
+
+class _Started(NamedTuple):
+    """A pricing whose march was started (``fdm.start``): the started march,
+    and only what interpolating its values needs."""
+
+    march: object
+    points: np.ndarray
+    spots: tuple[float, ...]
+    prices: _Prices
 
 
 class _TableCache:
-    """What the rows of one table share: stretch maps, and ``pending``, the
-    pricings queued to march together, in the order they were queued.
+    """What the pricings of one table share: stretch maps; ``pending``, the
+    pricings queued to march together, in the order they were queued; and
+    ``started``, the pricings whose march was started and not yet joined,
+    oldest first.
 
-    ``TableConfig.run`` keeps one cache for the references and every column,
-    so columns with equal stretch specs share their maps.  A map is keyed on
+    ``_sweep`` keeps one cache for the references and every column, so
+    columns with equal stretch specs share their maps.  A map is keyed on
     its spec and on ode_steps, which follows the resolution for
     Tavella-Randall maps and is ``None`` for every other kind.
     """
@@ -210,6 +229,7 @@ class _TableCache:
     def __init__(self):
         self._maps: dict[tuple, StretchMap] = {}
         self.pending: list[_Pricing] = []
+        self.started: list[_Started] = []
 
     def get(self, spec: StretchSpec, steps: int) -> StretchMap:
         ode_steps = (max(16, 8 * steps) if spec.kind is StretchKind.TAVELLA_RANDALL
@@ -225,6 +245,38 @@ class _TableCache:
         pricings, self.pending = self.pending, []
         if pricings:
             _march(pricings)
+
+    def start(self):
+        """Start each pending pricing's march on its own (``fdm.start``), and
+        empty the queue.  While ``workers()`` started marches are not yet
+        joined, the oldest is joined first, so no more march at once.  Only
+        the block's grid points stay here, not its block or terminal."""
+        while self.pending:
+            pricing = self.pending.pop(0)
+            if len(self.started) >= workers():
+                self.join(1)
+            self.started.append(_Started(start([(pricing.stepper, pricing.terminal)]),
+                                         pricing.stepper.grid.points, pricing.spots,
+                                         pricing.prices))
+
+    def join(self, count: int | None = None):
+        """Join the ``count`` oldest started marches (every one by default)
+        and fill their prices.  A march that ends without a result (its
+        process killed, say) records that error as its pricing's."""
+        for _ in range(len(self.started) if count is None else count):
+            started = self.started[0]
+            try:
+                values, = started.march.result()
+            except Exception as exc:  # noqa: BLE001 - the pricing's own error
+                values = exc
+            _fill(started.prices, started.points, started.spots, values)
+            self.started.pop(0)
+
+    def cancel(self):
+        """Cancel every started march not yet joined (see ``fdm.start``):
+        each child is killed and reaped, each thread stopped and joined."""
+        while self.started:
+            self.started.pop().march.cancel()
 
 
 def build_run_grid(config: RunConfig, steps: int, cache: _TableCache | None = None) -> Grid:
@@ -269,50 +321,70 @@ def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -
 
 
 def _reference(config: RunConfig, cache: _TableCache) -> dict[float, float]:
-    """Queue ``config``'s reference pricing.  The cache marches as soon as it
-    holds ``workers()`` pricings, which are all references (every reference
-    is queued before any row), so no more are ever alive at once.  A
-    reference that fails to build raises ``PricingError`` naming it."""
+    """Build ``config``'s reference pricing and march it.  With one worker
+    it marches at once, in the calling process.  With more, its march starts
+    the moment its block is built (see ``_TableCache.start``: in a forked
+    process on Linux, on a thread elsewhere), while the caller builds the
+    next grids; ``_sweep`` joins it last.  A reference that fails to build
+    raises ``PricingError`` naming it."""
     try:
         prices = price_run(config, config.reference_steps, cache)
     except Exception as exc:
         failed = _Prices(config, config.reference_steps)
         failed.error = exc
         raise PricingError(failed.message()) from exc
-    if len(cache.pending) >= workers():
+    if workers() == 1:
         cache.march()
+    else:
+        cache.start()
     return prices
 
 
-def _sweep(jobs: list[tuple[RunConfig, dict[float, float] | None]],
-           cache: _TableCache) -> list[ConvergenceReport]:
-    """One report per (config, reference prices or None) job.
+def _sweep(configs: list[RunConfig],
+           reference: RunConfig | dict[float, float] | None = None) -> list[ConvergenceReport]:
+    """One report per config, each against ``reference``: prices given for
+    every config, a ``RunConfig`` whose reference every config shares, or,
+    with ``None``, each config's own reference.
 
-    Each missing reference is queued, then every sweep row of every job; the
-    queued pricings march together, dealt to ``workers()`` parts.  A row
+    One ``_TableCache`` serves the whole sweep.  Each missing reference is
+    built and marched (see ``_reference``); then every sweep row of every
+    config is built and queued, and the rows march together through one
+    ``fdm.march``, dealt to the parts that the references still marching
+    leave; the started references are joined last.  A row
     that fails to build or to march is marked failed instead of aborting; a
-    failed reference raises ``PricingError``.  Either names its column and I.
+    failed reference raises ``PricingError``.  Either names its column and
+    I.  When the sweep exits by an exception (a reference that fails to
+    build, an interrupt), every started march is cancelled, its process
+    killed and reaped, before the exception leaves.
     """
-    references = [_reference(config, cache) if reference is None else reference
-                  for config, reference in jobs]
-    queued = []
-    for config, _ in jobs:
-        rows = []
-        for steps in config.space_steps:
-            try:
-                prices = price_run(config, steps, cache)
-            except Exception as exc:  # noqa: BLE001 - cell-level fault isolation
-                prices = _Prices(config, steps)
-                prices.error = exc
-            rows.append((steps, prices))
-        queued.append(rows)
-    cache.march()
-    for reference in references:
-        error = _failure(reference)
+    cache = _TableCache()
+    try:
+        if isinstance(reference, RunConfig):
+            reference = _reference(reference, cache)
+        references = [_reference(config, cache) if reference is None else reference
+                      for config in configs]
+        queued = []
+        for config in configs:
+            rows = []
+            for steps in config.space_steps:
+                try:
+                    prices = price_run(config, steps, cache)
+                except Exception as exc:  # noqa: BLE001 - cell-level fault isolation
+                    prices = _Prices(config, steps)
+                    prices.error = exc
+                rows.append((steps, prices))
+            queued.append(rows)
+        cache.march()
+        cache.join()
+    except BaseException:
+        cache.cancel()
+        raise
+    for prices in references:
+        error = _failure(prices)
         if error is not None:
-            raise PricingError(reference.message()) from error
-    return [_report(config, reference, rows)
-            for (config, _), reference, rows in zip(jobs, references, queued)]
+            raise PricingError(prices.message()) from error
+    return [_report(config, prices, rows)
+            for config, prices, rows in zip(configs, references, queued)]
 
 
 def _report(config: RunConfig, reference_prices: dict[float, float],
@@ -338,13 +410,14 @@ def run_convergence(config: RunConfig,
 
     The reference is priced with the same stretch/placement recipe at
     ``reference_steps`` unless explicit reference prices are passed in (used
-    by table runs whose published reference is shared across columns).  The
-    reference and the sweep rows are queued in a fresh ``_TableCache`` and
-    march together; blocks that share (dt, N) in one part march as one
-    stacked system.  Failed resolutions are marked in the report instead of
-    aborting the sweep; a failed reference raises ``PricingError``.
+    by table runs whose published reference is shared across columns).
+    ``_sweep`` builds it and starts its march (with one worker, marches it)
+    before it builds the rows, which then march together, blocks that share
+    (dt, N) in one part as one stacked system; the reference is joined last.
+    Failed resolutions are marked in the report instead of aborting the
+    sweep; a failed reference raises ``PricingError``.
     """
-    return _sweep([(config, reference_prices)], _TableCache())[0]
+    return _sweep([config], reference_prices)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -667,19 +740,21 @@ class TableConfig:
     reference_column: str = ""
 
     def run(self) -> list[tuple[str, ConvergenceReport]]:
-        """Price every column's sweep with one ``_TableCache``: each reference
-        (the shared one, or one per column) and every sweep row of every
-        column is queued, and they march together through one ``fdm.march``,
-        which deals their blocks to ``workers()`` parts (see
-        ``_TableCache.march``)."""
-        cache = _TableCache()
-        shared: dict[float, float] | None = None
+        """Price every column's sweep with one ``_sweep``: each reference
+        (the shared one, or one per column) is built and its march started
+        at once (see ``_reference``); every sweep row of every column is then
+        built and queued, and the rows march together through one
+        ``fdm.march``, which deals their blocks to the ``workers()`` parts
+        less those the references still marching take; the references are
+        joined last."""
+        configs = [cfg for _, cfg in self.columns]
+        shared = None
         if self.reference_mode == "shared":
             by_name = dict(self.columns)
             if self.reference_column not in by_name:
                 raise ConfigError(f"reference column {self.reference_column!r} not defined")
-            shared = _reference(by_name[self.reference_column], cache)
-        reports = _sweep([(cfg, shared) for _, cfg in self.columns], cache)
+            shared = by_name[self.reference_column]
+        reports = _sweep(configs, shared)
         return [(name, report) for (name, _), report in zip(self.columns, reports)]
 
 

@@ -54,11 +54,12 @@ with the least work so far, and each part stacks its own blocks per (dt, N)
 and marches those stacks.  Part 0 marches in the calling thread.  On Linux
 each other part marches in a process forked for the march, and elsewhere on
 a thread (``_threads`` holds this policy, shared with ``gridgen``'s map
-evaluation).  Threads would share the GIL: a step releases it for each
-LAPACK call and inside numpy's loops on long vectors and takes it back for
-the Python between them, so two parts stepping on two threads hand it back
-and forth at every step and each waits on the other, where a forked part
-waits on nothing.  Every part runs under the caller's ``np.geterr()``, and
+evaluation).  ``start`` runs the same march as one such part, started now
+and joined later, so that the caller can build while it marches.  Threads
+would share the GIL: a step releases it for each LAPACK call and inside
+numpy's loops on long vectors and takes it back for the Python between them,
+so two parts stepping on two threads hand it back and forth at every step
+and each waits on the other, where a forked part waits on nothing.  Every part runs under the caller's ``np.geterr()``, and
 every block's values, or the exception that fails it, are those of its own
 march, in any number of parts, threads or processes.  A zero pivot
 (``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
@@ -1051,13 +1052,72 @@ def _deal(blocks, width: int) -> list[list[list[int]]]:
     return [list(by_time.values()) for by_time in stacks]
 
 
+def _shapes(blocks, dealt) -> list[list[tuple]]:
+    """Each part's stacks as (block indices, nodes, N), for the record."""
+    return [[(tuple(stack), sum(blocks[k].op.n for k in stack), blocks[stack[0]].n_steps)
+             for stack in stacks] for stacks in dealt]
+
+
+def _work(pairs: list, dealt: list):
+    """``march``'s part function over ``pairs`` dealt as ``dealt``:
+    ``work(part, stop)`` returns the part's (block index, values or
+    exception) pairs, its stacks' solve kinds and its CPU seconds."""
+
+    def work(part: int, stop) -> tuple[list, dict, float]:
+        start = time.thread_time()
+        todo = dealt[part][::-1]
+        slots, kinds = [], {}
+        while todo and not stop.is_set():
+            stack = todo.pop()
+            try:
+                system = Stack(pairs[k][0] for k in stack)
+                kinds[tuple(stack)] = system.solve_kind
+                if len(stack) == 1:
+                    terminal = pairs[stack[0]][1]
+                else:
+                    terminal = np.concatenate([pairs[k][1] for k in stack], dtype=float)
+                marched = system.split(system.march(terminal))
+            except Exception as exc:  # noqa: BLE001 - returned in its block's slot
+                if len(stack) > 1:   # its halves march next, the first half first
+                    half = len(stack) // 2
+                    todo += [stack[half:], stack[:half]]
+                    continue
+                marched = [exc]
+            slots += zip(stack, marched)
+        return slots, kinds, time.thread_time() - start
+
+    return work
+
+
+def _gather(done: list, shapes: list, places: list, heading: str) -> list:
+    """The blocks' values or exceptions, in their given order, from each
+    part's ``_work`` outcome in ``done``.  Logs the march's record at DEBUG
+    level: ``heading``, the LAPACK library bound, and each part's place
+    (``places``), CPU seconds and stacks."""
+    results: list = [None] * sum(len(stack) for stacks in shapes for stack, _, _ in stacks)
+    for slots, _, _ in done:
+        for k, values in slots:
+            results[k] = values
+    if log.isEnabledFor(logging.DEBUG):
+        parts = []
+        for part, (stacks, (_, kinds, cpu_s), where) in enumerate(zip(shapes, done, places)):
+            described = ", ".join(f"stack(blocks={len(stack)}, nodes={nodes}, N={n_steps}, "
+                                  f"solve={kinds.get(stack, 'none')})"
+                                  for stack, nodes, n_steps in stacks)
+            parts.append(f"part {part} ({where}, {cpu_s:.3f} s CPU) {described}")
+        log.debug("%s, LAPACK from %s: %s", heading, _LAPACK, "; ".join(parts))
+    return results
+
+
 def march(pairs) -> list:
     """March (block, terminal payoff) ``pairs`` at the same time, and return,
     in the given order, each block's values or the exception that failed it.
 
-    The blocks are dealt to ``workers()`` parts (see ``_deal``), and each
-    part stacks and marches its own under the caller's numpy error state:
-    one factorization per stack.  Part 0, which holds the costliest block,
+    The blocks are dealt to ``workers()`` parts, less one for each march
+    ``start`` began and no one has joined or cancelled yet, and at least one
+    (see ``_deal``), so the march leaves those their CPUs.  Each part stacks
+    and marches its own under the caller's numpy error state: one
+    factorization per stack.  Part 0, which holds the costliest block,
     marches in the calling thread; on Linux each other part marches in a
     process forked for this march, which sends its blocks' values (or
     exceptions), its stacks' solve kinds and its CPU seconds back pickled,
@@ -1075,54 +1135,68 @@ def march(pairs) -> list:
     the LAPACK library bound, its deal with where each part ran, its CPU
     seconds and each of its stacks' solve (``Stack.solve_kind``), and its
     wall seconds at DEBUG level on the ``stretchgrid.fdm`` logger.
+    ``start`` runs the same march as one part that the caller joins later.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     blocks = [block for block, _ in pairs]
-    dealt = _deal(blocks, min(workers(), len(pairs)))
+    dealt = _deal(blocks, min(max(1, workers() - len(_running)), len(pairs)))
     forked = _threads.FORK
-
-    def work(part: int, stop) -> tuple[list, dict, float]:
-        """The part's (block index, values or exception) pairs, its stacks'
-        solve kinds and its CPU seconds."""
-        start = time.thread_time()
-        todo = dealt[part][::-1]
-        slots, kinds = [], {}
-        while todo and not stop.is_set():
-            stack = todo.pop()
-            try:
-                system = Stack(blocks[k] for k in stack)
-                kinds[tuple(stack)] = system.solve_kind
-                if len(stack) == 1:
-                    terminal = pairs[stack[0]][1]
-                else:
-                    terminal = np.concatenate([pairs[k][1] for k in stack], dtype=float)
-                marched = system.split(system.march(terminal))
-            except Exception as exc:  # noqa: BLE001 - returned in its block's slot
-                if len(stack) > 1:   # its halves march next, the first half first
-                    half = len(stack) // 2
-                    todo += [stack[half:], stack[:half]]
-                    continue
-                marched = [exc]
-            slots += zip(stack, marched)
-        return slots, kinds, time.thread_time() - start
-
     began = time.perf_counter()
-    done = run_parts(work, len(dealt), "fdm-march", fork=forked)
-    results: list = [None] * len(pairs)
-    for slots, _, _ in done:
-        for k, values in slots:
-            results[k] = values
-    if log.isEnabledFor(logging.DEBUG):
-        parts = []
-        for part, (stacks, (_, kinds, cpu_s)) in enumerate(zip(dealt, done)):
-            shapes = ", ".join(f"stack(blocks={len(stack)}, nodes="
-                               f"{sum(blocks[k].op.n for k in stack)}, "
-                               f"N={blocks[stack[0]].n_steps}, "
-                               f"solve={kinds.get(tuple(stack), 'none')})" for stack in stacks)
-            where = "process" if forked and part else "thread"
-            parts.append(f"part {part} ({where}, {cpu_s:.3f} s CPU) {shapes}")
-        log.debug("march of %d blocks in %.3f s wall, LAPACK from %s: %s", len(pairs),
-                  time.perf_counter() - began, _LAPACK, "; ".join(parts))
-    return results
+    done = run_parts(_work(pairs, dealt), len(dealt), "fdm-march", fork=forked)
+    places = ["process" if forked and part else "thread" for part in range(len(dealt))]
+    return _gather(done, _shapes(blocks, dealt), places,
+                   f"march of {len(pairs)} blocks in {time.perf_counter() - began:.3f} s wall")
+
+
+class _Started:
+    """A march started by ``start``, marching while the caller goes on.
+
+    ``result()`` waits for it and returns what ``march`` would return (and
+    logs ``march``'s record, saying it was started in the background, in
+    this process); a part that ends without a result raises
+    ``LostPartError``.  ``cancel()`` ends it: the child is killed and
+    reaped, or the thread stopped after its stack and joined (see
+    ``_threads.Part``).  A forked march keeps here only what its record
+    needs, so the caller may drop the blocks and terminals it started.
+    """
+
+    def __init__(self, pairs):
+        pairs = list(pairs)
+        blocks = [block for block, _ in pairs]
+        dealt = _deal(blocks, 1)
+        self._count, self._shapes = len(pairs), _shapes(blocks, dealt)
+        self._place = "process" if _threads.FORK else "thread"
+        self._began = time.perf_counter()
+        self._part = _threads.Part(_work(pairs, dealt), 0, "fdm-start", fork=_threads.FORK)
+
+    def result(self) -> list:
+        try:
+            done = self._part.result()
+        finally:
+            _running.discard(self)
+        return _gather([done], self._shapes, [self._place],
+                       f"march of {self._count} blocks started in the background, joined after "
+                       f"{time.perf_counter() - self._began:.3f} s wall")
+
+    def cancel(self):
+        self._part.cancel()
+        _running.discard(self)
+
+
+# The marches ``start`` began that are not yet joined or cancelled: each
+# keeps a CPU busy, which ``march`` leaves to it.
+_running: set[_Started] = set()
+
+
+def start(pairs) -> _Started:
+    """Start ``march(pairs)`` as one part, the blocks stacked per (dt, N) as
+    ``march``'s one part would, and return at once: in a forked process on
+    Linux, elsewhere on a thread (see ``_threads.Part``).  Until it is
+    joined, by its ``result()``, or ended, by its ``cancel()`` (one of which
+    the caller must call), every ``march`` deals its blocks to one part
+    fewer, and to at least one."""
+    started = _Started(pairs)
+    _running.add(started)
+    return started

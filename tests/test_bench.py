@@ -4,7 +4,9 @@ from importlib import resources
 import math
 import os
 from pathlib import Path
+import signal
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -424,10 +426,53 @@ class TestMapCache:
         assert len(integrations) == 2 * shared_integrations
 
 
+def track_starts(monkeypatch) -> dict:
+    """Record the marches ``bench`` starts (``fdm.start``): ``nodes``, each
+    one's blocks' node counts; ``running``, how many are started and not
+    yet joined or cancelled; ``most``, the most running at once."""
+    seen = {"nodes": [], "running": 0, "most": 0}
+    real = bench.start
+
+    class Tracked:
+        def __init__(self, pairs):
+            self.started, self.ended = real(pairs), False
+
+        def end(self):
+            if not self.ended:
+                self.ended = True
+                seen["running"] -= 1
+
+        def result(self):
+            try:
+                return self.started.result()
+            finally:
+                self.end()
+
+        def cancel(self):
+            self.started.cancel()
+            self.end()
+
+    def start(pairs):
+        pairs = list(pairs)
+        seen["nodes"].append([block.op.n for block, _ in pairs])
+        seen["running"] += 1
+        seen["most"] = max(seen["most"], seen["running"])
+        return Tracked(pairs)
+
+    monkeypatch.setattr(bench, "start", start)
+    return seen
+
+
+# Where march parts run: on threads, and in forked processes where they may.
+PLACES = [False, True] if _threads.FORK else [False]
+needs_fork = pytest.mark.skipif(not _threads.FORK, reason="parts fork only on Linux")
+
+
 class TestLockstepMarch:
     """The calls the benchmark's row timer, grid-only stub and traced stepper
-    rely on: one ``price_run`` per row, and every march through one ``run``
-    of ``bench.TrBdf2Stepper``."""
+    rely on: one ``price_run`` per row, and every march but a started
+    reference's (``fdm.start``) through one ``run`` of
+    ``bench.TrBdf2Stepper``."""
 
     def count_calls(self, monkeypatch, price_run=None):
         runs: list[list[int]] = []
@@ -449,41 +494,58 @@ class TestLockstepMarch:
         return runs, calls
 
     def test_table_marches_reference_then_one_stack(self, monkeypatch):
-        # One worker: the shared reference marches alone (a cache holds at
-        # most one reference per worker), then the 32 rows as one stack.  Two
-        # workers: one run marches both, the reference on one thread and the
-        # 32 rows, which cost less, in one stack on the other.  Three: the
-        # rows are dealt to the two threads beside the reference.
+        # One worker: the shared reference marches alone, at once, then the
+        # 32 rows as one stack, each march one ``run`` in the calling thread.
+        # From two workers the reference's march starts on its own
+        # (``fdm.start``, here on the thread fdm-start-0) once its block is
+        # built, and one ``run`` marches the 32 rows in the parts the
+        # reference leaves, ``width - 1``, one stack each: at two workers
+        # the 32 rows as one stack in the calling thread.
         runs, calls = self.count_calls(monkeypatch)
         stacks = record_stacks(monkeypatch)
+        starts = track_starts(monkeypatch)
         table = load_bundled(4)
         rows = sum(len(cfg.space_steps) for _, cfg in table.columns)
         assert rows == 32
-        for width, want, sizes in ((1, [1, rows], [1, rows]), (2, [rows + 1], [1, rows]),
-                                   (3, [rows + 1], [1, rows // 2, rows // 2])):
+        reference = dict(table.columns)[table.reference_column]
+        nodes = bench.build_run_grid(reference, reference.reference_steps).points.size
+        for width in (1, 2, 3):
             set_workers(monkeypatch, width)
             runs.clear()
             calls.clear()
             stacks.clear()
+            starts["nodes"].clear()
             results = table.run()
             assert len(calls) == rows + 1        # the shared reference, then each row
-            assert runs == want, width
-            assert sorted(len(blocks) for _, blocks in stacks) == sizes, width
-            assert len({thread for thread, _ in stacks}) == width
             assert not any(row.failed for _, report in results for row in report.rows)
+            sizes = sorted(len(blocks) for _, blocks in stacks)
+            if width == 1:
+                assert runs == [1, rows] and starts["nodes"] == []
+                assert sizes == [1, rows]
+                assert {thread for thread, _ in stacks} == {threading.current_thread().name}
+                continue
+            assert runs == [rows], width
+            assert starts["nodes"] == [[nodes]]
+            started = [blocks for thread, blocks in stacks if thread == "fdm-start-0"]
+            assert [[block.op.n for block in blocks] for blocks in started] == [[nodes]]
+            dealt = [(thread, blocks) for thread, blocks in stacks if thread != "fdm-start-0"]
+            assert len(dealt) == len({thread for thread, _ in dealt}) == width - 1
+            assert sum(len(blocks) for _, blocks in dealt) == rows
 
     def test_each_marched_part_is_factored_once(self, monkeypatch):
-        # Building factors nothing; each stack a thread marches is factored
-        # once.  At width 2 table 3 marches its references two by two, then
-        # deals its 16 rows into two stacks; table 4 stacks its rows beside
-        # the reference; tables 5 and 6 march each row's own N.  Every part
-        # runs on a thread, where the count sees it.
+        # Building factors nothing; each stack a part marches is factored
+        # once.  At width 2 table 3 starts its four references' marches, one
+        # stack each, and marches its 16 rows as one stack beside the two
+        # still running; table 4 starts its reference's and marches its 32
+        # rows as one stack; tables 5 and 6 start their reference's and
+        # stack their rows per N.  Every part runs on a thread, where the
+        # count sees it.
         set_workers(monkeypatch, 2)
         on_threads(monkeypatch)
         calls = []
         factor = fdm._factor
         monkeypatch.setattr(fdm, "_factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
-        for number, stacks in ((3, 6), (4, 2), (5, 5), (6, 5)):
+        for number, stacks in ((3, 5), (4, 2), (5, 5), (6, 5)):
             calls.clear()
             results = load_bundled(number).run()
             assert not any(row.failed for _, report in results for row in report.rows)
@@ -499,17 +561,19 @@ class TestLockstepMarch:
             return {s: 0.0 for s in config.report_spots}
 
         runs, calls = self.count_calls(monkeypatch, grid_only)
+        starts = track_starts(monkeypatch)
         load_bundled(4).run()
         assert len(calls) == 33
-        assert runs == []
+        assert runs == [] and starts["nodes"] == []
 
 
 class TestParallelMarch:
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_non_finite_part_fails_only_its_row(self, monkeypatch, width):
-        # With three workers both per-column references and the rows march
-        # in one run; the NaN fails the poisoned block's stack, which splits
-        # until that block stands alone, and every other block's values stand.
+        # From two workers both per-column references' marches start on
+        # their own and the rows march in one run; the NaN fails the poisoned
+        # block's stack, which splits until that block stands alone, and
+        # every other block's values stand.
         set_workers(monkeypatch, width)
         table = parse_table_config(parse_config_text(TWO_COLUMNS))
         poisoned = poison_row(monkeypatch, 33)
@@ -530,15 +594,16 @@ class TestParallelMarch:
                     assert row.prices == bench.price_run(cfg, row.steps)
 
     def test_poisoned_row_splits_only_its_stack(self, monkeypatch):
-        # Table 4 at two workers: the reference marches on one thread, the 32
-        # rows as one stack on the other.  A NaN in one row's payoff fails
-        # that stack, which splits in halves down to the row: 1 + 2 x 5
-        # factors, beside the reference's one (every part on a thread, where
-        # the count sees it).
+        # Table 4 at two workers: the reference's march starts on its own,
+        # and the 32 rows march as one stack in the part it leaves.  A NaN
+        # in one row's payoff fails that stack, which splits in halves down
+        # to the row: 1 + 2 x 5 factors, beside the reference's one (every
+        # part on a thread, where the count sees it).
         set_workers(monkeypatch, 2)
-        on_threads(monkeypatch)
+        stacks = record_stacks(monkeypatch)
         table = load_bundled(4)
         clean = dict(table.run())
+        assert sorted(len(blocks) for _, blocks in stacks) == [1, 32]
         name, cfg = table.columns[0]
         reference = dict(table.columns)[table.reference_column]
         nodes = bench.build_run_grid(reference, reference.reference_steps).points.size
@@ -557,15 +622,18 @@ class TestParallelMarch:
         assert failed == [(name, cfg.space_steps[0],
                            f"{name}, I = {cfg.space_steps[0]}: {solo.value}")]
         assert factored.count(nodes) == 1
-        assert len(factored) <= 12
+        assert len(factored) <= 1 + 1 + 2 * 5
         for column, report in results:
             assert report.reference == clean[column].reference
             for row, want in zip(report.rows, clean[column].rows):
                 assert row.failed or row.prices == want.prices
 
     def test_one_worker_starts_no_thread_and_keeps_the_csv(self, monkeypatch):
-        # Two workers start one part beside the calling thread: a forked
-        # process on Linux, a thread elsewhere.
+        # One worker starts nothing.  Two start the reference's march, a
+        # forked process on Linux and a thread elsewhere or with ``FORK``
+        # off, and march the rows in the calling thread, which the reference
+        # leaves them.  The CSV bytes are the same at either width, forked
+        # or not.
         started = []
         start = threading.Thread.start
 
@@ -578,43 +646,183 @@ class TestParallelMarch:
             fork = os.fork
             monkeypatch.setattr(os, "fork", lambda: started.append("fork") or fork())
         table = load_bundled(4)
-        csv, threads = {}, {}
-        for width in (1, 2):
-            set_workers(monkeypatch, width)
-            started.clear()
-            buf = io.BytesIO()
-            emit_table_csv(table.run(), buf)
-            csv[width], threads[width] = buf.getvalue(), len(started)
-        assert threads == {1: 0, 2: 1}           # the reference beside the stack
-        assert csv[1] == csv[2]
+        csv, parts = {}, {}
+        for place in PLACES:
+            monkeypatch.setattr(_threads, "FORK", place)
+            for width in (1, 2):
+                set_workers(monkeypatch, width)
+                started.clear()
+                buf = io.BytesIO()
+                emit_table_csv(table.run(), buf)
+                csv[place, width], parts[place, width] = buf.getvalue(), len(started)
+        assert parts == {(place, width): width - 1 for place, width in parts}
+        assert len(set(csv.values())) == 1
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_no_march_holds_more_than_w_references(self, monkeypatch, width):
-        # Three columns, each with its own reference (64 intervals).
+        # Three columns, each with its own reference (64 intervals).  One
+        # worker marches each reference at once, through ``run``.  More start
+        # each reference's march as soon as its block is built, and join the
+        # oldest first while ``width`` are running.  Either way each
+        # reference marches once, and no more than ``width`` at once.
         set_workers(monkeypatch, width)
-        alive = weakref.WeakSet()
-        most_alive: list[int] = []
-        runs: list[list[int]] = []
+        starts = track_starts(monkeypatch)
+        runs: list[int] = []
 
         class Tracking(bench.TrBdf2Stepper):
-            def __init__(self, grid, *args, **kwargs):
-                super().__init__(grid, *args, **kwargs)
-                if grid.points.size == 65:
-                    alive.add(self)
-                    most_alive.append(len(alive))
-
             def run(self, terminal):
-                runs.append([1 for block, _ in terminal if block.op.n == 65])
+                runs.append(sum(block.op.n == 65 for block, _ in terminal))
                 return super().run(terminal)
 
         monkeypatch.setattr(bench, "TrBdf2Stepper", Tracking)
         text = TWO_COLUMNS.replace("columns = plain, stretched",
                                    "columns = plain, stretched, again")
         results = parse_table_config(parse_config_text(text)).run()
-        assert len(most_alive) == 3 and max(most_alive) == min(width, 3)
-        assert sum(map(len, runs)) == 3
-        assert all(len(refs) <= width for refs in runs)
         assert not any(row.failed for _, report in results for row in report.rows)
+        if width == 1:
+            assert runs == [1, 1, 1, 0] and starts["nodes"] == []
+        else:
+            assert sum(runs) == 0 and starts["nodes"] == [[65]] * 3
+            assert starts["most"] == min(width, 3)
+        assert starts["running"] == 0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+class TestStartedReferences:
+    """From two workers on Linux each reference marches in a forked process
+    started as soon as its block is built; none outlives the table run."""
+
+    def sleeping_children(self, monkeypatch) -> float:
+        """Make every stack a child marches sleep a minute; returns the time
+        now, against which a test checks that it did not wait for them."""
+        parent, march = os.getpid(), fdm.Stack.march
+
+        def sleeping(system, v):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+            return march(system, v)
+
+        monkeypatch.setattr(fdm.Stack, "march", sleeping)
+        return time.perf_counter()
+
+    def test_a_reference_starts_before_the_first_row_grid_is_built(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        events = []
+        fork, build = os.fork, bench.build_run_grid
+
+        def forking():
+            pid = fork()
+            if pid:
+                events.append("fork")
+            return pid
+
+        def building(config, steps, cache=None):
+            events.append(steps)
+            return build(config, steps, cache)
+
+        monkeypatch.setattr(os, "fork", forking)
+        monkeypatch.setattr(bench, "build_run_grid", building)
+        table = load_bundled(6)
+        table.run()
+        assert_no_child_left()
+        reference = table.columns[0][1].reference_steps
+        assert events[:2] == [reference, "fork"]
+        assert reference not in events[2:]
+        assert events.count("fork") == 1    # the rows march in the part it leaves, here
+
+    def test_a_reference_that_fails_to_build_cancels_the_started_ones(self, monkeypatch):
+        # The first column's reference marches (a minute) while the second
+        # one's grid fails: the PricingError names it, and the started
+        # march is killed and reaped before it leaves.
+        set_workers(monkeypatch, 2)
+        build = bench.build_run_grid
+
+        def failing(config, steps, cache=None):
+            if config.label == "stretched" and steps == config.reference_steps:
+                raise ValueError("no grid")
+            return build(config, steps, cache)
+
+        monkeypatch.setattr(bench, "build_run_grid", failing)
+        began = self.sleeping_children(monkeypatch)
+        with pytest.raises(bench.PricingError, match=r"^stretched, I = 64: no grid$"):
+            parse_table_config(parse_config_text(TWO_COLUMNS)).run()
+        assert time.perf_counter() - began < 30.0
+        assert_no_child_left()
+
+    def test_an_interrupt_during_a_row_build_cancels_the_started_ones(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        build = bench.build_run_grid
+
+        def interrupted(config, steps, cache=None):
+            if steps == config.space_steps[0]:
+                raise KeyboardInterrupt
+            return build(config, steps, cache)
+
+        monkeypatch.setattr(bench, "build_run_grid", interrupted)
+        began = self.sleeping_children(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            parse_table_config(parse_config_text(TWO_COLUMNS)).run()
+        assert time.perf_counter() - began < 30.0
+        assert_no_child_left()
+
+    def test_a_killed_reference_march_is_a_pricing_error(self, monkeypatch):
+        # Each reference's process kills itself; the rows (17 and 33 nodes,
+        # stacked in pairs) march on.  The first column's reference fails
+        # the table, named, with the lost part as its cause.
+        set_workers(monkeypatch, 2)
+        parent, march = os.getpid(), fdm.Stack.march
+
+        def dying(system, v):
+            if os.getpid() != parent and v.size == 65:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return march(system, v)
+
+        monkeypatch.setattr(fdm.Stack, "march", dying)
+        with pytest.raises(bench.PricingError) as err:
+            parse_table_config(parse_config_text(TWO_COLUMNS)).run()
+        assert_no_child_left()
+        assert isinstance(err.value.__cause__, fdm.LostPartError)
+        assert str(err.value) == ("plain, I = 64: fdm-start: part 0 ended without a result "
+                                  "(killed by signal 9)")
+
+    def test_a_started_reference_keeps_only_its_points_here(self, monkeypatch):
+        # Once a reference's march is started in its own process, this one
+        # drops the reference's block and terminal: when the rows are built,
+        # none of the three is alive here.
+        set_workers(monkeypatch, 2)
+        alive, seen = [], []
+        payoff, price_run = bench.payoff, bench.price_run
+
+        class Tracking(bench.TrBdf2Stepper):
+            def __init__(self, grid, *args, **kwargs):
+                super().__init__(grid, *args, **kwargs)
+                if grid.points.size == 65:
+                    alive.append(weakref.ref(self))
+
+        def tracking_payoff(contract, grid):
+            values = payoff(contract, grid)
+            if grid.points.size == 65:
+                alive.append(weakref.ref(values))
+            return values
+
+        def counting_price_run(config, steps, cache=None):
+            if steps != config.reference_steps:
+                seen.append(sum(ref() is not None for ref in alive))
+            return price_run(config, steps, cache)
+
+        monkeypatch.setattr(bench, "TrBdf2Stepper", Tracking)
+        monkeypatch.setattr(bench, "payoff", tracking_payoff)
+        monkeypatch.setattr(bench, "price_run", counting_price_run)
+        text = TWO_COLUMNS.replace("columns = plain, stretched",
+                                   "columns = plain, stretched, again")
+        results = parse_table_config(parse_config_text(text)).run()
+        assert not any(row.failed for _, report in results for row in report.rows)
+        assert len(alive) == 6 and seen == [0] * 6
 
 
 # Table 3's shape at a tenth of its grid sizes: four columns, each with its
@@ -627,9 +835,14 @@ SMALL_TABLE_3 = load_bundled_text("discrete_ko_stretch_placed.cfg").replace(
 
 class TestDeal:
     def test_table_3_rows_split_into_two_balanced_stacks(self, monkeypatch):
-        set_workers(monkeypatch, 2)
+        # Three workers, and one reference (shared by the four columns)
+        # marching on its own: the 16 rows, which share dt and N, are dealt
+        # to the two parts it leaves, in two stacks whose costs differ by no
+        # more than the costliest row's.
+        set_workers(monkeypatch, 3)
         stacks = record_stacks(monkeypatch)
-        table = parse_table_config(parse_config_text(SMALL_TABLE_3))
+        table = parse_table_config(parse_config_text(
+            SMALL_TABLE_3 + "sweep.reference_mode = shared\n"))
         results = table.run()
         assert not any(row.failed for _, report in results for row in report.rows)
         reference = table.columns[0][1].reference_steps
@@ -639,7 +852,7 @@ class TestDeal:
 
         rows = [(thread, blocks) for thread, blocks in stacks
                 if all(block.op.n < reference for block in blocks)]
-        assert len(stacks) == 6 and len(rows) == 2
+        assert len(stacks) == 3 and len(rows) == 2
         assert {thread for thread, _ in rows} == {threading.current_thread().name,
                                                   "fdm-march-1"}
         assert sum(len(blocks) for _, blocks in rows) == 16

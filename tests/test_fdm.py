@@ -1020,6 +1020,52 @@ class TestParallel:
         for got, want in zip(logged, quiet):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("fork, where", [(False, "thread"),
+                                             pytest.param(True, "process", marks=needs_fork)])
+    def test_a_started_march_returns_the_march_and_its_record(self, monkeypatch, caplog,
+                                                              fork, where):
+        # ``start`` marches every block in one part, stacked as one part of
+        # ``march`` would stack them, and its result logs the record here.
+        monkeypatch.setattr(_threads, "FORK", fork)
+        set_workers(monkeypatch, 1)
+        pairs = self.pairs((11, 4), (21, 4), (11, 9))
+        want = fdm.march(pairs)
+        caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
+        started = fdm.start(pairs)
+        got = started.result()
+        assert_no_child_left()
+        for values, expected in zip(got, want):
+            assert values.tobytes() == expected.tobytes()
+        record, = [r for r in caplog.records if r.name == "stretchgrid.fdm"]
+        message = record.getMessage()
+        assert re.fullmatch(
+            r"march of 3 blocks started in the background, joined after [0-9.]+ s wall, "
+            r"LAPACK from " + re.escape(str(fdm._LAPACK)) + r": part 0 \(" + where +
+            r", [0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
+            r"stack\(blocks=2, nodes=32, N=4, solve=ldl\)", message), message
+
+    def test_a_march_leaves_each_started_march_its_cpu(self, monkeypatch):
+        # While started marches run, a march deals its blocks to one part
+        # fewer for each, and to at least one; a joined or cancelled one
+        # gives its CPU back.
+        set_workers(monkeypatch, 3)
+        widths = []
+        deal = fdm._deal
+        monkeypatch.setattr(fdm, "_deal", lambda blocks, width: widths.append(
+            (len(blocks), width)) or deal(blocks, width))
+        pairs = self.pairs(*[(11, 4)] * 4)
+        first, second = fdm.start(pairs[:1]), fdm.start(pairs[:1])
+        fdm.march(pairs)
+        third = fdm.start(pairs[:1])
+        fdm.march(pairs)
+        first.result()
+        second.cancel()
+        fdm.march(pairs)
+        third.result()
+        fdm.march(pairs)
+        assert_no_child_left()
+        assert [width for blocks, width in widths if blocks == 4] == [1, 1, 2, 3]
+
     def test_workers_fall_back_to_the_cpu_count(self, monkeypatch):
         set_workers(monkeypatch, 3)
         assert fdm.workers() == 3
@@ -1182,6 +1228,71 @@ class TestForkedParts:
         solves = [re.findall(r"solve=([a-z+]+)\)", r.getMessage()) for r in caplog.records
                   if r.name == "stretchgrid.fdm"]
         assert solves[:2] == [["ldl", "lu+ldl"]] * 2
+
+
+    def test_a_child_never_cancels_the_parts_it_inherited(self):
+        # Part 2's child raises at once.  It leaves by ``os._exit``, so it
+        # never unwinds into ``run_parts``, which would cancel (kill) part
+        # 1, whose handle it inherited: part 1 ends with its value, and the
+        # error raised is part 2's own.
+        def work(part, stop):
+            if part == 2:
+                raise KeyboardInterrupt
+            time.sleep(0.5 * part)
+            return part
+
+        with pytest.raises(KeyboardInterrupt):
+            _threads.run_parts(work, 3, "test", fork=True)
+        assert_no_child_left()
+        first = _threads.Part(work, 1, "test", fork=True)
+        second = _threads.Part(work, 2, "test", fork=True)
+        with pytest.raises(KeyboardInterrupt):
+            second.result()
+        assert first.result() == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("placed, here, width, want", [
+        ({}, 1, 2, 0),                 # off the calling thread's CPU
+        ({10: 0}, 1, 2, 1),            # a tie goes to the calling thread's CPU
+        ({10: 0, 11: 1}, 1, 2, 0),
+        ({10: 2}, 0, 3, 1),            # the least used, then the lowest
+        ({}, 0, 1, None),              # one CPU: nowhere else to go
+    ])
+    def test_a_child_starts_on_the_least_used_cpu(self, monkeypatch, placed, here,
+                                                  width, want):
+        set_workers(monkeypatch, width)
+        monkeypatch.setattr(_threads, "_cpu", lambda: here)
+        monkeypatch.setattr(_threads, "_placed", dict(placed))
+        assert _threads._cpu_for_child() == want
+
+    def test_the_calling_threads_cpu_is_read(self):
+        assert _threads._cpu() in os.sched_getaffinity(0)
+
+    def test_a_childs_place_is_kept_until_it_is_reaped(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(_threads, "_cpu", lambda: 1)
+        first = fdm.start(self.pairs((41, 4)))
+        second = fdm.start(self.pairs((41, 4)))
+        assert sorted(_threads._placed.values()) == [0, 1]
+        first.result()
+        second.cancel()
+        assert _threads._placed == {}
+        assert_no_child_left()
+
+    def test_a_cancelled_started_march_is_reaped(self, monkeypatch):
+        parent, march = os.getpid(), Stack.march
+
+        def sleeping(system, v):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+            return march(system, v)
+
+        monkeypatch.setattr(Stack, "march", sleeping)
+        began = time.perf_counter()
+        started = fdm.start(self.pairs((41, 4)))
+        started.cancel()
+        assert time.perf_counter() - began < 30.0
+        assert_no_child_left()
 
 
 class TestStack:
@@ -1501,12 +1612,21 @@ def test_every_stack_of_the_bundled_tables_solves_by_ldl(caplog, config):
     # Logging is configured after the import: each march's own record names
     # the LAPACK library bound and the solve of every stack.
     caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
-    results = bench.load_bundled(config).run()
+    # The records name every block the table marches, once: its references
+    # (started in the background from two workers) and its rows.
+    table = bench.load_bundled(config)
+    results = table.run()
     assert not any(row.failed for _, report in results for row in report.rows)
     records = [r.getMessage() for r in caplog.records if r.name == "stretchgrid.fdm"]
     assert records and all(f"LAPACK from {fdm._LAPACK}: " in r for r in records)
     solves = [solve for r in records for solve in re.findall(r"solve=([a-z+]+)\)", r)]
     assert solves and set(solves) == {"ldl"}
+    references = 1 if table.reference_mode == "shared" else len(table.columns)
+    rows = sum(len(cfg.space_steps) for _, cfg in table.columns)
+    named = [int(n) for r in records for n in re.findall(r"stack\(blocks=(\d+),", r)]
+    assert sum(named) == references + rows
+    started = [r for r in records if " started in the background, " in r]
+    assert len(started) == (references if fdm.workers() > 1 else 0)
 
 
 LINALG_DIR = Path(fdm._SCIPY.origin).parent / "linalg"
