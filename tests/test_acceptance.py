@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import price_golden
 from stretchgrid import gridgen
 from stretchgrid.analytics import black_scholes_vanilla, double_barrier_ko_analytic
 from stretchgrid.bench import bench_transforms, emit_table_csv, load_bundled
@@ -422,3 +423,15 @@ def test_criterion_8_csv_determinism():
         outputs.append(b"".join(chunks))
     ok = outputs[0] == outputs[1]
     announce(8, ok, "repeated converge runs produce byte-identical CSV")
+
+
+def test_bundled_prices_match_the_golden(tables):
+    # Every full-precision reference and row price of the 8 bundled configs
+    # equals the golden's to within price_golden.TOLERANCE.  The report
+    # prints, per table, the largest move x 1e5 and whether the CSV's sha256
+    # matches, with the CSV lines that changed.
+    current = {str(key): price_golden.snapshot(list(tables(key).items()))
+               for key in price_golden.CONFIGS}
+    lines, worst = price_golden.report(price_golden.load(), current)
+    print("\n".join(lines))
+    assert worst <= price_golden.TOLERANCE, "prices moved:\n" + "\n".join(lines)
