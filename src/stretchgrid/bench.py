@@ -291,7 +291,8 @@ def build_run_grid(config: RunConfig, steps: int, cache: _TableCache | None = No
     return grid
 
 
-def price_run(config: RunConfig, steps: int, cache: _TableCache | None = None) -> dict[float, float]:
+def price_run(config: RunConfig, steps: int,
+              cache: _TableCache | None = None) -> dict[float, float]:
     """Price the contract on the grid for one resolution; spot -> price.
 
     Builds the row's grid, hooks and unfactored block.  With a table's

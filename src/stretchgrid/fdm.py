@@ -30,23 +30,8 @@ each BDF2 weight and the folds' coefficients times R, so a step's first rhs
 is one banded product, LAPACK dlagtm, and its second one combination, with no
 scaling pass per solve.
 
-The routines come from the OpenBLAS that numpy's wheel bundles (``numpy.libs/``,
-or ``numpy/.dylibs/`` on macOS), which ``import numpy`` has already mapped: it
-exports reference LAPACK with 64-bit integers as ``scipy_dgttrf_64_`` and so
-on, called here through ``ctypes``, each call checking that its vectors are
-float64.  Binding them maps no second library, where loading scipy's
-``_flapack`` maps a second OpenBLAS, and the bundled build solves with the
-same bits.  Only where numpy bundles no such library (a numpy not installed
-from the PyPI wheel) are they the f2py routines of scipy's compiled
-``scipy/linalg/_flapack`` module, loaded alone: importing ``scipy.linalg``
-runs its whole package ``__init__``, which costs more of ``import
-stretchgrid`` than the package itself.  That module has no dlagtm, so
-there the product is numpy's, summed in dlagtm's order for its bits.  Either
-way ``dgttrf`` and ``dpttrf`` keep the f2py signatures, and ``_solver``,
-``_ldl_solver`` and ``_product`` make a factored system's in-place solve and
-a band set's product.  The routines, the library's path and the product's
-source are logged at DEBUG level when the module loads, and the path again in
-every march's record, beside each stack's solve (``ldl`` or ``lu``).
+The LAPACK calls come from ``_lapack``, which binds one library; every
+march's record names it, beside each stack's solve (``ldl`` or ``lu``).
 
 ``march`` marches independent blocks at the same time in ``workers()``
 parts.  It deals the blocks out costliest (nodes x N) first, each to the part
@@ -59,9 +44,10 @@ and joined later, so that the caller can build while it marches.  Threads
 would share the GIL: a step releases it for each LAPACK call and inside
 numpy's loops on long vectors and takes it back for the Python between them,
 so two parts stepping on two threads hand it back and forth at every step
-and each waits on the other, where a forked part waits on nothing.  Every part runs under the caller's ``np.geterr()``, and
-every block's values, or the exception that fails it, are those of its own
-march, in any number of parts, threads or processes.  A zero pivot
+and each waits on the other, where a forked part waits on nothing.  Every
+part runs under the caller's ``np.geterr()``, and every block's values, or
+the exception that fails it, are those of its own march, in any number of
+parts, threads or processes.  A zero pivot
 (``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
 both rise from the march, which returns each in its failing block's slot;
 both survive pickling, as a forked part's results must.
@@ -69,22 +55,17 @@ both survive pickling, as a forked part's results must.
 
 from __future__ import annotations
 
-import ctypes
 import enum
-import importlib.machinery
-import importlib.util
 import itertools
 import logging
 import math
-import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _threads
+from . import _lapack, _threads
 from ._threads import LostPartError  # noqa: F401 - march raises it
 from ._threads import run_parts, workers
 from .gridgen import Grid
@@ -92,225 +73,6 @@ from .gridgen import Grid
 
 log = logging.getLogger(__name__)
 
-
-def _bundled_openblas():
-    """(path, dgttrf, dgttrs, dpttrf, dpttrs, dlagtm) of the OpenBLAS numpy's
-    wheel bundles, or None.
-
-    The library is in ``numpy.libs/`` (``numpy/.dylibs/`` on macOS) and
-    already mapped, so loading it again costs no memory.  None when no such
-    library loads or exports all five ILP64 routines (``scipy_dgttrf_64_``
-    and so on), as with a numpy not installed from the PyPI wheel.
-    """
-    numpy_dir = Path(np.__file__).parent
-    for path in [*sorted(numpy_dir.parent.glob("numpy.libs/*openblas*")),
-                 *sorted(numpy_dir.glob(".dylibs/*openblas*"))]:
-        try:
-            lib = ctypes.CDLL(str(path))
-            routines = [getattr(lib, f"scipy_{name}_64_") for name in (*_ROUTINES, "dlagtm")]
-        except (OSError, AttributeError):
-            continue
-        for routine in routines:
-            routine.restype = None
-        return path, *routines
-    return None
-
-
-_ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs")
-_INT = ctypes.c_int64
-_TRANS = ctypes.c_char_p(b"N")
-_TRANS_LEN = ctypes.c_size_t(1)          # gfortran's hidden len(trans) argument
-_DOUBLE = np.dtype(float)
-
-
-def _pointer(a: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(a.ctypes.data)
-
-
-def _bands(n: int, **arrays) -> tuple[np.ndarray, ...]:
-    """``arrays`` as C-contiguous 1-D float64 (int64 for ``ipiv``) of the
-    lengths an n-row tridiagonal system needs; ValueError naming any other."""
-    want = {"dl": n - 1, "du": n - 1, "du2": n - 2, "e": n - 1, "ipiv": n}
-    out = []
-    for name, a in arrays.items():
-        a = np.ascontiguousarray(a, dtype=np.int64 if name == "ipiv" else float)
-        if a.shape != (max(want.get(name, n), 0),):
-            raise ValueError(f"fdm: {name} has shape {a.shape}; the tridiagonal "
-                             f"system has {n} rows")
-        out.append(a)
-    return tuple(out)
-
-
-def _numpy_dgttrf(dl, d, du):
-    """LAPACK dgttrf from numpy's bundled OpenBLAS, as the f2py routine:
-    (dl, d, du, du2, ipiv, info), the inputs not written, ipiv int64."""
-    dl, d, du = (a.copy() for a in _bands(np.size(d), dl=dl, d=d, du=du))
-    du2 = np.empty(max(d.size - 2, 0))
-    ipiv = np.empty(d.size, dtype=np.int64)
-    info = _INT()
-    _DGTTRF(ctypes.byref(_INT(d.size)), *map(_pointer, (dl, d, du, du2, ipiv)),
-            ctypes.byref(info))
-    return dl, d, du, du2, ipiv, info.value
-
-
-def _numpy_dpttrf(d, e, overwrite_d=0, overwrite_e=0):
-    """LAPACK dpttrf (LDL^T of a symmetric positive definite tridiagonal
-    matrix) from numpy's bundled OpenBLAS, as the f2py routine: (d, e, info),
-    each input written only when its ``overwrite_*`` is set and it is a
-    contiguous float64 array."""
-    d, e = _bands(np.size(d), d=d, e=e)
-    if not overwrite_d:
-        d = d.copy()
-    if not overwrite_e:
-        e = e.copy()
-    info = _INT()
-    _DPTTRF(ctypes.byref(_INT(d.size)), _pointer(d), _pointer(e), ctypes.byref(info))
-    return d, e, info.value
-
-
-def _doubles(a: np.ndarray, role: str) -> np.ndarray:
-    """``a``, a float64 array; TypeError naming its dtype otherwise, since
-    LAPACK would read any other array's bytes as doubles."""
-    if a.dtype != _DOUBLE:
-        raise TypeError(f"fdm: the {role} has dtype {a.dtype}; LAPACK takes float64")
-    return a
-
-
-class _Prepared:
-    """dgttrs (no transpose) or dpttrs on one factored system, its call built
-    once from the ``factors``: a solve passes only the rhs, a writable
-    C-contiguous float64 array of at least n values (``from_buffer`` rejects
-    a shorter, read-only or strided one), which it overwrites with the
-    solution and returns."""
-
-    def __init__(self, routine, trans: tuple = (), **factors):
-        n = np.size(factors["d"])
-        self._routine, self._rhs = routine, ctypes.c_double * n
-        self._factors = _bands(n, **factors)
-        self._head = (*trans, ctypes.byref(_INT(n)), ctypes.byref(_INT(1)),
-                      *map(_pointer, self._factors))
-        # ldb, info (only an illegal argument sets it) and len(trans)
-        self._tail = (ctypes.byref(_INT(max(n, 1))), ctypes.byref(_INT()),
-                      *(_TRANS_LEN for _ in trans))
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        self._routine(*self._head, self._rhs.from_buffer(_doubles(b, "rhs")), *self._tail)
-        return b
-
-
-class _Product:
-    """dlagtm (no transpose, alpha 1, beta 0) with one tridiagonal matrix A,
-    its call built once from the bands: ``product(x, b)`` writes A x into
-    ``b`` and returns it.  Both are writable C-contiguous float64 arrays of
-    at least n values, as ``_Prepared`` takes its rhs; ``x`` is not
-    written."""
-
-    def __init__(self, dl, d, du):
-        n = np.size(d)
-        self._vector = ctypes.c_double * n
-        self._bands = _bands(n, dl=dl, d=d, du=du)
-        ld = ctypes.byref(_INT(max(n, 1)))
-        self._head = (_TRANS, ctypes.byref(_INT(n)), ctypes.byref(_INT(1)),
-                      ctypes.byref(ctypes.c_double(1.0)), *map(_pointer, self._bands))
-        self._beta = (ld, ctypes.byref(ctypes.c_double(0.0)))     # ldx, beta
-        self._tail = (ld, _TRANS_LEN)                              # ldb, len(trans)
-
-    def __call__(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        vector = self._vector
-        _DLAGTM(*self._head, vector.from_buffer(_doubles(x, "vector")), *self._beta,
-                vector.from_buffer(_doubles(b, "product")), *self._tail)
-        return b
-
-
-def _band_product(dl, d, du):
-    """``_Product`` in numpy, where scipy's ``_flapack`` has no dlagtm: it sums
-    each row as dlagtm does, (0 + dl x[i-1]) + d x[i] + du x[i+1] in that
-    order, which gives dlagtm's bits."""
-    dl, d, du = _bands(np.size(d), dl=dl, d=d, du=du)
-
-    def product(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        b[:] = 0.0
-        b[1:] += dl * x[:-1]
-        b += d * x
-        b[:-1] += du * x[1:]
-        return b
-    return product
-
-
-def _numpy_solver(dl, d, du, du2, ipiv) -> _Prepared:
-    return _Prepared(_DGTTRS, (_TRANS,), dl=dl, d=d, du=du, du2=du2, ipiv=ipiv)
-
-
-def _numpy_ldl_solver(d, e) -> _Prepared:
-    return _Prepared(_DPTTRS, d=d, e=e)
-
-
-def _load_flapack(linalg_dir: Path):
-    """LAPACK's ``dgttrf``, ``dgttrs``, ``dpttrf`` and ``dpttrs`` from scipy's
-    compiled ``_flapack``.
-
-    Loads the one extension module from ``linalg_dir`` without running any
-    scipy package ``__init__``, and leaves ``sys.modules`` as it found it, so
-    a later ``import scipy.linalg`` builds the normal package.  Raises
-    ``ImportError`` naming the file, the module and scipy's version when the
-    module is missing or lacks any of the routines.
-    """
-    name = "scipy.linalg._flapack"
-    path = _flapack_path(linalg_dir)
-    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-    saved = sys.modules.get(name)
-    try:
-        module = importlib.util.module_from_spec(
-            importlib.util.spec_from_loader(name, loader))
-        loader.exec_module(module)
-        return tuple(getattr(module, routine) for routine in _ROUTINES)
-    except (ImportError, AttributeError) as exc:
-        raise ImportError(f"fdm: needs {', '.join(_ROUTINES[:-1])} and {_ROUTINES[-1]} "
-                          f"from scipy's compiled module {name}, expected at {path} "
-                          f"(installed scipy: {_scipy_version()})") from exc
-    finally:
-        if saved is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = saved
-
-
-def _flapack_path(linalg_dir: Path) -> Path:
-    return linalg_dir / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-
-
-def _scipy_version() -> str:
-    from importlib import metadata
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
-def _flapack_backend(linalg_dir: Path):
-    """(dgttrf, dpttrf, solver, ldl_solver) from scipy's ``_flapack`` (see
-    ``_load_flapack``), each solver's solve in place by f2py dgttrs or dpttrs."""
-    dgttrf, dgttrs, dpttrf, dpttrs = _load_flapack(linalg_dir)
-    return (dgttrf, dpttrf, lambda *lu: lambda b: dgttrs(*lu, b, overwrite_b=1)[0],
-            lambda d, e: lambda b: dpttrs(d, e, b, overwrite_b=1)[0])
-
-
-_SCIPY = importlib.util.find_spec("scipy")
-_BUNDLED = _bundled_openblas()
-if _BUNDLED is not None:
-    _LAPACK, _DGTTRF, _DGTTRS, _DPTTRF, _DPTTRS, _DLAGTM = _BUNDLED
-    dgttrf, dpttrf, _solver, _ldl_solver, _product = (
-        _numpy_dgttrf, _numpy_dpttrf, _numpy_solver, _numpy_ldl_solver, _Product)
-else:
-    if _SCIPY is None:
-        raise ModuleNotFoundError("fdm: needs scipy for LAPACK dgttrf, dgttrs, dpttrf and "
-                                  "dpttrs, since numpy bundles no OpenBLAS that exports them",
-                                  name="scipy")
-    _LAPACK = _flapack_path(Path(_SCIPY.origin).parent / "linalg")
-    dgttrf, dpttrf, _solver, _ldl_solver = _flapack_backend(_LAPACK.parent)
-    _product = _band_product
-log.debug("LAPACK %s from %s", "/".join(_ROUTINES), _LAPACK)
-log.debug("band product by %s", "LAPACK dlagtm" if _BUNDLED else "numpy, with dlagtm's bits")
 
 GAMMA = 2.0 - math.sqrt(2.0)
 OMEGA = GAMMA / 2.0                      # shared implicit coefficient
@@ -683,8 +445,8 @@ def _ldl(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
             signed and (scale >= _TINY).all()
             and all(np.isfinite(a).all() for a in (d, up, scale, post[2], *(c for *_, c in pre)))):
         return None
-    d, e, info = dpttrf(d, up[:-1], overwrite_d=1, overwrite_e=1)
-    if info != 0:
+    e = up[:-1]
+    if _lapack.pttrf(d, e) != 0:
         return None
     return _LdlBlock(d, e, scale, pre, post)
 
@@ -754,19 +516,6 @@ def _concat(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _lu(lower, diag, upper, dt: float, start: int, n: int):
-    """In-place solve of consecutive blocks (rows ``start`` on of an n-row
-    stack) factored together by gttrf."""
-    *lu, info = dgttrf(lower[1:], diag, upper[:-1])
-    if info > 0:
-        row = start + info - 1
-        raise SingularSystemError(
-            row, f"fdm: TR-BDF2 matrix is singular (n = {n}, dt = {dt:g}): "
-            f"zero U pivot at index {row} after partial pivoting; the faulty "
-            f"equation may be an earlier row")
-    return _solver(*lu)
-
-
 class _Factored(NamedTuple):
     """A stack's stamped system A, factored by ``_factor``: the row scaling R
     (1 on LU rows), the ``pre`` steps on the scaled rhs R b, the in-place
@@ -792,13 +541,19 @@ def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float,
         rows = slice(run[0][0].start, run[-1][0].stop)
         kinds.append("lu" if by_lu else "ldl")
         if by_lu:
-            solves.append((rows, _lu(lower[rows], diag[rows], upper[rows], dt, rows.start,
-                                     diag.size)))
+            info, solve = _lapack.lu(lower[rows][1:], diag[rows], upper[rows][:-1])
+            if info > 0:
+                row = rows.start + info - 1
+                raise SingularSystemError(
+                    row, f"fdm: TR-BDF2 matrix is singular (n = {diag.size}, dt = {dt:g}): "
+                    f"zero U pivot at index {row} after partial pivoting; the faulty "
+                    f"equation may be an earlier row")
+            solves.append((rows, solve))
             scale.append(np.ones(rows.stop - rows.start))
             continue
         scale += [part.scale for _, part in run]
         ldl += run
-        solves.append((rows, _ldl_solver(
+        solves.append((rows, _lapack.ldl_solver(
             _concat([part.d for _, part in run]),
             _concat([a for _, part in run for a in (part.e, np.zeros(1))][:-1]))))
     starts = [block.start for block, _ in ldl]
@@ -969,7 +724,7 @@ class Stack:
         for band in (lower, diag, upper):
             band *= r
             band[self._fixed_rows] = 0.0
-        self._product = _product(lower[1:], diag, upper[:-1])
+        self._product = _lapack.product(lower[1:], diag, upper[:-1])
         self._old = BDF2_OLD * r
 
     def split(self, v: np.ndarray) -> list[np.ndarray]:
@@ -1105,7 +860,7 @@ def _gather(done: list, shapes: list, places: list, heading: str) -> list:
                                   f"solve={kinds.get(stack, 'none')})"
                                   for stack, nodes, n_steps in stacks)
             parts.append(f"part {part} ({where}, {cpu_s:.3f} s CPU) {described}")
-        log.debug("%s, LAPACK from %s: %s", heading, _LAPACK, "; ".join(parts))
+        log.debug("%s, LAPACK from %s: %s", heading, _lapack.PATH, "; ".join(parts))
     return results
 
 

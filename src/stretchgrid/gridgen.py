@@ -114,7 +114,8 @@ class StretchSpec:
             raise GridConstructionError("lam must be in (0, 1/2]")
         if self.kind in (StretchKind.SINH, StretchKind.CUBIC) and len(pts) != 1:
             if len(pts) != 0:  # m = 0 is coerced to uniform by build_map
-                raise GridConstructionError(f"{self.kind.value} stretch needs exactly one critical point")
+                raise GridConstructionError(
+                    f"{self.kind.value} stretch needs exactly one critical point")
 
     @property
     def range(self) -> float:

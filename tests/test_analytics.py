@@ -100,16 +100,16 @@ class TestDoubleBarrier:
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats, scipy.special and scipy.linalg cost most of a cold import;
     # the scalar oracles need only the normal CDF, which math.erfc gives.
-    # fdm takes its LAPACK routines from the OpenBLAS numpy bundles, so where numpy
+    # _lapack binds LAPACK from the OpenBLAS numpy bundles, so where numpy
     # bundles one, importing the package and marching a column loads no scipy
     # module at all; elsewhere it loads the compiled _flapack module alone.
     src = str(Path(stretchgrid.__file__).resolve().parents[1])
     probe = (f"import sys; sys.path.insert(0, {src!r}); import stretchgrid; "
-             "from stretchgrid import bench, fdm; "
+             "from stretchgrid import _lapack, bench; "
              "bench.run_convergence(dict(bench.load_bundled(4).columns)['uniform_deform']); "
              "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules, "
              "'scipy.linalg' in sys.modules, 'numpy.ma' in sys.modules, "
-             "fdm._BUNDLED is not None, "
+             "_lapack.BUNDLED is not None, "
              "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)

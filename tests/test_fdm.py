@@ -1,3 +1,4 @@
+import functools
 import importlib.machinery
 import importlib.util
 import logging
@@ -18,7 +19,7 @@ import pytest
 from conftest import on_threads, record_stacks, set_workers
 from hypothesis import assume, given, settings, strategies as st
 
-from stretchgrid import _threads, bench, fdm
+from stretchgrid import _lapack, _threads, bench, fdm
 from stretchgrid.analytics import black_scholes_vanilla
 from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, AmericanProjection,
                              BarrierMode, BoundaryCondition, BoundaryKind,
@@ -1011,7 +1012,7 @@ class TestParallel:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert re.fullmatch(
-            r"march of 4 blocks in [0-9.]+ s wall, LAPACK from " + re.escape(str(fdm._LAPACK)) +
+            r"march of 4 blocks in [0-9.]+ s wall, LAPACK from " + re.escape(str(_lapack.PATH)) +
             r": part 0 \(thread, [0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
             r"stack\(blocks=1, nodes=11, N=4, solve=ldl\); "
             r"part 1 \(" + where + r", [0-9.]+ s CPU\) "
@@ -1040,7 +1041,7 @@ class TestParallel:
         message = record.getMessage()
         assert re.fullmatch(
             r"march of 3 blocks started in the background, joined after [0-9.]+ s wall, "
-            r"LAPACK from " + re.escape(str(fdm._LAPACK)) + r": part 0 \(" + where +
+            r"LAPACK from " + re.escape(str(_lapack.PATH)) + r": part 0 \(" + where +
             r", [0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
             r"stack\(blocks=2, nodes=32, N=4, solve=ldl\)", message), message
 
@@ -1618,7 +1619,7 @@ def test_every_stack_of_the_bundled_tables_solves_by_ldl(caplog, config):
     results = table.run()
     assert not any(row.failed for _, report in results for row in report.rows)
     records = [r.getMessage() for r in caplog.records if r.name == "stretchgrid.fdm"]
-    assert records and all(f"LAPACK from {fdm._LAPACK}: " in r for r in records)
+    assert records and all(f"LAPACK from {_lapack.PATH}: " in r for r in records)
     solves = [solve for r in records for solve in re.findall(r"solve=([a-z+]+)\)", r)]
     assert solves and set(solves) == {"ldl"}
     references = 1 if table.reference_mode == "shared" else len(table.columns)
@@ -1629,16 +1630,32 @@ def test_every_stack_of_the_bundled_tables_solves_by_ldl(caplog, config):
     assert len(started) == (references if fdm.workers() > 1 else 0)
 
 
-LINALG_DIR = Path(fdm._SCIPY.origin).parent / "linalg"
-BUNDLED = fdm._BUNDLED is not None
+LINALG_DIR = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+FLAPACK_PATH = LINALG_DIR / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+BUNDLED = _lapack.BUNDLED is not None
 needs_bundled = pytest.mark.skipif(
     not BUNDLED, reason="numpy bundles no OpenBLAS exporting scipy_dgttrf_64_")
 
 
+@functools.cache
+def flapack() -> _lapack.Backend:
+    return _lapack._flapack(LINALG_DIR)
+
+
+def backend(name: str) -> _lapack.Backend:
+    """numpy's bundled OpenBLAS, or scipy's ``_flapack`` loaded alone."""
+    if name == "flapack":
+        return flapack()
+    if not BUNDLED:
+        pytest.skip(needs_bundled.kwargs["reason"])
+    return _lapack.BUNDLED
+
+
 class TestLapackLoader:
-    """``fdm`` takes dgttrf and dpttrf, and the in-place solves of their
-    factors, from numpy's bundled OpenBLAS, else from scipy's ``_flapack``
-    without ``scipy.linalg``; both give the bits of ``scipy.linalg.lapack``."""
+    """``_lapack`` binds one backend, numpy's bundled OpenBLAS or else scipy's
+    ``_flapack`` without ``scipy.linalg``, behind the four calls ``lu``,
+    ``pttrf``, ``ldl_solver`` and ``product``; both backends give the bits of
+    ``scipy.linalg.lapack``, and their products agree."""
 
     @staticmethod
     def system(kind, n):
@@ -1653,25 +1670,29 @@ class TestLapackLoader:
         return lower, diag, upper, rng.standard_normal((n, 2))
 
     @staticmethod
-    def backend(path):
-        """(dgttrf, dpttrf, solver, ldl_solver) from one library."""
-        if path == "flapack":
-            return fdm._flapack_backend(LINALG_DIR)
-        if not BUNDLED:
-            pytest.skip(needs_bundled.kwargs["reason"])
-        return fdm._numpy_dgttrf, fdm._numpy_dpttrf, fdm._numpy_solver, fdm._numpy_ldl_solver
+    def call(name: str):
+        """One bundled call of a 5-row system that takes one vector: the
+        ``lu`` or ``ldl`` solve, or the product with the vector as x or b."""
+        bundled = _lapack.BUNDLED
+        if name == "lu":
+            return bundled.lu(np.ones(4), 4.0 * np.ones(5), np.ones(4))[1]
+        if name == "ldl":
+            d, e = 4.0 * np.ones(5), np.ones(4)
+            assert bundled.pttrf(d, e) == 0
+            return bundled.ldl_solver(d, e)
+        product = bundled.product(np.ones(4), 4.0 * np.ones(5), np.ones(4))
+        return ((lambda v: product(v, np.ones(5))) if name == "product x"
+                else (lambda v: product(np.ones(5), v)))
 
-    @pytest.mark.parametrize("path", ["numpy", "flapack"])
+    @pytest.mark.parametrize("name", ["bundled", "flapack"])
     @pytest.mark.parametrize("kind, n", [("dominant", 200), ("pivoting", 500),
                                          ("singular", 40)])
-    def test_bit_identical_to_the_public_routines(self, kind, n, path):
-        # dgttrf, with its inputs not written, and the prepared solve of its
-        # factors, which writes the solution into the rhs it is given.
-        dgttrf, _, solver, _ = self.backend(path)
+    def test_lu_is_bit_identical_to_the_public_routines(self, kind, n, name):
+        # lu factors without writing the bands, and its solve writes the
+        # solution into the rhs it is given, with dgttrf/dgttrs's bits.
         lower, diag, upper, rhs = self.system(kind, n)
         bands = [a.copy() for a in (lower, diag, upper)]
-        *lu, info = dgttrf(lower, diag, upper)
-        solve = solver(*lu)
+        info, solve = backend(name).lu(lower, diag, upper)
         xs = []
         for column in rhs.T:
             b = column.copy()
@@ -1683,13 +1704,9 @@ class TestLapackLoader:
         from scipy.linalg import lapack
         *lu_ref, info_ref = lapack.dgttrf(lower, diag, upper)
         assert info == info_ref
-        for mine, ref in zip(lu[:4], lu_ref[:4]):
-            assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
-        # the ILP64 pivots are int64, scipy's int32: compare them by value
-        assert lu[4].shape == lu_ref[4].shape and np.array_equal(lu[4], lu_ref[4])
         for x, column in zip(xs, rhs.T):
             assert x.tobytes() == lapack.dgttrs(*lu_ref, column)[0].tobytes()
-        pivots = int(np.count_nonzero(lu[-1] != np.arange(1, n + 1)))
+        pivots = int(np.count_nonzero(lu_ref[-1] != np.arange(1, n + 1)))
         if kind == "pivoting":
             assert pivots > n // 2
         if kind == "singular":
@@ -1699,31 +1716,45 @@ class TestLapackLoader:
             assert info == 0 and np.allclose(matrix @ np.stack(xs, 1), rhs, rtol=0.0, atol=1e-8)
         assert lapack._flapack is sys.modules["scipy.linalg._flapack"]
 
-    @pytest.mark.parametrize("path", ["numpy", "flapack"])
+    @pytest.mark.parametrize("name", ["bundled", "flapack"])
     @pytest.mark.parametrize("n", [5, 200, 4001])
-    def test_ldl_routines_are_bit_identical_to_the_public_ones(self, path, n):
-        # dpttrf and the prepared solve of its factors, from either library,
-        # give the bits of scipy.linalg.lapack's, in place, with the inputs
-        # of dpttrf not written; a matrix that is not positive definite
-        # reports its first failing pivot alike.
-        _, dpttrf, _, ldl_solver = self.backend(path)
+    def test_ldl_is_bit_identical_to_the_public_routines(self, name, n):
+        # pttrf writes dpttrf's factors into its bands, a strided band
+        # included, and the solve of those factors gives dpttrs's bits in
+        # place; a matrix that is not positive definite reports its first
+        # failing pivot alike.
+        chosen = backend(name)
         from scipy.linalg import lapack
         rng = np.random.default_rng(n)
         diag, sub, rhs = 2.5 + rng.uniform(0.0, 1.0, n), -rng.uniform(0.1, 1.0, n - 1), \
             rng.standard_normal(n)
-        kept = diag.tobytes(), sub.tobytes()
-        *factors, info = dpttrf(diag, sub)
         *ref, info_ref = lapack.dpttrf(diag, sub)
-        assert (diag.tobytes(), sub.tobytes()) == kept
-        assert info == info_ref == 0
-        for mine, theirs in zip(factors, ref):
-            assert mine.tobytes() == theirs.tobytes()
+        d, e = diag.copy(), np.repeat(sub, 2)[::2]
+        assert chosen.pttrf(d, e) == info_ref == 0
+        assert d.tobytes() == ref[0].tobytes() and e.tobytes() == ref[1].tobytes()
         b = rhs.copy()
-        x = ldl_solver(*factors)(b)
+        x = chosen.ldl_solver(d, e)(b)
         assert np.shares_memory(x, b)
         assert x.tobytes() == lapack.dpttrs(*ref, rhs)[0].tobytes()
         diag[n // 2] = -1.0
-        assert dpttrf(diag, sub)[-1] == lapack.dpttrf(diag, sub)[-1] > 0
+        assert chosen.pttrf(diag.copy(), sub.copy()) == lapack.dpttrf(diag, sub)[-1] > 0
+
+    @needs_bundled
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 4001])
+    def test_both_backends_products_have_the_same_bits(self, n):
+        # The fallback's numpy product sums each row in dlagtm's order, so
+        # the two agree bit for bit, signed zeros included; x is not written.
+        rng = np.random.default_rng(n)
+        dl, d, du, x = (rng.standard_normal(size) for size in (n - 1, n, n - 1, n))
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.2] = -0.0
+        d[rng.random(n) < 0.1] = -0.0
+        kept = x.tobytes()
+        got = _lapack.BUNDLED.product(dl, d, du)(x, np.empty(n))
+        assert x.tobytes() == kept
+        assert got.tobytes() == flapack().product(dl, d, du)(x, np.empty(n)).tobytes()
+        matrix = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+        assert np.allclose(got, matrix @ x, rtol=1e-14, atol=1e-14)
 
     def test_a_numpy_built_on_ilp64_scipy_openblas_is_bound(self):
         # numpy's PyPI wheel is built on scipy-openblas with 64-bit integers
@@ -1740,59 +1771,42 @@ class TestLapackLoader:
 
     @needs_bundled
     def test_binds_numpys_bundled_openblas(self):
-        assert fdm.dgttrf is fdm._numpy_dgttrf and fdm.dpttrf is fdm._numpy_dpttrf
-        assert fdm._solver is fdm._numpy_solver and fdm._ldl_solver is fdm._numpy_ldl_solver
-        assert fdm._product is fdm._Product
-        assert not hasattr(fdm, "dgttrs") and not hasattr(fdm, "dpttrs")
-        path = fdm._LAPACK
+        bound = (_lapack.PATH, _lapack.lu, _lapack.pttrf, _lapack.ldl_solver, _lapack.product)
+        assert bound == tuple(_lapack.BUNDLED)
+        assert not any(hasattr(fdm, name) for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs"))
+        path = _lapack.PATH
         assert "openblas" in path.name and path.parent.name in ("numpy.libs", ".dylibs")
 
     @needs_bundled
-    @pytest.mark.parametrize("kind", ["lu", "ldl"])
-    def test_prepared_solve_rejects_a_short_read_only_or_strided_rhs(self, kind):
-        # The prepared solve hands LAPACK the rhs buffer itself, its first n
-        # values written in place: a rhs it cannot use so is an error, and
-        # is left as it was.
-        if kind == "lu":
-            solve = fdm._solver(*fdm.dgttrf(np.ones(4), 4.0 * np.ones(5), np.ones(4))[:-1])
-        else:
-            solve = fdm._ldl_solver(*fdm.dpttrf(4.0 * np.ones(5), np.ones(4))[:-1])
+    @pytest.mark.parametrize("call", ["lu", "ldl", "product x", "product b"])
+    def test_lapack_calls_reject_a_short_read_only_or_strided_vector(self, call):
+        # Each call hands LAPACK the vectors' buffers themselves, the rhs and
+        # the product written in place: a vector it cannot use so is an
+        # error, and is left as it was.
         read_only = np.ones(5)
         read_only.flags.writeable = False
-        for rhs, error, message in ((np.ones(4), ValueError, "Buffer size too small"),
-                                    (read_only, TypeError, "not writable"),
-                                    (np.ones(10)[::2], TypeError, "not C contiguous")):
+        for vector, error, message in ((np.ones(4), ValueError, "Buffer size too small"),
+                                       (read_only, TypeError, "not writable"),
+                                       (np.ones(10)[::2], TypeError, "not C contiguous")):
             with pytest.raises(error, match=message):
-                solve(rhs)
-            assert (rhs == 1.0).all()
+                self.call(call)(vector)
+            assert (vector == 1.0).all()
 
     @needs_bundled
-    def test_import_logs_the_routines_and_the_products_source(self):
+    def test_import_logs_the_routines_and_asks_for_no_scipy(self):
+        # The bundled library is bound without looking for scipy at all.
         src = str(Path(fdm.__file__).resolve().parents[1])
-        probe = ("import logging, sys; logging.basicConfig(level=logging.DEBUG, "
+        probe = ("import importlib.util, logging, sys; logging.basicConfig(level=logging.DEBUG, "
                  f"format='%(name)s %(message)s'); sys.path.insert(0, {src!r}); "
-                 "import stretchgrid.fdm")
-        err = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True).stderr.splitlines()
-        assert f"stretchgrid.fdm LAPACK dgttrf/dgttrs/dpttrf/dpttrs from {fdm._LAPACK}" in err
+                 "asked = []; find_spec = importlib.util.find_spec; importlib.util.find_spec = "
+                 "lambda name, *args: asked.append(name) or find_spec(name, *args); "
+                 "import stretchgrid.fdm; print('scipy' in asked)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True)
+        err = out.stderr.splitlines()
+        assert f"stretchgrid.fdm LAPACK dgttrf/dgttrs/dpttrf/dpttrs from {_lapack.PATH}" in err
         assert "stretchgrid.fdm band product by LAPACK dlagtm" in err
-
-    @needs_bundled
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 4001])
-    def test_numpy_band_product_has_dlagtms_bits(self, n):
-        # The fallback's numpy product sums each row in dlagtm's order, so
-        # the two agree bit for bit, signed zeros included; x is not written.
-        rng = np.random.default_rng(n)
-        dl, d, du, x = (rng.standard_normal(size) for size in (n - 1, n, n - 1, n))
-        x[rng.random(n) < 0.2] = 0.0
-        x[rng.random(n) < 0.2] = -0.0
-        d[rng.random(n) < 0.1] = -0.0
-        kept = x.tobytes()
-        got = fdm._Product(dl, d, du)(x, np.empty(n))
-        assert x.tobytes() == kept
-        assert got.tobytes() == fdm._band_product(dl, d, du)(x, np.empty(n)).tobytes()
-        matrix = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-        assert np.allclose(got, matrix @ x, rtol=1e-14, atol=1e-14)
+        assert out.stdout == "False\n"
 
     @needs_bundled
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
@@ -1801,42 +1815,31 @@ class TestLapackLoader:
         # Each buffer's bytes would be read as doubles: 40 bytes pass the
         # size check of a 5-row system, whatever their dtype.
         bad = np.ones(40 // np.dtype(dtype).itemsize, dtype=dtype)
-        good = np.ones(5)
-        if call == "lu":
-            solve = fdm._solver(*fdm.dgttrf(np.ones(4), 4.0 * np.ones(5), np.ones(4))[:-1])
-        elif call == "ldl":
-            solve = fdm._ldl_solver(*fdm.dpttrf(4.0 * np.ones(5), np.ones(4))[:-1])
-        else:
-            product = fdm._Product(np.ones(4), 4.0 * np.ones(5), np.ones(4))
-            solve = ((lambda v: product(v, good)) if call == "product x"
-                     else (lambda v: product(good, v)))
         with pytest.raises(TypeError, match=f"has dtype {np.dtype(dtype)}; LAPACK takes float64"):
-            solve(bad)
-        assert (bad == 1).all() and (good == 1.0).all()
+            self.call(call)(bad)
+        assert (bad == 1).all()
 
-    @needs_bundled
+    @pytest.mark.parametrize("name", ["bundled", "flapack"])
     @pytest.mark.parametrize("call, message", [
-        (lambda lu: fdm.dgttrf(np.ones(3), np.ones(3), np.ones(2)), r"dl has shape \(3,\)"),
-        (lambda lu: fdm.dgttrf(np.ones(2), np.ones((3, 1)), np.ones(2)), r"d has shape \(3, 1\)"),
-        (lambda lu: fdm._solver(*lu[:3], np.ones(2), lu[4]), r"du2 has shape"),
-        (lambda lu: fdm._solver(*lu[:4], lu[4][:4]), r"ipiv has shape \(4,\)"),
-        (lambda lu: fdm.dpttrf(np.ones(5), np.ones(3)), r"e has shape \(3,\)"),
-        (lambda lu: fdm._ldl_solver(np.ones(5), np.ones(5)), r"e has shape \(5,\)"),
+        (lambda b: b.lu(np.ones(3), np.ones(3), np.ones(2)), r"dl has shape \(3,\)"),
+        (lambda b: b.lu(np.ones(2), np.ones((3, 1)), np.ones(2)), r"d has shape \(3, 1\)"),
+        (lambda b: b.product(np.ones(2), np.ones(3), np.ones(3)), r"du has shape \(3,\)"),
+        (lambda b: b.pttrf(np.ones(5), np.ones(3)), r"e has shape \(3,\)"),
+        (lambda b: b.ldl_solver(np.ones(5), np.ones(5)), r"e has shape \(5,\)"),
     ])
-    def test_mismatched_shapes_are_value_errors(self, call, message):
+    def test_mismatched_shapes_are_value_errors(self, call, message, name):
         # ctypes would pass the pointers whatever their lengths; each is
         # checked against the row count first.
-        lu = fdm.dgttrf(np.ones(4), 4.0 * np.ones(5), np.ones(4))[:-1]
         with pytest.raises(ValueError, match=message):
-            call(lu)
+            call(backend(name))
 
     @needs_bundled
     def test_fallback_marches_table_5_with_the_same_bits(self):
         # Hide numpy's bundled library from the discovery, as on a numpy not
-        # installed from the PyPI wheel: fdm falls back to scipy's _flapack,
-        # logs that file, and table 5 (its 4,001-node reference and ghost
-        # rows) prices as with the bundled library, bit for bit.  No bundled
-        # table reaches the LU solve, so one LU block marches too.
+        # installed from the PyPI wheel: _lapack falls back to scipy's
+        # _flapack, logs that file, and table 5 (its 4,001-node reference and
+        # ghost rows) prices as with the bundled library, bit for bit.  No
+        # bundled table reaches the LU solve, so one LU block marches too.
         src = str(Path(fdm.__file__).resolve().parents[1])
         points, mkt, n_steps = LU_BLOCKS["zero_gamma_large_dt"]
         hide = ("import pathlib; glob = pathlib.Path.glob; pathlib.Path.glob = "
@@ -1846,10 +1849,10 @@ class TestLapackLoader:
             "logging.basicConfig(level=logging.DEBUG, format='%(name)s %(message)s')",
             f"sys.path.insert(0, {src!r})",
             "import numpy as np",
-            "from stretchgrid import bench, fdm",
+            "from stretchgrid import _lapack, bench",
             "from stretchgrid.fdm import *",
             "from stretchgrid.gridgen import Grid",
-            "print(fdm._BUNDLED is None)",
+            "print(_lapack.BUNDLED is None)",
             "for _, report in bench.load_bundled(5).run():",
             "    for prices in [report.reference, *(row.prices for row in report.rows)]:",
             "        print(*(price.hex() for price in prices.values()))",
@@ -1864,14 +1867,14 @@ class TestLapackLoader:
         assert hidden.stdout.startswith("True\n") and bundled.stdout.startswith("False\n")
         assert hidden.stdout.split("\n", 1)[1] == bundled.stdout.split("\n", 1)[1]
         assert bundled.stdout.splitlines()[-2] == "lu"
-        for out, path in ((hidden, fdm._flapack_path(LINALG_DIR)), (bundled, fdm._LAPACK)):
+        for out, path in ((hidden, FLAPACK_PATH), (bundled, _lapack.PATH)):
             assert (f"stretchgrid.fdm LAPACK dgttrf/dgttrs/dpttrf/dpttrs from {path}"
                     in out.stderr.splitlines())
 
     def test_missing_module_names_path_module_and_version(self, tmp_path):
         registered = sys.modules.get("scipy.linalg._flapack")
         with pytest.raises(ImportError) as err:
-            fdm._load_flapack(tmp_path)
+            _lapack._flapack(tmp_path)
         assert sys.modules.get("scipy.linalg._flapack") is registered
         message = str(err.value)
         expected = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
@@ -1881,9 +1884,8 @@ class TestLapackLoader:
 
     def test_module_without_dgttrs_is_an_import_error(self, monkeypatch):
         stub = types.ModuleType("scipy.linalg._flapack")
-        stub.dgttrf = fdm.dgttrf
+        stub.dgttrf = flapack().lu
         monkeypatch.setattr(importlib.util, "module_from_spec", lambda spec: stub)
-        linalg_dir = Path(fdm._SCIPY.origin).parent / "linalg"
         with pytest.raises(ImportError, match="needs dgttrf, dgttrs, dpttrf and dpttrs") as err:
-            fdm._load_flapack(linalg_dir)
+            _lapack._flapack(LINALG_DIR)
         assert isinstance(err.value.__cause__, AttributeError)
