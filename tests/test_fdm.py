@@ -1642,9 +1642,9 @@ def flapack() -> _lapack.Backend:
     return _lapack._flapack(LINALG_DIR)
 
 
-def backend(name: str) -> _lapack.Backend:
+def backend(path: str) -> _lapack.Backend:
     """numpy's bundled OpenBLAS, or scipy's ``_flapack`` loaded alone."""
-    if name == "flapack":
+    if path == "flapack":
         return flapack()
     if not BUNDLED:
         pytest.skip(needs_bundled.kwargs["reason"])
@@ -1684,15 +1684,15 @@ class TestLapackLoader:
         return ((lambda v: product(v, np.ones(5))) if name == "product x"
                 else (lambda v: product(np.ones(5), v)))
 
-    @pytest.mark.parametrize("name", ["bundled", "flapack"])
+    @pytest.mark.parametrize("path", ["numpy", "flapack"])
     @pytest.mark.parametrize("kind, n", [("dominant", 200), ("pivoting", 500),
                                          ("singular", 40)])
-    def test_lu_is_bit_identical_to_the_public_routines(self, kind, n, name):
+    def test_bit_identical_to_the_public_routines(self, kind, n, path):
         # lu factors without writing the bands, and its solve writes the
         # solution into the rhs it is given, with dgttrf/dgttrs's bits.
         lower, diag, upper, rhs = self.system(kind, n)
         bands = [a.copy() for a in (lower, diag, upper)]
-        info, solve = backend(name).lu(lower, diag, upper)
+        info, solve = backend(path).lu(lower, diag, upper)
         xs = []
         for column in rhs.T:
             b = column.copy()
@@ -1716,14 +1716,14 @@ class TestLapackLoader:
             assert info == 0 and np.allclose(matrix @ np.stack(xs, 1), rhs, rtol=0.0, atol=1e-8)
         assert lapack._flapack is sys.modules["scipy.linalg._flapack"]
 
-    @pytest.mark.parametrize("name", ["bundled", "flapack"])
+    @pytest.mark.parametrize("path", ["numpy", "flapack"])
     @pytest.mark.parametrize("n", [5, 200, 4001])
-    def test_ldl_is_bit_identical_to_the_public_routines(self, name, n):
+    def test_ldl_routines_are_bit_identical_to_the_public_ones(self, path, n):
         # pttrf writes dpttrf's factors into its bands, a strided band
         # included, and the solve of those factors gives dpttrs's bits in
         # place; a matrix that is not positive definite reports its first
         # failing pivot alike.
-        chosen = backend(name)
+        chosen = backend(path)
         from scipy.linalg import lapack
         rng = np.random.default_rng(n)
         diag, sub, rhs = 2.5 + rng.uniform(0.0, 1.0, n), -rng.uniform(0.1, 1.0, n - 1), \
@@ -1793,7 +1793,7 @@ class TestLapackLoader:
             assert (vector == 1.0).all()
 
     @needs_bundled
-    def test_import_logs_the_routines_and_asks_for_no_scipy(self):
+    def test_import_logs_the_routines_and_the_products_source(self):
         # The bundled library is bound without looking for scipy at all.
         src = str(Path(fdm.__file__).resolve().parents[1])
         probe = ("import importlib.util, logging, sys; logging.basicConfig(level=logging.DEBUG, "
@@ -1819,7 +1819,7 @@ class TestLapackLoader:
             self.call(call)(bad)
         assert (bad == 1).all()
 
-    @pytest.mark.parametrize("name", ["bundled", "flapack"])
+    @pytest.mark.parametrize("path", ["numpy", "flapack"])
     @pytest.mark.parametrize("call, message", [
         (lambda b: b.lu(np.ones(3), np.ones(3), np.ones(2)), r"dl has shape \(3,\)"),
         (lambda b: b.lu(np.ones(2), np.ones((3, 1)), np.ones(2)), r"d has shape \(3, 1\)"),
@@ -1827,11 +1827,11 @@ class TestLapackLoader:
         (lambda b: b.pttrf(np.ones(5), np.ones(3)), r"e has shape \(3,\)"),
         (lambda b: b.ldl_solver(np.ones(5), np.ones(5)), r"e has shape \(5,\)"),
     ])
-    def test_mismatched_shapes_are_value_errors(self, call, message, name):
+    def test_mismatched_shapes_are_value_errors(self, call, message, path):
         # ctypes would pass the pointers whatever their lengths; each is
         # checked against the row count first.
         with pytest.raises(ValueError, match=message):
-            call(backend(name))
+            call(backend(path))
 
     @needs_bundled
     def test_fallback_marches_table_5_with_the_same_bits(self):
