@@ -47,10 +47,10 @@ so two parts stepping on two threads hand it back and forth at every step
 and each waits on the other, where a forked part waits on nothing.  Every
 part runs under the caller's ``np.geterr()``, and every block's values, or
 the exception that fails it, are those of its own march, in any number of
-parts, threads or processes.  A zero pivot
-(``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
-both rise from the march, which returns each in its failing block's slot;
-both survive pickling, as a forked part's results must.
+parts, threads or processes.  A zero pivot (``SingularSystemError``) and a
+non-finite value (``NonFiniteValueError``) both rise from the march, which
+returns each in its failing block's slot; both survive pickling, as a forked
+part's results must.
 """
 
 from __future__ import annotations

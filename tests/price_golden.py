@@ -22,9 +22,10 @@ from stretchgrid.bench import emit_table_csv, load_bundled
 GOLDEN = Path(__file__).with_name("price_golden.json")
 CONFIGS = (1, 2, 3, 4, 5, 6, "american_put_stretch", "smoke_zero_vol")
 # The largest absolute price move that counts as none (1e-7 in the tables'
-# x 1e5 units).  Prices are at most ~15, so this is far above a few ulps of
-# round-off (a SIMD sinh or exp that differs by an ulp on another CPU) and
-# far below the smallest deliberate move seen so far, 2.3e-11.
+# x 1e5 units), far below the smallest deliberate move seen so far, 2.3e-11.
+# Both LAPACK backends give the golden's bits.  It is no bound on round-off
+# in the grids: one ulp in the sinh map's c2 - c1 moves prices by up to
+# 1.7e-10, so a numpy whose SIMD sinh rounds differently may fail it.
 TOLERANCE = 1e-12
 
 
