@@ -2,7 +2,8 @@
 
 ``price_golden.json`` holds, for each of the 8 bundled configs, its
 ``stretchgrid converge`` CSV (lines and sha256) and every full-precision
-reference and row price at every spot.  ``test_acceptance`` compares the
+reference and row price at every spot, and under ``host`` the numpy version
+and CPU features that computed them.  ``test_acceptance`` compares the
 acceptance suite's runs against it and prints the move report below.  After
 a change that moves prices by design, rewrite the file, which prints the
 same report against the file it replaces:
@@ -17,6 +18,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+
 from stretchgrid.bench import emit_table_csv, load_bundled
 
 GOLDEN = Path(__file__).with_name("price_golden.json")
@@ -25,8 +29,30 @@ CONFIGS = (1, 2, 3, 4, 5, 6, "american_put_stretch", "smoke_zero_vol")
 # x 1e5 units), far below the smallest deliberate move seen so far, 2.3e-11.
 # Both LAPACK backends give the golden's bits.  It is no bound on round-off
 # in the grids: one ulp in the sinh map's c2 - c1 moves prices by up to
-# 1.7e-10, so a numpy whose SIMD sinh rounds differently may fail it.
+# 1.7e-10, so a numpy whose SIMD sinh rounds differently may fail it;
+# ``host_note`` says whether this host's numpy and CPU differ.
 TOLERANCE = 1e-12
+
+
+def host() -> dict:
+    """The numpy version and the CPU features its SIMD loops may dispatch
+    to here, which pick the ``sinh`` that samples the stretch maps."""
+    return {"numpy": np.__version__,
+            "cpu_features": sorted(name for name, on in __cpu_features__.items() if on)}
+
+
+def host_note(golden: dict) -> str:
+    """Whether this host computes as the golden's did: where numpy or the
+    CPU features differ, a move near round-off may be numpy's SIMD ``sinh``
+    rounding a node differently, not a change in the code."""
+    was, now = golden.get("host", {}), host()
+    if was == now:
+        return f"host: numpy {now['numpy']} and CPU features as in the golden"
+    features = set(was.get("cpu_features", ()))
+    return (f"host differs from the golden's: numpy {was.get('numpy')} -> {now['numpy']}; "
+            f"CPU features only there {sorted(features - set(now['cpu_features']))}, "
+            f"only here {sorted(set(now['cpu_features']) - features)}; a move near "
+            f"round-off may be numpy's SIMD sinh, not a regression")
 
 
 def snapshot(results) -> dict:
@@ -83,9 +109,10 @@ def load() -> dict:
 
 def main():
     current = {str(key): snapshot(load_bundled(key).run()) for key in CONFIGS}
-    lines, _ = report(load() if GOLDEN.exists() else {}, current)
-    print("\n".join(lines))
-    GOLDEN.write_text(json.dumps(current, indent=1) + "\n")
+    golden = load() if GOLDEN.exists() else {}
+    lines, _ = report(golden, current)
+    print("\n".join([*lines, host_note(golden)]))
+    GOLDEN.write_text(json.dumps({**current, "host": host()}, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
 
 

@@ -429,9 +429,12 @@ def test_bundled_prices_match_the_golden(tables):
     # Every full-precision reference and row price of the 8 bundled configs
     # equals the golden's to within price_golden.TOLERANCE.  The report
     # prints, per table, the largest move x 1e5 and whether the CSV's sha256
-    # matches, with the CSV lines that changed.
+    # matches, with the CSV lines that changed, and whether this host's
+    # numpy and CPU features are the golden's.
     current = {str(key): price_golden.snapshot(list(tables(key).items()))
                for key in price_golden.CONFIGS}
-    lines, worst = price_golden.report(price_golden.load(), current)
+    golden = price_golden.load()
+    lines, worst = price_golden.report(golden, current)
+    lines.append(price_golden.host_note(golden))
     print("\n".join(lines))
     assert worst <= price_golden.TOLERANCE, "prices moved:\n" + "\n".join(lines)

@@ -1670,9 +1670,10 @@ class TestLapackLoader:
         return lower, diag, upper, rng.standard_normal((n, 2))
 
     @staticmethod
-    def call(name: str):
+    def call(name: str, other: np.ndarray):
         """One bundled call of a 5-row system that takes one vector: the
-        ``lu`` or ``ldl`` solve, or the product with the vector as x or b."""
+        ``lu`` or ``ldl`` solve, or the product with the vector as x or b
+        and ``other`` as its other operand."""
         bundled = _lapack.BUNDLED
         if name == "lu":
             return bundled.lu(np.ones(4), 4.0 * np.ones(5), np.ones(4))[1]
@@ -1681,8 +1682,8 @@ class TestLapackLoader:
             assert bundled.pttrf(d, e) == 0
             return bundled.ldl_solver(d, e)
         product = bundled.product(np.ones(4), 4.0 * np.ones(5), np.ones(4))
-        return ((lambda v: product(v, np.ones(5))) if name == "product x"
-                else (lambda v: product(np.ones(5), v)))
+        return ((lambda v: product(v, other)) if name == "product x"
+                else (lambda v: product(other, v)))
 
     @pytest.mark.parametrize("path", ["numpy", "flapack"])
     @pytest.mark.parametrize("kind, n", [("dominant", 200), ("pivoting", 500),
@@ -1782,15 +1783,16 @@ class TestLapackLoader:
     def test_lapack_calls_reject_a_short_read_only_or_strided_vector(self, call):
         # Each call hands LAPACK the vectors' buffers themselves, the rhs and
         # the product written in place: a vector it cannot use so is an
-        # error, and is left as it was.
+        # error, and it and the product's other operand are left as they were.
         read_only = np.ones(5)
         read_only.flags.writeable = False
+        good = np.ones(5)
         for vector, error, message in ((np.ones(4), ValueError, "Buffer size too small"),
                                        (read_only, TypeError, "not writable"),
                                        (np.ones(10)[::2], TypeError, "not C contiguous")):
             with pytest.raises(error, match=message):
-                self.call(call)(vector)
-            assert (vector == 1.0).all()
+                self.call(call, good)(vector)
+            assert (vector == 1.0).all() and (good == 1.0).all()
 
     @needs_bundled
     def test_import_logs_the_routines_and_the_products_source(self):
@@ -1815,9 +1817,10 @@ class TestLapackLoader:
         # Each buffer's bytes would be read as doubles: 40 bytes pass the
         # size check of a 5-row system, whatever their dtype.
         bad = np.ones(40 // np.dtype(dtype).itemsize, dtype=dtype)
+        good = np.ones(5)
         with pytest.raises(TypeError, match=f"has dtype {np.dtype(dtype)}; LAPACK takes float64"):
-            self.call(call)(bad)
-        assert (bad == 1).all()
+            self.call(call, good)(bad)
+        assert (bad == 1).all() and (good == 1.0).all()
 
     @pytest.mark.parametrize("path", ["numpy", "flapack"])
     @pytest.mark.parametrize("call, message", [
