@@ -1,13 +1,14 @@
 """The package's one policy for running the parts of a job at the same time:
-how many parts, and where each runs.  ``fdm.march``, ``fdm.start`` and
-``gridgen``'s map evaluation all call it.
+how many parts, and where each runs.  ``fdm.start`` and ``gridgen``'s map
+evaluation call it.
 
 A ``Part`` is one part of a job, started when it is made and joined later by
 ``result()``: in a child process made by ``os.fork()`` when its caller asks
 (``fork``), else on a thread of its own.  ``cancel()`` kills and reaps the
-child, or stops and joins the thread.  ``run_parts`` starts parts 1.. as
-``Part``s, runs part 0 on the calling thread, and joins them; ``fdm.start``
-starts a whole march as one ``Part`` and leaves the calling thread free.
+child, or stops and joins the thread.  ``fdm.start`` starts a whole march as
+one ``Part`` and leaves the calling thread free.  ``run_parts`` starts parts
+1.. on threads, runs part 0 on the calling thread, and joins them; only
+``gridgen``'s threaded map evaluation calls it.
 
 Threads share one GIL: every release of it in a part (a ``ctypes`` call, a
 numpy pass over a long vector) hands the interpreter to another part that
@@ -15,13 +16,13 @@ needs it back, and two parts that both step in Python wait on each other at
 every handoff.  Measured on a 2-CPU host, a large reference marched beside a
 stack of small blocks on another thread took about 1.8x its wall alone for
 the same CPU seconds, and a march on a thread beside grid building in the
-calling thread would wait the same way.  A forked part has an interpreter of
+calling thread waits the same way.  A forked part has an interpreter of
 its own, shares nothing after the fork and synchronises nothing until it
 sends its result back through a pipe (pickled); one fork and its round trip
-cost about 1.8 ms there.  ``fdm`` forks where ``FORK`` holds, which is only
-on Linux, where glibc and OpenBLAS install fork handlers.  macOS is left on
-threads (``multiprocessing`` has treated fork as unsafe there since Python
-3.8), as is Windows, which has no fork.  ``gridgen`` keeps threads
+cost about 1.8 ms there.  ``fdm.start`` forks where ``FORK`` holds, which is
+only on Linux, where glibc and OpenBLAS install fork handlers.  macOS is
+left on threads (``multiprocessing`` has treated fork as unsafe there since
+Python 3.8), as is Windows, which has no fork.  ``gridgen`` keeps threads
 everywhere: each of its chunks releases the GIL once and writes into one
 shared output.  A child runs only its part's work and leaves by
 ``os._exit``: it never returns into the caller's frames, so it never
@@ -29,7 +30,7 @@ cancels, joins or reaps the parts whose handles it inherited.  CPython 3.12
 and later warns (``DeprecationWarning``) on ``os.fork`` in a process that
 runs other threads, and numpy's OpenBLAS keeps a pool thread for each further
 CPU unless ``OPENBLAS_NUM_THREADS=1`` (its fork handler shuts the pool down
-before each fork), so there a march may warn.
+before each fork), so there a started march may warn.
 
 A forked child starts on the CPU that the fewest of this process's
 unreaped children, and its calling thread, were last seen on: it pins
@@ -237,25 +238,24 @@ def _child(args: tuple, write: int, cpu: int | None):
         os._exit(exitcode)
 
 
-def run_parts(work, parts: int, name: str, fork: bool = False) -> list:
+def run_parts(work, parts: int, name: str) -> list:
     """Call ``work(part, stop)`` for every part in ``range(parts)`` at the
     same time, and return what each call returns, in part order.  Parts
-    1.. start as ``Part``s (threads, or with ``fork`` forked children) that
-    share one ``stop``; part 0 then runs on the calling thread, and the
-    others are joined in order (with one part nothing starts).
+    1.. start as ``Part``s on threads named ``f"{name}-{part}"`` that share
+    one ``stop``; part 0 then runs on the calling thread, and the others are
+    joined in order (with one part nothing starts).
 
-    A part that raises sets ``stop``, so the parts on threads end early.
-    When part 0 or a join raises, or the calling thread is interrupted,
-    every part still running is cancelled (a child killed and reaped, a
-    thread stopped and joined) before this raises; so the exception raised
-    is that of the lowest part that raised.  Every part has ended, and every
-    child is reaped, before this returns or raises.
+    A part that raises sets ``stop``, so the other parts end early.  When
+    part 0 or a join raises, or the calling thread is interrupted, every
+    part still running is stopped and joined before this raises; so the
+    exception raised is that of the lowest part that raised.  Every part has
+    ended before this returns or raises.
     """
     stop = threading.Event()
     started: list[Part] = []
     try:
         for part in range(1, parts):
-            started.append(Part(work, part, name, fork, stop))
+            started.append(Part(work, part, name, stop=stop))
         ok, first = _attempt(work, 0, stop, dict(np.geterr(), call=np.geterrcall()))
         if not ok:
             raise first

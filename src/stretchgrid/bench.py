@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._threads import workers
 from .fdm import (BarrierMode, BoundaryCondition, BoundaryKind, MarketParams,
-                  PdeConfig, TrBdf2Stepper, start, workers)
+                  PdeConfig, TrBdf2Stepper, start)
 from .gridgen import (Grid, StretchKind, StretchMap, StretchSpec, KnotRule,
                       build_map, sample_grid)
 from .instruments import (ContractSpec, ExerciseStyle, OptionType,
@@ -350,10 +351,10 @@ def _sweep(configs: list[RunConfig],
     One ``_TableCache`` serves the whole sweep.  Each missing reference is
     built and marched (see ``_reference``); then every sweep row of every
     config is built and queued, and the rows march together through one
-    ``fdm.march``, dealt to the parts that the references still marching
-    leave; the started references are joined last.  A row
-    that fails to build or to march is marked failed instead of aborting; a
-    failed reference raises ``PricingError``.  Either names its column and
+    ``fdm.march`` in the calling thread, beside the references still
+    marching; the started references are joined last.  A row that fails to
+    build or to march is marked failed instead of aborting; a failed
+    reference raises ``PricingError``.  Either names its column and
     I.  When the sweep exits by an exception (a reference that fails to
     build, an interrupt), every started march is cancelled, its process
     killed and reaped, before the exception leaves.
@@ -413,8 +414,9 @@ def run_convergence(config: RunConfig,
     ``reference_steps`` unless explicit reference prices are passed in (used
     by table runs whose published reference is shared across columns).
     ``_sweep`` builds it and starts its march (with one worker, marches it)
-    before it builds the rows, which then march together, blocks that share
-    (dt, N) in one part as one stacked system; the reference is joined last.
+    before it builds the rows, which then march together in the calling
+    thread, blocks that share (dt, N) as one stacked system; the reference
+    is joined last.
     Failed resolutions are marked in the report instead of aborting the
     sweep; a failed reference raises ``PricingError``.
     """
@@ -619,6 +621,8 @@ def _parse_boundary(s: str) -> BoundaryCondition:
              "dirichlet": BoundaryKind.DIRICHLET_VALUE}
     if kind not in table:
         raise ConfigError(f"unknown boundary kind {kind!r}")
+    if table[kind] is not BoundaryKind.DIRICHLET_VALUE and value:
+        raise ConfigError(f"{kind} takes no value")
     return BoundaryCondition(table[kind], _finite(value) if value else 0.0)
 
 
@@ -745,9 +749,9 @@ class TableConfig:
         (the shared one, or one per column) is built and its march started
         at once (see ``_reference``); every sweep row of every column is then
         built and queued, and the rows march together through one
-        ``fdm.march``, which deals their blocks to the ``workers()`` parts
-        less those the references still marching take; the references are
-        joined last."""
+        ``fdm.march`` in the calling thread, beside the references still
+        marching; the references are joined last.  So at most ``workers()``
+        references and the rows march at once."""
         configs = [cfg for _, cfg in self.columns]
         shared = None
         if self.reference_mode == "shared":

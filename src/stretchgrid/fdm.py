@@ -33,24 +33,23 @@ scaling pass per solve.
 The LAPACK calls come from ``_lapack``, which binds one library; every
 march's record names it, beside each stack's solve (``ldl`` or ``lu``).
 
-``march`` marches independent blocks at the same time in ``workers()``
-parts.  It deals the blocks out costliest (nodes x N) first, each to the part
-with the least work so far, and each part stacks its own blocks per (dt, N)
-and marches those stacks.  Part 0 marches in the calling thread.  On Linux
-each other part marches in a process forked for the march, and elsewhere on
-a thread (``_threads`` holds this policy, shared with ``gridgen``'s map
-evaluation).  ``start`` runs the same march as one such part, started now
-and joined later, so that the caller can build while it marches.  Threads
+``march`` marches independent blocks in the calling thread: it stacks them
+per (dt, N) and marches the stacks one after another, starting no thread or
+process.  ``start`` runs the same march beside the caller, started now and
+joined later, so that the caller can build while it marches: on Linux in a
+process forked for it, elsewhere on a thread (``_threads.Part``).  Threads
 would share the GIL: a step releases it for each LAPACK call and inside
 numpy's loops on long vectors and takes it back for the Python between them,
-so two parts stepping on two threads hand it back and forth at every step
-and each waits on the other, where a forked part waits on nothing.  Every
-part runs under the caller's ``np.geterr()``, and every block's values, or
-the exception that fails it, are those of its own march, in any number of
-parts, threads or processes.  A zero pivot (``SingularSystemError``) and a
-non-finite value (``NonFiniteValueError``) both rise from the march, which
-returns each in its failing block's slot; both survive pickling, as a forked
-part's results must.
+so a march on a thread and a caller building beside it hand it back and forth
+and each waits on the other, where a forked march waits on nothing.  A
+started march runs under the caller's ``np.geterr()``, and every block's
+values, or the exception that fails it, are those of its own march, in
+whichever thread or process it marched.  A zero pivot
+(``SingularSystemError``) and a non-finite value (``NonFiniteValueError``)
+both rise from the march, which returns each in its failing block's slot;
+both survive pickling, as a forked march's results must.  How many marches
+run at once is the caller's choice (``bench`` starts one per reference, at
+most ``_threads.workers()`` at a time).
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _lapack, _threads
-from ._threads import LostPartError  # noqa: F401 - march raises it
-from ._threads import run_parts, workers
+from ._threads import LostPartError  # noqa: F401 - a started march raises it
 from .gridgen import Grid
 
 
@@ -784,174 +782,130 @@ class Stack:
         return v
 
 
-def _cost(block: TrBdf2Stepper) -> int:
-    return block.op.n * block.n_steps
+def _stacks(pairs: list) -> list[list[int]]:
+    """The indices of ``pairs`` grouped per (dt, N) of their blocks: the
+    stacks a march marches, each in the order its blocks were given, and
+    in the order each stack's first block was given."""
+    by_time: dict[tuple[float, int], list[int]] = {}
+    for k, (block, _) in enumerate(pairs):
+        by_time.setdefault((block.dt, block.n_steps), []).append(k)
+    return list(by_time.values())
 
 
-def _deal(blocks, width: int) -> list[list[list[int]]]:
-    """The indices of ``blocks`` dealt to ``width`` parts, each part's
-    grouped into the stacks it marches.
-
-    Blocks go out costliest (nodes x N) first, the earlier of two equal
-    costs first, each to the part with the least cost so far, the lowest
-    of tied parts (Graham's longest-processing-time rule), so part 0 holds
-    the costliest block.  Each part stacks its blocks per (dt, N); its
-    stacks, and the blocks in each, keep the order they were dealt in.
-    """
-    loads = [0] * width
-    stacks: list[dict[tuple[float, int], list[int]]] = [{} for _ in range(width)]
-    for k in sorted(range(len(blocks)), key=lambda k: -_cost(blocks[k])):
-        part = loads.index(min(loads))
-        loads[part] += _cost(blocks[k])
-        stacks[part].setdefault((blocks[k].dt, blocks[k].n_steps), []).append(k)
-    return [list(by_time.values()) for by_time in stacks]
-
-
-def _shapes(blocks, dealt) -> list[list[tuple]]:
-    """Each part's stacks as (block indices, nodes, N), for the record."""
-    return [[(tuple(stack), sum(blocks[k].op.n for k in stack), blocks[stack[0]].n_steps)
-             for stack in stacks] for stacks in dealt]
-
-
-def _work(pairs: list, dealt: list):
-    """``march``'s part function over ``pairs`` dealt as ``dealt``:
-    ``work(part, stop)`` returns the part's (block index, values or
-    exception) pairs, its stacks' solve kinds and its CPU seconds."""
-
-    def work(part: int, stop) -> tuple[list, dict, float]:
-        start = time.thread_time()
-        todo = dealt[part][::-1]
-        slots, kinds = [], {}
-        while todo and not stop.is_set():
-            stack = todo.pop()
-            try:
-                system = Stack(pairs[k][0] for k in stack)
-                kinds[tuple(stack)] = system.solve_kind
-                if len(stack) == 1:
-                    terminal = pairs[stack[0]][1]
-                else:
-                    terminal = np.concatenate([pairs[k][1] for k in stack], dtype=float)
-                marched = system.split(system.march(terminal))
-            except Exception as exc:  # noqa: BLE001 - returned in its block's slot
-                if len(stack) > 1:   # its halves march next, the first half first
-                    half = len(stack) // 2
-                    todo += [stack[half:], stack[:half]]
-                    continue
-                marched = [exc]
-            slots += zip(stack, marched)
-        return slots, kinds, time.thread_time() - start
-
-    return work
+def _march_stacks(pairs: list, stacks: list, stop=None) -> tuple[list, dict, float]:
+    """March ``stacks`` of ``pairs``, stopping before the next stack once
+    ``stop`` (a ``threading.Event``, if given) is set: the (block index,
+    values or exception) pairs, each stack's solve kind and the CPU seconds
+    of the thread that marched them."""
+    began = time.thread_time()
+    todo = stacks[::-1]
+    slots, kinds = [], {}
+    while todo and not (stop is not None and stop.is_set()):
+        stack = todo.pop()
+        try:
+            system = Stack(pairs[k][0] for k in stack)
+            kinds[tuple(stack)] = system.solve_kind
+            if len(stack) == 1:
+                terminal = pairs[stack[0]][1]
+            else:
+                terminal = np.concatenate([pairs[k][1] for k in stack], dtype=float)
+            marched = system.split(system.march(terminal))
+        except Exception as exc:  # noqa: BLE001 - returned in its block's slot
+            if len(stack) > 1:   # its halves march next, the first half first
+                half = len(stack) // 2
+                todo += [stack[half:], stack[:half]]
+                continue
+            marched = [exc]
+        slots += zip(stack, marched)
+    return slots, kinds, time.thread_time() - began
 
 
-def _gather(done: list, shapes: list, places: list, heading: str) -> list:
-    """The blocks' values or exceptions, in their given order, from each
-    part's ``_work`` outcome in ``done``.  Logs the march's record at DEBUG
-    level: ``heading``, the LAPACK library bound, and each part's place
-    (``places``), CPU seconds and stacks."""
-    results: list = [None] * sum(len(stack) for stacks in shapes for stack, _, _ in stacks)
-    for slots, _, _ in done:
-        for k, values in slots:
-            results[k] = values
+def _shapes(pairs: list, stacks: list) -> list[tuple]:
+    """Each stack as (block indices, nodes, N), for the record."""
+    return [(tuple(stack), sum(pairs[k][0].op.n for k in stack), pairs[stack[0]][0].n_steps)
+            for stack in stacks]
+
+
+def _gather(done: tuple, shapes: list, heading: str) -> list:
+    """The blocks' values or exceptions, in their given order, from the
+    ``_march_stacks`` outcome ``done``.  Logs the march's record at DEBUG
+    level: ``heading`` (which says where it marched), its CPU seconds, the
+    LAPACK library bound and each stack's blocks, nodes, N and solve."""
+    slots, kinds, cpu_s = done
+    results: list = [None] * sum(len(stack) for stack, _, _ in shapes)
+    for k, values in slots:
+        results[k] = values
     if log.isEnabledFor(logging.DEBUG):
-        parts = []
-        for part, (stacks, (_, kinds, cpu_s), where) in enumerate(zip(shapes, done, places)):
-            described = ", ".join(f"stack(blocks={len(stack)}, nodes={nodes}, N={n_steps}, "
-                                  f"solve={kinds.get(stack, 'none')})"
-                                  for stack, nodes, n_steps in stacks)
-            parts.append(f"part {part} ({where}, {cpu_s:.3f} s CPU) {described}")
-        log.debug("%s, LAPACK from %s: %s", heading, _lapack.PATH, "; ".join(parts))
+        described = ", ".join(f"stack(blocks={len(stack)}, nodes={nodes}, N={n_steps}, "
+                              f"solve={kinds.get(stack, 'none')})"
+                              for stack, nodes, n_steps in shapes)
+        log.debug("%s, %.3f s CPU, LAPACK from %s: %s", heading, cpu_s, _lapack.PATH, described)
     return results
 
 
 def march(pairs) -> list:
-    """March (block, terminal payoff) ``pairs`` at the same time, and return,
-    in the given order, each block's values or the exception that failed it.
+    """March (block, terminal payoff) ``pairs`` in the calling thread, and
+    return, in the given order, each block's values or the exception that
+    failed it.
 
-    The blocks are dealt to ``workers()`` parts, less one for each march
-    ``start`` began and no one has joined or cancelled yet, and at least one
-    (see ``_deal``), so the march leaves those their CPUs.  Each part stacks
-    and marches its own under the caller's numpy error state: one
-    factorization per stack.  Part 0, which holds the costliest block,
-    marches in the calling thread; on Linux each other part marches in a
-    process forked for this march, which sends its blocks' values (or
-    exceptions), its stacks' solve kinds and its CPU seconds back pickled,
-    and elsewhere on a thread of its own (see ``_threads.run_parts``; with
-    one part nothing starts).  Two parts on two threads would wait on each
-    other at every step for the GIL; two processes do not.  No part calls
-    ``run``.  A one-block stack marches its block's terminal as
-    it is (see ``Stack.march``).  A stack that raises an ``Exception``
-    marches again as two halves, each its own stack, until each failing
-    block stands alone with the exception of its own march; every other
-    stack and part carries on.  An interrupt of the calling thread kills
-    the forked parts, or stops the threads before their next stack, and
-    every child is reaped before ``march`` returns or raises; a forked part
-    that dies without a result raises ``LostPartError``.  Each march logs
-    the LAPACK library bound, its deal with where each part ran, its CPU
-    seconds and each of its stacks' solve (``Stack.solve_kind``), and its
-    wall seconds at DEBUG level on the ``stretchgrid.fdm`` logger.
-    ``start`` runs the same march as one part that the caller joins later.
+    The blocks are stacked per (dt, N) (see ``_stacks``), one factorization
+    per stack, and the stacks marched one after another; ``march`` starts
+    no thread or process, so a caller that wants a march beside its own
+    work calls ``start``.  No stack calls ``run``.  A one-block stack
+    marches its block's terminal as it is (see ``Stack.march``).  A stack
+    that raises an ``Exception`` marches again as two halves, each its own
+    stack, until each failing block stands alone with the exception of its
+    own march; every other stack carries on.  Each march logs its wall and
+    CPU seconds, the LAPACK library bound and each of its stacks' solve
+    (``Stack.solve_kind``) at DEBUG level on the ``stretchgrid.fdm`` logger.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    blocks = [block for block, _ in pairs]
-    dealt = _deal(blocks, min(max(1, workers() - len(_running)), len(pairs)))
-    forked = _threads.FORK
+    stacks = _stacks(pairs)
     began = time.perf_counter()
-    done = run_parts(_work(pairs, dealt), len(dealt), "fdm-march", fork=forked)
-    places = ["process" if forked and part else "thread" for part in range(len(dealt))]
-    return _gather(done, _shapes(blocks, dealt), places,
-                   f"march of {len(pairs)} blocks in {time.perf_counter() - began:.3f} s wall")
+    done = _march_stacks(pairs, stacks)
+    return _gather(done, _shapes(pairs, stacks), f"march of {len(pairs)} blocks in the "
+                   f"calling thread, {time.perf_counter() - began:.3f} s wall")
 
 
 class _Started:
     """A march started by ``start``, marching while the caller goes on.
 
     ``result()`` waits for it and returns what ``march`` would return (and
-    logs ``march``'s record, saying it was started in the background, in
-    this process); a part that ends without a result raises
-    ``LostPartError``.  ``cancel()`` ends it: the child is killed and
-    reaped, or the thread stopped after its stack and joined (see
-    ``_threads.Part``).  A forked march keeps here only what its record
-    needs, so the caller may drop the blocks and terminals it started.
+    logs ``march``'s record, saying where it was started, in this process);
+    a forked march that ends without a result raises ``LostPartError``, and
+    one whose result does not pickle raises pickle's error.  ``cancel()``
+    ends it: the child is killed and reaped, or the thread stopped after its
+    stack and joined (see ``_threads.Part``).  A forked march keeps here
+    only what its record needs, so the caller may drop the blocks and
+    terminals it started.
     """
 
     def __init__(self, pairs):
         pairs = list(pairs)
-        blocks = [block for block, _ in pairs]
-        dealt = _deal(blocks, 1)
-        self._count, self._shapes = len(pairs), _shapes(blocks, dealt)
-        self._place = "process" if _threads.FORK else "thread"
+        stacks = _stacks(pairs)
+        self._count, self._shapes = len(pairs), _shapes(pairs, stacks)
+        self._place = "a forked process" if _threads.FORK else "a thread"
         self._began = time.perf_counter()
-        self._part = _threads.Part(_work(pairs, dealt), 0, "fdm-start", fork=_threads.FORK)
+        self._part = _threads.Part(lambda part, stop: _march_stacks(pairs, stacks, stop),
+                                   0, "fdm-start", fork=_threads.FORK)
 
     def result(self) -> list:
-        try:
-            done = self._part.result()
-        finally:
-            _running.discard(self)
-        return _gather([done], self._shapes, [self._place],
-                       f"march of {self._count} blocks started in the background, joined after "
+        done = self._part.result()
+        return _gather(done, self._shapes,
+                       f"march of {self._count} blocks started in {self._place}, joined after "
                        f"{time.perf_counter() - self._began:.3f} s wall")
 
     def cancel(self):
         self._part.cancel()
-        _running.discard(self)
-
-
-# The marches ``start`` began that are not yet joined or cancelled: each
-# keeps a CPU busy, which ``march`` leaves to it.
-_running: set[_Started] = set()
 
 
 def start(pairs) -> _Started:
-    """Start ``march(pairs)`` as one part, the blocks stacked per (dt, N) as
-    ``march``'s one part would, and return at once: in a forked process on
-    Linux, elsewhere on a thread (see ``_threads.Part``).  Until it is
-    joined, by its ``result()``, or ended, by its ``cancel()`` (one of which
-    the caller must call), every ``march`` deals its blocks to one part
-    fewer, and to at least one."""
-    started = _Started(pairs)
-    _running.add(started)
-    return started
+    """Start ``march(pairs)`` beside the caller and return at once: in a
+    process forked for it on Linux, elsewhere on a thread of its own (see
+    ``_threads.Part``).  It marches under the caller's numpy error state,
+    and its values, or the exceptions that fail its blocks, are the bits
+    ``march`` gives.  The caller must end it, by its ``result()`` or its
+    ``cancel()``; until then a forked march's child is left unreaped."""
+    return _Started(pairs)

@@ -27,11 +27,10 @@ array of any shape is flattened, evaluated in 65,536-sample chunks
 (``_chunked_eval``) and reshaped back.  So a scalar gets the bits of the
 same sample inside an array.  A batch of ``_THREADED_CHUNKS`` (80) full
 chunks or more is split into ``workers()`` runs of chunks, one thread each
-(``_threads.run_parts``, shared with ``fdm.march``, every thread under the
-caller's ``np.geterr()``; threads on every platform, since each chunk
-releases the GIL once and writes into one shared output); each value is bit
-for bit that of one thread.  Every grid of the bundled tables is far below
-that size.
+(``_threads.run_parts``, every thread under the caller's ``np.geterr()``;
+threads on every platform, since each chunk releases the GIL once and writes
+into one shared output); each value is bit for bit that of one thread.
+Every grid of the bundled tables is far below that size.
 """
 
 from __future__ import annotations

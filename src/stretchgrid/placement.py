@@ -53,6 +53,9 @@ class PlacementSpec:
         values = [t.value for t in targets]
         if any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
             raise PlacementError("targets must be sorted by value and distinct")
+        if self.mode is PlacementMode.INSERT and any(
+                t.goal is not PlacementGoal.MID_CELL for t in targets):
+            raise PlacementError("insertion only supports mid-cell targets")
         object.__setattr__(self, "targets", targets)
 
 

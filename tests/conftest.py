@@ -1,9 +1,26 @@
 import os
+import sys
 import threading
 
 import numpy as np
+import pytest
 
 from stretchgrid import _threads, bench, fdm
+
+
+def assert_no_child_left():
+    """Every child process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """On Linux, where a started march forks, no test leaves a child
+    process running or unreaped."""
+    yield
+    if sys.platform == "linux":
+        assert_no_child_left()
 
 
 def set_workers(monkeypatch, width: int):
@@ -13,14 +30,14 @@ def set_workers(monkeypatch, width: int):
 
 
 def on_threads(monkeypatch):
-    """March every part on a thread, as off Linux, so that what a patched
-    function records in any part reaches this process."""
+    """Start every march (``fdm.start``) on a thread, as off Linux, so that
+    what a patched function records in it reaches this process."""
     monkeypatch.setattr(_threads, "FORK", False)
 
 
 def record_stacks(monkeypatch) -> list:
     """Record, for every stack as it is built, its thread's name and blocks
-    (every part on a thread; see ``on_threads``)."""
+    (every started march on a thread; see ``on_threads``)."""
     on_threads(monkeypatch)
     stacks = []
     init = fdm.Stack.__init__

@@ -132,6 +132,8 @@ pde.barrier_mode = ghost_lagrange3
         ("placement.targets", "midcell:nan"),
         ("placement.targets", "ongrid:inf"),
         ("pde.boundary_upper", "dirichlet:nan"),
+        ("pde.boundary_upper", "zero_gamma:5"),
+        ("pde.boundary_lower", "degenerate_exact:0"),
     ])
     def test_bad_value_raises_config_error_naming_the_key(self, key, value):
         kv = parse_config_text(SMOKE)
@@ -139,6 +141,17 @@ pde.barrier_mode = ghost_lagrange3
         kv[key] = value
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_table_config(kv)
+
+    def test_an_on_grid_target_to_insert_is_rejected_naming_the_placement_keys(self):
+        # Insertion places targets mid-cell only; an on-grid one fails at
+        # parsing, before any grid is built.
+        kv = parse_config_text(SMOKE)
+        kv.update({"placement.mode": "insert", "placement.targets": "midcell:60, ongrid:75"})
+        with pytest.raises(ConfigError, match=r"^placement\.mode, placement\.targets: "
+                                              r"insertion only supports mid-cell targets$"):
+            parse_table_config(kv)
+        kv["placement.targets"] = "midcell:60, midcell:75"
+        parse_table_config(kv)
 
     def test_unknown_column_key_is_named_as_written(self):
         text = SMOKE + "columns = a, b\ncolumn.b.stretch.alhpa = 2\n"
@@ -463,9 +476,9 @@ def track_starts(monkeypatch) -> dict:
     return seen
 
 
-# Where march parts run: on threads, and in forked processes where they may.
+# Where a started march runs: on a thread, and in a forked process where it may.
 PLACES = [False, True] if _threads.FORK else [False]
-needs_fork = pytest.mark.skipif(not _threads.FORK, reason="parts fork only on Linux")
+needs_fork = pytest.mark.skipif(not _threads.FORK, reason="a started march forks only on Linux")
 
 
 class TestLockstepMarch:
@@ -498,9 +511,8 @@ class TestLockstepMarch:
         # 32 rows as one stack, each march one ``run`` in the calling thread.
         # From two workers the reference's march starts on its own
         # (``fdm.start``, here on the thread fdm-start-0) once its block is
-        # built, and one ``run`` marches the 32 rows in the parts the
-        # reference leaves, ``width - 1``, one stack each: at two workers
-        # the 32 rows as one stack in the calling thread.
+        # built, and one ``run`` marches the 32 rows as one stack in the
+        # calling thread.
         runs, calls = self.count_calls(monkeypatch)
         stacks = record_stacks(monkeypatch)
         starts = track_starts(monkeypatch)
@@ -528,9 +540,9 @@ class TestLockstepMarch:
             assert starts["nodes"] == [[nodes]]
             started = [blocks for thread, blocks in stacks if thread == "fdm-start-0"]
             assert [[block.op.n for block in blocks] for blocks in started] == [[nodes]]
-            dealt = [(thread, blocks) for thread, blocks in stacks if thread != "fdm-start-0"]
-            assert len(dealt) == len({thread for thread, _ in dealt}) == width - 1
-            assert sum(len(blocks) for _, blocks in dealt) == rows
+            here = [len(blocks) for thread, blocks in stacks
+                    if thread == threading.current_thread().name]
+            assert here == [rows]
 
     def test_each_marched_part_is_factored_once(self, monkeypatch):
         # Building factors nothing; each stack a part marches is factored
@@ -538,8 +550,8 @@ class TestLockstepMarch:
         # stack each, and marches its 16 rows as one stack beside the two
         # still running; table 4 starts its reference's and marches its 32
         # rows as one stack; tables 5 and 6 start their reference's and
-        # stack their rows per N.  Every part runs on a thread, where the
-        # count sees it.
+        # stack their rows per N.  Every started march runs on a thread,
+        # where the count sees it.
         set_workers(monkeypatch, 2)
         on_threads(monkeypatch)
         calls = []
@@ -595,10 +607,10 @@ class TestParallelMarch:
 
     def test_poisoned_row_splits_only_its_stack(self, monkeypatch):
         # Table 4 at two workers: the reference's march starts on its own,
-        # and the 32 rows march as one stack in the part it leaves.  A NaN
+        # and the 32 rows march as one stack in the calling thread.  A NaN
         # in one row's payoff fails that stack, which splits in halves down
-        # to the row: 1 + 2 x 5 factors, beside the reference's one (every
-        # part on a thread, where the count sees it).
+        # to the row: 1 + 2 x 5 factors, beside the reference's one (the
+        # started march on a thread, where the count sees it).
         set_workers(monkeypatch, 2)
         stacks = record_stacks(monkeypatch)
         table = load_bundled(4)
@@ -631,9 +643,8 @@ class TestParallelMarch:
     def test_one_worker_starts_no_thread_and_keeps_the_csv(self, monkeypatch):
         # One worker starts nothing.  Two start the reference's march, a
         # forked process on Linux and a thread elsewhere or with ``FORK``
-        # off, and march the rows in the calling thread, which the reference
-        # leaves them.  The CSV bytes are the same at either width, forked
-        # or not.
+        # off, and march the rows in the calling thread.  The CSV bytes are
+        # the same at either width, forked or not.
         started = []
         start = threading.Thread.start
 
@@ -687,11 +698,6 @@ class TestParallelMarch:
         assert starts["running"] == 0
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @needs_fork
 class TestStartedReferences:
     """From two workers on Linux each reference marches in a forked process
@@ -729,11 +735,10 @@ class TestStartedReferences:
         monkeypatch.setattr(bench, "build_run_grid", building)
         table = load_bundled(6)
         table.run()
-        assert_no_child_left()
         reference = table.columns[0][1].reference_steps
         assert events[:2] == [reference, "fork"]
         assert reference not in events[2:]
-        assert events.count("fork") == 1    # the rows march in the part it leaves, here
+        assert events.count("fork") == 1    # the rows march here
 
     def test_a_reference_that_fails_to_build_cancels_the_started_ones(self, monkeypatch):
         # The first column's reference marches (a minute) while the second
@@ -752,7 +757,6 @@ class TestStartedReferences:
         with pytest.raises(bench.PricingError, match=r"^stretched, I = 64: no grid$"):
             parse_table_config(parse_config_text(TWO_COLUMNS)).run()
         assert time.perf_counter() - began < 30.0
-        assert_no_child_left()
 
     def test_an_interrupt_during_a_row_build_cancels_the_started_ones(self, monkeypatch):
         set_workers(monkeypatch, 2)
@@ -768,7 +772,6 @@ class TestStartedReferences:
         with pytest.raises(KeyboardInterrupt):
             parse_table_config(parse_config_text(TWO_COLUMNS)).run()
         assert time.perf_counter() - began < 30.0
-        assert_no_child_left()
 
     def test_a_killed_reference_march_is_a_pricing_error(self, monkeypatch):
         # Each reference's process kills itself; the rows (17 and 33 nodes,
@@ -785,7 +788,6 @@ class TestStartedReferences:
         monkeypatch.setattr(fdm.Stack, "march", dying)
         with pytest.raises(bench.PricingError) as err:
             parse_table_config(parse_config_text(TWO_COLUMNS)).run()
-        assert_no_child_left()
         assert isinstance(err.value.__cause__, fdm.LostPartError)
         assert str(err.value) == ("plain, I = 64: fdm-start: part 0 ended without a result "
                                   "(killed by signal 9)")
@@ -833,33 +835,28 @@ SMALL_TABLE_3 = load_bundled_text("discrete_ko_stretch_placed.cfg").replace(
     "pde.time_steps = 1500", "pde.time_steps = 250")
 
 
-class TestDeal:
-    def test_table_3_rows_split_into_two_balanced_stacks(self, monkeypatch):
-        # Three workers, and one reference (shared by the four columns)
-        # marching on its own: the 16 rows, which share dt and N, are dealt
-        # to the two parts it leaves, in two stacks whose costs differ by no
-        # more than the costliest row's.
-        set_workers(monkeypatch, 3)
-        stacks = record_stacks(monkeypatch)
-        table = parse_table_config(parse_config_text(
-            SMALL_TABLE_3 + "sweep.reference_mode = shared\n"))
-        results = table.run()
-        assert not any(row.failed for _, report in results for row in report.rows)
-        reference = table.columns[0][1].reference_steps
+def node_steps(config: bench.RunConfig, steps: int) -> int:
+    """Nodes x N of ``config``'s pricing at ``steps`` intervals, from its
+    grid alone."""
+    time_steps = steps if config.match_time_steps else config.pde.time_steps
+    return bench.build_run_grid(config, steps).points.size * time_steps
 
-        def cost(block):
-            return block.op.n * block.n_steps
 
-        rows = [(thread, blocks) for thread, blocks in stacks
-                if all(block.op.n < reference for block in blocks)]
-        assert len(stacks) == 3 and len(rows) == 2
-        assert {thread for thread, _ in rows} == {threading.current_thread().name,
-                                                  "fdm-march-1"}
-        assert sum(len(blocks) for _, blocks in rows) == 16
-        (_, a), (_, b) = rows
-        largest = max(cost(block) for _, blocks in rows for block in blocks)
-        assert abs(sum(map(cost, a)) - sum(map(cost, b))) <= largest
+@pytest.mark.parametrize("name", BUNDLED)
+def test_rows_cost_less_than_the_costliest_reference(name):
+    # A table's rows march in one ``fdm.march`` in the calling thread while
+    # its references march beside it, so that the rows are not the longest
+    # march only while their node-steps stay below the costliest
+    # reference's; a table that breaks this fails here.
+    table = parse_table_config(parse_config_text(load_bundled_text(name)))
+    configs = [cfg for _, cfg in table.columns]
+    references = ([dict(table.columns)[table.reference_column]]
+                  if table.reference_mode == "shared" else configs)
+    rows = sum(node_steps(cfg, steps) for cfg in configs for steps in cfg.space_steps)
+    assert rows < max(node_steps(cfg, cfg.reference_steps) for cfg in references)
 
+
+class TestWidth:
     @pytest.mark.parametrize("text", [SMALL_TABLE_3, load_bundled_text(
         "double_ko_discrete_stretch.cfg")], ids=["small_table_3", "table_4"])
     def test_csv_bytes_do_not_depend_on_the_width(self, monkeypatch, text):

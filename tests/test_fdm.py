@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import on_threads, record_stacks, set_workers
+from conftest import set_workers
 from hypothesis import assume, given, settings, strategies as st
 
 from stretchgrid import _lapack, _threads, bench, fdm
@@ -792,14 +792,11 @@ def march_pair(draw, poison: str = ""):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pairs=st.lists(march_pair(), min_size=1, max_size=8),
-       width=st.sampled_from([1, 2, 3, 5]))
-def test_parallel_march_equals_each_parts_own_run(pairs, width):
+@given(pairs=st.lists(march_pair(), min_size=1, max_size=8))
+def test_march_equals_each_blocks_own_run(pairs):
     solo = [block.run(terminal) for block, terminal in pairs]
     assume(all(np.isfinite(v).all() for v in solo))
-    with pytest.MonkeyPatch.context() as mp:
-        set_workers(mp, width)
-        out = fdm.march(pairs)
+    out = fdm.march(pairs)
     assert len(out) == len(pairs)
     for got, want in zip(out, solo):
         assert np.array_equal(got, want)
@@ -815,20 +812,13 @@ def poisoned_march(draw):
     return pairs, poisoned
 
 
-# Where march parts run: on threads, and in forked processes where they may.
-PLACES = [False, True] if _threads.FORK else [False]
-needs_fork = pytest.mark.skipif(not _threads.FORK, reason="parts fork only on Linux")
-
-
 @settings(max_examples=100, deadline=None)
-@given(drawn=poisoned_march(), width=st.sampled_from([1, 2, 3]), fork=st.sampled_from(PLACES))
-def test_march_returns_each_blocks_own_values_or_error(drawn, width, fork):
+@given(drawn=poisoned_march())
+def test_march_returns_each_blocks_own_values_or_error(drawn):
     # Every slot holds what the block's own ``run`` gives: its values, or an
-    # exception of the same type, message and attributes, whether the other
-    # parts are forked or threads.  A failed stack splits in halves, so one
-    # failing block in a k-block stack costs at most 2 ceil(log2 k) factors
-    # beyond the one of each dealt stack (counted where every part is a
-    # thread of this process).
+    # exception of the same type, message and attributes.  A failed stack
+    # splits in halves, so one failing block in a k-block stack costs at
+    # most 2 ceil(log2 k) factors beyond the one of each stack.
     pairs, poisoned = drawn
     solo = []
     for block, terminal in pairs:
@@ -838,8 +828,6 @@ def test_march_returns_each_blocks_own_values_or_error(drawn, width, fork):
             solo.append(exc)
     factored = []
     with pytest.MonkeyPatch.context() as mp:
-        set_workers(mp, width)
-        mp.setattr(_threads, "FORK", fork)
         factor = fdm._factor
         mp.setattr(fdm, "_factor", lambda *args: factored.append(1) or factor(*args))
         out = fdm.march(pairs)
@@ -851,15 +839,31 @@ def test_march_returns_each_blocks_own_values_or_error(drawn, width, fork):
         else:
             assert np.array_equal(got, want)
     failed = {k for k, want in enumerate(solo) if isinstance(want, Exception)}
-    if len(poisoned) == 1 and failed == poisoned and not (fork and width > 1):
-        blocks = [block for block, _ in pairs]
-        stacks = [stack for thread in fdm._deal(blocks, min(width, len(pairs)))
-                  for stack in thread]
+    if len(poisoned) == 1 and failed == poisoned:
+        stacks = fdm._stacks(pairs)
         k = len(next(stack for stack in stacks if poisoned <= set(stack)))
         assert len(factored) <= len(stacks) + 2 * math.ceil(math.log2(k))
 
 
+# Where a started march runs: on a thread, and in a forked process where it may.
+needs_fork = pytest.mark.skipif(not _threads.FORK, reason="a started march forks only on Linux")
+MARCHES = ["march", "thread", pytest.param("process", marks=needs_fork)]
+PLACE = {"thread": "a thread", "process": "a forked process"}   # as the record names it
+
+
+def march_by(monkeypatch, how: str, pairs) -> list:
+    """``fdm.march(pairs)``, or with ``how`` "thread" or "process" the same
+    march started there (``fdm.start``) and joined."""
+    if how == "march":
+        return fdm.march(pairs)
+    monkeypatch.setattr(_threads, "FORK", how == "process")
+    return fdm.start(pairs).result()
+
+
 class TestParallel:
+    """``march`` marches in the calling thread; ``start`` runs the same
+    march beside it."""
+
     def pairs(self, *shapes):
         """One (block, terminal values) pair per (nodes, N) shape."""
         mkt = MarketParams(0.05, 0.0, 0.2)
@@ -879,41 +883,32 @@ class TestParallel:
         monkeypatch.setattr(Stack, "march", recording)
         return marched
 
-    def test_costliest_part_marches_first(self, monkeypatch):
-        # One thread marches its stacks in the order they were dealt, the
-        # costliest block first; its two N = 4 blocks share one stack.
-        set_workers(monkeypatch, 1)
+    def test_blocks_stack_per_dt_and_n_in_the_given_order(self, monkeypatch):
+        # The two N = 4 blocks share one stack, which marches first, as its
+        # first block was given first.
         marched = self.record_marches(monkeypatch)
-        fdm.march(self.pairs((11, 4), (21, 4), (11, 9), (31, 2)))
-        assert marched == [(11, 9), (32, 4), (31, 2)]  # nodes x N: 99, 84 + 44, 62
+        fdm.march(self.pairs((11, 4), (21, 9), (21, 4), (31, 2)))
+        assert marched == [(32, 4), (21, 9), (31, 2)]
 
-    @pytest.mark.parametrize("width, dealt", [
-        (1, [[[2], [1, 0], [3]]]),
-        (2, [[[2], [0]], [[1], [3]]]),      # loads 99 + 44, 84 + 62
-        (3, [[[2]], [[1]], [[3], [0]]]),    # the last block joins the lightest
-    ])
-    def test_each_block_goes_to_the_least_loaded_thread(self, width, dealt):
-        blocks = [block for block, _ in self.pairs((11, 4), (21, 4), (11, 9), (31, 2))]
-        assert fdm._deal(blocks, width) == dealt
+    def test_march_starts_no_thread_or_process(self, monkeypatch):
+        # Blocks of two (dt, N) march as two stacks, and nothing starts.
+        pairs = self.pairs((11, 4), (21, 9), (31, 4))
+        solo = [block.run(terminal) for block, terminal in pairs]
 
-    def test_equal_costs_deal_in_the_given_order(self):
-        blocks = [block for block, _ in self.pairs(*[(11, 4)] * 5)]
-        assert fdm._deal(blocks, 2) == [[[0, 2, 4]], [[1, 3]]]
+        def refuse(*args, **kwargs):
+            raise AssertionError("march started a thread or process")
 
-    @pytest.mark.parametrize("width, threads", [(1, 0), (2, 1), (3, 2), (8, 2)])
-    def test_threads_started_count_the_calling_one(self, monkeypatch, width, threads):
-        set_workers(monkeypatch, width)
-        on_threads(monkeypatch)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda thread: started.append(thread) or start(thread))
-        fdm.march(self.pairs((11, 4), (11, 4), (11, 4)))
-        assert len(started) == threads
+        monkeypatch.setattr(_threads, "Part", refuse)
+        monkeypatch.setattr(os, "fork", refuse, raising=False)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        marched = self.record_marches(monkeypatch)
+        out = fdm.march(pairs)
+        assert marched == [(42, 4), (21, 9)]
+        for got, want in zip(out, solo):
+            assert np.array_equal(got, want)
 
-    def test_threads_run_only_the_step_loop(self, monkeypatch):
+    def test_threads_run_only_the_step_loop(self):
         # A traced ``run`` records spans on the calling thread alone.
-        set_workers(monkeypatch, 2)
         calls = []
 
         class Counted(TrBdf2Stepper):
@@ -928,58 +923,29 @@ class TestParallel:
         assert calls == [True]
         assert [v.shape for v in out] == [(11,)] * 3
 
-    def test_many_threads_hand_out_every_part_once(self, monkeypatch):
-        # More threads than cores, switching as often as the interpreter
-        # allows: every block is factored in exactly one stack, and a block
-        # marched twice, or never, breaks the values.
-        set_workers(monkeypatch, 8)
-        on_threads(monkeypatch)
-        shapes = [(11 + k % 5, 2 + k % 3) for k in range(40)]
-        pairs = self.pairs(*shapes)
-        solo = [block.run(terminal) for block, terminal in pairs]
-        stacked, factored = record_stacks(monkeypatch), []
-        factor = fdm._factor
-        monkeypatch.setattr(fdm, "_factor", lambda *a, **k: factored.append(1) or factor(*a, **k))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out = fdm.march(pairs)
-        finally:
-            sys.setswitchinterval(interval)
-        blocks = [id(block) for _, blocks in stacked for block in blocks]
-        assert sorted(blocks) == sorted(id(block) for block, _ in pairs)
-        assert len(factored) == len(stacked)
-        assert len({thread for thread, _ in stacked}) == 8
-        for got, want in zip(out, solo):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_failed_part_raises_its_own_error(self, monkeypatch, width):
-        # ``run`` of the poisoned block alone raises; ``march`` returns that
-        # exception in its slot, beside the other block's values, whether
-        # the two blocks stack (one worker) or not.
-        set_workers(monkeypatch, width)
+    @pytest.mark.parametrize("how", MARCHES)
+    def test_a_failed_block_returns_its_own_error(self, monkeypatch, how):
+        # ``run`` of the poisoned block alone raises; ``march``, and a
+        # started march, return that exception in its slot, beside the other
+        # block's values, though the two blocks stack.
         good, bad = self.pairs((11, 4), (21, 4))
         block, poisoned = bad
         poisoned[7] = np.nan
         with pytest.raises(NonFiniteValueError) as solo:
             block.run(poisoned)
-        values, error = fdm.march([good, bad])
+        values, error = march_by(monkeypatch, how, [good, bad])
         assert np.array_equal(values, good[0].run(good[1]))
         assert type(error) is NonFiniteValueError and str(error) == str(solo.value)
 
-    @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("overflow_first", [True, False])
-    @pytest.mark.parametrize("fork", PLACES)
-    def test_every_part_keeps_the_callers_error_state(self, monkeypatch, width,
-                                                       overflow_first, fork):
+    @pytest.mark.parametrize("how", MARCHES)
+    def test_every_march_keeps_the_callers_error_state(self, monkeypatch, overflow_first, how):
         # Under over="raise" a block whose knocked-out region's rebate
         # overflows the second substage's rhs fails alone with numpy's
-        # FloatingPointError.  Marched beside a costlier clean block it lands
-        # in another part from two workers up, a thread or a forked process,
-        # and must fail the same way there, not with the NonFiniteValueError
-        # of numpy's default state.
-        monkeypatch.setattr(_threads, "FORK", fork)
+        # FloatingPointError.  Marched beside a clean block, in the calling
+        # thread or started on a thread or in a forked process, it must fail
+        # the same way, not with the NonFiniteValueError of numpy's default
+        # state.
         clean, (block, terminal) = self.pairs((41, 4), (21, 4))
         block = TrBdf2Stepper(block.grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
                               (DirichletRegion(18, 21, 1e308),))
@@ -989,20 +955,13 @@ class TestParallel:
             with pytest.raises(FloatingPointError) as solo:
                 block.run(bad[1])
             want = clean[0].run(clean[1])
-            set_workers(monkeypatch, width)
-            out = fdm.march(pairs)
+            out = march_by(monkeypatch, how, pairs)
         error, values = out if overflow_first else out[::-1]
         assert type(solo.value) is FloatingPointError
         assert type(error) is type(solo.value) and str(error) == str(solo.value)
         assert np.array_equal(values, want)
 
-    @pytest.mark.parametrize("fork, where", [(False, "thread"),
-                                             pytest.param(True, "process", marks=needs_fork)])
-    def test_debug_record_lists_each_parts_stacks(self, monkeypatch, caplog, fork, where):
-        # Part 0 runs in the calling thread; part 1, forked or a thread,
-        # sends its CPU seconds and its stacks' solves back into the record.
-        set_workers(monkeypatch, 2)
-        monkeypatch.setattr(_threads, "FORK", fork)
+    def test_debug_record_lists_each_stack(self, caplog):
         pairs = self.pairs((11, 4), (21, 4), (11, 9), (31, 2))
         quiet = fdm.march(pairs)
         assert not [r for r in caplog.records if r.name == "stretchgrid.fdm"]
@@ -1012,11 +971,10 @@ class TestParallel:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert re.fullmatch(
-            r"march of 4 blocks in [0-9.]+ s wall, LAPACK from " + re.escape(str(_lapack.PATH)) +
-            r": part 0 \(thread, [0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
-            r"stack\(blocks=1, nodes=11, N=4, solve=ldl\); "
-            r"part 1 \(" + where + r", [0-9.]+ s CPU\) "
-            r"stack\(blocks=1, nodes=21, N=4, solve=ldl\), "
+            r"march of 4 blocks in the calling thread, [0-9.]+ s wall, [0-9.]+ s CPU, "
+            r"LAPACK from " + re.escape(str(_lapack.PATH)) +
+            r": stack\(blocks=2, nodes=32, N=4, solve=ldl\), "
+            r"stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
             r"stack\(blocks=1, nodes=31, N=2, solve=ldl\)", message), message
         for got, want in zip(logged, quiet):
             assert np.array_equal(got, want)
@@ -1025,139 +983,97 @@ class TestParallel:
                                              pytest.param(True, "process", marks=needs_fork)])
     def test_a_started_march_returns_the_march_and_its_record(self, monkeypatch, caplog,
                                                               fork, where):
-        # ``start`` marches every block in one part, stacked as one part of
-        # ``march`` would stack them, and its result logs the record here.
+        # ``start`` stacks the blocks as ``march`` does, and its result logs
+        # the record here.
         monkeypatch.setattr(_threads, "FORK", fork)
-        set_workers(monkeypatch, 1)
         pairs = self.pairs((11, 4), (21, 4), (11, 9))
         want = fdm.march(pairs)
         caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
-        started = fdm.start(pairs)
-        got = started.result()
-        assert_no_child_left()
+        got = fdm.start(pairs).result()
         for values, expected in zip(got, want):
             assert values.tobytes() == expected.tobytes()
         record, = [r for r in caplog.records if r.name == "stretchgrid.fdm"]
         message = record.getMessage()
         assert re.fullmatch(
-            r"march of 3 blocks started in the background, joined after [0-9.]+ s wall, "
-            r"LAPACK from " + re.escape(str(_lapack.PATH)) + r": part 0 \(" + where +
-            r", [0-9.]+ s CPU\) stack\(blocks=1, nodes=11, N=9, solve=ldl\), "
-            r"stack\(blocks=2, nodes=32, N=4, solve=ldl\)", message), message
-
-    def test_a_march_leaves_each_started_march_its_cpu(self, monkeypatch):
-        # While started marches run, a march deals its blocks to one part
-        # fewer for each, and to at least one; a joined or cancelled one
-        # gives its CPU back.
-        set_workers(monkeypatch, 3)
-        widths = []
-        deal = fdm._deal
-        monkeypatch.setattr(fdm, "_deal", lambda blocks, width: widths.append(
-            (len(blocks), width)) or deal(blocks, width))
-        pairs = self.pairs(*[(11, 4)] * 4)
-        first, second = fdm.start(pairs[:1]), fdm.start(pairs[:1])
-        fdm.march(pairs)
-        third = fdm.start(pairs[:1])
-        fdm.march(pairs)
-        first.result()
-        second.cancel()
-        fdm.march(pairs)
-        third.result()
-        fdm.march(pairs)
-        assert_no_child_left()
-        assert [width for blocks, width in widths if blocks == 4] == [1, 1, 2, 3]
+            r"march of 3 blocks started in " + PLACE[where] + r", joined after [0-9.]+ s wall, "
+            r"[0-9.]+ s CPU, LAPACK from " + re.escape(str(_lapack.PATH)) +
+            r": stack\(blocks=2, nodes=32, N=4, solve=ldl\), "
+            r"stack\(blocks=1, nodes=11, N=9, solve=ldl\)", message), message
 
     def test_workers_fall_back_to_the_cpu_count(self, monkeypatch):
         set_workers(monkeypatch, 3)
-        assert fdm.workers() == 3
+        assert _threads.workers() == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert fdm.workers() == 5
+        assert _threads.workers() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert fdm.workers() == 1
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        assert _threads.workers() == 1
 
 
 @needs_fork
 class TestForkedParts:
-    """On Linux every part of a march but the first runs in a forked
-    process, and none outlives the march."""
+    """On Linux a started march runs in a forked process, and none outlives
+    its ``result()`` or ``cancel()`` (the ``no_child_left`` fixture checks
+    after every test)."""
 
     pairs = TestParallel.pairs
 
-    def poisoned(self):
-        """A costly clean block, which part 0 marches, and two blocks that
-        fail in part 1 at two workers: a NaN and an unreducible ghost row."""
-        clean, nan = self.pairs((401, 8), (21, 4))
-        nan[1][10] = np.nan
-        return [clean, nan, (unreducible_block(np.linspace(50.0, 150.0, 11)), np.ones(11))]
-
-    def test_no_process_outlives_a_march_that_returns(self, monkeypatch):
-        set_workers(monkeypatch, 2)
+    def test_no_process_outlives_a_started_march_that_returns(self):
         pairs = self.pairs((41, 4), (21, 4), (11, 9))
         solo = [block.run(terminal) for block, terminal in pairs]
-        out = fdm.march(pairs)
-        assert_no_child_left()
+        out = fdm.start(pairs).result()
         for got, want in zip(out, solo):
             assert np.array_equal(got, want)
 
-    def test_a_childs_failed_block_returns_its_error_in_its_slot(self, monkeypatch):
-        set_workers(monkeypatch, 2)
-        pairs = self.poisoned()
-        assert fdm._deal([b for b, _ in pairs], 2) == [[[0]], [[1, 2]]]
+    def test_a_childs_failed_block_returns_its_error_in_its_slot(self):
+        # A clean block, and two blocks that fail in the child: a NaN and an
+        # unreducible ghost row.
+        clean, nan = self.pairs((401, 8), (21, 4))
+        nan[1][10] = np.nan
+        pairs = [clean, nan, (unreducible_block(np.linspace(50.0, 150.0, 11)), np.ones(11))]
         solo = []
         for block, terminal in pairs:
             try:
                 solo.append(block.run(terminal))
             except Exception as exc:  # noqa: BLE001 - compared with the march's slot
                 solo.append(exc)
-        out = fdm.march(pairs)
-        assert_no_child_left()
+        out = fdm.start(pairs).result()
         assert np.array_equal(out[0], solo[0])
         assert [type(exc) for exc in out[1:]] == [NonFiniteValueError, SingularSystemError]
         for got, want in zip(out[1:], solo[1:]):
             assert type(got) is type(want) and str(got) == str(want)
             assert vars(got) == vars(want)
 
-    @pytest.mark.parametrize("when", ["in part 0", "while waiting for part 1"])
-    def test_an_interrupt_in_the_calling_thread_kills_the_others(self, monkeypatch, when):
-        # The forked part would sleep a minute.  An interrupt in part 0, or
-        # one that arrives (by a timer) while the calling thread waits for
-        # part 1's result, kills it and reaps it at once.
-        set_workers(monkeypatch, 2)
+    def test_an_interrupt_while_waiting_leaves_the_march_to_cancel(self, monkeypatch):
+        # The started march would sleep a minute.  An interrupt that arrives
+        # (by a timer) while the caller waits for its result leaves it to
+        # the caller, whose ``cancel`` kills it and reaps it at once.
         parent, march = os.getpid(), Stack.march
 
-        def interrupted(system, v):
+        def sleeping(system, v):
             if os.getpid() != parent:
                 time.sleep(60.0)
-            elif when == "in part 0":
-                raise KeyboardInterrupt
             return march(system, v)
 
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(Stack, "march", interrupted)
+        monkeypatch.setattr(Stack, "march", sleeping)
         handler = signal.signal(signal.SIGALRM, interrupt)
         began = time.perf_counter()
+        started = fdm.start(self.pairs((41, 4), (21, 4)))
         try:
-            if when != "in part 0":
-                signal.setitimer(signal.ITIMER_REAL, 0.5)
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
             with pytest.raises(KeyboardInterrupt):
-                fdm.march(self.pairs((41, 4), (21, 4)))
+                started.result()
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, handler)
+            started.cancel()
         assert time.perf_counter() - began < 30.0
-        assert_no_child_left()
 
     @pytest.mark.parametrize("end, exitcode", [("exit", 3), ("kill", -9)])
     def test_a_part_that_dies_without_a_result_is_named(self, monkeypatch, end, exitcode):
-        set_workers(monkeypatch, 2)
         parent, march = os.getpid(), Stack.march
 
         def dying(system, v):
@@ -1168,16 +1084,15 @@ class TestForkedParts:
             return march(system, v)
 
         monkeypatch.setattr(Stack, "march", dying)
+        started = fdm.start(self.pairs((41, 4), (21, 4)))
         with pytest.raises(fdm.LostPartError) as err:
-            fdm.march(self.pairs((41, 4), (21, 4)))
-        assert_no_child_left()
-        assert (err.value.part, err.value.exitcode) == (1, exitcode)
-        assert str(err.value).startswith("fdm-march: part 1 ended without a result")
+            started.result()
+        assert (err.value.part, err.value.exitcode) == (0, exitcode)
+        assert str(err.value).startswith("fdm-start: part 0 ended without a result")
 
     def test_a_result_that_does_not_pickle_raises_why(self, monkeypatch):
-        # The forked part's slot would hold an exception of a local class,
-        # which pickle cannot name: the part fails with pickle's error.
-        set_workers(monkeypatch, 2)
+        # The child's slot would hold an exception of a local class, which
+        # pickle cannot name: the march fails with pickle's error.
         parent, march = os.getpid(), Stack.march
 
         class Local(Exception):
@@ -1189,24 +1104,13 @@ class TestForkedParts:
             return march(system, v)
 
         monkeypatch.setattr(Stack, "march", failing)
+        started = fdm.start(self.pairs((41, 4), (21, 4)))
         with pytest.raises(AttributeError, match="Can't pickle local object"):
-            fdm.march(self.pairs((41, 4), (21, 4)))
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("width, pairs, forks", [
-        (1, 3, 0), (2, 1, 0),                 # one part forks nothing
-        (2, 3, 1), (3, 3, 2), (8, 3, 2)])
-    def test_processes_forked_count_the_calling_one(self, monkeypatch, width, pairs, forks):
-        set_workers(monkeypatch, width)
-        forked, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
-        fdm.march(self.pairs(*[(11, 4)] * pairs))
-        assert len(forked) == forks
+            started.result()
 
     def test_processes_and_threads_give_the_same_bits(self, monkeypatch, caplog):
-        # Two parts: part 0 stacks a plain block with a ghost block, part 1
-        # an LU block with a plain one.
-        set_workers(monkeypatch, 2)
+        # One stack of a plain block, an LU block, a ghost block and a plain
+        # one, marched here, started on a thread and started in a child.
         points = np.linspace(0.0, 100.0, 41)
         lu = lu_block("peclet")
         mkt, cfg = MarketParams(0.05, 0.0, 0.3), PdeConfig(4)
@@ -1217,40 +1121,30 @@ class TestForkedParts:
             (barrier, DirichletRegion(barrier.ghost + 1, points.size, 0.5)))
         terminal = np.maximum(points - 50.0, 0.0)
         pairs = [(block, terminal) for block in (plain, lu, ghost, plain)]
-        assert fdm._deal([b for b, _ in pairs], 2) == [[[0, 2]], [[1, 3]]]
         caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
-        out = {}
-        for fork in (False, True):
-            monkeypatch.setattr(_threads, "FORK", fork)
-            out[fork] = fdm.march(pairs)
-        assert_no_child_left()
-        for got, want, (block, _) in zip(out[True], out[False], pairs):
-            assert got.tobytes() == want.tobytes() == block.run(terminal).tobytes()
+        out = {how: march_by(monkeypatch, how, pairs) for how in ("march", "thread", "process")}
+        for (block, _), *got in zip(pairs, out["march"], out["thread"], out["process"]):
+            assert {values.tobytes() for values in got} == {block.run(terminal).tobytes()}
         solves = [re.findall(r"solve=([a-z+]+)\)", r.getMessage()) for r in caplog.records
                   if r.name == "stretchgrid.fdm"]
-        assert solves[:2] == [["ldl", "lu+ldl"]] * 2
-
+        assert solves[:3] == [["ldl+lu+ldl"]] * 3
 
     def test_a_child_never_cancels_the_parts_it_inherited(self):
         # Part 2's child raises at once.  It leaves by ``os._exit``, so it
-        # never unwinds into ``run_parts``, which would cancel (kill) part
-        # 1, whose handle it inherited: part 1 ends with its value, and the
-        # error raised is part 2's own.
+        # never unwinds into the caller's frames, where it could cancel
+        # (kill) part 1, whose handle it inherited: part 1 ends with its
+        # value, and the error raised is part 2's own.
         def work(part, stop):
             if part == 2:
                 raise KeyboardInterrupt
             time.sleep(0.5 * part)
             return part
 
-        with pytest.raises(KeyboardInterrupt):
-            _threads.run_parts(work, 3, "test", fork=True)
-        assert_no_child_left()
         first = _threads.Part(work, 1, "test", fork=True)
         second = _threads.Part(work, 2, "test", fork=True)
         with pytest.raises(KeyboardInterrupt):
             second.result()
         assert first.result() == 1
-        assert_no_child_left()
 
     @pytest.mark.parametrize("placed, here, width, want", [
         ({}, 1, 2, 0),                 # off the calling thread's CPU
@@ -1278,7 +1172,6 @@ class TestForkedParts:
         first.result()
         second.cancel()
         assert _threads._placed == {}
-        assert_no_child_left()
 
     def test_a_cancelled_started_march_is_reaped(self, monkeypatch):
         parent, march = os.getpid(), Stack.march
@@ -1293,7 +1186,6 @@ class TestForkedParts:
         started = fdm.start(self.pairs((41, 4)))
         started.cancel()
         assert time.perf_counter() - began < 30.0
-        assert_no_child_left()
 
 
 class TestStack:
@@ -1342,7 +1234,6 @@ class TestStack:
         solo = TrBdf2Stepper(grid, mkt, cfg, 1.0, (DirichletRegion(8, 11, 0.25),))
         plain, = self.steppers(3)
         alone = solo.run(terminal)
-        set_workers(monkeypatch, 1)  # one thread stacks both blocks
         _, out = fdm.march([(plain, terminal), (solo, terminal)])
         assert np.array_equal(out, alone)
         assert [d.size for _, d, _ in factored] == [11, 22]  # solo, then the stack
@@ -1364,7 +1255,6 @@ class TestStack:
         terminal = np.linspace(0.0, 1.0, 11)
         out, = fdm.march([(block, terminal)])
         assert np.shares_memory(marched[0], terminal)
-        set_workers(monkeypatch, 1)
         both = fdm.march([(block, terminal), (twin, terminal)])
         assert not np.shares_memory(marched[1], terminal)  # two blocks stack a copy
         assert np.array_equal(both[0], out) and np.array_equal(both[1], out)
@@ -1614,7 +1504,7 @@ def test_every_stack_of_the_bundled_tables_solves_by_ldl(caplog, config):
     # the LAPACK library bound and the solve of every stack.
     caplog.set_level(logging.DEBUG, logger="stretchgrid.fdm")
     # The records name every block the table marches, once: its references
-    # (started in the background from two workers) and its rows.
+    # (started beside the caller from two workers) and its rows.
     table = bench.load_bundled(config)
     results = table.run()
     assert not any(row.failed for _, report in results for row in report.rows)
@@ -1626,8 +1516,8 @@ def test_every_stack_of_the_bundled_tables_solves_by_ldl(caplog, config):
     rows = sum(len(cfg.space_steps) for _, cfg in table.columns)
     named = [int(n) for r in records for n in re.findall(r"stack\(blocks=(\d+),", r)]
     assert sum(named) == references + rows
-    started = [r for r in records if " started in the background, " in r]
-    assert len(started) == (references if fdm.workers() > 1 else 0)
+    started = [r for r in records if " started in " in r]
+    assert len(started) == (references if _threads.workers() > 1 else 0)
 
 
 LINALG_DIR = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"

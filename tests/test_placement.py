@@ -68,10 +68,14 @@ class TestInsert:
             insert_points(g2, bad)
 
     def test_rejects_ongrid_goal(self):
+        # The spec refuses to insert an on-grid target; ``insert_points``,
+        # which takes a spec of any mode, refuses it too.
+        ongrid = (Target(4.5, PlacementGoal.ON_GRID),)
+        with pytest.raises(PlacementError, match="insertion only supports mid-cell targets"):
+            PlacementSpec(PlacementMode.INSERT, ongrid)
         g = uniform_grid(0.0, 10.0, 10)
-        with pytest.raises(PlacementError):
-            insert_points(g, PlacementSpec(
-                PlacementMode.INSERT, (Target(4.5, PlacementGoal.ON_GRID),)))
+        with pytest.raises(PlacementError, match="insertion only supports mid-cell targets"):
+            insert_points(g, PlacementSpec(PlacementMode.DEFORM, ongrid))
 
 
 class TestDeform:
