@@ -7,7 +7,7 @@ marches backward from maturity with the composite trapezoidal/BDF2 step
 A pricing is one block, ``TrBdf2Stepper``, built unfactored: its operator
 with boundary rows, dt, N, hooks and the rows it pins (Dirichlet boundary rows
 and knock-out regions alike).  Its hooks are constraints, plain data that a
-``Stack`` turns into stacked arrays once: off-grid barrier (ghost) rows,
+``Stack`` applies with no callback per step: off-grid barrier (ghost) rows,
 discrete knock-outs and the American exercise projection.  ``Stack`` stamps
 a 3-point ghost row straight into the matrix, its entry two columns off the
 diagonal eliminated against the neighbouring row, so it stays tridiagonal.
@@ -471,45 +471,6 @@ def _merged(steps) -> list:
     return runs
 
 
-def _ghost_rules(ghosts) -> list:
-    """The explicit-half rule v[g] = (rebate - sum of w v[k]) / w_g of each
-    (block rows, GhostBarrier) of ``ghosts``, applied in order, as the runs
-    ``_merged`` makes of them (a rule targets g and reads its inner nodes k):
-    (ghost rows, rebates, w_g, terms), 3-point rows first, so that the j-th
-    term (count, inner rows, weights) acts on the run's first ``count``."""
-    steps = [(np.array([rows.start + hook.ghost]), rows.start + np.array(hook.nodes[1:]),
-              np.array([k])) for k, (rows, hook) in enumerate(ghosts)]
-    rules = []
-    for *_, members in _merged(steps):
-        run = sorted((ghosts[k] for k in members), key=lambda pair: -len(pair[1].nodes))
-        nodes = [rows.start + np.array(hook.nodes) for rows, hook in run]
-        weights = [hook.weights for _, hook in run]
-        counts = [sum(n.size > j for n in nodes) for j in range(nodes[0].size)]
-        terms = [(counts[j], np.array([n[j] for n in nodes[:counts[j]]]),
-                  np.array([w[j] for w in weights[:counts[j]]])) for j in range(1, len(counts))]
-        rules.append((np.array([n[0] for n in nodes]),
-                      np.array([hook.rebate for _, hook in run], dtype=float),
-                      np.array([w[0] for w in weights]), terms))
-    return rules
-
-
-def _knockouts(knockouts, n: int) -> list:
-    """(block rows, DiscreteKnockout) pairs, applied in order, as one (steps,
-    mask, rebate) assignment on an n-row stack per observation set and
-    rebate (a signed zero its own): each joins the last one of its set and
-    rebate unless a later one writes one of its rows."""
-    joined = []
-    for rows, hook in knockouts:
-        key = (hook.steps, hook.rebate, math.copysign(1.0, hook.rebate))
-        k = next((k for k in reversed(range(len(joined)))
-                  if joined[k][0] == key or (joined[k][1][rows] & hook.mask).any()), None)
-        if k is None or joined[k][0] != key:
-            joined.append((key, np.zeros(n, dtype=bool)))
-            k = -1
-        joined[k][1][rows] |= hook.mask
-    return [(steps, mask, rebate) for (steps, rebate, _), mask in joined]
-
-
 def _concat(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
@@ -567,14 +528,32 @@ def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float,
     return _Factored("+".join(kinds), _concat(scale), pre, solve, post)
 
 
+def _misfit(hook: Constraint, points: np.ndarray) -> str:
+    """How ``hook`` does not fit a block on the grid ``points``, or ''."""
+    n = points.size
+    if isinstance(hook, DirichletRegion):
+        return "" if 0 <= hook.start <= hook.stop <= n else f"pins rows [{hook.start}, {hook.stop})"
+    if isinstance(hook, GhostBarrier):
+        try:
+            own = GhostBarrier(points, hook.barrier, hook.order, hook.rebate, hook.side)
+        except ValueError:    # no ghost row for this barrier on this grid
+            own = None
+        if own is None or (own.nodes, own.weights) != (hook.nodes, hook.weights):
+            return f"at {hook.barrier} has nodes {hook.nodes}, not this grid's"
+        return ""
+    name = "obstacle" if isinstance(hook, AmericanProjection) else "mask"
+    shape = getattr(hook, name).shape
+    return "" if shape == (n,) else f"{name} has shape {shape}"
+
+
 class TrBdf2Stepper:
     """One pricing's block of the TR-BDF2 system, built unfactored: its grid,
     operator with boundary rows, dt, N, hooks (each of a ``Constraint``
     kind) and pinned rows.
 
     ``Stack`` stamps and factors blocks that share dt and N, ``march``
-    deals blocks to parts that stack and march them, and ``run`` marches
-    this block alone.
+    stacks and marches blocks, and ``run`` marches this block alone.  A hook
+    that does not fit the grid (``_misfit``) raises ``ValueError``.
     """
 
     def __init__(self, grid: Grid, mkt: MarketParams, config: PdeConfig,
@@ -594,14 +573,14 @@ class TrBdf2Stepper:
                      for row, bc in ((0, config.boundary_lower), (n - 1, config.boundary_upper))
                      if bc.kind is BoundaryKind.DIRICHLET_VALUE and row not in ghost_rows}
         for hook in self.hooks:
-            if isinstance(hook, DirichletRegion):
-                self.pins.update(dict.fromkeys(range(n)[hook.start:hook.stop], hook.value))
-            elif isinstance(hook, DiscreteKnockout) and hook.mask.shape != (n,):
-                raise ValueError(f"fdm: a knock-out mask has shape {hook.mask.shape}; "
-                                 f"the grid has {n} nodes")
-            elif not isinstance(hook, Constraint):
+            if not isinstance(hook, Constraint):
                 raise TypeError(f"fdm: a hook is a {type(hook).__name__}; TrBdf2Stepper takes "
                                 f"{', '.join(kind.__name__ for kind in Constraint.__args__)}")
+            why = _misfit(hook, grid.points)
+            if why:
+                raise ValueError(f"fdm: hook {type(hook).__name__} {why}; the grid has {n} nodes")
+            if isinstance(hook, DirichletRegion):
+                self.pins.update(dict.fromkeys(range(hook.start, hook.stop), hook.value))
 
     def run(self, terminal: np.ndarray) -> np.ndarray:
         """Values at time to maturity ``N * dt`` from the ``terminal`` payoff,
@@ -637,11 +616,12 @@ class Stack:
     R BDF2_OLD (BDF2_NEW / BDF2_OLD stage - v), three passes in place.
     Pinned rows then take their values, each ghost row its rebate less its
     inner row's rhs times its ``stamp``'s factor, and the folds of ``_ldl``
-    follow, all times R of their row.  The other constraints are stacked
-    arrays, applied in block and hook order: the explicit half's ghost values
-    (``_ghost_rules``), after every solve the pins and one obstacle (-inf
-    where no ``AmericanProjection`` is), and after each step the knock-outs
-    (``_knockouts``).  No block couples across its edge (lower[0] =
+    follow, all times R of their row.  The other constraints apply in block
+    and hook order: each ghost row's explicit-half value, hook by hook; after
+    every solve the pins and one stacked obstacle (-inf where no
+    ``AmericanProjection`` is); after each step the knock-outs, one mask per
+    run of consecutive knock-outs of one observation set and rebate (a signed
+    zero its own).  No block couples across its edge (lower[0] =
     upper[-1] = 0 in every block), so neither factorization couples or
     pivots there and the product adds exact zeros: each block's values equal
     those of its own march exactly.  A zero pivot, or a ghost row that cannot
@@ -670,15 +650,6 @@ class Stack:
             offset += block.op.n
         self._pin_rows = np.fromiter(pins, dtype=np.intp, count=len(pins))
         self._pin_values = np.fromiter(pins.values(), dtype=float, count=len(pins))
-        ghosts = [(rows, hook) for rows, hook in hooks if isinstance(hook, GhostBarrier)]
-        self._ghosts = _ghost_rules(ghosts)
-        self._knockouts = _knockouts([(rows, hook) for rows, hook in hooks
-                                      if isinstance(hook, DiscreteKnockout)], offset)
-        projections = [(rows, hook.obstacle) for rows, hook in hooks
-                       if isinstance(hook, AmericanProjection)]
-        self._obstacle = np.full(offset, -np.inf) if projections else None
-        for rows, obstacle in projections:
-            np.maximum(self._obstacle[rows], obstacle, out=self._obstacle[rows])
 
         def stacked(band: str) -> np.ndarray:
             """w times the blocks' operator ``band``, stacked."""
@@ -694,11 +665,27 @@ class Stack:
         a_diag[self._pin_rows] = 1.0
         # the unscaled rhs of the rows a rule fixes: pins, then ghost rows
         fixed, folds = dict(pins), []
-        for rows, hook in ghosts:
-            factor = hook.stamp(a_lower, a_diag, a_upper, rows.start)
-            fixed[rows.start + hook.ghost] = hook.rebate
-            if factor != 0.0:
-                folds.append((rows.start + hook.ghost, rows.start + hook.inner, factor))
+        self._ghosts, self._knockouts, self._obstacle = [], [], None
+        for rows, hook in hooks:
+            if isinstance(hook, GhostBarrier):
+                g = rows.start + hook.ghost
+                factor = hook.stamp(a_lower, a_diag, a_upper, rows.start)
+                fixed[g] = hook.rebate
+                if factor != 0.0:
+                    folds.append((g, rows.start + hook.inner, factor))
+                # the explicit half's rule v[g] = (rebate - sum of w v[k]) / w_g
+                self._ghosts.append((g, float(hook.rebate), hook.weights[0], [
+                    (rows.start + k, wk) for k, wk in zip(hook.nodes[1:], hook.weights[1:])]))
+            elif isinstance(hook, DiscreteKnockout):
+                # one mask per run of knock-outs of one (steps, rebate, sign)
+                key = (hook.steps, hook.rebate, math.copysign(1.0, hook.rebate))
+                if not self._knockouts or self._knockouts[-1][0] != key:
+                    self._knockouts.append((key, np.zeros(offset, dtype=bool)))
+                self._knockouts[-1][1][rows] |= hook.mask
+            elif isinstance(hook, AmericanProjection):
+                if self._obstacle is None:
+                    self._obstacle = np.full(offset, -np.inf)
+                np.maximum(self._obstacle[rows], hook.obstacle, out=self._obstacle[rows])
         # Rows whose rhs is zero at every solve: those fixed at 0 that no
         # ghost row's rule adds to.
         self._fixed_rows = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
@@ -753,11 +740,10 @@ class Stack:
         one copy of it.  The values returned are a new vector.
         """
         v_eff = v.copy() if self._ghosts else v
-        for rows, rebate, weight, terms in self._ghosts:
-            value = rebate.copy()
-            for count, sources, w in terms:
-                value[:count] -= w * v_eff[sources]
-            v_eff[rows] = value / weight
+        for g, value, weight, terms in self._ghosts:
+            for k, w in terms:
+                value -= w * v_eff[k]
+            v_eff[g] = value / weight
 
         stage = self._product(v_eff, np.empty_like(self._old))
         stage = self._substage(stage)
@@ -766,7 +752,7 @@ class Stack:
         stage -= v_eff
         stage *= self._old
         v_new = self._substage(stage)
-        for steps, mask, rebate in self._knockouts:
+        for (steps, rebate, _), mask in self._knockouts:
             if step_index in steps:
                 v_new[mask] = rebate
         if not np.isfinite(v_new).all():

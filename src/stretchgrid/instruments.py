@@ -84,6 +84,17 @@ class ContractSpec:
             if any(not 0.0 < t <= self.maturity + 1e-12 for t in dates):
                 raise ContractError("observation dates must lie in (0, T]")
             object.__setattr__(self, "observation_dates", dates)
+        # values the style never reads
+        schedule = [name for name in ("observations_per_year", "observation_dates")
+                    if getattr(self, name) is not None]
+        unread = [] if self.is_discrete else list(schedule)
+        if self.style in (ExerciseStyle.EUROPEAN_VANILLA, ExerciseStyle.AMERICAN_VANILLA):
+            unread += [name for name in ("barrier_lower", "barrier_upper")
+                       if getattr(self, name) is not None] + ["rebate"] * (self.rebate != 0.0)
+        if unread:
+            raise ContractError(f"{self.style.value} reads no {', '.join(unread)}")
+        if len(schedule) == 2:
+            raise ContractError("give observations_per_year or observation_dates, not both")
 
     @property
     def is_discrete(self) -> bool:

@@ -1296,6 +1296,42 @@ class TestStack:
         with pytest.raises(ValueError, match="mask has shape \\(12,\\); the grid has 11 nodes"):
             self.steppers(4, hooks=(DiscreteKnockout(np.ones(12, dtype=bool), {1}, 0.0),))
 
+    @pytest.mark.parametrize("start, stop", [(-3, 2), (60, 50), (95, 120), (0, 102)])
+    def test_rejects_a_dirichlet_region_outside_the_grid(self, start, stop):
+        # Sliced, (-3, 2) and (60, 50) used to pin nothing and (95, 120)
+        # rows 95-100.
+        grid = Grid(np.linspace(50.0, 150.0, 101))
+        with pytest.raises(ValueError, match=rf"^fdm: hook DirichletRegion pins rows "
+                                             rf"\[{start}, {stop}\); the grid has 101 nodes$"):
+            TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
+                          (DirichletRegion(start, stop, 0.0),))
+
+    @pytest.mark.parametrize("size", [1, 100, 102])
+    def test_rejects_an_obstacle_of_another_size(self, size):
+        # A one-value obstacle used to act as a flat floor under every node.
+        grid = Grid(np.linspace(50.0, 150.0, 101))
+        with pytest.raises(ValueError, match=rf"^fdm: hook AmericanProjection obstacle has shape "
+                                             rf"\({size},\); the grid has 101 nodes$"):
+            TrBdf2Stepper(grid, MarketParams(0.05, 0.0, 0.2), PdeConfig(4), 1.0,
+                          (AmericanProjection(np.full(size, 5.74)),))
+
+    @pytest.mark.parametrize("n_hook", [72, 101, 102])
+    @pytest.mark.parametrize("mode", [BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3])
+    def test_rejects_a_ghost_barrier_of_another_grid(self, mode, n_hook):
+        # Built on other nodes, the ghost row's nodes or weights are not this
+        # grid's; one of a 72-node grid used to fail marching alone with a bare
+        # IndexError on a 51-node block.
+        points = np.linspace(50.0, 150.0, 51)
+        other = np.linspace(50.0, 150.0, n_hook) + (n_hook == 101) * 1e-3
+        hook = GhostBarrier(other, 141.3, mode, 0.0)
+        with pytest.raises(ValueError, match=r"^fdm: hook GhostBarrier at 141.3 has nodes "
+                                             r"\(.*\), not this grid's; the grid has 51 nodes$"):
+            TrBdf2Stepper(Grid(points), MarketParams(0.05, 0.0, 0.2), PdeConfig(
+                4, barrier_mode=mode), 1.0, (hook,))
+        own = GhostBarrier(points, 141.3, mode, 0.0)
+        TrBdf2Stepper(Grid(points), MarketParams(0.05, 0.0, 0.2), PdeConfig(
+            4, barrier_mode=mode), 1.0, (own,))
+
     def test_nan_in_one_block_raises_the_step(self):
         steppers = self.steppers(4, 4)
         terminal = np.ones(22)
@@ -1462,36 +1498,49 @@ def test_merged_steps_apply_as_the_steps_in_order():
     assert got.tobytes() == want.tobytes()
 
 
-def test_knockouts_join_per_observation_set_and_apply_in_order():
-    # A knock-out joins the last assignment of its observation set and
-    # rebate, unless a later assignment writes one of its rows.
+def test_overlapping_knockouts_assign_in_hook_order():
+    # On every step, the block with knock-outs gives the bits of the same
+    # block's step without them, followed by each hook's assignment.
     def knockout(start, stop, steps, rebate):
         return DiscreteKnockout(np.isin(np.arange(10), range(start, stop)), steps, rebate)
 
     a, b = {1, 2}, {2, 3}
-    hooks = [knockout(0, 4, a, 0.5),
-             knockout(6, 8, b, 1.5),
-             knockout(2, 5, a, 0.5),     # joins the first, past b's rows 6-7
-             knockout(3, 4, a, 2.5),     # another rebate: its own assignment
-             knockout(7, 10, a, 0.5),    # writes row 7 after b: a new assignment
-             knockout(0, 1, b, 1.5),     # joins b's, which no later one overlaps
-             knockout(9, 10, a, -0.0),   # a signed zero is its own rebate
-             knockout(8, 9, a, 0.0)]     # and 0.0 is not -0.0: a new assignment
-    joined = fdm._knockouts([(slice(0, 10), hook) for hook in hooks], 10)
-    assert [(steps, np.flatnonzero(mask).tolist(), str(rebate))
-            for steps, mask, rebate in joined] == [
-        (a, [0, 1, 2, 3, 4], "0.5"), (b, [0, 6, 7], "1.5"), (a, [3], "2.5"),
-        (a, [7, 8, 9], "0.5"), (a, [9], "-0.0"), (a, [8], "0.0")]
+    hooks = (knockout(0, 4, a, 0.5), knockout(6, 8, b, 2.5), knockout(2, 5, a, 0.5),
+             knockout(3, 7, a, 2.5), knockout(7, 10, a, 0.5), knockout(0, 1, b, 2.5),
+             knockout(5, 10, a, -0.0), knockout(8, 9, a, 0.0), knockout(4, 6, b, -0.0))
+    grid, mkt, cfg = Grid(np.linspace(50.0, 150.0, 10)), MarketParams(0.05, 0.01, 0.2), PdeConfig(4)
+    with_hooks = Stack([TrBdf2Stepper(grid, mkt, cfg, 1.0, hooks)])
+    without = Stack([TrBdf2Stepper(grid, mkt, cfg, 1.0)])
     v = np.random.default_rng(3).standard_normal(10)
-    for step in (1, 2, 3):
-        want, got = v.copy(), v.copy()
+    for step in (1, 2, 3, 4):
+        want = without.step(v, step, 0.25)
         for hook in hooks:
             if step in hook.steps:
                 want[hook.mask] = hook.rebate
-        for steps, mask, rebate in joined:
-            if step in steps:
-                got[mask] = rebate
-        assert got.tobytes() == want.tobytes()
+        assert with_hooks.step(v, step, 0.25).tobytes() == want.tobytes()
+    # the signed zeros were written: -0.0 on rows 5-9, then 0.0 on row 8
+    assert np.signbit(with_hooks.step(v, 1, 0.25)[5:]).tolist() == [True] * 3 + [False, True]
+
+
+@pytest.mark.parametrize("modes", [
+    (BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3),
+    (BarrierMode.GHOST_LAGRANGE3, BarrierMode.GHOST_LINEAR, BarrierMode.GHOST_LAGRANGE3)])
+def test_linear_and_three_point_ghost_blocks_stack_with_their_own_bits(modes):
+    # Double barriers whose ghost rows lie two nodes apart, so each 3-point
+    # row reads the other's ghost node: the up row after the down row set it.
+    mkt = MarketParams(0.1, 0.02, 0.25)
+    pairs = []
+    for k, mode in enumerate(modes):
+        points = np.linspace(80.0, 120.0, 9 + 4 * k)
+        h = points[1] - points[0]
+        hooks = [GhostBarrier(points, 100.0 - 0.3 * h, mode, 0.25 * k, GhostSide.DOWN),
+                 GhostBarrier(points, 100.0 + 0.6 * h, mode, 0.5, GhostSide.UP)]
+        hooks += [DirichletRegion(0, hooks[0].ghost, 0.25 * k),
+                  DirichletRegion(hooks[1].ghost + 1, points.size, 0.5)]
+        block = TrBdf2Stepper(Grid(points), mkt, PdeConfig(5, barrier_mode=mode), 1.0, hooks)
+        pairs.append((block, np.maximum(points - 95.0, 0.0)))
+    for (block, terminal), got in zip(pairs, fdm.march(pairs)):
+        assert got.tobytes() == block.run(terminal).tobytes()
 
 
 def test_zero_gamma_block_takes_ldl_at_a_small_dt():

@@ -197,3 +197,48 @@ class TestValidation:
         text = load_bundled_text("discrete_ko_stretch.cfg") + "contract.observation_dates = ,\n"
         with pytest.raises(ConfigError, match="observation_dates must name at least one date"):
             parse_table_config(parse_config_text(text))
+
+    @pytest.mark.parametrize("style", [ExerciseStyle.EUROPEAN_VANILLA,
+                                       ExerciseStyle.AMERICAN_VANILLA])
+    @pytest.mark.parametrize("changes, message", [
+        ({"barrier_lower": 90.0}, "barrier_lower"),
+        ({"barrier_upper": 125.0}, "barrier_upper"),
+        ({"barrier_lower": 0.0, "barrier_upper": 125.0}, "barrier_lower, barrier_upper"),
+        ({"rebate": 1.5}, "rebate"),
+        ({"rebate": -0.25}, "rebate"),
+    ])
+    def test_a_vanilla_takes_no_barrier_or_rebate(self, style, changes, message):
+        # Both used to be ignored: the vanilla priced as if they were absent.
+        with pytest.raises(ContractError, match=rf"^{style.value} reads no {message}$"):
+            ContractSpec(style, OptionType.PUT, 100.0, 1.0, **changes)
+        ContractSpec(style, OptionType.PUT, 100.0, 1.0, rebate=-0.0)
+
+    @pytest.mark.parametrize("style", [ExerciseStyle.EUROPEAN_VANILLA,
+                                       ExerciseStyle.AMERICAN_VANILLA,
+                                       ExerciseStyle.CONTINUOUS_DOUBLE_KO])
+    @pytest.mark.parametrize("schedule", [{"observations_per_year": 250},
+                                          {"observation_dates": (0.5, 1.0)}])
+    def test_a_schedule_needs_a_discretely_monitored_style(self, style, schedule):
+        barriers = ({"barrier_lower": 90.0, "barrier_upper": 160.0}
+                    if style is ExerciseStyle.CONTINUOUS_DOUBLE_KO else {})
+        with pytest.raises(ContractError, match=rf"^{style.value} reads no {[*schedule][0]}$"):
+            ContractSpec(style, OptionType.CALL, 100.0, 1.0, **barriers, **schedule)
+
+    def test_a_schedule_is_a_count_or_dates_not_both(self):
+        # schedule() used to take the dates: two observations, not 250.
+        contract = dict(load_bundled(1).columns)["uniform"].contract
+        with pytest.raises(ContractError, match="^give observations_per_year or "
+                                                "observation_dates, not both$"):
+            dataclasses.replace(contract, observation_dates=(0.5, 1.0))
+
+    @pytest.mark.parametrize("config, line", [
+        ("american_put_stretch.cfg", "contract.barrier_upper = 125"),
+        ("smoke_zero_vol.cfg", "contract.rebate = 1"),
+        ("double_ko_continuous_ghost.cfg", "contract.observations_per_year = 250"),
+        ("discrete_ko_stretch.cfg", "contract.observation_dates = 0.5, 1.0"),
+    ])
+    def test_unread_contract_values_fail_at_parse_time(self, config, line):
+        text = load_bundled_text(config) + line + "\n"
+        with pytest.raises(ConfigError, match=r"^contract\.style, contract\.put_call, .*"
+                                              + line.split(" =")[0].replace(".", r"\.")):
+            parse_table_config(parse_config_text(text))
