@@ -96,10 +96,3 @@ def double_barrier_ko_analytic(S: float, K: float, T: float, r: float, q: float,
             total += w * sign * (S * term_s - K * term_k)
     return math.exp(-r * T - 0.5 * a * a * v) * total
 
-
-def double_barrier_ko_truncation_gap(S, K, T, r, q, sigma, L, U,
-                                     put_call: str = "call", terms: int = 32) -> float:
-    """Price change when the image count doubles; a posteriori tail bound."""
-    p1 = double_barrier_ko_analytic(S, K, T, r, q, sigma, L, U, put_call, terms)
-    p2 = double_barrier_ko_analytic(S, K, T, r, q, sigma, L, U, put_call, 2 * terms)
-    return abs(p2 - p1)

@@ -12,12 +12,12 @@ regimes sharing one contract (see the bundled files under ``configs/``).
 
 from __future__ import annotations
 
+import enum
 import math
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-class DomainFit:
+class DomainFit(enum.Enum):
     EXPLICIT = "explicit"
     BARRIER_EXACT = "barrier_exact"                  # domain = [L, U]
     BARRIER_OFFSET_HALF_CELL = "barrier_offset_half_cell"  # barriers mid-cell
@@ -48,7 +48,7 @@ class DomainFit:
 class DomainSpec:
     s_min: float = 0.0
     s_max: float = 0.0
-    fit: str = DomainFit.EXPLICIT
+    fit: DomainFit = DomainFit.EXPLICIT
 
 
 @dataclass(frozen=True)
@@ -123,29 +123,26 @@ def resolve_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
     s_min, s_max, intervals = _fit_domain(config, steps)
     if intervals < 2:
         raise ConfigError(f"I = {steps}: need at least two intervals "
-                          f"(domain.fit = {config.domain.fit} gives {intervals})")
+                          f"(domain.fit = {config.domain.fit.value} gives {intervals})")
     return s_min, s_max, intervals
 
 
 def _fit_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
     c = config.contract
     fit = config.domain.fit
-    if fit == DomainFit.EXPLICIT:
+    if fit is DomainFit.EXPLICIT:
         return config.domain.s_min, config.domain.s_max, steps
     if c.barrier_lower is None or c.barrier_upper is None:
         raise ConfigError("barrier-fitted domains need both barriers")
     lo, hi = c.barrier_lower, c.barrier_upper
-    if fit == DomainFit.BARRIER_EXACT:
+    if fit is DomainFit.BARRIER_EXACT:
         return lo, hi, steps
-    if fit == DomainFit.BARRIER_OFFSET_HALF_CELL:
-        h = (hi - lo) / steps
+    h = (hi - lo) / steps
+    if fit is DomainFit.BARRIER_OFFSET_HALF_CELL:
         return lo - 0.5 * h, hi + 0.5 * h, steps + 1
-    if fit == DomainFit.BARRIER_NODE_PAD:
-        # one extra cell beyond each barrier; on a uniform grid the barriers
-        # are then nodes by construction
-        h = (hi - lo) / steps
-        return lo - h, hi + h, steps + 2
-    raise ConfigError(f"unknown domain fit {fit!r}")
+    # BARRIER_NODE_PAD: one extra cell beyond each barrier; on a uniform grid
+    # the barriers are then nodes by construction
+    return lo - h, hi + h, steps + 2
 
 
 class PricingError(RuntimeError):
@@ -153,66 +150,41 @@ class PricingError(RuntimeError):
     and I, and the original exception is its ``__cause__``."""
 
 
-class _Prices(dict):
-    """Spot -> price of one pricing, filled when its block marches.  ``name``
-    is its column label and I; ``error`` is the exception that failed it, if
-    any."""
+class _Pricing(dict):
+    """Spot -> price of one pricing, the record of it from its build to its
+    prices.  ``name`` is its column label and I.  It holds its grid's
+    ``points`` until it is filled; its unfactored block (``stepper``) and
+    ``terminal`` values until it marches or its march starts (``take``); a
+    started ``march`` (``fdm.start``) until it is joined; and ``error``, the
+    exception that failed it, if any."""
 
     error: Exception | None = None
+    points = stepper = terminal = march = None
 
     def __init__(self, config: RunConfig, steps: int):
         super().__init__()
         self.name = f"{config.label}, I = {steps}"
+        self.spots = config.report_spots
 
     def message(self) -> str:
         """The failure, named: ``"<label>, I = <steps>: <error>"``."""
         return f"{self.name}: {self.error}"
 
+    def take(self) -> tuple[TrBdf2Stepper, np.ndarray]:
+        """The (block, terminal) pair to march, which this record drops."""
+        pair, self.stepper, self.terminal = (self.stepper, self.terminal), None, None
+        return pair
 
-def _failure(prices: dict) -> Exception | None:
-    return getattr(prices, "error", None)
-
-
-@dataclass
-class _Pricing:
-    """A built pricing waiting to march: its unfactored block, its terminal
-    values, and its prices, which carry its name."""
-
-    stepper: TrBdf2Stepper
-    terminal: np.ndarray
-    spots: tuple[float, ...]
-    prices: _Prices
-
-
-def _fill(prices: _Prices, points: np.ndarray, spots: tuple[float, ...], values):
-    """Interpolate a marched block's ``values`` on its grid ``points`` at
-    each spot into ``prices``, or record the exception that failed it."""
-    if isinstance(values, Exception):
-        prices.error = values
-    else:
-        interp = MonotoneCubic(points, values)
-        prices.update((s, float(interp(s))) for s in spots)
-
-
-def _march(pricings: list[_Pricing]):
-    """March the pricings at the same time through one ``run`` of the first
-    pricing's block, which calls ``fdm.march``, and fill their prices.  A
-    pricing whose block failed (``fdm.march`` splits a failed stack until the
-    failing block stands alone) records its own exception as its error."""
-    values = pricings[0].stepper.run(
-        [(pricing.stepper, pricing.terminal) for pricing in pricings])
-    for pricing, block in zip(pricings, values):
-        _fill(pricing.prices, pricing.stepper.grid.points, pricing.spots, block)
-
-
-class _Started(NamedTuple):
-    """A pricing whose march was started (``fdm.start``): the started march,
-    and only what interpolating its values needs."""
-
-    march: object
-    points: np.ndarray
-    spots: tuple[float, ...]
-    prices: _Prices
+    def fill(self, values):
+        """Interpolate the marched ``values`` on the grid points at each spot,
+        or record the exception that failed the pricing; then drop the points
+        and the march."""
+        if isinstance(values, Exception):
+            self.error = values
+        else:
+            interp = MonotoneCubic(self.points, values)
+            self.update((s, float(interp(s))) for s in self.spots)
+        self.points = self.march = None
 
 
 class _TableCache:
@@ -230,7 +202,7 @@ class _TableCache:
     def __init__(self):
         self._maps: dict[tuple, StretchMap] = {}
         self.pending: list[_Pricing] = []
-        self.started: list[_Started] = []
+        self.started: list[_Pricing] = []
 
     def get(self, spec: StretchSpec, steps: int) -> StretchMap:
         ode_steps = (max(16, 8 * steps) if spec.kind is StretchKind.TAVELLA_RANDALL
@@ -241,36 +213,41 @@ class _TableCache:
         return self._maps[key]
 
     def march(self):
-        """March every pending pricing through one ``fdm.march`` (see
-        ``_march``), and empty the queue."""
+        """March every pending pricing at the same time through one ``run``
+        of the first one's block, which calls ``fdm.march``, fill each, and
+        empty the queue.  A pricing whose block failed (``fdm.march`` splits
+        a failed stack until the failing block stands alone) records its own
+        exception as its error."""
         pricings, self.pending = self.pending, []
         if pricings:
-            _march(pricings)
+            pairs = [pricing.take() for pricing in pricings]
+            for pricing, values in zip(pricings, pairs[0][0].run(pairs)):
+                pricing.fill(values)
 
     def start(self):
         """Start each pending pricing's march on its own (``fdm.start``), and
         empty the queue.  While ``workers()`` started marches are not yet
-        joined, the oldest is joined first, so no more march at once.  Only
-        the block's grid points stay here, not its block or terminal."""
+        joined, the oldest is joined first, so no more march at once: on one
+        CPU, one.  A started pricing keeps only its grid points here, not its
+        block or terminal."""
         while self.pending:
             pricing = self.pending.pop(0)
             if len(self.started) >= workers():
                 self.join(1)
-            self.started.append(_Started(start([(pricing.stepper, pricing.terminal)]),
-                                         pricing.stepper.grid.points, pricing.spots,
-                                         pricing.prices))
+            pricing.march = start([pricing.take()])
+            self.started.append(pricing)
 
     def join(self, count: int | None = None):
         """Join the ``count`` oldest started marches (every one by default)
-        and fill their prices.  A march that ends without a result (its
+        and fill their pricings.  A march that ends without a result (its
         process killed, say) records that error as its pricing's."""
         for _ in range(len(self.started) if count is None else count):
-            started = self.started[0]
+            pricing = self.started[0]
             try:
-                values, = started.march.result()
+                values, = pricing.march.result()
             except Exception as exc:  # noqa: BLE001 - the pricing's own error
                 values = exc
-            _fill(started.prices, started.points, started.spots, values)
+            pricing.fill(values)
             self.started.pop(0)
 
     def cancel(self):
@@ -297,10 +274,12 @@ def price_run(config: RunConfig, steps: int,
     """Price the contract on the grid for one resolution; spot -> price.
 
     Builds the row's grid, hooks and unfactored block.  With a table's
-    ``cache`` the pricing joins ``cache.pending`` and the returned dict stays
-    empty until ``cache.march()`` fills it (or sets its ``error`` when the
-    march fails).  Without a cache it marches at once and raises on failure.
+    ``cache`` the pricing joins ``cache.pending`` and the returned record
+    stays empty until its march (``cache.march()``, or a started march that
+    ``cache.join()`` joins) fills it, or sets its ``error`` when the march
+    fails.  Without a cache it marches at once and raises on failure.
     """
+    alone, cache = cache is None, cache or _TableCache()
     grid = build_run_grid(config, steps, cache)
     lo, hi = grid.points[0], grid.points[-1]
     for s in config.report_spots:
@@ -310,35 +289,31 @@ def price_run(config: RunConfig, steps: int,
     if config.match_time_steps:
         pde = replace(pde, time_steps=steps)
     hooks = tuple(constraint_hooks(config.contract, grid, pde))
-    stepper = TrBdf2Stepper(grid, config.market, pde, config.contract.maturity, hooks)
-    pricing = _Pricing(stepper, payoff(config.contract, grid), config.report_spots,
-                       _Prices(config, steps))
-    if cache is not None:
-        cache.pending.append(pricing)
-    else:
-        _march([pricing])
-        if pricing.prices.error is not None:
-            raise pricing.prices.error
-    return pricing.prices
+    pricing = _Pricing(config, steps)
+    pricing.points = grid.points
+    pricing.stepper = TrBdf2Stepper(grid, config.market, pde, config.contract.maturity, hooks)
+    pricing.terminal = payoff(config.contract, grid)
+    cache.pending.append(pricing)
+    if alone:
+        cache.march()
+        if pricing.error is not None:
+            raise pricing.error
+    return pricing
 
 
 def _reference(config: RunConfig, cache: _TableCache) -> dict[float, float]:
-    """Build ``config``'s reference pricing and march it.  With one worker
-    it marches at once, in the calling process.  With more, its march starts
-    the moment its block is built (see ``_TableCache.start``: in a forked
-    process on Linux, on a thread elsewhere), while the caller builds the
-    next grids; ``_sweep`` joins it last.  A reference that fails to build
-    raises ``PricingError`` naming it."""
+    """Build ``config``'s reference pricing and start its march the moment
+    its block is built (see ``_TableCache.start``: in a forked process on
+    Linux, on a thread elsewhere), while the caller builds the next grids;
+    ``_sweep`` joins it last.  A reference that fails to build raises
+    ``PricingError`` naming it."""
     try:
         prices = price_run(config, config.reference_steps, cache)
     except Exception as exc:
-        failed = _Prices(config, config.reference_steps)
-        failed.error = exc
+        failed = _Pricing(config, config.reference_steps)
+        failed.fill(exc)
         raise PricingError(failed.message()) from exc
-    if workers() == 1:
-        cache.march()
-    else:
-        cache.start()
+    cache.start()
     return prices
 
 
@@ -349,10 +324,10 @@ def _sweep(configs: list[RunConfig],
     with ``None``, each config's own reference.
 
     One ``_TableCache`` serves the whole sweep.  Each missing reference is
-    built and marched (see ``_reference``); then every sweep row of every
-    config is built and queued, and the rows march together through one
-    ``fdm.march`` in the calling thread, beside the references still
-    marching; the started references are joined last.  A row that fails to
+    built and its march started (see ``_reference``); then every sweep row
+    of every config is built and queued, and the rows march together
+    through one ``fdm.march`` in the calling thread, beside the references
+    still marching; the started references are joined last.  A row that fails to
     build or to march is marked failed instead of aborting; a failed
     reference raises ``PricingError``.  Either names its column and
     I.  When the sweep exits by an exception (a reference that fails to
@@ -372,8 +347,8 @@ def _sweep(configs: list[RunConfig],
                 try:
                     prices = price_run(config, steps, cache)
                 except Exception as exc:  # noqa: BLE001 - cell-level fault isolation
-                    prices = _Prices(config, steps)
-                    prices.error = exc
+                    prices = _Pricing(config, steps)
+                    prices.fill(exc)
                 rows.append((steps, prices))
             queued.append(rows)
         cache.march()
@@ -382,7 +357,7 @@ def _sweep(configs: list[RunConfig],
         cache.cancel()
         raise
     for prices in references:
-        error = _failure(prices)
+        error = getattr(prices, "error", None)
         if error is not None:
             raise PricingError(prices.message()) from error
     return [_report(config, prices, rows)
@@ -394,7 +369,7 @@ def _report(config: RunConfig, reference_prices: dict[float, float],
     report = ConvergenceReport(config.label, config.report_spots,
                                reference=dict(reference_prices))
     for steps, prices in rows:
-        if _failure(prices) is not None:
+        if getattr(prices, "error", None) is not None:
             report.rows.append(ConvergenceRow(steps, {}, {}, failed=prices.message()))
             continue
         errors = {s: abs(prices[s] - reference_prices[s]) * 1e5
@@ -413,10 +388,9 @@ def run_convergence(config: RunConfig,
     The reference is priced with the same stretch/placement recipe at
     ``reference_steps`` unless explicit reference prices are passed in (used
     by table runs whose published reference is shared across columns).
-    ``_sweep`` builds it and starts its march (with one worker, marches it)
-    before it builds the rows, which then march together in the calling
-    thread, blocks that share (dt, N) as one stacked system; the reference
-    is joined last.
+    ``_sweep`` builds it and starts its march before it builds the rows,
+    which then march together in the calling thread, blocks that share
+    (dt, N) as one stacked system; the reference is joined last.
     Failed resolutions are marked in the report instead of aborting the
     sweep; a failed reference raises ``PricingError``.
     """
@@ -560,15 +534,20 @@ def bench_transforms(samples: int = 10_000_000,
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """Key -> value of each ``key = value`` line; a line that is not one, or
+    a key given twice, raises ``ConfigError`` naming its lines."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ConfigError(f"{key} is given twice, on lines {lines[key]} and {lineno}")
+        lines[key], out[key] = lineno, value
     return out
 
 
@@ -581,13 +560,6 @@ def _finite(s: str) -> float:
 
 def _finite_floats(s: str) -> tuple[float, ...]:
     return tuple(_finite(tok) for tok in s.split(",") if tok.strip())
-
-
-def _domain_fit(s: str) -> str:
-    fits = sorted(v for k, v in vars(DomainFit).items() if k.isupper())
-    if s not in fits:
-        raise ValueError(f"choose one of {', '.join(fits)}")
-    return s
 
 
 def _ints(s: str) -> tuple[int, ...]:
@@ -677,13 +649,13 @@ def _build_run(kv: dict[str, str], label: str,
     sigma = get("market.sigma", _finite, 0.0)
     market = build("market.", lambda: MarketParams(rate=rate, dividend=dividend,
                                                    sigma=sigma))
-    fit = get("domain.fit", _domain_fit, DomainFit.EXPLICIT)
+    fit = get("domain.fit", DomainFit, DomainFit.EXPLICIT)
     domain = DomainSpec(
         s_min=get("domain.s_min", _finite, 0.0),
         s_max=get("domain.s_max", _finite, 0.0),
         fit=fit,
     )
-    if fit == DomainFit.EXPLICIT and not domain.s_min < domain.s_max:
+    if fit is DomainFit.EXPLICIT and not domain.s_min < domain.s_max:
         raise ConfigError("explicit domains need domain.s_min < domain.s_max")
 
     kind = get("stretch.kind", StretchKind, StretchKind.UNIFORM)
@@ -693,8 +665,8 @@ def _build_run(kv: dict[str, str], label: str,
     lam = get("stretch.lambda", _finite, 0.25)
     knot_rule = get("stretch.knot_rule", KnotRule, KnotRule.INVERSE)
     # Bounds are provisional; build_run_grid rebinds them per resolved domain.
-    s_min = domain.s_min if fit == DomainFit.EXPLICIT else (contract.barrier_lower or 0.0) - 1.0
-    s_max = domain.s_max if fit == DomainFit.EXPLICIT else (contract.barrier_upper or 1.0) + 1.0
+    s_min = domain.s_min if fit is DomainFit.EXPLICIT else (contract.barrier_lower or 0.0) - 1.0
+    s_max = domain.s_max if fit is DomainFit.EXPLICIT else (contract.barrier_upper or 1.0) + 1.0
     stretch = build("stretch.", lambda: StretchSpec(
         kind, s_min, s_max, points, alphas, chi=chi, lam=lam, knot_rule=knot_rule))
 
@@ -725,7 +697,7 @@ def _build_run(kv: dict[str, str], label: str,
             edges = resolve_domain(config, steps)[:2]
             if abs(edges[side]) > 1e-12 * (edges[1] - edges[0]):
                 setter = (("domain.s_min", "domain.s_max")[side]
-                          if fit == DomainFit.EXPLICIT else "domain.fit")
+                          if fit is DomainFit.EXPLICIT else "domain.fit")
                 raise ConfigError(
                     f"{origin.get(key, key)} = degenerate_exact needs the grid edge at "
                     f"S = 0, but {origin.get(setter, setter)} puts it at {edges[side]:g} "
@@ -747,11 +719,11 @@ class TableConfig:
     def run(self) -> list[tuple[str, ConvergenceReport]]:
         """Price every column's sweep with one ``_sweep``: each reference
         (the shared one, or one per column) is built and its march started
-        at once (see ``_reference``); every sweep row of every column is then
-        built and queued, and the rows march together through one
-        ``fdm.march`` in the calling thread, beside the references still
-        marching; the references are joined last.  So at most ``workers()``
-        references and the rows march at once."""
+        (see ``_reference``); every sweep row of every column is then built
+        and queued, and the rows march together through one ``fdm.march`` in
+        the calling thread, beside the references still marching; the
+        references are joined last.  So at most ``workers()`` references and
+        the rows march at once."""
         configs = [cfg for _, cfg in self.columns]
         shared = None
         if self.reference_mode == "shared":
@@ -765,6 +737,9 @@ class TableConfig:
 
 def parse_table_config(kv: dict[str, str]) -> TableConfig:
     names = [tok.strip() for tok in kv.get("columns", "").split(",") if tok.strip()]
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        raise ConfigError(f"columns = {kv['columns']!r} names {', '.join(twice)} twice")
     for key in kv:
         if key.startswith("column.") and not any(
                 key.startswith(f"column.{name}.") for name in names):
@@ -820,6 +795,8 @@ BUNDLED_TABLES = {
 
 
 def load_bundled(name_or_number: str | int) -> TableConfig:
+    """The bundled table ``N`` (1..6) or config ``name`` (``.cfg`` optional);
+    any other raises ``ConfigError`` naming it and the choices."""
     if isinstance(name_or_number, int) or str(name_or_number).isdigit():
         number = int(name_or_number)
         if number not in BUNDLED_TABLES:
@@ -829,5 +806,9 @@ def load_bundled(name_or_number: str | int) -> TableConfig:
         name = str(name_or_number)
         if not name.endswith(".cfg"):
             name += ".cfg"
-    text = resources.files("stretchgrid").joinpath("configs").joinpath(name).read_text()
-    return parse_table_config(parse_config_text(text))
+    configs = resources.files("stretchgrid").joinpath("configs")
+    if not configs.joinpath(name).is_file():
+        bundled = sorted(p.name[:-4] for p in configs.iterdir() if p.name.endswith(".cfg"))
+        raise ConfigError(f"no bundled config {str(name_or_number)!r}; choose one of "
+                          f"{', '.join(bundled)}")
+    return parse_table_config(parse_config_text(configs.joinpath(name).read_text()))

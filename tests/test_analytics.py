@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 import stretchgrid
-from stretchgrid.analytics import (black_scholes_vanilla,
-                                   double_barrier_ko_analytic,
-                                   double_barrier_ko_truncation_gap)
+from stretchgrid.analytics import black_scholes_vanilla, double_barrier_ko_analytic
 
 
 def lognormal_quadrature_price(S, K, T, r, q, sigma, put_call, nodes=200):
@@ -85,7 +83,10 @@ class TestDoubleBarrier:
         assert v1 == pytest.approx(down_out, abs=1e-8)
 
     def test_truncation_tail_negligible(self):
-        assert double_barrier_ko_truncation_gap(**self.CASE) < 1e-10
+        # doubling the image pairs moves the price by less than 1e-10
+        p32 = double_barrier_ko_analytic(**self.CASE, terms=32)
+        p64 = double_barrier_ko_analytic(**self.CASE, terms=64)
+        assert abs(p64 - p32) < 1e-10
 
     def test_put_branch_below_call(self):
         put = double_barrier_ko_analytic(put_call="put", **self.CASE)

@@ -50,6 +50,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("not a key value\n")
 
+    def test_a_key_given_twice_is_named_with_both_lines(self):
+        text = SMOKE.replace("market.sigma = 0\n",
+                             "market.sigma = 0\n# again\nmarket.sigma = 0.3\n")
+        with pytest.raises(ConfigError, match=r"^market\.sigma is given twice, on lines 6 and 8$"):
+            parse_config_text(text)
+
+    def test_a_column_named_twice_is_rejected(self):
+        text = SMOKE + "columns = a, b, a\n"
+        with pytest.raises(ConfigError, match=r"^columns = 'a, b, a' names a twice$"):
+            parse_table_config(parse_config_text(text))
+
+    def test_an_unknown_bundled_name_lists_the_bundled_configs(self):
+        with pytest.raises(ConfigError, match=r"^no bundled config 'nope'; choose one of "
+                                              r"american_put_stretch, .*, smoke_zero_vol$"):
+            load_bundled("nope")
+
+    def test_an_unknown_domain_fit_names_the_key(self):
+        kv = parse_config_text(SMOKE)
+        kv["domain.fit"] = "barrier_exactt"
+        with pytest.raises(ConfigError, match=r"^domain\.fit = 'barrier_exactt': "):
+            parse_table_config(kv)
+        kv["domain.fit"] = "barrier_exact"
+        fit = parse_table_config(kv).columns[0][1].domain.fit
+        assert fit is DomainFit.BARRIER_EXACT and fit.value == "barrier_exact"
+
     def test_single_run(self):
         table = parse_table_config(parse_config_text(SMOKE))
         assert len(table.columns) == 1
@@ -507,12 +532,10 @@ class TestLockstepMarch:
         return runs, calls
 
     def test_table_marches_reference_then_one_stack(self, monkeypatch):
-        # One worker: the shared reference marches alone, at once, then the
-        # 32 rows as one stack, each march one ``run`` in the calling thread.
-        # From two workers the reference's march starts on its own
-        # (``fdm.start``, here on the thread fdm-start-0) once its block is
-        # built, and one ``run`` marches the 32 rows as one stack in the
-        # calling thread.
+        # At any width, one worker included, the shared reference's march
+        # starts on its own (``fdm.start``, here on the thread fdm-start-0)
+        # once its block is built, and one ``run`` marches the 32 rows as one
+        # stack in the calling thread.
         runs, calls = self.count_calls(monkeypatch)
         stacks = record_stacks(monkeypatch)
         starts = track_starts(monkeypatch)
@@ -530,14 +553,8 @@ class TestLockstepMarch:
             results = table.run()
             assert len(calls) == rows + 1        # the shared reference, then each row
             assert not any(row.failed for _, report in results for row in report.rows)
-            sizes = sorted(len(blocks) for _, blocks in stacks)
-            if width == 1:
-                assert runs == [1, rows] and starts["nodes"] == []
-                assert sizes == [1, rows]
-                assert {thread for thread, _ in stacks} == {threading.current_thread().name}
-                continue
             assert runs == [rows], width
-            assert starts["nodes"] == [[nodes]]
+            assert starts["nodes"] == [[nodes]] and starts["running"] == 0
             started = [blocks for thread, blocks in stacks if thread == "fdm-start-0"]
             assert [[block.op.n for block in blocks] for blocks in started] == [[nodes]]
             here = [len(blocks) for thread, blocks in stacks
@@ -640,11 +657,11 @@ class TestParallelMarch:
             for row, want in zip(report.rows, clean[column].rows):
                 assert row.failed or row.prices == want.prices
 
-    def test_one_worker_starts_no_thread_and_keeps_the_csv(self, monkeypatch):
-        # One worker starts nothing.  Two start the reference's march, a
-        # forked process on Linux and a thread elsewhere or with ``FORK``
-        # off, and march the rows in the calling thread.  The CSV bytes are
-        # the same at either width, forked or not.
+    def test_one_worker_starts_the_reference_and_keeps_the_csv(self, monkeypatch):
+        # One worker, as two, starts the reference's march, a forked process
+        # on Linux and a thread elsewhere or with ``FORK`` off, and marches
+        # the rows in the calling thread.  The CSV bytes are the same at
+        # either width, forked or not.
         started = []
         start = threading.Thread.start
 
@@ -666,16 +683,16 @@ class TestParallelMarch:
                 buf = io.BytesIO()
                 emit_table_csv(table.run(), buf)
                 csv[place, width], parts[place, width] = buf.getvalue(), len(started)
-        assert parts == {(place, width): width - 1 for place, width in parts}
+        assert set(parts.values()) == {1}
         assert len(set(csv.values())) == 1
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_no_march_holds_more_than_w_references(self, monkeypatch, width):
-        # Three columns, each with its own reference (64 intervals).  One
-        # worker marches each reference at once, through ``run``.  More start
-        # each reference's march as soon as its block is built, and join the
-        # oldest first while ``width`` are running.  Either way each
-        # reference marches once, and no more than ``width`` at once.
+        # Three columns, each with its own reference (64 intervals).  Each
+        # reference's march starts as soon as its block is built, and the
+        # oldest is joined first while ``width`` are running: so each
+        # reference marches once, none through the rows' ``run``, and no more
+        # than ``width`` at once (one on one CPU).
         set_workers(monkeypatch, width)
         starts = track_starts(monkeypatch)
         runs: list[int] = []
@@ -690,11 +707,8 @@ class TestParallelMarch:
                                    "columns = plain, stretched, again")
         results = parse_table_config(parse_config_text(text)).run()
         assert not any(row.failed for _, report in results for row in report.rows)
-        if width == 1:
-            assert runs == [1, 1, 1, 0] and starts["nodes"] == []
-        else:
-            assert sum(runs) == 0 and starts["nodes"] == [[65]] * 3
-            assert starts["most"] == min(width, 3)
+        assert sum(runs) == 0 and starts["nodes"] == [[65]] * 3
+        assert starts["most"] == min(width, 3)
         assert starts["running"] == 0
 
 
@@ -936,20 +950,20 @@ class TestResolveDomain:
         config = load_bundled(5).columns[0][1]
         return dataclasses.replace(config, domain=DomainSpec(0.0, 150.0, fit))
 
-    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("fit", FITS, ids=lambda fit: fit.value)
     @pytest.mark.parametrize("steps", [0, -1])
     def test_no_intervals_names_i(self, fit, steps):
         with pytest.raises(ConfigError, match=f"^I = {steps}: need at least two intervals"):
             resolve_domain(self.config(fit), steps)
 
-    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("fit", FITS, ids=lambda fit: fit.value)
     def test_one_interval_is_refused_only_where_the_fit_adds_none(self, fit):
         config = self.config(fit)
         if self.FITS[fit]:
             assert resolve_domain(config, 1)[2] == 1 + self.FITS[fit]
         else:
             with pytest.raises(ConfigError, match=f"^I = 1: need at least two intervals "
-                                                  f"\\(domain.fit = {fit} gives 1\\)"):
+                                                  f"\\(domain.fit = {fit.value} gives 1\\)"):
                 resolve_domain(config, 1)
         assert resolve_domain(config, 2)[2] == 2 + self.FITS[fit]
 
