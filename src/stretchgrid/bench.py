@@ -120,21 +120,22 @@ def resolve_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
     """
     if steps < 1:
         raise ConfigError(f"I = {steps}: need at least two intervals (I must be at least 1)")
-    s_min, s_max, intervals = _fit_domain(config, steps)
+    s_min, s_max, intervals = _fit_domain(config.domain, config.contract, steps)
     if intervals < 2:
         raise ConfigError(f"I = {steps}: need at least two intervals "
                           f"(domain.fit = {config.domain.fit.value} gives {intervals})")
     return s_min, s_max, intervals
 
 
-def _fit_domain(config: RunConfig, steps: int) -> tuple[float, float, int]:
-    c = config.contract
-    fit = config.domain.fit
+def _fit_domain(domain: DomainSpec, contract: ContractSpec, steps: int) -> tuple[float, float, int]:
+    """``resolve_domain``'s bounds and interval count, for I >= 1."""
+    fit = domain.fit
     if fit is DomainFit.EXPLICIT:
-        return config.domain.s_min, config.domain.s_max, steps
-    if c.barrier_lower is None or c.barrier_upper is None:
-        raise ConfigError("barrier-fitted domains need both barriers")
-    lo, hi = c.barrier_lower, c.barrier_upper
+        return domain.s_min, domain.s_max, steps
+    lo, hi = contract.barrier_lower, contract.barrier_upper
+    if lo is None or hi is None:
+        raise ConfigError("barrier-fitted domains need both contract.barrier_lower "
+                          "and contract.barrier_upper")
     if fit is DomainFit.BARRIER_EXACT:
         return lo, hi, steps
     h = (hi - lo) / steps
@@ -259,9 +260,7 @@ class _TableCache:
 
 def build_run_grid(config: RunConfig, steps: int, cache: _TableCache | None = None) -> Grid:
     s_min, s_max, intervals = resolve_domain(config, steps)
-    stretch = config.stretch
-    if (stretch.s_min, stretch.s_max) != (s_min, s_max):
-        stretch = replace(stretch, s_min=s_min, s_max=s_max)
+    stretch = replace(config.stretch, s_min=s_min, s_max=s_max)
     cache = cache or _TableCache()
     grid = sample_grid(cache.get(stretch, intervals), intervals)
     if config.placement.mode is not PlacementMode.NONE and config.placement.targets:
@@ -566,6 +565,13 @@ def _ints(s: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(",") if tok.strip())
 
 
+def _count(s: str) -> int:
+    value = int(s)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
 def _parse_targets(s: str) -> tuple[Target, ...]:
     targets = []
     for tok in s.split(","):
@@ -600,21 +606,16 @@ def _parse_boundary(s: str) -> BoundaryCondition:
 
 _REQUIRED = object()
 
-# Keys only the table reads; ``_build_run`` reads every other known key.
-_TABLE_KEYS = ("columns", "sweep.reference_mode", "sweep.reference_column")
 
-
-def _build_run(kv: dict[str, str], label: str,
-               origin: dict[str, str] | None = None) -> RunConfig:
-    """One column's ``RunConfig``; any bad value raises ``ConfigError``
-    naming its key (or, for a check across keys, the section's keys), and so
-    does a key nothing reads, named as ``origin`` maps it (its name in the
-    file, for a column's own keys)."""
-    origin = origin or {}
-    read: set[str] = set()
+def _build_run(kv: dict[str, str], label: str, origin: dict[str, str],
+               read: set[str]) -> RunConfig:
+    """One column's ``RunConfig`` from its keys ``kv``, adding each key it
+    reads to ``read`` as ``origin`` names it (as written in the file), as a
+    bad value's ``ConfigError`` names it.  The stretch spec is built on the
+    reference row's domain, the narrowest any row gets."""
 
     def get(key: str, convert, default=_REQUIRED):
-        read.add(key)
+        read.add(origin.get(key, key))
         if key not in kv:
             if default is _REQUIRED:
                 raise ConfigError(f"missing config key {key!r}")
@@ -628,8 +629,8 @@ def _build_run(kv: dict[str, str], label: str,
         try:
             return make()
         except ValueError as exc:
-            keys = ", ".join(k for k in kv if k.startswith(section)) or section + "*"
-            raise ConfigError(f"{keys}: {exc}") from exc
+            keys = ", ".join(origin.get(k, k) for k in kv if k.startswith(section))
+            raise ConfigError(f"{keys or section + '*'}: {exc}") from exc
 
     style = get("contract.style", ExerciseStyle)
     put_call = get("contract.put_call", OptionType)
@@ -647,16 +648,14 @@ def _build_run(kv: dict[str, str], label: str,
     rate = get("market.rate", _finite, 0.0)
     dividend = get("market.dividend", _finite, 0.0)
     sigma = get("market.sigma", _finite, 0.0)
-    market = build("market.", lambda: MarketParams(rate=rate, dividend=dividend,
-                                                   sigma=sigma))
+    market = build("market.", lambda: MarketParams(rate, dividend, sigma))
     fit = get("domain.fit", DomainFit, DomainFit.EXPLICIT)
-    domain = DomainSpec(
-        s_min=get("domain.s_min", _finite, 0.0),
-        s_max=get("domain.s_max", _finite, 0.0),
-        fit=fit,
-    )
+    domain = DomainSpec(get("domain.s_min", _finite, 0.0), get("domain.s_max", _finite, 0.0),
+                        fit)
     if fit is DomainFit.EXPLICIT and not domain.s_min < domain.s_max:
         raise ConfigError("explicit domains need domain.s_min < domain.s_max")
+    reference_steps = get("sweep.reference_steps", _count)
+    s_min, s_max, _ = build("domain.fit", lambda: _fit_domain(domain, contract, reference_steps))
 
     kind = get("stretch.kind", StretchKind, StretchKind.UNIFORM)
     points = get("stretch.points", _finite_floats, ())
@@ -664,9 +663,6 @@ def _build_run(kv: dict[str, str], label: str,
     chi = get("stretch.chi", _finite, 6.0)
     lam = get("stretch.lambda", _finite, 0.25)
     knot_rule = get("stretch.knot_rule", KnotRule, KnotRule.INVERSE)
-    # Bounds are provisional; build_run_grid rebinds them per resolved domain.
-    s_min = domain.s_min if fit is DomainFit.EXPLICIT else (contract.barrier_lower or 0.0) - 1.0
-    s_max = domain.s_max if fit is DomainFit.EXPLICIT else (contract.barrier_upper or 1.0) + 1.0
     stretch = build("stretch.", lambda: StretchSpec(
         kind, s_min, s_max, points, alphas, chi=chi, lam=lam, knot_rule=knot_rule))
 
@@ -683,13 +679,10 @@ def _build_run(kv: dict[str, str], label: str,
                                           boundary_upper=upper, barrier_mode=barrier_mode))
 
     config = RunConfig(
-        contract=contract, market=market, stretch=stretch, placement=placement,
-        pde=pde,
-        space_steps=get("sweep.space_steps", _ints),
-        reference_steps=get("sweep.reference_steps", int),
+        contract=contract, market=market, stretch=stretch, placement=placement, pde=pde,
+        space_steps=get("sweep.space_steps", _ints), reference_steps=reference_steps,
         report_spots=get("sweep.report_spots", _finite_floats),
-        domain=domain, match_time_steps=match_time, label=label,
-    )
+        domain=domain, match_time_steps=match_time, label=label)
     for key, bc, side in (("pde.boundary_lower", lower, 0), ("pde.boundary_upper", upper, 1)):
         if bc.kind is not BoundaryKind.DEGENERATE_EXACT:
             continue
@@ -702,19 +695,27 @@ def _build_run(kv: dict[str, str], label: str,
                     f"{origin.get(key, key)} = degenerate_exact needs the grid edge at "
                     f"S = 0, but {origin.get(setter, setter)} puts it at {edges[side]:g} "
                     f"(I = {steps})")
-    for key in kv:
-        if key not in read and (key not in _TABLE_KEYS or key in origin):
-            raise ConfigError(f"unknown config key {origin.get(key, key)!r}")
     return config
 
 
 @dataclass(frozen=True)
 class TableConfig:
-    """A set of grid regimes (columns) sharing one contract and sweep."""
+    """Grid regimes (columns) sharing one contract and sweep, priced against
+    a reference per column or, ``shared``, that of ``reference_column``,
+    which must be a column; any other mode raises ``ConfigError``."""
 
     columns: tuple[tuple[str, RunConfig], ...]
     reference_mode: str = "per_column"       # or "shared"
     reference_column: str = ""
+
+    def __post_init__(self):
+        if self.reference_mode not in ("per_column", "shared"):
+            raise ConfigError(f"sweep.reference_mode = {self.reference_mode!r}: "
+                              "expected per_column or shared")
+        names = [name for name, _ in self.columns]
+        if self.reference_mode == "shared" and self.reference_column not in names:
+            raise ConfigError(f"sweep.reference_column = {self.reference_column!r}: "
+                              f"not one of the columns {', '.join(names)}")
 
     def run(self) -> list[tuple[str, ConvergenceReport]]:
         """Price every column's sweep with one ``_sweep``: each reference
@@ -724,18 +725,18 @@ class TableConfig:
         the calling thread, beside the references still marching; the
         references are joined last.  So at most ``workers()`` references and
         the rows march at once."""
-        configs = [cfg for _, cfg in self.columns]
-        shared = None
-        if self.reference_mode == "shared":
-            by_name = dict(self.columns)
-            if self.reference_column not in by_name:
-                raise ConfigError(f"reference column {self.reference_column!r} not defined")
-            shared = by_name[self.reference_column]
-        reports = _sweep(configs, shared)
+        shared = (dict(self.columns)[self.reference_column]
+                  if self.reference_mode == "shared" else None)
+        reports = _sweep([cfg for _, cfg in self.columns], shared)
         return [(name, report) for (name, _), report in zip(self.columns, reports)]
 
 
 def parse_table_config(kv: dict[str, str]) -> TableConfig:
+    """The table of the config keys ``kv``: a column per name in ``columns``
+    (without it, the one column ``run``), each reading its ``column.<name>.``
+    keys over the base ones.  The table reads ``columns``, ``sweep.reference_mode``
+    and, only under ``shared``, ``sweep.reference_column``; a key nothing reads
+    raises ``ConfigError`` naming it as written."""
     names = [tok.strip() for tok in kv.get("columns", "").split(",") if tok.strip()]
     twice = sorted({name for name in names if names.count(name) > 1})
     if twice:
@@ -745,8 +746,8 @@ def parse_table_config(kv: dict[str, str]) -> TableConfig:
                 key.startswith(f"column.{name}.") for name in names):
             raise ConfigError(f"{key}: no such column in columns = "
                               f"{kv.get('columns', '')!r}")
-    if not names:
-        return TableConfig(columns=(("run", _build_run(kv, "run")),))
+    names = names or ["run"]
+    read = {"columns", "sweep.reference_mode"}
     columns = []
     for name in names:
         merged = {k: v for k, v in kv.items() if not k.startswith("column.")}
@@ -758,7 +759,7 @@ def parse_table_config(kv: dict[str, str]) -> TableConfig:
                 merged = {k: v for k, v in merged.items() if not k.startswith(section)}
         merged.update(scoped)
         origin = {k: prefix + k for k in scoped}
-        columns.append((name, _build_run(merged, name, origin)))
+        columns.append((name, _build_run(merged, name, origin, read)))
         spots = columns[0][1].report_spots
         if columns[-1][1].report_spots != spots:
             # one of the two columns overrides the spots, or both would match
@@ -767,15 +768,14 @@ def parse_table_config(kv: dict[str, str]) -> TableConfig:
             raise ConfigError(f"{key} = {kv[key]!r}: column {name!r} reports spots "
                               f"{columns[-1][1].report_spots} and column {names[0]!r} "
                               f"{spots}, but a table's columns share one set of spots")
-    reference_mode = kv.get("sweep.reference_mode", "per_column")
-    if reference_mode not in ("per_column", "shared"):
-        raise ConfigError(f"sweep.reference_mode = {reference_mode!r}: "
-                          "expected per_column or shared")
-    return TableConfig(
-        columns=tuple(columns),
-        reference_mode=reference_mode,
-        reference_column=kv.get("sweep.reference_column", names[0]),
-    )
+    table = TableConfig(tuple(columns), kv.get("sweep.reference_mode", "per_column"),
+                        kv.get("sweep.reference_column", names[0]))
+    if table.reference_mode == "shared":
+        read.add("sweep.reference_column")
+    for key in kv:
+        if key not in read:
+            raise ConfigError(f"unknown config key {key!r}")
+    return table
 
 
 def load_config(path: str | Path) -> TableConfig:

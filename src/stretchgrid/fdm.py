@@ -768,24 +768,22 @@ class Stack:
         return v
 
 
-def _stacks(pairs: list) -> list[list[int]]:
-    """The indices of ``pairs`` grouped per (dt, N) of their blocks: the
-    stacks a march marches, each in the order its blocks were given, and
-    in the order each stack's first block was given."""
+def _march(pairs: list, stop=None) -> tuple[list, tuple]:
+    """March ``pairs`` stacked per (dt, N) of their blocks, each stack in
+    the order its blocks were given and the stacks in the order each one's
+    first block was given, stopping before the next stack once ``stop`` (a
+    ``threading.Event``, if given) is set.  Returns each block's values or
+    exception in the given order (``None`` where it did not march), and the
+    record ``_log`` logs: the CPU seconds of the thread that marched and
+    each stack's blocks, nodes, N and solve."""
+    began = time.thread_time()
     by_time: dict[tuple[float, int], list[int]] = {}
     for k, (block, _) in enumerate(pairs):
         by_time.setdefault((block.dt, block.n_steps), []).append(k)
-    return list(by_time.values())
-
-
-def _march_stacks(pairs: list, stacks: list, stop=None) -> tuple[list, dict, float]:
-    """March ``stacks`` of ``pairs``, stopping before the next stack once
-    ``stop`` (a ``threading.Event``, if given) is set: the (block index,
-    values or exception) pairs, each stack's solve kind and the CPU seconds
-    of the thread that marched them."""
-    began = time.thread_time()
+    stacks = list(by_time.values())
     todo = stacks[::-1]
-    slots, kinds = [], {}
+    values: list = [None] * len(pairs)
+    kinds = {}
     while todo and not (stop is not None and stop.is_set()):
         stack = todo.pop()
         try:
@@ -802,31 +800,23 @@ def _march_stacks(pairs: list, stacks: list, stop=None) -> tuple[list, dict, flo
                 todo += [stack[half:], stack[:half]]
                 continue
             marched = [exc]
-        slots += zip(stack, marched)
-    return slots, kinds, time.thread_time() - began
+        for k, marched_values in zip(stack, marched):
+            values[k] = marched_values
+    cpu_s = time.thread_time() - began
+    return values, (cpu_s, [(len(stack), sum(pairs[k][0].op.n for k in stack),
+                             pairs[stack[0]][0].n_steps, kinds.get(tuple(stack), "none"))
+                            for stack in stacks])
 
 
-def _shapes(pairs: list, stacks: list) -> list[tuple]:
-    """Each stack as (block indices, nodes, N), for the record."""
-    return [(tuple(stack), sum(pairs[k][0].op.n for k in stack), pairs[stack[0]][0].n_steps)
-            for stack in stacks]
-
-
-def _gather(done: tuple, shapes: list, heading: str) -> list:
-    """The blocks' values or exceptions, in their given order, from the
-    ``_march_stacks`` outcome ``done``.  Logs the march's record at DEBUG
-    level: ``heading`` (which says where it marched), its CPU seconds, the
-    LAPACK library bound and each stack's blocks, nodes, N and solve."""
-    slots, kinds, cpu_s = done
-    results: list = [None] * sum(len(stack) for stack, _, _ in shapes)
-    for k, values in slots:
-        results[k] = values
+def _log(record: tuple, heading: str):
+    """Log a march's ``record`` (see ``_march``) at DEBUG level: ``heading``
+    (which says where it marched), its CPU seconds, the LAPACK library
+    bound and each stack's blocks, nodes, N and solve."""
     if log.isEnabledFor(logging.DEBUG):
-        described = ", ".join(f"stack(blocks={len(stack)}, nodes={nodes}, N={n_steps}, "
-                              f"solve={kinds.get(stack, 'none')})"
-                              for stack, nodes, n_steps in shapes)
+        cpu_s, stacks = record
+        described = ", ".join(f"stack(blocks={blocks}, nodes={nodes}, N={n_steps}, "
+                              f"solve={solve})" for blocks, nodes, n_steps, solve in stacks)
         log.debug("%s, %.3f s CPU, LAPACK from %s: %s", heading, cpu_s, _lapack.PATH, described)
-    return results
 
 
 def march(pairs) -> list:
@@ -834,7 +824,7 @@ def march(pairs) -> list:
     return, in the given order, each block's values or the exception that
     failed it.
 
-    The blocks are stacked per (dt, N) (see ``_stacks``), one factorization
+    The blocks are stacked per (dt, N) (see ``_march``), one factorization
     per stack, and the stacks marched one after another; ``march`` starts
     no thread or process, so a caller that wants a march beside its own
     work calls ``start``.  No stack calls ``run``.  A one-block stack
@@ -848,11 +838,11 @@ def march(pairs) -> list:
     pairs = list(pairs)
     if not pairs:
         return []
-    stacks = _stacks(pairs)
     began = time.perf_counter()
-    done = _march_stacks(pairs, stacks)
-    return _gather(done, _shapes(pairs, stacks), f"march of {len(pairs)} blocks in the "
-                   f"calling thread, {time.perf_counter() - began:.3f} s wall")
+    values, record = _march(pairs)
+    _log(record, f"march of {len(pairs)} blocks in the calling thread, "
+                 f"{time.perf_counter() - began:.3f} s wall")
+    return values
 
 
 class _Started:
@@ -863,25 +853,24 @@ class _Started:
     a forked march that ends without a result raises ``LostPartError``, and
     one whose result does not pickle raises pickle's error.  ``cancel()``
     ends it: the child is killed and reaped, or the thread stopped after its
-    stack and joined (see ``_threads.Part``).  A forked march keeps here
-    only what its record needs, so the caller may drop the blocks and
+    stack and joined (see ``_threads.Part``).  Of a forked march this
+    process keeps only the child's pid and pipe, since the child sends its
+    record back with its values, so the caller may drop the blocks and
     terminals it started.
     """
 
     def __init__(self, pairs):
         pairs = list(pairs)
-        stacks = _stacks(pairs)
-        self._count, self._shapes = len(pairs), _shapes(pairs, stacks)
         self._place = "a forked process" if _threads.FORK else "a thread"
         self._began = time.perf_counter()
-        self._part = _threads.Part(lambda part, stop: _march_stacks(pairs, stacks, stop),
+        self._part = _threads.Part(lambda part, stop: _march(pairs, stop),
                                    0, "fdm-start", fork=_threads.FORK)
 
     def result(self) -> list:
-        done = self._part.result()
-        return _gather(done, self._shapes,
-                       f"march of {self._count} blocks started in {self._place}, joined after "
-                       f"{time.perf_counter() - self._began:.3f} s wall")
+        values, record = self._part.result()
+        _log(record, f"march of {len(values)} blocks started in {self._place}, joined after "
+                     f"{time.perf_counter() - self._began:.3f} s wall")
+        return values
 
     def cancel(self):
         self._part.cancel()

@@ -164,9 +164,7 @@ def constraint_hooks(spec: ContractSpec, grid: Grid, config: PdeConfig) -> list[
         return hooks
 
     if spec.style is ExerciseStyle.AMERICAN_VANILLA:
-        hooks.append(AmericanProjection(payoff(
-            ContractSpec(ExerciseStyle.EUROPEAN_VANILLA, spec.put_call,
-                         spec.strike, spec.maturity), grid)))
+        hooks.append(AmericanProjection(payoff(spec, grid)))
         return hooks
 
     if spec.is_discrete:

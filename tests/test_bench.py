@@ -71,7 +71,9 @@ class TestConfigParsing:
         kv["domain.fit"] = "barrier_exactt"
         with pytest.raises(ConfigError, match=r"^domain\.fit = 'barrier_exactt': "):
             parse_table_config(kv)
-        kv["domain.fit"] = "barrier_exact"
+        # a barrier fit needs both barriers: give the contract two
+        kv.update({"contract.style": "continuous_double_ko", "contract.barrier_lower": "50",
+                   "contract.barrier_upper": "120", "domain.fit": "barrier_exact"})
         fit = parse_table_config(kv).columns[0][1].domain.fit
         assert fit is DomainFit.BARRIER_EXACT and fit.value == "barrier_exact"
 
@@ -226,6 +228,49 @@ pde.barrier_mode = ghost_lagrange3
         text = SMOKE + "columns = a, b\nsweep.reference_mode = sharde\n"
         with pytest.raises(ConfigError, match=r"sweep\.reference_mode"):
             parse_table_config(parse_config_text(text))
+
+    @pytest.mark.parametrize("name, edits, dropped, message", [
+        ("smoke_zero_vol.cfg", {"sweep.reference_mode": "bogus"}, (),
+         r"^sweep\.reference_mode = 'bogus': expected per_column or shared$"),
+        # the reference column is read only under a shared reference
+        ("smoke_zero_vol.cfg", {"sweep.reference_column": "nope"}, (),
+         r"^unknown config key 'sweep\.reference_column'$"),
+        ("discrete_ko_stretch.cfg", {"sweep.reference_column": "sinh"}, (),
+         r"^unknown config key 'sweep\.reference_column'$"),
+        ("double_ko_continuous_ghost.cfg", {"sweep.reference_column": "on_gird"}, (),
+         r"^sweep\.reference_column = 'on_gird': not one of the columns "
+         r"ghost_linear, ghost_lagrange3, on_grid$"),
+        # the stretch spec is checked on the barrier-fitted reference domain
+        # [90, 160], which a critical point at 90 does not lie inside
+        ("double_ko_continuous_ghost.cfg",
+         {"column.on_grid.stretch.kind": "sinh", "column.on_grid.stretch.points": "90"}, (),
+         r"^column\.on_grid\.stretch\.kind, column\.on_grid\.stretch\.points: "
+         r"critical points must lie strictly inside the bounds$"),
+        ("smoke_zero_vol.cfg", {"domain.fit": "barrier_exact"}, ("domain.s_min", "domain.s_max"),
+         r"^domain\.fit: barrier-fitted domains need both contract\.barrier_lower "
+         r"and contract\.barrier_upper$"),
+        # every column of table 3 replaces the stretch block, so none reads it
+        ("discrete_ko_stretch_placed.cfg", {"stretch.alhpa": "3"}, (),
+         r"^unknown config key 'stretch\.alhpa'$"),
+    ], ids=["bad_reference_mode", "reference_column_per_column",
+            "reference_column_table_1", "reference_column_no_column",
+            "stretch_point_on_fitted_bound", "barrier_fit_without_barriers",
+            "base_stretch_key_every_column_replaces"])
+    def test_a_bad_table_input_raises_at_parse_naming_its_keys(self, name, edits, dropped,
+                                                               message):
+        kv = {k: v for k, v in parse_config_text(load_bundled_text(name)).items()
+              if k not in dropped}
+        kv.update(edits)
+        with pytest.raises(ConfigError, match=message):
+            parse_table_config(kv)
+
+    def test_a_section_error_names_a_columns_keys_as_written(self):
+        kv = parse_config_text(load_bundled_text("discrete_ko_stretch_placed.cfg"))
+        kv["column.sinh_insert.placement.targets"] = "midcell:100, ongrid:125"
+        with pytest.raises(ConfigError, match=r"^column\.sinh_insert\.placement\.mode, "
+                                              r"column\.sinh_insert\.placement\.targets: "
+                                              r"insertion only supports mid-cell targets$"):
+            parse_table_config(kv)
 
 
 BUNDLED = sorted(p.name for p in resources.files("stretchgrid").joinpath("configs").iterdir()

@@ -840,7 +840,10 @@ def test_march_returns_each_blocks_own_values_or_error(drawn):
             assert np.array_equal(got, want)
     failed = {k for k, want in enumerate(solo) if isinstance(want, Exception)}
     if len(poisoned) == 1 and failed == poisoned:
-        stacks = fdm._stacks(pairs)
+        by_time: dict = {}   # the stacks, grouped per (dt, N) as march groups them
+        for k, (block, _) in enumerate(pairs):
+            by_time.setdefault((block.dt, block.n_steps), []).append(k)
+        stacks = list(by_time.values())
         k = len(next(stack for stack in stacks if poisoned <= set(stack)))
         assert len(factored) <= len(stacks) + 2 * math.ceil(math.log2(k))
 
