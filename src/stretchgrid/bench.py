@@ -561,15 +561,18 @@ def _finite_floats(s: str) -> tuple[float, ...]:
     return tuple(_finite(tok) for tok in s.split(",") if tok.strip())
 
 
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in s.split(",") if tok.strip())
-
-
 def _count(s: str) -> int:
     value = int(s)
     if value < 1:
         raise ValueError("must be at least 1")
     return value
+
+
+def _counts(s: str) -> tuple[int, ...]:
+    counts = tuple(_count(tok) for tok in s.split(",") if tok.strip())
+    if not counts:
+        raise ValueError("needs at least one count")
+    return counts
 
 
 def _parse_targets(s: str) -> tuple[Target, ...]:
@@ -594,11 +597,10 @@ def _parse_targets(s: str) -> tuple[Target, ...]:
 def _parse_boundary(s: str) -> BoundaryCondition:
     kind, _, value = s.partition(":")
     kind = kind.strip().lower()
-    table = {"zero_gamma": BoundaryKind.ZERO_GAMMA,
-             "degenerate_exact": BoundaryKind.DEGENERATE_EXACT,
-             "dirichlet": BoundaryKind.DIRICHLET_VALUE}
+    table = {"zero_gamma": BoundaryKind.ZERO_GAMMA, "dirichlet": BoundaryKind.DIRICHLET_VALUE}
     if kind not in table:
-        raise ConfigError(f"unknown boundary kind {kind!r}")
+        raise ConfigError(f"unknown boundary kind {kind!r}; expected zero_gamma or "
+                          "dirichlet:VALUE")
     if table[kind] is not BoundaryKind.DIRICHLET_VALUE and value:
         raise ConfigError(f"{kind} takes no value")
     return BoundaryCondition(table[kind], _finite(value) if value else 0.0)
@@ -611,7 +613,8 @@ def _build_run(kv: dict[str, str], label: str, origin: dict[str, str],
                read: set[str]) -> RunConfig:
     """One column's ``RunConfig`` from its keys ``kv``, adding each key it
     reads to ``read`` as ``origin`` names it (as written in the file), as a
-    bad value's ``ConfigError`` names it.  The stretch spec is built on the
+    bad value's ``ConfigError`` names it; the domain bounds are read only
+    under ``domain.fit = explicit``.  The stretch spec is built on the
     reference row's domain, the narrowest any row gets."""
 
     def get(key: str, convert, default=_REQUIRED):
@@ -650,10 +653,11 @@ def _build_run(kv: dict[str, str], label: str, origin: dict[str, str],
     sigma = get("market.sigma", _finite, 0.0)
     market = build("market.", lambda: MarketParams(rate, dividend, sigma))
     fit = get("domain.fit", DomainFit, DomainFit.EXPLICIT)
-    domain = DomainSpec(get("domain.s_min", _finite, 0.0), get("domain.s_max", _finite, 0.0),
-                        fit)
-    if fit is DomainFit.EXPLICIT and not domain.s_min < domain.s_max:
-        raise ConfigError("explicit domains need domain.s_min < domain.s_max")
+    domain = DomainSpec(fit=fit)
+    if fit is DomainFit.EXPLICIT:
+        domain = DomainSpec(get("domain.s_min", _finite, 0.0), get("domain.s_max", _finite, 0.0))
+        if not domain.s_min < domain.s_max:
+            raise ConfigError("explicit domains need domain.s_min < domain.s_max")
     reference_steps = get("sweep.reference_steps", _count)
     s_min, s_max, _ = build("domain.fit", lambda: _fit_domain(domain, contract, reference_steps))
 
@@ -678,24 +682,11 @@ def _build_run(kv: dict[str, str], label: str, origin: dict[str, str],
     pde = build("pde.", lambda: PdeConfig(time_steps=time_steps, boundary_lower=lower,
                                           boundary_upper=upper, barrier_mode=barrier_mode))
 
-    config = RunConfig(
+    return RunConfig(
         contract=contract, market=market, stretch=stretch, placement=placement, pde=pde,
-        space_steps=get("sweep.space_steps", _ints), reference_steps=reference_steps,
+        space_steps=get("sweep.space_steps", _counts), reference_steps=reference_steps,
         report_spots=get("sweep.report_spots", _finite_floats),
         domain=domain, match_time_steps=match_time, label=label)
-    for key, bc, side in (("pde.boundary_lower", lower, 0), ("pde.boundary_upper", upper, 1)):
-        if bc.kind is not BoundaryKind.DEGENERATE_EXACT:
-            continue
-        for steps in (*config.space_steps, config.reference_steps):
-            edges = resolve_domain(config, steps)[:2]
-            if abs(edges[side]) > 1e-12 * (edges[1] - edges[0]):
-                setter = (("domain.s_min", "domain.s_max")[side]
-                          if fit is DomainFit.EXPLICIT else "domain.fit")
-                raise ConfigError(
-                    f"{origin.get(key, key)} = degenerate_exact needs the grid edge at "
-                    f"S = 0, but {origin.get(setter, setter)} puts it at {edges[side]:g} "
-                    f"(I = {steps})")
-    return config
 
 
 @dataclass(frozen=True)

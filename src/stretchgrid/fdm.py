@@ -121,7 +121,6 @@ class MarketParams:
 class BoundaryKind(enum.Enum):
     DIRICHLET_VALUE = "dirichlet"
     ZERO_GAMMA = "zero_gamma"
-    DEGENERATE_EXACT = "degenerate_exact"
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,11 @@ class SpatialOperator:
         return self.diag.size
 
 
-def discretize_operator(grid: Grid, mkt: MarketParams) -> SpatialOperator:
-    """Interior rows of the Black-Scholes operator; boundary rows left zero."""
+def discretize_operator(grid: Grid, mkt: MarketParams, config: PdeConfig) -> SpatialOperator:
+    """The Black-Scholes operator's rows: central stencils inside, and at
+    each zero-gamma edge V_SS dropped with a one-sided first derivative (at
+    S = 0 the degenerate row -r V); a Dirichlet edge row is left zero, as
+    the block pins it."""
     s = grid.points
     if s.size < 3:
         raise ValueError("need at least three grid nodes")
@@ -200,37 +202,12 @@ def discretize_operator(grid: Grid, mkt: MarketParams) -> SpatialOperator:
     lower[1:-1] = diff * d2[0] + conv * d1[0]
     diag[1:-1] = diff * d2[1] + conv * d1[1] - mkt.rate
     upper[1:-1] = diff * d2[2] + conv * d1[2]
-    return SpatialOperator(lower, diag, upper)
-
-
-def attach_boundary_rows(op: SpatialOperator, grid: Grid, mkt: MarketParams,
-                         config: PdeConfig) -> SpatialOperator:
-    """Fill the first and last operator rows per the configured treatment."""
-    lower = op.lower.copy()
-    diag = op.diag.copy()
-    upper = op.upper.copy()
-    s = grid.points
-    for row, bc in ((0, config.boundary_lower), (s.size - 1, config.boundary_upper)):
-        if bc.kind is BoundaryKind.DIRICHLET_VALUE:
-            lower[row] = diag[row] = upper[row] = 0.0
-        elif bc.kind is BoundaryKind.DEGENERATE_EXACT:
-            if abs(s[row]) > 1e-12 * (s[-1] - s[0]):
-                raise ValueError("degenerate-exact row is only valid at S = 0")
-            lower[row] = upper[row] = 0.0
-            diag[row] = -mkt.rate
-        else:  # zero gamma: drop V_SS, one-sided first derivative
-            if row == 0:
-                h = s[1] - s[0]
-                conv = (mkt.rate - mkt.dividend) * s[0]
-                lower[0] = 0.0
-                diag[0] = -conv / h - mkt.rate
-                upper[0] = conv / h
-            else:
-                h = s[-1] - s[-2]
-                conv = (mkt.rate - mkt.dividend) * s[-1]
-                lower[row] = -conv / h
-                diag[row] = conv / h - mkt.rate
-                upper[row] = 0.0
+    if config.boundary_lower.kind is BoundaryKind.ZERO_GAMMA:
+        upper[0] = (mkt.rate - mkt.dividend) * s[0] / (s[1] - s[0])
+        diag[0] = -upper[0] - mkt.rate
+    if config.boundary_upper.kind is BoundaryKind.ZERO_GAMMA:
+        lower[-1] = -(mkt.rate - mkt.dividend) * s[-1] / (s[-1] - s[-2])
+        diag[-1] = -lower[-1] - mkt.rate
     return SpatialOperator(lower, diag, upper)
 
 
@@ -564,7 +541,7 @@ class TrBdf2Stepper:
         self.hooks = tuple(hooks)
         self.dt = horizon / config.time_steps
         self.n_steps = config.time_steps
-        self.op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, config)
+        self.op = discretize_operator(grid, mkt, config)
         n = self.op.n
         # Pinned rows: the Dirichlet boundary rows that are no ghost row, then
         # the rows of each DirichletRegion; a later pin of the same row wins.
@@ -617,15 +594,16 @@ class Stack:
     Pinned rows then take their values, each ghost row its rebate less its
     inner row's rhs times its ``stamp``'s factor, and the folds of ``_ldl``
     follow, all times R of their row.  The other constraints apply in block
-    and hook order: each ghost row's explicit-half value, hook by hook; after
-    every solve the pins and one stacked obstacle (-inf where no
-    ``AmericanProjection`` is); after each step the knock-outs, one mask per
-    run of consecutive knock-outs of one observation set and rebate (a signed
-    zero its own).  No block couples across its edge (lower[0] =
-    upper[-1] = 0 in every block), so neither factorization couples or
-    pivots there and the product adds exact zeros: each block's values equal
-    those of its own march exactly.  A zero pivot, or a ghost row that cannot
-    be eliminated, raises ``SingularSystemError`` here.
+    and hook order: each ghost row's explicit-half value, hook by hook, and
+    after the last solve its value; after every solve the pins and one
+    stacked obstacle (-inf where no ``AmericanProjection`` is); after each
+    step the knock-outs, one mask per run of consecutive knock-outs of one
+    observation set and rebate (a signed zero its own).  No block couples
+    across its edge (lower[0] = upper[-1] = 0 in every block), so neither
+    factorization couples or pivots there and the product adds exact zeros:
+    each block's values equal those of its own march exactly.  A zero pivot,
+    or a ghost row that cannot be eliminated, raises ``SingularSystemError``
+    here.
     """
 
     def __init__(self, blocks):
@@ -716,15 +694,20 @@ class Stack:
         """Each block's rows of a stacked vector, in stacking order."""
         return [v[rows] for rows in self._blocks]
 
-    def _substage(self, rhs: np.ndarray) -> np.ndarray:
+    def _substage(self, rhs: np.ndarray, last: bool = False) -> np.ndarray:
         """Solve the substage whose scaled rhs ``rhs`` holds, in place where
-        the solve is, and return the solution."""
+        the solve is, and return the solution.  The ``last`` substage of a
+        march sets its ghost entries from their rules: a solve loses digits
+        in a 3-point one (``stamp`` divides by a coupling that shrinks with
+        dt), and no step reads the ghost entries it is given."""
         rhs[self._fixed_rows] = self._fixed_values
         for t, s, c in self._pre:
             rhs[t] -= c * rhs[s]
         v = self._solve(rhs)
         for t, s, c in self._post:
             v[t] -= c * v[s]
+        if last:
+            self._set_ghosts(v)
         # LU with partial pivoting solves pinned rows only to round-off;
         # constraints are exact, so re-stamp them.
         v[self._pin_rows] = self._pin_values
@@ -740,24 +723,27 @@ class Stack:
         one copy of it.  The values returned are a new vector.
         """
         v_eff = v.copy() if self._ghosts else v
-        for g, value, weight, terms in self._ghosts:
-            for k, w in terms:
-                value -= w * v_eff[k]
-            v_eff[g] = value / weight
-
+        self._set_ghosts(v_eff)
         stage = self._product(v_eff, np.empty_like(self._old))
         stage = self._substage(stage)
         # R (BDF2_NEW stage - BDF2_OLD v_eff), in place in the stage values
         stage *= _BDF2_RATIO
         stage -= v_eff
         stage *= self._old
-        v_new = self._substage(stage)
+        v_new = self._substage(stage, step_index == self.n_steps)
         for (steps, rebate, _), mask in self._knockouts:
             if step_index in steps:
                 v_new[mask] = rebate
         if not np.isfinite(v_new).all():
             raise NonFiniteValueError(step_index, tau + self.dt)
         return v_new
+
+    def _set_ghosts(self, v: np.ndarray):
+        """Set each ghost entry of ``v`` from its rule over ``v``, hook by hook."""
+        for g, value, weight, terms in self._ghosts:
+            for k, w in terms:
+                value -= w * v[k]
+            v[g] = value / weight
 
     def march(self, v: np.ndarray) -> np.ndarray:
         """Values after all N steps from ``v``, which is not written: a copy

@@ -174,8 +174,7 @@ def test_criterion_2_oracle_suite():
     mkt = MarketParams(0.07, 0.02, 0.20)
     grid = sample_grid(build_map(StretchSpec(StretchKind.UNIFORM, 0.0, 300.0)), 4000)
     grid = apply_placement(grid, PlacementSpec(PlacementMode.DEFORM, (Target(100.0),)))
-    cfg = PdeConfig(1500, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                    BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+    cfg = PdeConfig(1500)
     contract = ContractSpec(ExerciseStyle.EUROPEAN_VANILLA, OptionType.CALL, 100.0, 1.0)
     values = TrBdf2Stepper(grid, mkt, cfg, 1.0, ()).run(payoff(contract, grid))
     pde_price = float(MonotoneCubic(grid.points, values)(100.0))
@@ -300,8 +299,7 @@ def test_reduced_alpha_improves_unplaced_cubic():
             market=MarketParams(0.07, 0.02, 0.20),
             stretch=StretchSpec(StretchKind.CUBIC, 0.0, 150.0, (125.0,), (alpha,)),
             placement=PSpec(PlacementMode.NONE),
-            pde=PdeConfig(1500, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                          BoundaryCondition(BoundaryKind.ZERO_GAMMA)),
+            pde=PdeConfig(1500),
             space_steps=(500,), reference_steps=16000, report_spots=(100.0,),
             domain=DomainSpec(0.0, 150.0), label=f"alpha{alpha}")
 

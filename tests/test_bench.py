@@ -71,7 +71,9 @@ class TestConfigParsing:
         kv["domain.fit"] = "barrier_exactt"
         with pytest.raises(ConfigError, match=r"^domain\.fit = 'barrier_exactt': "):
             parse_table_config(kv)
-        # a barrier fit needs both barriers: give the contract two
+        # a barrier fit needs both barriers: give the contract two; it sets
+        # the domain, so the explicit bounds go
+        del kv["domain.s_min"], kv["domain.s_max"]
         kv.update({"contract.style": "continuous_double_ko", "contract.barrier_lower": "50",
                    "contract.barrier_upper": "120", "domain.fit": "barrier_exact"})
         fit = parse_table_config(kv).columns[0][1].domain.fit
@@ -160,7 +162,9 @@ pde.barrier_mode = ghost_lagrange3
         ("placement.targets", "ongrid:inf"),
         ("pde.boundary_upper", "dirichlet:nan"),
         ("pde.boundary_upper", "zero_gamma:5"),
-        ("pde.boundary_lower", "degenerate_exact:0"),
+        ("pde.boundary_lower", "degenerate_exact"),
+        ("sweep.space_steps", "0, 8"),
+        ("sweep.space_steps", ""),
     ])
     def test_bad_value_raises_config_error_naming_the_key(self, key, value):
         kv = parse_config_text(SMOKE)
@@ -188,26 +192,21 @@ pde.barrier_mode = ghost_lagrange3
         with pytest.raises(ConfigError, match=r"column\.b\.sweep\.reference_mode"):
             parse_table_config(parse_config_text(text))
 
-    def test_degenerate_exact_away_from_zero_names_boundary_and_domain_keys(self):
-        kv = parse_config_text(load_bundled_text("smoke_zero_vol.cfg"))
-        kv.update({"domain.s_min": "10", "pde.boundary_lower": "degenerate_exact"})
-        with pytest.raises(ConfigError, match=r"pde\.boundary_lower = degenerate_exact"
-                                              r".*domain\.s_min puts it at 10"):
+    def test_an_unknown_boundary_kind_lists_the_kinds(self):
+        kv = parse_config_text(SMOKE)
+        kv["pde.boundary_upper"] = "neumann"
+        with pytest.raises(ConfigError, match=r"^pde\.boundary_upper = 'neumann': unknown "
+                                              r"boundary kind 'neumann'; expected zero_gamma "
+                                              r"or dirichlet:VALUE$"):
             parse_table_config(kv)
-        kv.update({"domain.s_min": "0", "pde.boundary_upper": "degenerate_exact"})
-        with pytest.raises(ConfigError, match=r"pde\.boundary_upper.*domain\.s_max"):
-            parse_table_config(kv)
-        # barrier-fitted domains: the fit sets the edge
+
+    @pytest.mark.parametrize("key", ["domain.s_min", "domain.s_max"])
+    def test_domain_bounds_under_a_barrier_fit_are_unread(self, key):
+        # the fit sets the domain, so a bound beside it is a key nothing reads
         kv = parse_config_text(load_bundled_text("double_ko_continuous_ghost.cfg"))
-        kv["pde.boundary_lower"] = "degenerate_exact"
-        with pytest.raises(ConfigError, match=r"pde\.boundary_lower.*domain\.fit"):
+        kv[key] = "0"
+        with pytest.raises(ConfigError, match=rf"^unknown config key '{key}'$"):
             parse_table_config(kv)
-        # the bundled tables that use it have s_min = 0
-        users = [name for name in BUNDLED
-                 if "degenerate_exact" in load_bundled_text(name)]
-        assert len(users) == 4
-        for name in users:
-            load_bundled(name)
 
     def test_load_config_reads_a_file_path(self, tmp_path):
         path = tmp_path / "table.cfg"

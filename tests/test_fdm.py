@@ -27,7 +27,7 @@ from stretchgrid.fdm import (BDF2_NEW, BDF2_OLD, OMEGA, AmericanProjection,
                              GhostBarrier, GhostSide,
                              MarketParams, NonFiniteValueError, PdeConfig,
                              SingularSystemError, Stack, TrBdf2Stepper,
-                             attach_boundary_rows, discretize_operator,
+                             discretize_operator,
                              first_derivative_weights,
                              second_derivative_weights)
 from stretchgrid.gridgen import Grid, StretchKind, StretchSpec, build_map, sample_grid
@@ -94,10 +94,22 @@ def test_market_params_reject_non_finite_values(field, value):
         MarketParams(**{field: value})
 
 
+# Dirichlet edges, whose operator rows ``discretize_operator`` leaves zero
+PINNED_EDGES = PdeConfig(1, BoundaryCondition(BoundaryKind.DIRICHLET_VALUE),
+                         BoundaryCondition(BoundaryKind.DIRICHLET_VALUE))
+
+
 class TestStencils:
+    @pytest.mark.parametrize("rate, dividend", [(0.05, 0.01), (0.0, 0.0), (0.03, 0.07)])
+    def test_zero_gamma_row_at_zero_is_the_degenerate_row(self, rate, dividend):
+        # at S = 0 the operator is -r V, a row with no off-diagonal
+        op = discretize_operator(Grid(np.array([0.0, 2.0, 5.0, 9.0])),
+                                 MarketParams(rate, dividend, 0.3), PdeConfig(1))
+        assert (op.lower[0], op.diag[0], op.upper[0]) == (0.0, -rate, 0.0)
+
     def test_zero_market_zero_operator(self):
         grid = Grid(np.linspace(10.0, 20.0, 11))
-        op = discretize_operator(grid, MarketParams(0.0, 0.0, 0.0))
+        op = discretize_operator(grid, MarketParams(0.0, 0.0, 0.0), PINNED_EDGES)
         assert np.all(op.lower == 0) and np.all(op.diag == 0) and np.all(op.upper == 0)
 
     def test_second_derivative_exact_on_quadratics(self):
@@ -129,7 +141,7 @@ class TestStencils:
     def test_operator_row_values(self):
         grid = Grid(np.array([90.0, 100.0, 115.0, 140.0]))
         mkt = MarketParams(0.05, 0.01, 0.3)
-        op = discretize_operator(grid, mkt)
+        op = discretize_operator(grid, mkt, PINNED_EDGES)
         s, hm, hp = 100.0, 10.0, 15.0
         d1 = first_derivative_weights(hm, hp)
         d2 = second_derivative_weights(hm, hp)
@@ -143,7 +155,7 @@ class TestStencils:
         bad = Grid.__new__(Grid)
         bad.points = np.array([0.0, 2.0, 1.0, 3.0])
         with pytest.raises(ValueError):
-            discretize_operator(bad, MarketParams())
+            discretize_operator(bad, MarketParams(), PINNED_EDGES)
 
 
 def unreducible_block(points, horizon=1.0, n_steps=4) -> TrBdf2Stepper:
@@ -190,12 +202,11 @@ class TestTrBdf2:
     def test_stepper_equals_single_step_helper(self):
         grid = sample_grid(build_map(StretchSpec(StretchKind.UNIFORM, 0.0, 200.0)), 40)
         mkt = MarketParams(0.05, 0.01, 0.25)
-        cfg = PdeConfig(1, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                        BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+        cfg = PdeConfig(1)
         v0 = np.maximum(grid.points - 90.0, 0.0)
         stepper = TrBdf2Stepper(grid, mkt, cfg, 0.5, ())
         via_stepper = stepper.run(v0)
-        op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
+        op = discretize_operator(grid, mkt, cfg)
         via_helper = dense_trbdf2_step(v0, 0.5, op)
         assert np.max(np.abs(via_stepper - via_helper)) < 1e-12
 
@@ -225,7 +236,7 @@ class TestTrBdf2:
         ghost_row = lagrange_row(s, (31, 30, 29), barrier, n)
         rows[31] = (ghost_row, 0.3)
         rows.update({i: (np.eye(n)[i], 0.3) for i in range(32, n)})
-        op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
+        op = discretize_operator(grid, mkt, cfg)
         expect = dense_trbdf2_step(v0, 0.5, op, rows, ghost_override({31: ghost_row}, 0.3))
         assert np.max(np.abs(via_stepper - expect)) < 1e-12 * np.max(np.abs(expect))
 
@@ -289,8 +300,7 @@ class TestTrBdf2:
         grid = sample_grid(build_map(StretchSpec(StretchKind.UNIFORM, 0.0, 300.0)), 800)
         grid = apply_placement(grid, PlacementSpec(PlacementMode.DEFORM,
                                                    (Target(100.0),)))
-        cfg = PdeConfig(200, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                        BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+        cfg = PdeConfig(200)
         contract = ContractSpec(ExerciseStyle.EUROPEAN_VANILLA, OptionType.CALL,
                                 100.0, 1.0)
         stepper = TrBdf2Stepper(grid, mkt, cfg, 1.0, ())
@@ -306,8 +316,7 @@ class TestTrBdf2:
         closed = black_scholes_vanilla(100.0, 100.0, 1.0, 0.07, 0.02, 0.20, "call")
         contract = ContractSpec(ExerciseStyle.EUROPEAN_VANILLA, OptionType.CALL,
                                 100.0, 1.0)
-        cfg = PdeConfig(400, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                        BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+        cfg = PdeConfig(400)
         errs = []
         for steps in (125, 250, 500):
             grid = sample_grid(build_map(
@@ -324,8 +333,7 @@ class TestTrBdf2:
         # at every step of the standard benchmark regime.
         mkt = MarketParams(0.07, 0.02, 0.20)
         grid = sample_grid(build_map(StretchSpec(StretchKind.UNIFORM, 0.0, 150.0)), 250)
-        cfg = PdeConfig(1500, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                        BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+        cfg = PdeConfig(1500)
         contract = ContractSpec(ExerciseStyle.DISCRETE_KO, OptionType.CALL,
                                 100.0, 1.0, barrier_upper=125.0,
                                 observations_per_year=250)
@@ -514,7 +522,7 @@ class TestGhostRows:
                       27: lagrange_row(s, (27, 26, 25) if three else (27, 26), 160.0, n)}
         rows = {i: (np.eye(n)[i], 0.3) for i in (*range(0, 3), *range(28, n))}
         rows.update({g: (row, 0.3) for g, row in ghost_rows.items()})
-        op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
+        op = discretize_operator(grid, mkt, cfg)
         expect = dense_trbdf2_step(v0, 1.0, op, rows, ghost_override(ghost_rows, 0.3))
         assert np.max(np.abs(via_stepper - expect)) < 1e-12 * np.max(np.abs(expect))
 
@@ -624,8 +632,7 @@ def stack_blocks(draw, n_steps=N_STACK, m_matrix=False, kinds=HOOK_KINDS):
     lower_kind = draw(st.sampled_from(list(BoundaryKind)))
     upper_kind = draw(st.sampled_from([BoundaryKind.DIRICHLET_VALUE,
                                        BoundaryKind.ZERO_GAMMA]))
-    start = 0.0 if lower_kind is BoundaryKind.DEGENERATE_EXACT else draw(
-        st.floats(5.0, 50.0) if m_matrix else st.floats(1.0, 50.0))
+    start = draw(st.just(0.0) | (st.floats(5.0, 50.0) if m_matrix else st.floats(1.0, 50.0)))
     steps = draw(st.lists(st.floats(0.5, 0.9) if m_matrix else st.floats(0.2, 3.0),
                           min_size=n - 1, max_size=n - 1))
     s = start + np.concatenate(([0.0], np.cumsum(steps)))
@@ -716,7 +723,7 @@ def dense_march(grid, mkt, cfg, horizon, hooks, terminal) -> np.ndarray:
     discrete knock-out sets its region to the rebate after each observation
     step, hook by hook."""
     s, n = grid.points, grid.points.size
-    op = attach_boundary_rows(discretize_operator(grid, mkt), grid, mkt, cfg)
+    op = discretize_operator(grid, mkt, cfg)
     lop = dense_matrix(op.lower, op.diag, op.upper)
     dt = horizon / cfg.time_steps
     w = OMEGA * dt
@@ -772,6 +779,23 @@ def test_march_equals_a_dense_march(block, horizon):
     want = dense_march(grid, mkt, cfg, horizon, hooks, terminal)
     assume(np.isfinite(want).all())
     got = TrBdf2Stepper(grid, mkt, cfg, horizon, hooks).run(terminal)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("barrier, rebate", [(1.081132416208104, 1.0), (2.0, 0.0)])
+def test_a_3_point_ghost_entry_keeps_its_digits(barrier, rebate):
+    # A barrier near the inner node over six short steps: eliminating the
+    # 3-point row divides by the inner row's small coupling, so a solve
+    # gives the ghost entry 1.2e-12 to 2.9e-12 (relative) from the dense
+    # march; the last solve of a march sets it from its rule.
+    s = np.array([0.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    mkt = MarketParams(0.0, 0.0, 0.375)
+    cfg = PdeConfig(6, boundary_upper=BoundaryCondition(BoundaryKind.DIRICHLET_VALUE),
+                    barrier_mode=BarrierMode.GHOST_LAGRANGE3)
+    hooks = ghost_with_region(s, barrier, BarrierMode.GHOST_LAGRANGE3, rebate, GhostSide.UP)
+    terminal = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    want = dense_march(Grid(s), mkt, cfg, 0.0625, hooks, terminal)
+    got = TrBdf2Stepper(Grid(s), mkt, cfg, 0.0625, hooks).run(terminal)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -1383,7 +1407,7 @@ def factored_bands(monkeypatch) -> list:
 @settings(max_examples=150, deadline=None)
 @given(block=stack_blocks(m_matrix=True), seed=st.integers(0, 2 ** 32 - 1))
 def test_m_matrix_blocks_solve_by_ldl(block, seed):
-    # Every boundary kind (Dirichlet, zero-gamma, the degenerate S = 0 row),
+    # Both boundary kinds (Dirichlet, zero-gamma, at S = 0 the degenerate row),
     # Dirichlet regions at zero and nonzero values, and up and down ghost
     # rows, linear and 3-point: the block qualifies, and its first substage,
     # built and solved in the row-scaled system, agrees with a dense solve
@@ -1430,11 +1454,10 @@ LU_BLOCKS = {
 
 
 def lu_block(name: str, n_steps: int | None = None) -> TrBdf2Stepper:
-    """The block ``name`` of ``LU_BLOCKS`` over one year, from the degenerate
-    S = 0 row to a zero-gamma top row, at its own N unless given one."""
+    """The block ``name`` of ``LU_BLOCKS`` over one year, with zero-gamma
+    rows (at S = 0 the degenerate one), at its own N unless given one."""
     points, mkt, own_steps = LU_BLOCKS[name]
-    cfg = PdeConfig(n_steps or own_steps, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                    BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+    cfg = PdeConfig(n_steps or own_steps)
     return TrBdf2Stepper(Grid(points), mkt, cfg, 1.0)
 
 
@@ -1447,7 +1470,7 @@ def test_convection_dominated_block_takes_lu_with_its_bits(monkeypatch, name):
     block = lu_block(name)
     points, _, n_steps = LU_BLOCKS[name]
     plain = TrBdf2Stepper(Grid(points), MarketParams(0.05, 0.0, 0.3), PdeConfig(
-        n_steps, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
+        n_steps, BoundaryCondition(BoundaryKind.ZERO_GAMMA),
         BoundaryCondition(BoundaryKind.DIRICHLET_VALUE)), 1.0)
     stamped = factored_bands(monkeypatch)
     system = Stack([block])
@@ -1470,8 +1493,7 @@ def test_lu_block_march_equals_a_dense_march(name):
     block = lu_block(name)
     terminal = np.maximum(block.grid.points - 50.0, 0.0)
     points, mkt, n_steps = LU_BLOCKS[name]
-    cfg = PdeConfig(n_steps, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                    BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+    cfg = PdeConfig(n_steps)
     want = dense_march(block.grid, mkt, cfg, 1.0, (), terminal)
     got = block.run(terminal)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -1802,8 +1824,7 @@ class TestLapackLoader:
             "    for prices in [report.reference, *(row.prices for row in report.rows)]:",
             "        print(*(price.hex() for price in prices.values()))",
             f"block = TrBdf2Stepper(Grid(np.linspace({points[0]!r}, {points[-1]!r}, "
-            f"{points.size})), {mkt!r}, PdeConfig({n_steps}, BoundaryCondition("
-            "BoundaryKind.DEGENERATE_EXACT), BoundaryCondition(BoundaryKind.ZERO_GAMMA)), 1.0)",
+            f"{points.size})), {mkt!r}, PdeConfig({n_steps}), 1.0)",
             "print(Stack([block]).solve_kind)",
             "print(*(v.hex() for v in block.run(np.maximum(block.grid.points - 100.0, 0.0))))"])
         hidden, bundled = (subprocess.run([sys.executable, "-c", probe], capture_output=True,

@@ -119,8 +119,7 @@ class TestValueOrderings:
         # not push the deep-OTM put tail below zero (truncation artifact).
         stretch = StretchSpec(StretchKind.CUBIC, 0.0, 400.0, (100.0,), (15.0,))
         grid = sample_grid(build_map(stretch), 400)
-        cfg = PdeConfig(400, BoundaryCondition(BoundaryKind.DEGENERATE_EXACT),
-                        BoundaryCondition(BoundaryKind.ZERO_GAMMA))
+        cfg = PdeConfig(400)
         am = ContractSpec(ExerciseStyle.AMERICAN_VANILLA, OptionType.PUT, 100.0, 1.0)
         eu = ContractSpec(ExerciseStyle.EUROPEAN_VANILLA, OptionType.PUT, 100.0, 1.0)
         v_am = TrBdf2Stepper(grid, MKT, cfg, 1.0,
