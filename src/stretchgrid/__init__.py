@@ -9,8 +9,7 @@ against closed-form and fine-grid references.
 
 from .analytics import black_scholes_vanilla, double_barrier_ko_analytic
 from .bench import (ConvergenceReport, RunConfig, TableConfig, bench_transforms,
-                    emit_csv, emit_table_csv, load_bundled, load_config,
-                    price_run, run_convergence)
+                    emit_table_csv, load_bundled, load_config, price_run)
 from .fdm import (BarrierMode, BoundaryCondition, BoundaryKind, GhostSide,
                   MarketParams, NonFiniteValueError, PdeConfig,
                   SingularSystemError, SpatialOperator, TrBdf2Stepper,

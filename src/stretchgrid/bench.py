@@ -72,6 +72,8 @@ class RunConfig:
             raise ConfigError("reference resolution must exceed the sweep")
         if not self.report_spots:
             raise ConfigError("need at least one report spot")
+        if len(set(self.space_steps)) < len(self.space_steps):
+            raise ConfigError(f"space_steps {self.space_steps} repeat an entry")
 
 
 @dataclass
@@ -159,13 +161,13 @@ class _Pricing(dict):
     started ``march`` (``fdm.start``) until it is joined; and ``error``, the
     exception that failed it, if any."""
 
-    error: Exception | None = None
     points = stepper = terminal = march = None
 
-    def __init__(self, config: RunConfig, steps: int):
+    def __init__(self, config: RunConfig, steps: int, error: Exception | None = None):
         super().__init__()
         self.name = f"{config.label}, I = {steps}"
         self.spots = config.report_spots
+        self.error = error
 
     def message(self) -> str:
         """The failure, named: ``"<label>, I = <steps>: <error>"``."""
@@ -194,9 +196,9 @@ class _TableCache:
     ``started``, the pricings whose march was started and not yet joined,
     oldest first.
 
-    ``_sweep`` keeps one cache for the references and every column, so
-    columns with equal stretch specs share their maps.  A map is keyed on
-    its spec and on ode_steps, which follows the resolution for
+    ``TableConfig.run`` keeps one cache for the references and every
+    column, so columns with equal stretch specs share their maps.  A map is
+    keyed on its spec and on ode_steps, which follows the resolution for
     Tavella-Randall maps and is ``None`` for every other kind.
     """
 
@@ -304,63 +306,14 @@ def _reference(config: RunConfig, cache: _TableCache) -> dict[float, float]:
     """Build ``config``'s reference pricing and start its march the moment
     its block is built (see ``_TableCache.start``: in a forked process on
     Linux, on a thread elsewhere), while the caller builds the next grids;
-    ``_sweep`` joins it last.  A reference that fails to build raises
-    ``PricingError`` naming it."""
+    ``TableConfig.run`` joins it last.  A reference that fails to build
+    raises ``PricingError`` naming it."""
     try:
         prices = price_run(config, config.reference_steps, cache)
     except Exception as exc:
-        failed = _Pricing(config, config.reference_steps)
-        failed.fill(exc)
-        raise PricingError(failed.message()) from exc
+        raise PricingError(_Pricing(config, config.reference_steps, exc).message()) from exc
     cache.start()
     return prices
-
-
-def _sweep(configs: list[RunConfig],
-           reference: RunConfig | dict[float, float] | None = None) -> list[ConvergenceReport]:
-    """One report per config, each against ``reference``: prices given for
-    every config, a ``RunConfig`` whose reference every config shares, or,
-    with ``None``, each config's own reference.
-
-    One ``_TableCache`` serves the whole sweep.  Each missing reference is
-    built and its march started (see ``_reference``); then every sweep row
-    of every config is built and queued, and the rows march together
-    through one ``fdm.march`` in the calling thread, beside the references
-    still marching; the started references are joined last.  A row that fails to
-    build or to march is marked failed instead of aborting; a failed
-    reference raises ``PricingError``.  Either names its column and
-    I.  When the sweep exits by an exception (a reference that fails to
-    build, an interrupt), every started march is cancelled, its process
-    killed and reaped, before the exception leaves.
-    """
-    cache = _TableCache()
-    try:
-        if isinstance(reference, RunConfig):
-            reference = _reference(reference, cache)
-        references = [_reference(config, cache) if reference is None else reference
-                      for config in configs]
-        queued = []
-        for config in configs:
-            rows = []
-            for steps in config.space_steps:
-                try:
-                    prices = price_run(config, steps, cache)
-                except Exception as exc:  # noqa: BLE001 - cell-level fault isolation
-                    prices = _Pricing(config, steps)
-                    prices.fill(exc)
-                rows.append((steps, prices))
-            queued.append(rows)
-        cache.march()
-        cache.join()
-    except BaseException:
-        cache.cancel()
-        raise
-    for prices in references:
-        error = getattr(prices, "error", None)
-        if error is not None:
-            raise PricingError(prices.message()) from error
-    return [_report(config, prices, rows)
-            for config, prices, rows in zip(configs, references, queued)]
 
 
 def _report(config: RunConfig, reference_prices: dict[float, float],
@@ -378,22 +331,6 @@ def _report(config: RunConfig, reference_prices: dict[float, float],
             row.order = _order(report.rows[-1], row, config.report_spots[0])
         report.rows.append(row)
     return report
-
-
-def run_convergence(config: RunConfig,
-                    reference_prices: dict[float, float] | None = None) -> ConvergenceReport:
-    """Sweep the space resolutions against a same-regime reference.
-
-    The reference is priced with the same stretch/placement recipe at
-    ``reference_steps`` unless explicit reference prices are passed in (used
-    by table runs whose published reference is shared across columns).
-    ``_sweep`` builds it and starts its march before it builds the rows,
-    which then march together in the calling thread, blocks that share
-    (dt, N) as one stacked system; the reference is joined last.
-    Failed resolutions are marked in the report instead of aborting the
-    sweep; a failed reference raises ``PricingError``.
-    """
-    return _sweep([config], reference_prices)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,26 +355,6 @@ def _csv_line(fields) -> str:
     return ",".join(_csv_field(_fmt(f)) for f in fields) + "\r\n"
 
 
-def report_csv_lines(report: ConvergenceReport, prefix: tuple[str, ...] = ()) -> list[list]:
-    """Rows as field lists: I, then price/err per spot, then order."""
-    out = []
-    for row in report.rows:
-        fields: list = list(prefix) + [row.steps]
-        for s in report.spots:
-            if row.failed:
-                fields += ["failed", "failed"]
-            else:
-                fields += [row.prices[s], row.errors_1e5[s]]
-        fields.append(row.order if not row.failed else "")
-        out.append(fields)
-    return out
-
-
-def _spot_columns(spots) -> list[str]:
-    """The price and error column names of each spot."""
-    return [f"{name}_S{_fmt(float(s))}" for s in spots for name in ("price", "err1e5")]
-
-
 def write_csv(header: list[str], rows, destination) -> int:
     """Write the header, then each row's fields, as CSV to a path or a binary
     stream; returns bytes written.
@@ -453,16 +370,11 @@ def write_csv(header: list[str], rows, destination) -> int:
     return len(data)
 
 
-def emit_csv(report: ConvergenceReport, destination) -> int:
-    """Write one report as CSV (see ``write_csv``); returns bytes written.
-    The columns are I, then per-spot price/error, then order."""
-    header = ["I", *_spot_columns(report.spots), "order"]
-    return write_csv(header, report_csv_lines(report), destination)
-
-
 def emit_table_csv(results: list[tuple[str, ConvergenceReport]], destination) -> int:
-    """Concatenate per-column reports into one long-format CSV, under one
-    header; reports whose spots differ raise ``ConfigError``."""
+    """Write the (column, report) pairs as one CSV (see ``write_csv``) and
+    return the bytes written: a line per row, with its column, I, the price
+    and error x 1e5 at each spot (``failed`` twice for a failed row), then
+    the order.  Reports whose spots differ raise ``ConfigError``."""
     if not results:
         raise ConfigError("no reports to emit")
     first, spots = results[0][0], results[0][1].spots
@@ -471,10 +383,17 @@ def emit_table_csv(results: list[tuple[str, ConvergenceReport]], destination) ->
             raise ConfigError(f"column {name!r} reports spots {report.spots} and column "
                               f"{first!r} {spots}: a table CSV needs the same spots "
                               "in every column")
-    rows = [fields for name, report in results
-            for fields in report_csv_lines(report, prefix=(name,))]
-    header = ["column", "I", *_spot_columns(spots), "order"]
-    return write_csv(header, rows, destination)
+    header = ["column", "I", *(f"{field}_S{_fmt(float(s))}" for s in spots
+                                for field in ("price", "err1e5")), "order"]
+    lines = []
+    for name, report in results:
+        for row in report.rows:
+            fields = [name, row.steps]
+            for s in spots:
+                fields += (["failed", "failed"] if row.failed
+                           else [row.prices[s], row.errors_1e5[s]])
+            lines.append(fields + ["" if row.failed else row.order])
+    return write_csv(header, lines, destination)
 
 
 # ---------------------------------------------------------------------------
@@ -568,29 +487,31 @@ def _count(s: str) -> int:
     return value
 
 
-def _counts(s: str) -> tuple[int, ...]:
-    counts = tuple(_count(tok) for tok in s.split(",") if tok.strip())
-    if not counts:
-        raise ValueError("needs at least one count")
-    return counts
+def _entries(convert):
+    """The converter of a comma-separated list of ``convert``'s values that
+    rejects an empty list and a repeated entry."""
+    def parse(s: str) -> tuple:
+        values = tuple(convert(tok) for tok in s.split(",") if tok.strip())
+        if not values:
+            raise ValueError("needs at least one entry")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"repeats {', '.join(_fmt(v) for v in repeated)}")
+        return values
+    return parse
 
 
 def _parse_targets(s: str) -> tuple[Target, ...]:
+    goals = {goal.value: goal for goal in PlacementGoal}
     targets = []
-    for tok in s.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in (tok.strip() for tok in s.split(",") if tok.strip()):
         goal, _, value = tok.partition(":")
         if not value:
             raise ConfigError(f"target {tok!r} must look like midcell:100")
         goal = goal.strip().lower()
-        if goal == "midcell":
-            targets.append(Target(_finite(value), PlacementGoal.MID_CELL))
-        elif goal == "ongrid":
-            targets.append(Target(_finite(value), PlacementGoal.ON_GRID))
-        else:
+        if goal not in goals:
             raise ConfigError(f"unknown placement goal {goal!r}")
+        targets.append(Target(_finite(value), goals[goal]))
     return tuple(targets)
 
 
@@ -613,26 +534,35 @@ def _build_run(kv: dict[str, str], label: str, origin: dict[str, str],
                read: set[str]) -> RunConfig:
     """One column's ``RunConfig`` from its keys ``kv``, adding each key it
     reads to ``read`` as ``origin`` names it (as written in the file), as a
-    bad value's ``ConfigError`` names it; the domain bounds are read only
-    under ``domain.fit = explicit``.  The stretch spec is built on the
-    reference row's domain, the narrowest any row gets."""
+    bad value's ``ConfigError`` names it.  A key is read only where it is
+    used: the domain bounds under ``domain.fit = explicit``, the stretch
+    points (then required) and alphas under a kind other than ``uniform``,
+    the placement targets under a mode other than ``none``.  The stretch
+    spec, spots and targets are checked on the reference row's domain, the
+    narrowest any row gets."""
+
+    def named(key: str) -> str:
+        return origin.get(key, key)
+
+    def bad(key: str, why) -> ConfigError:
+        return ConfigError(f"{named(key)} = {kv[key]!r}: {why}")
 
     def get(key: str, convert, default=_REQUIRED):
-        read.add(origin.get(key, key))
+        read.add(named(key))
         if key not in kv:
             if default is _REQUIRED:
-                raise ConfigError(f"missing config key {key!r}")
+                raise ConfigError(f"missing config key {named(key)!r}")
             return default
         try:
             return convert(kv[key])
         except ValueError as exc:
-            raise ConfigError(f"{key} = {kv[key]!r}: {exc}") from exc
+            raise bad(key, exc) from exc
 
     def build(section: str, make):
         try:
             return make()
         except ValueError as exc:
-            keys = ", ".join(origin.get(k, k) for k in kv if k.startswith(section))
+            keys = ", ".join(named(k) for k in kv if k.startswith(section))
             raise ConfigError(f"{keys or section + '*'}: {exc}") from exc
 
     style = get("contract.style", ExerciseStyle)
@@ -658,12 +588,23 @@ def _build_run(kv: dict[str, str], label: str, origin: dict[str, str],
         domain = DomainSpec(get("domain.s_min", _finite, 0.0), get("domain.s_max", _finite, 0.0))
         if not domain.s_min < domain.s_max:
             raise ConfigError("explicit domains need domain.s_min < domain.s_max")
+    space_steps = get("sweep.space_steps", _entries(_count))
     reference_steps = get("sweep.reference_steps", _count)
+    if reference_steps <= max(space_steps):
+        raise bad("sweep.reference_steps", f"must exceed every {named('sweep.space_steps')} "
+                  f"entry, the largest {max(space_steps)}")
     s_min, s_max, _ = build("domain.fit", lambda: _fit_domain(domain, contract, reference_steps))
+    domain_text = f"the reference row's domain [{_fmt(s_min)}, {_fmt(s_max)}]"
+    spots = get("sweep.report_spots", _entries(_finite))
+    outside = [s for s in spots if not s_min <= s <= s_max]
+    if outside:
+        raise bad("sweep.report_spots", f"{_fmt(outside[0])} lies outside {domain_text}")
 
     kind = get("stretch.kind", StretchKind, StretchKind.UNIFORM)
-    points = get("stretch.points", _finite_floats, ())
-    alphas = get("stretch.alpha", _finite_floats, None)
+    points, alphas = (), None
+    if kind is not StretchKind.UNIFORM:
+        points = get("stretch.points", _entries(_finite))
+        alphas = get("stretch.alpha", _finite_floats, None)
     chi = get("stretch.chi", _finite, 6.0)
     lam = get("stretch.lambda", _finite, 0.25)
     knot_rule = get("stretch.knot_rule", KnotRule, KnotRule.INVERSE)
@@ -671,8 +612,11 @@ def _build_run(kv: dict[str, str], label: str, origin: dict[str, str],
         kind, s_min, s_max, points, alphas, chi=chi, lam=lam, knot_rule=knot_rule))
 
     mode = get("placement.mode", PlacementMode, PlacementMode.NONE)
-    targets = get("placement.targets", _parse_targets, ())
+    targets = () if mode is PlacementMode.NONE else get("placement.targets", _parse_targets, ())
     placement = build("placement.", lambda: PlacementSpec(mode, targets))
+    outside = [t.value for t in targets if not s_min < t.value < s_max]
+    if outside:
+        raise bad("placement.targets", f"{_fmt(outside[0])} lies on or outside {domain_text}")
 
     match_time = get("pde.time_steps", str.strip, "match_space") == "match_space"
     time_steps = 1 if match_time else get("pde.time_steps", int)
@@ -684,8 +628,7 @@ def _build_run(kv: dict[str, str], label: str, origin: dict[str, str],
 
     return RunConfig(
         contract=contract, market=market, stretch=stretch, placement=placement, pde=pde,
-        space_steps=get("sweep.space_steps", _counts), reference_steps=reference_steps,
-        report_spots=get("sweep.report_spots", _finite_floats),
+        space_steps=space_steps, reference_steps=reference_steps, report_spots=spots,
         domain=domain, match_time_steps=match_time, label=label)
 
 
@@ -709,17 +652,47 @@ class TableConfig:
                               f"not one of the columns {', '.join(names)}")
 
     def run(self) -> list[tuple[str, ConvergenceReport]]:
-        """Price every column's sweep with one ``_sweep``: each reference
-        (the shared one, or one per column) is built and its march started
-        (see ``_reference``); every sweep row of every column is then built
-        and queued, and the rows march together through one ``fdm.march`` in
-        the calling thread, beside the references still marching; the
-        references are joined last.  So at most ``workers()`` references and
-        the rows march at once."""
-        shared = (dict(self.columns)[self.reference_column]
-                  if self.reference_mode == "shared" else None)
-        reports = _sweep([cfg for _, cfg in self.columns], shared)
-        return [(name, report) for (name, _), report in zip(self.columns, reports)]
+        """Price every column's sweep: one (name, report) per column, against
+        the shared column's reference or the column's own.
+
+        One ``_TableCache`` serves the table.  Each reference's march starts
+        as soon as its block is built (see ``_reference``); every row of
+        every column is then built and queued, and the rows march together
+        through one ``fdm.march`` in the calling thread (blocks that share
+        (dt, N) as one stack) beside the started references, which are
+        joined last.  A row that fails is marked failed and a failed
+        reference raises ``PricingError``, either naming its column and I.
+        An exception (a reference that fails to build, an interrupt) cancels
+        every started march, its process killed and reaped, before it leaves.
+        """
+        cache = _TableCache()
+        try:
+            if self.reference_mode == "shared":
+                shared = _reference(dict(self.columns)[self.reference_column], cache)
+                references = [shared] * len(self.columns)
+            else:
+                references = [_reference(config, cache) for _, config in self.columns]
+            queued = []
+            for _, config in self.columns:
+                rows = []
+                for steps in config.space_steps:
+                    try:
+                        prices = price_run(config, steps, cache)
+                    except Exception as exc:  # noqa: BLE001 - cell-level fault isolation
+                        prices = _Pricing(config, steps, exc)
+                    rows.append((steps, prices))
+                queued.append(rows)
+            cache.march()
+            cache.join()
+        except BaseException:
+            cache.cancel()
+            raise
+        for prices in references:
+            error = getattr(prices, "error", None)
+            if error is not None:
+                raise PricingError(prices.message()) from error
+        return [(name, _report(config, prices, rows)) for (name, config), prices, rows
+                in zip(self.columns, references, queued)]
 
 
 def parse_table_config(kv: dict[str, str]) -> TableConfig:

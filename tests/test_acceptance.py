@@ -288,7 +288,7 @@ def test_reduced_alpha_improves_unplaced_cubic():
     # Companion check: matching the sinh slope with alpha = 0.9 instead of
     # 1.5 cuts the unplaced cubic-grid error at I = 500 substantially
     # (published levels: 387.8 -> 137.8).
-    from stretchgrid.bench import DomainSpec, RunConfig
+    from stretchgrid.bench import DomainSpec, RunConfig, TableConfig
     from stretchgrid.placement import PlacementSpec as PSpec
 
     def config(alpha):
@@ -303,9 +303,11 @@ def test_reduced_alpha_improves_unplaced_cubic():
             space_steps=(500,), reference_steps=16000, report_spots=(100.0,),
             domain=DomainSpec(0.0, 150.0), label=f"alpha{alpha}")
 
-    from stretchgrid.bench import run_convergence
-    wide = run_convergence(config(1.5)).errors(100.0)[0]
-    slope_matched = run_convergence(config(0.9)).errors(100.0)[0]
+    def one_column(cfg):
+        return TableConfig(((cfg.label, cfg),)).run()[0][1]
+
+    wide = one_column(config(1.5)).errors(100.0)[0]
+    slope_matched = one_column(config(0.9)).errors(100.0)[0]
     assert slope_matched < wide
     print(f"  unplaced cubic at I=500: alpha=1.5 err {wide:.1f}e-5, "
           f"alpha=0.9 err {slope_matched:.1f}e-5")

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from stretchgrid import _threads, bench, fdm, gridgen
 from stretchgrid.bench import (ConfigError, ConvergenceReport, ConvergenceRow,
-                               DomainFit, DomainSpec, bench_transforms, emit_csv,
+                               DomainFit, DomainSpec, TableConfig, bench_transforms,
                                emit_table_csv, load_bundled, parse_config_text,
-                               parse_table_config, resolve_domain, run_convergence)
+                               parse_table_config, resolve_domain)
 from stretchgrid.fdm import (BarrierMode, BoundaryKind, GhostBarrier, MarketParams,
                              NonFiniteValueError)
 from stretchgrid.gridgen import StretchKind, StretchSpec
@@ -120,8 +120,15 @@ pde.barrier_mode = ghost_lagrange3
     def test_reference_must_exceed_sweep(self):
         bad = SMOKE.replace("sweep.reference_steps = 64",
                             "sweep.reference_steps = 32")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^sweep\.reference_steps = '32': must exceed "
+                                              r"every sweep\.space_steps entry, the largest 32$"):
             parse_table_config(parse_config_text(bad))
+
+    def test_a_run_config_with_a_repeated_i_is_rejected(self):
+        # the order between two rows of one I would divide by log(1)
+        config = parse_table_config(parse_config_text(SMOKE)).columns[0][1]
+        with pytest.raises(ConfigError, match=r"^space_steps \(16, 16\) repeat an entry$"):
+            dataclasses.replace(config, space_steps=(16, 16))
 
     def test_bundled_tables_load(self):
         for number in range(1, 7):
@@ -167,8 +174,10 @@ pde.barrier_mode = ghost_lagrange3
         ("sweep.space_steps", ""),
     ])
     def test_bad_value_raises_config_error_naming_the_key(self, key, value):
+        # a stretch kind and a placement mode under which every stretch and
+        # placement key is read
         kv = parse_config_text(SMOKE)
-        kv["placement.mode"] = "deform"
+        kv.update({"stretch.kind": "cubic", "stretch.points": "75", "placement.mode": "deform"})
         kv[key] = value
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_table_config(kv)
@@ -251,10 +260,53 @@ pde.barrier_mode = ghost_lagrange3
         # every column of table 3 replaces the stretch block, so none reads it
         ("discrete_ko_stretch_placed.cfg", {"stretch.alhpa": "3"}, (),
          r"^unknown config key 'stretch\.alhpa'$"),
+        # a repeated I divides by log(1) in the order; a repeated spot
+        # doubles its CSV columns
+        ("double_ko_continuous_ghost.cfg", {"sweep.space_steps": "20, 20"}, (),
+         r"^sweep\.space_steps = '20, 20': repeats 20$"),
+        ("double_ko_continuous_ghost.cfg", {"sweep.report_spots": "95, 95"}, (),
+         r"^sweep\.report_spots = '95, 95': repeats 95$"),
+        ("smoke_zero_vol.cfg", {"sweep.report_spots": ","}, (),
+         r"^sweep\.report_spots = ',': needs at least one entry$"),
+        ("discrete_ko_stretch.cfg", {"column.cubic.contract.strike": "x"}, (),
+         r"^column\.cubic\.contract\.strike = 'x': could not convert"),
+        ("double_ko_continuous_ghost.cfg", {"column.on_grid.sweep.reference_steps": "40"}, (),
+         r"^column\.on_grid\.sweep\.reference_steps = '40': must exceed every "
+         r"sweep\.space_steps entry, the largest 160$"),
+        # stretch points and alphas are read under a kind that uses them,
+        # which needs points; targets under a placement mode
+        ("smoke_zero_vol.cfg", {"stretch.kind": "tavella_randall"}, (),
+         r"^missing config key 'stretch\.points'$"),
+        ("smoke_zero_vol.cfg", {"stretch.kind": "cubic", "stretch.points": ","}, (),
+         r"^stretch\.points = ',': needs at least one entry$"),
+        ("smoke_zero_vol.cfg", {"stretch.points": "75"}, (),
+         r"^unknown config key 'stretch\.points'$"),
+        ("smoke_zero_vol.cfg", {"stretch.alpha": "3"}, (),
+         r"^unknown config key 'stretch\.alpha'$"),
+        ("smoke_zero_vol.cfg", {"placement.targets": "midcell:100"}, (),
+         r"^unknown config key 'placement\.targets'$"),
+        # spots and targets are checked on the reference row's domain
+        ("smoke_zero_vol.cfg", {"sweep.report_spots": "200"}, (),
+         r"^sweep\.report_spots = '200': 200 lies outside the reference row's "
+         r"domain \[0, 150\]$"),
+        ("smoke_zero_vol.cfg", {"placement.mode": "deform",
+                                "placement.targets": "midcell:200"}, (),
+         r"^placement\.targets = 'midcell:200': 200 lies on or outside the reference "
+         r"row's domain \[0, 150\]$"),
+        ("double_ko_continuous_stretch.cfg",
+         {"column.uniform.placement.targets": "ongrid:80, midcell:100, ongrid:160"}, (),
+         r"^column\.uniform\.placement\.targets = 'ongrid:80, midcell:100, ongrid:160': "
+         r"80 lies on or outside the reference row's domain \[89\.9825, 160\.0175\]$"),
     ], ids=["bad_reference_mode", "reference_column_per_column",
             "reference_column_table_1", "reference_column_no_column",
             "stretch_point_on_fitted_bound", "barrier_fit_without_barriers",
-            "base_stretch_key_every_column_replaces"])
+            "base_stretch_key_every_column_replaces", "repeated_space_steps",
+            "repeated_report_spots", "no_report_spot", "bad_column_value",
+            "column_reference_within_the_sweep", "stretch_kind_without_points",
+            "stretch_points_empty", "stretch_points_under_uniform",
+            "stretch_alpha_under_uniform", "targets_without_a_mode",
+            "report_spot_outside_the_domain", "target_outside_the_domain",
+            "column_target_outside_the_fitted_domain"])
     def test_a_bad_table_input_raises_at_parse_naming_its_keys(self, name, edits, dropped,
                                                                message):
         kv = {k: v for k, v in parse_config_text(load_bundled_text(name)).items()
@@ -323,8 +375,7 @@ column.stretched.stretch.alpha = 2.5
 
 class TestRunConvergence:
     def test_zero_vol_errors_vanish(self):
-        table = parse_table_config(parse_config_text(SMOKE))
-        report = run_convergence(table.columns[0][1])
+        report = parse_table_config(parse_config_text(SMOKE)).run()[0][1]
         assert [r.steps for r in report.rows] == [16, 32]
         for row in report.rows:
             assert row.errors_1e5[75.0] == pytest.approx(0.0, abs=1e-8)
@@ -334,14 +385,13 @@ class TestRunConvergence:
         table = parse_table_config(parse_config_text(
             SMOKE.replace("sweep.space_steps = 16, 32",
                           "sweep.space_steps = 1, 16")))
-        report = run_convergence(table.columns[0][1])
+        report = table.run()[0][1]
         assert report.rows[0].failed
         assert not report.rows[1].failed
 
     def test_non_finite_values_fail_the_row(self, monkeypatch):
         poison_row(monkeypatch, 33)
-        table = parse_table_config(parse_config_text(SMOKE))
-        report = run_convergence(table.columns[0][1])
+        report = parse_table_config(parse_config_text(SMOKE)).run()[0][1]
         assert not report.rows[0].failed
         assert report.rows[1].steps == 32
         assert "non-finite" in report.rows[1].failed
@@ -438,10 +488,11 @@ class TestRunConvergence:
             raise AssertionError("a bad report spot must fail before the stepper is built")
 
         monkeypatch.setattr(bench, "TrBdf2Stepper", no_march)
-        table = parse_table_config(parse_config_text(
-            SMOKE.replace("sweep.report_spots = 75", "sweep.report_spots = 75, 200")))
+        # parsing rejects such a spot, so build the config past it
+        config = parse_table_config(parse_config_text(SMOKE)).columns[0][1]
+        config = dataclasses.replace(config, report_spots=(75.0, 200.0))
         with pytest.raises(ConfigError, match=r"report spot 200\.0 outside the grid"):
-            bench.price_run(table.columns[0][1], 16)
+            bench.price_run(config, 16)
 
     def test_order_skips_a_failed_row(self, monkeypatch):
         # I = 32 fails: neither it nor I = 48 gets an order, I = 64 gets the
@@ -450,13 +501,14 @@ class TestRunConvergence:
             "sweep.space_steps = 16, 32", "sweep.space_steps = 16, 32, 48, 64").replace(
             "sweep.reference_steps = 64", "sweep.reference_steps = 128")
         poison_row(monkeypatch, 33)
-        report = run_convergence(parse_table_config(parse_config_text(text)).columns[0][1])
+        results = parse_table_config(parse_config_text(text)).run()
+        report = results[0][1]
         assert [bool(row.failed) for row in report.rows] == [False, True, False, False]
         r48, r64 = report.rows[2:]
         order = math.log(r48.errors_1e5[75.0] / r64.errors_1e5[75.0]) / math.log(64 / 48)
         assert report.orders(75.0) == [order]
         buf = io.BytesIO()
-        emit_csv(report, buf)
+        emit_table_csv(results, buf)
         orders = [line.split(",")[-1] for line in buf.getvalue().decode().splitlines()[1:]]
         assert orders == ["", "", "", f"{order:.10g}"]
 
@@ -469,13 +521,15 @@ class TestRunConvergence:
 
 class TestMapCache:
     def test_table_builds_each_tavella_randall_map_once(self, monkeypatch):
-        builds: list[int] = []
+        builds: list[tuple[int, int]] = []     # (ode_steps, integrations) per build
         integrations: list[int] = []
         build_tr, integrate = gridgen.build_tavella_randall, gridgen._tr_integrate
 
         def counting_build(spec, ode_steps=1024):
-            builds.append(ode_steps)
-            return build_tr(spec, ode_steps)
+            before = len(integrations)
+            built = build_tr(spec, ode_steps)
+            builds.append((ode_steps, len(integrations) - before))
+            return built
 
         def counting_integrate(*args, **kwargs):
             integrations.append(1)
@@ -495,17 +549,21 @@ class TestMapCache:
 
         table.run()
         shared = sorted(builds)
-        assert shared == sorted(set(shared))           # once per ode_steps
+        assert len({ode_steps for ode_steps, _ in shared}) == len(shared)  # once per ode_steps
         assert len(shared) == len(table.columns[0][1].space_steps)
-        shared_integrations = len(integrations)
+        assert len(integrations) == sum(n for _, n in shared)
 
-        # One cache per column, as each column's sweep keeps by itself.
+        # One cache per column, as a one-column table keeps by itself.  Each
+        # Tavella-Randall column then also builds its own reference's map
+        # (ode_steps = 8 * 8,000), which the shared run never builds.
         builds.clear()
         integrations.clear()
-        for _, cfg in table.columns:
-            run_convergence(cfg, {s: 0.0 for s in cfg.report_spots})
-        assert sorted(builds) == sorted(shared * 2)
-        assert len(integrations) == 2 * shared_integrations
+        for name, cfg in table.columns:
+            TableConfig(((name, cfg),)).run()
+        references = [b for b in builds if b[0] == 8 * table.columns[0][1].reference_steps]
+        assert len(references) == 2 and references[0] == references[1]
+        assert sorted(b for b in builds if b not in references) == sorted(shared * 2)
+        assert len(integrations) == sum(n for _, n in builds)
 
 
 def track_starts(monkeypatch) -> dict:
@@ -936,26 +994,26 @@ class TestCsv:
     def test_empty_report_is_header_only(self):
         report = ConvergenceReport("x", (100.0,))
         buf = io.BytesIO()
-        n = emit_csv(report, buf)
+        n = emit_table_csv([("x", report)], buf)
         text = buf.getvalue().decode()
         assert n == len(buf.getvalue())
-        assert text == "I,price_S100,err1e5_S100,order\r\n"
+        assert text == "column,I,price_S100,err1e5_S100,order\r\n"
 
     def test_single_row_is_two_lines(self):
         report = ConvergenceReport("x", (100.0,))
         report.rows.append(ConvergenceRow(250, {100.0: 2.31736}, {100.0: 633.1}))
         buf = io.BytesIO()
-        emit_csv(report, buf)
+        emit_table_csv([("x", report)], buf)
         lines = buf.getvalue().decode().splitlines()
         assert len(lines) == 2
-        assert lines[1] == "250,2.31736,633.1,"
+        assert lines[1] == "x,250,2.31736,633.1,"
 
     def test_ten_significant_digits(self):
         report = ConvergenceReport("x", (100.0,))
         report.rows.append(ConvergenceRow(
             250, {100.0: 2.317361234567}, {100.0: 1.0 / 3.0}, order=2.0))
         buf = io.BytesIO()
-        emit_csv(report, buf)
+        emit_table_csv([("x", report)], buf)
         assert b"2.317361235" in buf.getvalue()
         assert b"0.3333333333" in buf.getvalue()
 
@@ -964,7 +1022,7 @@ class TestCsv:
         row = ConvergenceRow(16, {}, {}, failed='bad "cell", details')
         report.rows.append(row)
         buf = io.BytesIO()
-        emit_csv(report, buf)
+        emit_table_csv([("x", report)], buf)
         assert b"failed" in buf.getvalue()
 
     def test_table_csv_rejects_columns_with_other_spots(self):
